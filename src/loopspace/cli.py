@@ -203,9 +203,8 @@ def build_parser() -> argparse.ArgumentParser:
                                 description="Combinatorial loop- and path-space models.")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, complex_required=True):
-        sp.add_argument("complex", nargs="?" if not complex_required else "?",
-                        help="builtin spec or complex file")
+    def add_common(sp):
+        sp.add_argument("complex", nargs="?", help="builtin spec or complex file")
         sp.add_argument("--builtin", help="sphere:n | wedge:r | boundary-simplex:n | facets:<file>")
         sp.add_argument("--json", action="store_true")
 
@@ -214,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_validate)
 
     sp = sub.add_parser("cells", help="list cube cells or loop-word cells")
-    add_common(sp, complex_required=False)
+    add_common(sp)
     sp.add_argument("--cube", type=int, help="list the cells of the n-cube")
     sp.add_argument("--aug", action="store_true")
     sp.add_argument("--degree", type=int, default=0)

@@ -58,6 +58,8 @@ def complex_to_dict(zx: SimplicialPresentation) -> dict:
 
 
 def complex_from_dict(doc: dict) -> SimplicialPresentation:
+    if not isinstance(doc, dict):
+        raise FormatError("complex document must be a JSON object")
     try:
         gens = [GeneratorId(v, 0) for v in doc["vertices"]]
         faces: dict[str, tuple[SimplexTerm, ...]] = {}
@@ -89,6 +91,8 @@ def complex_from_dict(doc: dict) -> SimplicialPresentation:
         )
     except KeyError as exc:
         raise FormatError(f"missing field {exc} in complex document") from exc
+    except (TypeError, AttributeError) as exc:
+        raise FormatError(f"field of the wrong type in complex document: {exc}") from exc
 
 
 def save_complex(zx: SimplicialPresentation, path: str | Path) -> None:

@@ -2,9 +2,14 @@
 
 Boundary matrices are assembled over the canonical-word bases in each
 degree, with an optional word-length truncation for complexes whose
-degree-0 part is infinite; Smith normal form with minimal-magnitude
-pivoting yields free ranks and torsion, and a stabilization scan raises
-the truncation until the reported groups stop changing.
+degree-0 part is infinite.  The bases of all degrees come from one pass
+up a tower: the ``de`` basis of degree n is read off the degeneracy
+closure C_n = E_n + D(C_{n-1}), where E_n is the reduced words of degree
+n and D applies every degeneracy and canonicalizes, so each closure layer
+is built once from the one below.  Smith normal form with
+minimal-magnitude pivoting yields free ranks and torsion, and a
+stabilization scan raises the truncation until the reported groups stop
+changing.
 """
 
 from __future__ import annotations
@@ -126,35 +131,49 @@ def smith_normal_form(matrix: SparseIntMatrix | list[list[int]]) -> tuple[int, .
 # -- bases and boundary matrices --------------------------------------------
 
 
+def degree_bases(
+    zx: SimplicialPresentation,
+    top: int,
+    variant: str,
+    max_length: int | None,
+) -> list[list[LoopWord]]:
+    """Canonical-word bases of degrees 0..top, built in one pass.
+
+    The normalized basis of degree n is E_n, the reduced words of degree n
+    with nondegenerate letters.  The ``de`` basis is the part of the
+    closure C_n = E_n + D(C_{n-1}) that the variant does not kill, where D
+    applies every degeneracy to a word and canonicalizes the result.  D
+    acts word by word and raises the degree by one, so C_n equals the
+    closure of all E_d (d <= n) under degeneracies; only C_{n-1} is held
+    while C_n is built.  Each basis is sorted by (length, letters).
+    """
+    base = zx.basepoint
+    if variant == "normalized":
+        return [enumerate_words(zx, n, max_length, base, base) for n in range(top + 1)]
+    bases: list[list[LoopWord]] = []
+    closure: set[LoopWord] = set()
+    for n in range(top + 1):
+        layer = set(enumerate_words(zx, n, max_length, base, base))
+        for w in closure:
+            for j in range(1, degeneracy_slots(w) + 1):
+                raw = word_degeneracy(zx, w, j)
+                layer.add(canonical(zx, raw.letters, raw.start))
+        closure = layer
+        basis = [w for w in closure if not is_killed(w, variant)]
+        basis.sort(key=lambda w: (len(w.letters), w.letters))
+        bases.append(basis)
+    return bases
+
+
 def degree_basis(
     zx: SimplicialPresentation,
     degree: int,
     variant: str,
     max_length: int | None,
 ) -> list[LoopWord]:
-    """Canonical-word basis of the given degree.
-
-    The normalized basis is the reduced words with nondegenerate letters;
-    the other variant adds the surviving degenerate words, reached by
-    closing the lower-degree bases under degeneracies.
-    """
-    base = zx.basepoint
-    if variant == "normalized":
-        return enumerate_words(zx, degree, max_length, base, base)
-    seen: set[LoopWord] = set()
-    for d in range(degree + 1):
-        layer = set(enumerate_words(zx, d, max_length, base, base))
-        for _ in range(degree - d):
-            nxt: set[LoopWord] = set()
-            for w in layer:
-                for j in range(1, degeneracy_slots(w) + 1):
-                    raw = word_degeneracy(zx, w, j)
-                    nxt.add(canonical(zx, raw.letters, raw.start))
-            layer = nxt
-        seen.update(layer)
-    out = [w for w in seen if w.degree == degree and not is_killed(w, variant)]
-    out.sort(key=lambda w: (len(w.letters), w.letters))
-    return out
+    """Canonical-word basis of one degree: entry ``degree`` of
+    ``degree_bases``, which builds the lower bases on the way."""
+    return degree_bases(zx, degree, variant, max_length)[degree]
 
 
 def boundary_matrix(
@@ -162,19 +181,26 @@ def boundary_matrix(
     degree: int,
     variant: str = "normalized",
     max_length: int | None = None,
+    *,
+    bases: tuple[list[LoopWord], list[LoopWord]] | None = None,
 ) -> tuple[SparseIntMatrix, list[LoopWord], list[LoopWord]]:
     """Matrix of the boundary from degree to degree-1 over the word bases.
 
     Returns (matrix, domain basis, codomain basis); rows are codomain
-    words, columns domain words.  With a length truncation, boundary terms
-    whose length exceeds the bound are dropped (splits lengthen a word by
-    one), so truncated answers need the stabilization scan.
+    words, columns domain words.  ``bases`` = (domain, codomain) reuses
+    bases the caller already built with ``degree_bases``; without it both
+    come from one ``degree_bases`` call.  With a length truncation,
+    boundary terms whose length exceeds the bound are dropped (splits
+    lengthen a word by one), so truncated answers need the stabilization
+    scan.
     """
     if degree < 1:
         raise HomologyError("boundary matrix needs degree >= 1")
     ring = Ring.integers()
-    domain = degree_basis(zx, degree, variant, max_length)
-    codomain = degree_basis(zx, degree - 1, variant, max_length)
+    if bases is None:
+        tower = degree_bases(zx, degree, variant, max_length)
+        bases = tower[degree], tower[degree - 1]
+    domain, codomain = bases
     index = {w: i for i, w in enumerate(codomain)}
     m = SparseIntMatrix(len(codomain), len(domain))
     for j, w in enumerate(domain):
@@ -216,21 +242,32 @@ def homology(
     variant: str = "normalized",
     max_length: int | None = None,
 ) -> HomologyTable:
-    """H_0..H_max_degree of the loop-space complex."""
+    """H_0..H_max_degree of the loop-space complex.
+
+    The bases of degrees 0..max_degree+1 come from one ``degree_bases``
+    call, and each boundary matrix reuses the two it needs.  A negative
+    free rank, which a length truncation that is not a subcomplex can
+    produce, raises ``HomologyError``.
+    """
+    bases = degree_bases(zx, max_degree + 1, variant, max_length)
     ranks: dict[int, int] = {}
     snfs: dict[int, tuple[int, ...]] = {}
-    sizes: dict[int, int] = {}
-    sizes[0] = len(degree_basis(zx, 0, variant, max_length))
     for n in range(1, max_degree + 2):
-        m, dom, _ = boundary_matrix(zx, n, variant, max_length)
-        sizes[n] = len(dom)
+        m, _, _ = boundary_matrix(
+            zx, n, variant, max_length, bases=(bases[n], bases[n - 1])
+        )
         snfs[n] = smith_normal_form(m)
         ranks[n] = len(snfs[n])
     groups = []
     for n in range(max_degree + 1):
         rank_in = ranks.get(n, 0)  # rank of d_n
         rank_out = ranks.get(n + 1, 0)  # rank of d_{n+1}
-        free = sizes[n] - rank_in - rank_out
+        free = len(bases[n]) - rank_in - rank_out
+        if free < 0:
+            raise HomologyError(
+                f"H_{n} has negative free rank {free} at word-length bound "
+                f"{max_length}: the truncated complex is not a subcomplex"
+            )
         torsion = tuple(t for t in snfs.get(n + 1, ()) if t > 1)
         groups.append(HomologyGroup(n, free, torsion))
     return HomologyTable(zx.name, variant, max_length, tuple(groups))

@@ -98,6 +98,10 @@ class SimplicialPresentation:
         self.basepoint = basepoint
         self.op_pairs: dict[str, str] = dict(op_pairs or {})
         self._check_well_formed()
+        self._endpoints: dict[str, tuple[str, str]] = {
+            name: self._walk_endpoints(SimplexTerm((), g))
+            for name, g in self.generators.items()
+        }
 
     def _check_well_formed(self) -> None:
         if self.basepoint not in self.generators:
@@ -170,7 +174,20 @@ class SimplicialPresentation:
         return SimplexTerm(push_degeneracy(t.degens, j), t.generator)
 
     def endpoints(self, t: SimplexTerm) -> tuple[str, str]:
-        """(min, max) = (first, last) vertex of t, as generator names."""
+        """(min, max) = (first, last) vertex of t, as generator names.
+
+        A degeneracy acts on the vertices of t's generator as a monotone
+        surjection, which keeps the first and the last vertex, so the answer
+        depends on the generator alone and is read from a table built once
+        at construction.
+        """
+        try:
+            return self._endpoints[t.generator.name]
+        except KeyError:
+            raise SimplicialError(f"unknown generator {t.generator.name!r}") from None
+
+    def _walk_endpoints(self, t: SimplexTerm) -> tuple[str, str]:
+        # last faces down to the first vertex, zeroth faces down to the last
         lo = t
         while lo.dim > 0:
             lo = self.face(lo, lo.dim)

@@ -104,6 +104,30 @@ class TestHomology:
         doc = json.loads(out)
         assert [g["free_rank"] for g in doc["groups"]] == [1, 0, 1, 0]
 
+    def test_negative_rank_is_an_error(self, capsys):
+        # the length truncation of a complex with edges is not a subcomplex;
+        # at this bound H_1 would come out with free rank -4
+        code, out, err = run(capsys, "homology", "--builtin", "boundary-simplex:3",
+                             "--degree", "2", "--max-len", "5")
+        assert code == 2 and out == ""
+        assert "H_1" in err and "-4" in err and "bound 5" in err
+
+    def test_non_object_document(self, capsys, tmp_path):
+        path = tmp_path / "doc.json"
+        path.write_text("[1, 2]")
+        code, _, err = run(capsys, "homology", str(path), "--degree", "1")
+        assert code == 2 and "must be a JSON object" in err
+
+    @pytest.mark.parametrize("doc", [
+        {"vertices": 5, "basepoint": "v"},
+        {"vertices": ["v"], "basepoint": "v", "op_pairs": []},
+    ], ids=["int-vertices", "list-op-pairs"])
+    def test_field_of_wrong_type(self, capsys, tmp_path, doc):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "homology", str(path), "--degree", "1")
+        assert code == 2 and "wrong type" in err
+
 
 class TestGroup:
     def test_count(self, capsys):

@@ -3,17 +3,42 @@ from math import gcd
 
 import pytest
 
-from loopspace.chains import Ring
+from loopspace.chains import Ring, is_killed
 from loopspace.homology import (
     HomologyError,
     SparseIntMatrix,
     boundary_matrix,
+    degree_bases,
     degree_basis,
     field_dimensions,
     homology,
     smith_normal_form,
     stabilized_homology,
 )
+from loopspace.words import canonical, degeneracy_slots, enumerate_words, word_degeneracy
+
+
+def closure_basis(zx, degree, variant, max_length):
+    """Basis of one degree built from scratch: every E_d (d <= degree)
+    closed under degree - d rounds of degeneracies (reference for the
+    one-pass tower of ``degree_bases``)."""
+    base = zx.basepoint
+    if variant == "normalized":
+        return enumerate_words(zx, degree, max_length, base, base)
+    seen = set()
+    for d in range(degree + 1):
+        layer = set(enumerate_words(zx, d, max_length, base, base))
+        for _ in range(degree - d):
+            nxt = set()
+            for w in layer:
+                for j in range(1, degeneracy_slots(w) + 1):
+                    raw = word_degeneracy(zx, w, j)
+                    nxt.add(canonical(zx, raw.letters, raw.start))
+            layer = nxt
+        seen.update(layer)
+    out = [w for w in seen if w.degree == degree and not is_killed(w, variant)]
+    out.sort(key=lambda w: (len(w.letters), w.letters))
+    return out
 
 
 def minors_gcd_invariants(rows):
@@ -103,6 +128,31 @@ class TestBases:
             de = set(degree_basis(zx, degree, "de", 3))
             assert norm <= de
 
+    @pytest.mark.parametrize("variant", ["de", "normalized"])
+    @pytest.mark.parametrize("name, top, max_length", [
+        ("sphere2", 6, None),
+        ("sphere3", 7, None),
+        ("bd2", 3, 3),
+        ("bd3", 3, 3),
+    ])
+    def test_tower_matches_closure_oracle(self, fixtures, name, top, max_length, variant):
+        zx = fixtures[name]
+        tower = degree_bases(zx, top, variant, max_length)
+        assert len(tower) == top + 1
+        for d, basis in enumerate(tower):
+            assert basis == closure_basis(zx, d, variant, max_length), (name, d)
+        assert degree_basis(zx, top, variant, max_length) == tower[top]
+
+    @pytest.mark.parametrize("variant", ["de", "normalized"])
+    def test_boundary_matrix_with_given_bases(self, fixtures, variant):
+        zx = fixtures["bd3"]
+        tower = degree_bases(zx, 3, variant, 3)
+        for n in (1, 2, 3):
+            own = boundary_matrix(zx, n, variant, 3)
+            given = boundary_matrix(zx, n, variant, 3, bases=(tower[n], tower[n - 1]))
+            assert own[0] == given[0]
+            assert own[1:] == given[1:] == (tower[n], tower[n - 1])
+
     def test_boundary_matrix_shapes(self, fixtures):
         zx = fixtures["sphere2"]
         m, dom, cod = boundary_matrix(zx, 2, "normalized", 3)
@@ -137,6 +187,10 @@ class TestLoopHomology:
         assert table.groups[0].free_rank == 1 + 4 + 12 + 36
         for g in table.groups[1:]:
             assert (g.free_rank, g.torsion) == (0, ())
+
+    def test_negative_rank_raises(self, fixtures):
+        with pytest.raises(HomologyError, match=r"H_1 .*-4.*bound 5"):
+            homology(fixtures["bd3"], 2, "normalized", 5)
 
     def test_stabilization(self, fixtures):
         table = stabilized_homology(fixtures["sphere2"], 2, "normalized", 2, 6)

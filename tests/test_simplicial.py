@@ -1,4 +1,5 @@
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -16,6 +17,9 @@ from loopspace.simplicial import (
     standard_simplex,
     wedge_of_circles,
 )
+from loopspace.fileformat import load_complex
+
+DATA = Path(__file__).resolve().parent.parent / "data"
 
 
 class TestDegeneracyWords:
@@ -99,6 +103,42 @@ class TestOperators:
         zx = boundary_simplex(2)
         t = zx.degenerate(zx.term("01"), 0)
         assert zx.endpoints(t) == ("0", "1")
+
+
+def walk_endpoints(zx, t):
+    """First and last vertex of t by iterated last and zeroth faces
+    (reference for the endpoint table)."""
+    lo = t
+    while lo.dim > 0:
+        lo = zx.face(lo, lo.dim)
+    hi = t
+    while hi.dim > 0:
+        hi = zx.face(hi, 0)
+    return lo.generator.name, hi.generator.name
+
+
+class TestEndpointTable:
+    def presentations(self, fixtures):
+        docs = sorted(DATA.glob("*.json"))
+        assert docs
+        return list(fixtures.values()) + [load_complex(p) for p in docs]
+
+    def test_matches_face_walk(self, fixtures):
+        # every generator and every canonical degenerate term with up to three
+        # degeneracies; sphere:n is here because its faces are degenerate
+        for zx in self.presentations(fixtures):
+            for name in zx.generators:
+                layer = {zx.term(name)}
+                for _ in range(4):
+                    for t in layer:
+                        assert zx.endpoints(t) == walk_endpoints(zx, t), (zx.name, t)
+                    layer = {zx.degenerate(t, j) for t in layer for j in range(t.dim + 1)}
+
+    def test_unknown_generator(self, fixtures):
+        zx = fixtures["sphere2"]
+        for dim in (0, 1):
+            with pytest.raises(SimplicialError):
+                zx.endpoints(SimplexTerm((), GeneratorId("nowhere", dim)))
 
 
 class TestEdgeInversion:
