@@ -36,12 +36,26 @@ class CliError(ValueError):
     pass
 
 
-def _load(args) -> SimplicialPresentation:
+def _resolve(args) -> SimplicialPresentation:
+    """The complex named on the command line, edge-inverted, unchecked."""
     spec = getattr(args, "builtin", None) or getattr(args, "complex", None)
     if not spec:
         raise CliError("no complex given: pass a source or --builtin")
     zx = resolve_complex(spec)
     return zx if zx.op_pairs else zx.z_extension()
+
+
+def _load(args) -> SimplicialPresentation:
+    """The complex for a model command; one that breaks the simplicial
+    identities is refused, since every model built on it would be wrong."""
+    zx = _resolve(args)
+    report = zx.validate()
+    if report:
+        raise CliError(
+            f"{zx.name} is not a simplicial set ({len(report)} violation(s), "
+            f"first: {report[0]}); see 'loopspace validate'"
+        )
+    return zx
 
 
 def _emit(args, payload: dict, lines: list[str]) -> None:
@@ -53,7 +67,7 @@ def _emit(args, payload: dict, lines: list[str]) -> None:
 
 
 def cmd_validate(args) -> int:
-    zx = _load(args)
+    zx = _resolve(args)
     report = zx.validate()
     _emit(args, {"complex": zx.name, "violations": report, "ok": not report},
           [f"{zx.name}: ok" if not report else f"{zx.name}: {len(report)} violation(s)"]

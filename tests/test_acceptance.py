@@ -8,6 +8,7 @@ import time
 from contextlib import contextmanager
 
 import pytest
+from snf_oracles import minors_gcd_invariants
 
 from loopspace.chains import Ring
 from loopspace.homology import homology, smith_normal_form
@@ -147,46 +148,6 @@ class TestCriterion7Covering:
         for v in graph.vertices:
             if len(v.tail.letters) < max_len:  # away from the truncation
                 assert degrees[v] == 2, v
-
-
-def _det(rows):
-    """Exact integer determinant by fraction-free (Bareiss) elimination."""
-    a = [list(r) for r in rows]
-    k = len(a)
-    sign, prev = 1, 1
-    for t in range(k - 1):
-        if a[t][t] == 0:
-            swap = next((i for i in range(t + 1, k) if a[i][t]), None)
-            if swap is None:
-                return 0
-            a[t], a[swap] = a[swap], a[t]
-            sign = -sign
-        for i in range(t + 1, k):
-            for j in range(t + 1, k):
-                a[i][j] = (a[i][j] * a[t][t] - a[i][t] * a[t][j]) // prev
-            a[i][t] = 0
-        prev = a[t][t]
-    return sign * a[-1][-1]
-
-
-def minors_gcd_invariants(rows):
-    """Invariant factors from the gcds of all k x k minors -- a definition
-    of the normal form that never performs an elementary operation, so it
-    shares no code path with the library routine."""
-    from itertools import combinations
-    from math import gcd
-
-    m, n = len(rows), len(rows[0]) if rows else 0
-    dks = [1]
-    for k in range(1, min(m, n) + 1):
-        g = 0
-        for rs in combinations(range(m), k):
-            for cs in combinations(range(n), k):
-                g = gcd(g, _det([[rows[i][j] for j in cs] for i in rs]))
-        if g == 0:
-            break
-        dks.append(g)
-    return tuple(dks[k] // dks[k - 1] for k in range(1, len(dks)))
 
 
 class TestCriterion8SmithNormalForm:

@@ -13,6 +13,21 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+@pytest.fixture
+def non_simplicial(tmp_path):
+    """The 2-simplex 012 with face table (12, 12, 01): d1 d2 != d1 d1."""
+    def gen(name, faces):
+        return {"name": name, "dim": len(faces) - 1,
+                "faces": [{"degeneracies": [], "generator": f} for f in faces]}
+
+    doc = {"name": "bad-triangle", "vertices": ["0", "1", "2"], "basepoint": "0",
+           "generators": [gen("01", ["1", "0"]), gen("02", ["2", "0"]),
+                          gen("12", ["2", "1"]), gen("012", ["12", "12", "01"])]}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
 class TestValidate:
     def test_builtin_ok(self, capsys):
         code, out, _ = run(capsys, "validate", "--builtin", "sphere:2")
@@ -31,6 +46,10 @@ class TestValidate:
     def test_unknown_builtin(self, capsys):
         code, _, err = run(capsys, "validate", "--builtin", "torus:2")
         assert code == 2 and "torus" in err
+
+    def test_reports_non_simplicial(self, capsys, non_simplicial):
+        code, out, _ = run(capsys, "validate", non_simplicial)
+        assert code == 1 and "d1 d2 != d1 d1 on 012" in out
 
 
 class TestCells:
@@ -129,6 +148,16 @@ class TestHomology:
         assert code == 2 and "wrong type" in err
 
 
+    @pytest.mark.parametrize("max_len", ["1", "3"])
+    def test_non_simplicial_refused(self, capsys, non_simplicial, max_len):
+        # unchecked, --max-len 1 printed H_0 = Z, H_1 = 0 with exit 0 and
+        # --max-len 3 failed on a word whose endpoints did not match
+        code, out, err = run(capsys, "homology", non_simplicial,
+                             "--degree", "1", "--max-len", max_len)
+        assert code == 2 and out == ""
+        assert "not a simplicial set" in err and "d1 d2 != d1 d1 on 012" in err
+
+
 class TestGroup:
     def test_count(self, capsys):
         code, out, _ = run(capsys, "group", "--builtin", "wedge:2",
@@ -172,3 +201,8 @@ class TestCover:
         code, out, _ = run(capsys, "cover", "--builtin", "boundary-simplex:2",
                            "--max-len", "2", "--out", "adj")
         assert code == 0 and "->" in out
+
+    def test_non_simplicial_refused(self, capsys, non_simplicial):
+        code, out, err = run(capsys, "cover", non_simplicial, "--max-len", "2")
+        assert code == 2 and out == ""
+        assert "not a simplicial set" in err and "d1 d2 != d1 d1 on 012" in err

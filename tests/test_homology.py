@@ -1,12 +1,14 @@
 import random
-from math import gcd
 
 import pytest
+from snf_oracles import minors_gcd_invariants, rank
 
+from loopspace import homology as homology_module
 from loopspace.chains import Ring, is_killed
 from loopspace.homology import (
     HomologyError,
     SparseIntMatrix,
+    _dense_smith_normal_form,
     boundary_matrix,
     degree_bases,
     degree_basis,
@@ -41,49 +43,6 @@ def closure_basis(zx, degree, variant, max_length):
     return out
 
 
-def minors_gcd_invariants(rows):
-    """Invariant factors via gcds of k x k minors (slow oracle)."""
-    from itertools import combinations
-
-    m, n = len(rows), len(rows[0]) if rows else 0
-
-    def det(rs, cs):
-        sub = [[rows[i][j] for j in cs] for i in rs]
-        k = len(sub)
-        if k == 0:
-            return 1
-        if k == 1:
-            return sub[0][0]
-        total = 0
-        for j in range(k):
-            minor = [r[:j] + r[j + 1:] for r in sub[1:]]
-            sgn = -1 if j % 2 else 1
-            total += sgn * sub[0][j] * _det(minor)
-        return total
-
-    def _det(sub):
-        k = len(sub)
-        if k == 1:
-            return sub[0][0]
-        total = 0
-        for j in range(k):
-            minor = [r[:j] + r[j + 1:] for r in sub[1:]]
-            sgn = -1 if j % 2 else 1
-            total += sgn * sub[0][j] * _det(minor)
-        return total
-
-    dks = [1]
-    for k in range(1, min(m, n) + 1):
-        g = 0
-        for rs in combinations(range(m), k):
-            for cs in combinations(range(n), k):
-                g = gcd(g, det(rs, cs))
-        if g == 0:
-            break
-        dks.append(g)
-    return tuple(dks[k] // dks[k - 1] for k in range(1, len(dks)))
-
-
 class TestSmithNormalForm:
     def test_known_matrix(self):
         assert smith_normal_form([[2, 4], [6, 8]]) == (2, 4)
@@ -107,13 +66,128 @@ class TestSmithNormalForm:
         for _ in range(60):
             m, n = rng.randint(1, 4), rng.randint(1, 4)
             rows = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(m)]
-            assert smith_normal_form(rows) == minors_gcd_invariants(rows)
+            want = minors_gcd_invariants(rows)
+            assert smith_normal_form(rows) == dense_reference(rows) == want
+
+    def test_local_ranks_on_larger_matrices(self):
+        # sizes where the minors oracle is out of reach, and where reducing
+        # without a modulus grew entries past a thousand digits
+        rng = random.Random(31)
+        for _ in range(40):
+            m, n = rng.randint(15, 25), rng.randint(15, 40)
+            rows = [[rng.randint(-3, 3) if rng.random() < 0.2 else 0 for _ in range(n)]
+                    for _ in range(m)]
+            inv = smith_normal_form(rows)
+            assert len(inv) == rank(rows), rows
+            for a, b in zip(inv, inv[1:]):
+                assert b % a == 0
+            for p in (2, 3, 5, 7):
+                assert sum(1 for d in inv if d % p) == rank(rows, p), (p, rows)
 
     def test_sparse_input(self):
         m = SparseIntMatrix(2, 2)
         m.set(0, 0, 2)
         m.set(1, 1, 3)
         assert smith_normal_form(m) == (1, 6)
+
+    def test_ragged_rows_rejected(self):
+        with pytest.raises(HomologyError, match="row 1 has 1 entries"):
+            smith_normal_form([[1, 2], [3]])
+        with pytest.raises(HomologyError, match="row 0 has 1 entries"):
+            smith_normal_form([[1], [2, 3]])
+
+
+def dense_reference(rows):
+    """Phase 2 alone on the whole matrix: the reference for the two-phase path."""
+    return _dense_smith_normal_form([r[:] for r in rows])
+
+
+def as_sparse(rows, cols):
+    m = SparseIntMatrix(len(rows), cols)
+    for i, r in enumerate(rows):
+        for j, v in enumerate(r):
+            m.set(i, j, v)
+    return m
+
+
+def planted_udv(rng, rows, cols, factors):
+    """U.D.V with D = diag(factors) and U, V products of random unimodular
+    row and column operations and permutations."""
+    m = [[0] * cols for _ in range(rows)]
+    for k, d in enumerate(factors):
+        m[k][k] = d
+    for _ in range(rows + cols):
+        s = rng.choice((1, -1))
+        if rng.random() < 0.5:
+            a, b = rng.sample(range(rows), 2)
+            m[b] = [x + s * y for x, y in zip(m[b], m[a])]
+        else:
+            a, b = rng.sample(range(cols), 2)
+            for r in m:
+                r[b] += s * r[a]
+    rng.shuffle(m)
+    perm = rng.sample(range(cols), cols)
+    return [[r[j] for j in perm] for r in m]
+
+
+@pytest.fixture
+def phase2_shapes(monkeypatch):
+    """Shapes of the blocks that reach phase 2, in call order."""
+    shapes = []
+
+    def spy(m):
+        shapes.append((len(m), len(m[0]) if m else 0))
+        return _dense_smith_normal_form(m)
+
+    monkeypatch.setattr(homology_module, "_dense_smith_normal_form", spy)
+    return shapes
+
+
+class TestUnitPivotElimination:
+    def test_random_sparse_against_dense(self):
+        rng = random.Random(31)
+        for _ in range(80):
+            m, n = rng.randint(1, 25), rng.randint(1, 40)
+            rows = [[rng.randint(-3, 3) if rng.random() < 0.2 else 0 for _ in range(n)]
+                    for _ in range(m)]
+            want = dense_reference(rows)
+            assert smith_normal_form(rows) == want, rows
+            assert smith_normal_form(as_sparse(rows, n)) == want, rows
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_planted_factors(self, seed, phase2_shapes):
+        rng = random.Random(seed)
+        factors = (1,) * 12 + (2, 6, 12, 60)
+        rows = planted_udv(rng, 20, 30, factors)
+        assert dense_reference(rows) == factors
+        assert smith_normal_form(rows) == factors
+        assert smith_normal_form(as_sparse(rows, 30)) == factors
+        # phase 2 sees only the residual block, never the whole matrix
+        assert all(r < 20 and c < 30 for r, c in phase2_shapes), phase2_shapes
+
+    def test_no_unit_entry_goes_whole_to_phase_2(self, phase2_shapes):
+        rng = random.Random(5)
+        rows = [[2 * rng.randint(-3, 3) for _ in range(7)] for _ in range(6)]
+        rows[0][0] = 4  # at least one nonzero entry
+        want = dense_reference(rows)
+        assert all(t % 2 == 0 for t in want)
+        assert smith_normal_form(rows) == want
+        assert phase2_shapes == [(sum(1 for r in rows if any(r)), 7)]
+
+    def test_permutation_and_empty_shapes(self, phase2_shapes):
+        rows = [[0] * 6 for _ in range(6)]
+        for i, j in enumerate(random.Random(9).sample(range(6), 6)):
+            rows[i][j] = (-1) ** i
+        assert dense_reference(rows) == (1,) * 6
+        assert smith_normal_form(rows) == (1,) * 6
+        assert smith_normal_form(as_sparse(rows, 6)) == (1,) * 6
+        assert phase2_shapes == [(0, 0), (0, 0)]
+        assert smith_normal_form([[0] * 4 for _ in range(3)]) == ()
+        assert smith_normal_form(SparseIntMatrix(3, 4)) == ()
+        assert smith_normal_form([]) == ()
+        assert smith_normal_form([[], []]) == ()
+        assert smith_normal_form(SparseIntMatrix(0, 5)) == ()
+        assert smith_normal_form(SparseIntMatrix(5, 0)) == ()
 
 
 class TestBases:
