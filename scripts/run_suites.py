@@ -10,7 +10,7 @@ import sys
 import time
 
 from loopspace.fileformat import resolve_complex
-from loopspace.suites import SUITES
+from loopspace.suites import SUITES, run_suite
 
 FIXTURES = ["sphere:2", "sphere:3", "boundary-simplex:2", "boundary-simplex:3", "wedge:2"]
 
@@ -25,16 +25,10 @@ def main() -> int:
     failed = 0
     for spec in FIXTURES:
         zx = resolve_complex(spec).z_extension()
-        for name, suite in sorted(SUITES.items()):
+        for name in sorted(SUITES):
             start = time.perf_counter()
-            if name == "cubical":
-                rep = suite(zx, samples=args.samples, seed=args.seed, cube_n=args.cube_n)
-            elif name in ("dsq", "leibniz"):
-                rep = suite(zx, samples=args.samples, seed=args.seed)
-            elif name == "theorem2":
-                rep = suite(zx, max_degree=3, max_length=3)
-            else:
-                rep = suite(zx, max_length=4)
+            rep = run_suite(name, zx, samples=args.samples, seed=args.seed,
+                            cube_n=args.cube_n, max_degree=3, max_length=4)
             elapsed = time.perf_counter() - start
             status = "pass" if rep["ok"] else "FAIL"
             print(f"{spec:<22} {name:<10} {status}  ({elapsed:.2f}s)")

@@ -14,13 +14,13 @@ import argparse
 import json
 import sys
 
-from .chains import Ring, boundary_word
+from .chains import VARIANTS, Ring, boundary_word
 from .cubes import all_cells
 from .fileformat import FormatError, parse_word, resolve_complex
 from .homology import field_dimensions, homology
 from .paths import cover_graph, covering_report, to_adjacency, to_dot
 from .simplicial import SimplicialError, SimplicialPresentation
-from .suites import SUITES
+from .suites import SUITES, run_suite
 from .words import (
     WordError,
     compose,
@@ -30,6 +30,8 @@ from .words import (
 )
 
 DEFAULT_SEED = 0
+# integer flags that count something, so a negative value is meaningless
+COUNT_FLAGS = ("--degree", "--max-len", "--count-length", "--samples", "--cube", "--cube-n")
 
 
 class CliError(ValueError):
@@ -118,15 +120,8 @@ def cmd_boundary(args) -> int:
 
 def cmd_check(args) -> int:
     zx = _load(args)
-    suite = SUITES[args.suite]
-    if args.suite == "cubical":
-        report = suite(zx, samples=args.samples, seed=args.seed, cube_n=args.cube_n)
-    elif args.suite in ("dsq", "leibniz"):
-        report = suite(zx, samples=args.samples, seed=args.seed)
-    elif args.suite == "theorem2":
-        report = suite(zx, max_degree=args.degree, max_length=args.max_len or 4)
-    else:  # covering
-        report = suite(zx, max_length=args.max_len or 4)
+    report = run_suite(args.suite, zx, samples=args.samples, seed=args.seed,
+                       cube_n=args.cube_n, max_degree=args.degree, max_length=args.max_len)
     status = "pass" if report["ok"] else "fail"
     lines = [f"{zx.name} suite={args.suite}: {status}"]
     lines += [f"  {k}: {v}" for k, v in sorted(report["checks"].items())]
@@ -237,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("boundary", help="boundary of a word")
     add_common(sp)
     sp.add_argument("--word", required=True)
-    sp.add_argument("--variant", choices=("de", "normalized", "norm"), default="de")
+    sp.add_argument("--variant", choices=(*VARIANTS, "norm"), default="de")
     sp.add_argument("--coeff", default="z")
     sp.set_defaults(fn=cmd_boundary)
 
@@ -245,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(sp)
     sp.add_argument("--suite", required=True, choices=sorted(SUITES))
     sp.add_argument("--degree", type=int, default=4)
-    sp.add_argument("--max-len", type=int)
+    sp.add_argument("--max-len", type=int, default=4)
     sp.add_argument("--samples", type=int, default=120)
     sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
     sp.add_argument("--cube-n", type=int, default=4)
@@ -256,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--degree", type=int, required=True)
     sp.add_argument("--max-len", type=int)
     sp.add_argument("--coeff", default="z")
-    sp.add_argument("--variant", choices=("de", "normalized", "norm"), default="normalized")
+    sp.add_argument("--variant", choices=(*VARIANTS, "norm"), default="normalized")
     sp.set_defaults(fn=cmd_homology)
 
     sp = sub.add_parser("group", help="operate on degree-0 words")
@@ -281,6 +276,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "variant", None) == "norm":
         args.variant = "normalized"
+    for flag in COUNT_FLAGS:
+        value = getattr(args, flag.lstrip("-").replace("-", "_"), None)
+        if value is not None and value < 0:
+            print(f"error: {flag} must be non-negative, got {value}", file=sys.stderr)
+            return 2
     try:
         return args.fn(args)
     except (CliError, FormatError, SimplicialError, WordError, ValueError) as exc:

@@ -15,12 +15,12 @@ sign system.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
-from .chains import Chain, Ring, add_into, boundary_word, is_killed
-from .simplicial import SimplexTerm, SimplicialPresentation
+from .chains import VARIANTS, Chain, Ring, add_into, boundary_word, is_killed
+from .cubes import _bead_normal_form
+from .simplicial import SimplexTerm, SimplicialPresentation, _inverse_pair, _split
 from .words import LoopWord, canonical, enumerate_words, unit
-
-VARIANTS = ("de", "normalized")
 
 
 class CobarError(ValueError):
@@ -50,30 +50,13 @@ class CobarMonomial:
         return "[" + "|".join(str(t) for t in self.letters) + "]"
 
 
-def _cancellable(zx: SimplicialPresentation, a: SimplexTerm, b: SimplexTerm) -> bool:
-    return (
-        a.is_nondegenerate
-        and b.is_nondegenerate
-        and a.generator.dim == 1
-        and a.generator.name in zx.op_pairs
-        and zx.op_pairs[a.generator.name] == b.generator.name
-    )
-
-
 def hat_reduce(
     zx: SimplicialPresentation, letters: tuple[SimplexTerm, ...]
 ) -> tuple[SimplexTerm, ...]:
-    """Cancel adjacent inverse edge pairs until none remain."""
-    out = list(letters)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(out) - 1):
-            if _cancellable(zx, out[i], out[i + 1]):
-                del out[i : i + 2]
-                changed = True
-                break
-    return tuple(out)
+    """Cancel adjacent inverse edge pairs until none remain: the bead normal
+    form of letters taken whole as cores, with no duplicates to pool."""
+    beads, _ = _bead_normal_form(((t, [1, 1]) for t in letters), 0, partial(_inverse_pair, zx))
+    return tuple(t for t, _ in beads)
 
 
 def monomial(
@@ -104,23 +87,11 @@ def d_A(
     return acc
 
 
-def _front(zx: SimplicialPresentation, t: SimplexTerm, d: int) -> SimplexTerm:
-    while t.dim > d:
-        t = zx.face(t, t.dim)
-    return t
-
-
-def _back(zx: SimplicialPresentation, t: SimplexTerm, d: int) -> SimplexTerm:
-    while t.dim > d:
-        t = zx.face(t, 0)
-    return t
-
-
 def aw_reduced(
     zx: SimplicialPresentation, t: SimplexTerm
 ) -> list[tuple[SimplexTerm, SimplexTerm]]:
     """Front/back splittings without the two primitive terms."""
-    return [(_front(zx, t, i), _back(zx, t, t.dim - i)) for i in range(1, t.dim)]
+    return [_split(zx, t, i) for i in range(1, t.dim)]
 
 
 def cobar_boundary(

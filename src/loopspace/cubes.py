@@ -1,157 +1,26 @@
-"""Block-label calculus for the cube cells of a standard simplex.
+"""Block-label calculus for the cube cells of a standard simplex, and the
+bead normal form shared by cube cells, loop words and path cells.
 
-A cell is a sequence of blocks of increasing labels, consecutive blocks
-sharing their junction value, e.g. ``[0,1,2][2,3]`` or, in the augmented
-flavour, ``0,2][2,3]`` where the first block is allowed to start anywhere.
-Faces split a block at a value (epsilon = 0) or delete a value
-(epsilon = 1); degeneracies duplicate a value and re-index the ambient
-label set.  This calculus is the ground truth for the cubical relation
-systems used throughout the word and path models.
+A cell is a necklace of blocks of weakly increasing labels, consecutive
+blocks sharing their junction value, e.g. ``[0,1,2][2,3]`` or, in the
+augmented flavour, ``0,2][2,3]`` where the first block is allowed to start
+anywhere.  A repeated label is a duplicated position.  Faces split a block
+at a position (epsilon = 0) or delete it (epsilon = 1); degeneracies
+duplicate a position.  Cells are compared through their normal form
+(``dup_canonical``): constant blocks dissolve, and the free duplicates at a
+junction, which may sit on either side, are pooled and handed to the
+right-hand block.  The word and path models obey the same rules, with
+simplices as beads, and share the engine (``_bead_normal_form``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, Iterable
 
 
 class CubeError(ValueError):
     pass
-
-
-@dataclass(frozen=True, order=True)
-class CubeCellLabel:
-    augmented: bool
-    blocks: tuple[tuple[int, ...], ...]
-    ambient: int
-
-    def __post_init__(self):
-        if not self.blocks or any(not b for b in self.blocks):
-            raise CubeError("blocks must be non-empty")
-        for b in self.blocks:
-            if list(b) != sorted(set(b)):
-                raise CubeError(f"block {b} is not strictly increasing")
-        for left, right in zip(self.blocks, self.blocks[1:]):
-            if left[-1] != right[0]:
-                raise CubeError("consecutive blocks must share their junction")
-        if self.blocks[-1][-1] != self.ambient:
-            raise CubeError("last label must equal the ambient dimension")
-        if not self.augmented and self.blocks[0][0] != 0:
-            raise CubeError("non-augmented cells must start at 0")
-
-    @property
-    def positions(self) -> int:
-        """Number of distinct label positions (junctions counted once)."""
-        return sum(len(b) for b in self.blocks) - (len(self.blocks) - 1)
-
-    @property
-    def dim(self) -> int:
-        return self.positions - len(self.blocks) - (0 if self.augmented else 1)
-
-    @property
-    def bead_dims(self) -> tuple[int, ...]:
-        """Dimensions of the beads; the first bead may be 0-dimensional if augmented."""
-        return tuple(len(b) - 1 for b in self.blocks)
-
-    def __str__(self) -> str:
-        head = ",".join(map(str, self.blocks[0]))
-        first = head + "]" if self.augmented else "[" + head + "]"
-        rest = "".join("[" + ",".join(map(str, b)) + "]" for b in self.blocks[1:])
-        return first + rest
-
-    def pattern(self) -> tuple:
-        """Cell up to order-isomorphism of labels; degeneracies re-index labels,
-        so relation checks involving them compare patterns."""
-        seen: dict[int, int] = {}
-        blocks = []
-        for b in self.blocks:
-            blocks.append(tuple(seen.setdefault(v, len(seen)) for v in b))
-        return (self.augmented, tuple(blocks))
-
-
-def top_cell(n: int, augmented: bool = False) -> CubeCellLabel:
-    if n < (0 if augmented else 1):
-        raise CubeError("n out of range")
-    return CubeCellLabel(augmented, (tuple(range(n + 1)),), n)
-
-
-def _face_slots(c: CubeCellLabel) -> list[tuple[int, int]]:
-    """(block index, index within block) for each face coordinate, left to right.
-
-    Interior elements of every block; additionally every element but the last
-    of the first block when augmented.
-    """
-    slots = []
-    for bi, b in enumerate(c.blocks):
-        lo = 0 if (c.augmented and bi == 0) else 1
-        slots.extend((bi, p) for p in range(lo, len(b) - 1))
-    return slots
-
-
-def _degeneracy_slots(c: CubeCellLabel) -> list[tuple[int, int]]:
-    """(block index, index within block) for each degeneracy coordinate.
-
-    Junction positions are addressed once, as position 0 of the right-hand
-    block (the s_0 representative of the overlapping-slot identification).
-    """
-    slots = []
-    last = len(c.blocks) - 1
-    for bi, b in enumerate(c.blocks):
-        hi = len(b) - 1 if bi == last else len(b) - 2
-        slots.extend((bi, p) for p in range(0, hi + 1))
-    return slots
-
-
-def cube_face(c: CubeCellLabel, i: int, eps: int) -> CubeCellLabel:
-    if eps not in (0, 1):
-        raise CubeError("epsilon must be 0 or 1")
-    slots = _face_slots(c)
-    if not 1 <= i <= len(slots):
-        raise CubeError(f"face index {i} out of range 1..{len(slots)}")
-    bi, p = slots[i - 1]
-    blocks = list(c.blocks)
-    b = blocks[bi]
-    if eps == 1:
-        blocks[bi] = b[:p] + b[p + 1 :]
-    else:
-        blocks[bi : bi + 1] = [b[: p + 1], b[p:]]
-    return CubeCellLabel(c.augmented, tuple(blocks), c.ambient)
-
-
-def cube_degeneracy(c: CubeCellLabel, j: int) -> CubeCellLabel:
-    slots = _degeneracy_slots(c)
-    if not 1 <= j <= len(slots):
-        raise CubeError(f"degeneracy index {j} out of range 1..{len(slots)}")
-    bi, p = slots[j - 1]
-    v = c.blocks[bi][p]
-    # duplicate v at (bi, p), then shift every label > v up by one
-    blocks = []
-    for k, b in enumerate(c.blocks):
-        bumped = tuple(x if x <= v else x + 1 for x in b)
-        if k == bi:
-            bumped = bumped[: p + 1] + (v + 1,) + bumped[p + 1 :]
-        blocks.append(bumped)
-    return CubeCellLabel(c.augmented, tuple(blocks), c.ambient + 1)
-
-
-def psi(c: CubeCellLabel) -> tuple[int, ...]:
-    """Project an augmented cell to the face of the simplex cut out by its first block."""
-    if not c.augmented:
-        raise CubeError("psi is only defined on augmented cells")
-    return c.blocks[0]
-
-
-# -- duplicate-label calculus ----------------------------------------------
-#
-# The strict calculus above re-indexes labels after a degeneracy, which is
-# enough for faces and the projection but forgets which label was duplicated.
-# Checking the face-degeneracy relations needs a faithful representation:
-# blocks that are weakly increasing, where a repeated label is a duplicated
-# position.  Cells are compared through a canonical form: constant blocks
-# (other than the first block of an augmented cell) dissolve into free
-# duplicates at their position, with one duplicate absorbed alongside the
-# collapsed block, and the free duplicates at a junction may sit on either
-# side, so the canonical form pools them and assigns them to the right-hand
-# block.
 
 
 @dataclass(frozen=True, order=True)
@@ -168,9 +37,12 @@ class DupCell:
         for left, right in zip(self.blocks, self.blocks[1:]):
             if left[-1] != right[0]:
                 raise CubeError("consecutive blocks must share their junction")
+        if not self.augmented and self.blocks[0][0] != 0:
+            raise CubeError("non-augmented cells must start at 0")
 
     @property
     def positions(self) -> int:
+        """Number of label positions (junctions counted once)."""
         return sum(len(b) for b in self.blocks) - (len(self.blocks) - 1)
 
     @property
@@ -184,8 +56,68 @@ class DupCell:
         return first + rest
 
 
-def dup_from_strict(c: CubeCellLabel) -> DupCell:
-    return DupCell(c.augmented, c.blocks)
+def top_cell(n: int, augmented: bool = False) -> DupCell:
+    if n < (0 if augmented else 1):
+        raise CubeError("n out of range")
+    return DupCell(augmented, (tuple(range(n + 1)),))
+
+
+def psi(c: DupCell) -> tuple[int, ...]:
+    """Project an augmented cell to the face of the simplex cut out by its first block."""
+    if not c.augmented:
+        raise CubeError("psi is only defined on augmented cells")
+    return c.blocks[0]
+
+
+# -- the bead normal form ----------------------------------------------------
+
+
+def _bead_normal_form(
+    beads: Iterable[tuple[object, list[int]]],
+    pool: int = 0,
+    cancellable: Callable[[object, object], bool] | None = None,
+) -> tuple[list[tuple[object, list[int]]], int]:
+    """Normal form of a necklace of beads.
+
+    Each bead is (core, mult): its distinct vertices and how many times
+    each one repeats.  The duplicates of a bead's first and last vertex are
+    free: they pool at the junction, which starts with ``pool`` duplicates
+    handed over by a head in front of the necklace.  A constant bead (one
+    vertex) dissolves into its junction and sheds one duplicate.  Adjacent
+    cores a, b with ``cancellable(a, b)`` cancel when no duplicate sits
+    between them, and the pools on either side merge.
+
+    Returns the surviving cores with their multiplicities, each junction's
+    duplicates on the right-hand bead and the last junction's on the last
+    bead, and the number of duplicates left over when no core survives.
+    """
+    dups = [pool]
+    cores: list[object] = []
+    middles: list[list[int]] = []
+    for core, mult in beads:
+        if len(mult) == 1:
+            dups[-1] += max(mult[0] - 2, 0)
+        else:
+            dups[-1] += mult[0] - 1
+            cores.append(core)
+            middles.append(mult[1:-1])
+            dups.append(mult[-1] - 1)
+    if cancellable is not None:
+        # leftmost pair first; a cancellation can only enable the pair
+        # that now straddles the merged junction
+        i = 0
+        while i < len(cores) - 1:
+            if dups[i + 1] or not cancellable(cores[i], cores[i + 1]):
+                i += 1
+                continue
+            del cores[i : i + 2], middles[i : i + 2]
+            dups[i : i + 3] = [dups[i] + dups[i + 2]]
+            i = max(i - 1, 0)
+    if not cores:
+        return [], dups[0]
+    out = [(c, [dups[i] + 1, *middles[i], 1]) for i, c in enumerate(cores)]
+    out[-1][1][-1] += dups[-1]
+    return out, 0
 
 
 def _run_length(b: tuple[int, ...]) -> tuple[tuple[int, ...], list[int]]:
@@ -200,53 +132,31 @@ def _run_length(b: tuple[int, ...]) -> tuple[tuple[int, ...], list[int]]:
     return tuple(strict), mult
 
 
+def _expand(core: tuple[int, ...], mult: list[int]) -> tuple[int, ...]:
+    return tuple(v for v, m in zip(core, mult) for _ in range(m))
+
+
 def dup_canonical(d: DupCell) -> DupCell:
-    blocks = d.blocks
-    base = None  # (core, counts without the trailing extras)
+    """Normal form of a cell.  The first block of an augmented cell is a
+    head: it keeps its own duplicates except those of its last label, which
+    join the first junction, and it absorbs nothing."""
+    blocks, pool, out = d.blocks, 0, []
     if d.augmented:
         core, mult = _run_length(blocks[0])
-        if len(core) == 1:
-            base = (core, [1])
-            start_pool = len(blocks[0]) - 1
-        else:
-            base = (core, mult[:-1] + [1])
-            start_pool = mult[-1] - 1
-        blocks = blocks[1:]
-        dups = [start_pool]
-    else:
-        dups = [0]
-    cores: list[tuple[int, ...]] = []
-    middles: list[list[int]] = []
-    for b in blocks:
-        core, mult = _run_length(b)
-        if len(core) == 1:
-            # constant bead: dissolves, one duplicate absorbed with it
-            dups[-1] += max(len(b) - 2, 0)
-        else:
-            dups[-1] += mult[0] - 1
-            cores.append(core)
-            middles.append([m - 1 for m in mult[1:-1]])
-            dups.append(mult[-1] - 1)
-    out: list[tuple[int, ...]] = []
-    if base is not None:
-        bc, counts = base
-        out.append(tuple(v for v, m in zip(bc, counts) for _ in range(m)))
-    for i, core in enumerate(cores):
-        counts = [dups[i] + 1] + [m + 1 for m in middles[i]] + [1]
-        if i == len(cores) - 1:
-            counts[-1] += dups[i + 1]
-        out.append(tuple(v for v, m in zip(core, counts) for _ in range(m)))
-    if not cores:
-        free = dups[0]
-        if base is None:
-            if free:
-                raise CubeError("cell dissolved entirely with duplicates left")
-        elif free:
-            v = base[0][-1]
-            out.append((v,) * (free + 2))
+        out.append(_expand(core, mult[:-1] + [1]))
+        blocks, pool = blocks[1:], mult[-1] - 1
+    beads, left = _bead_normal_form(map(_run_length, blocks), pool)
+    out.extend(_expand(core, mult) for core, mult in beads)
+    if left:
+        if not d.augmented:
+            raise CubeError("cell dissolved entirely with duplicates left")
+        out.append((out[0][-1],) * (left + 2))
     if not out:
         raise CubeError("cell dissolved entirely; no block left")
     return DupCell(d.augmented, tuple(out))
+
+
+# -- faces and degeneracies --------------------------------------------------
 
 
 def _dup_spans(d: DupCell) -> list[tuple[int, int]]:
@@ -312,7 +222,7 @@ def dup_degeneracy(d: DupCell, j: int) -> DupCell:
     return DupCell(d.augmented, tuple(blocks))
 
 
-def all_cells(n: int, augmented: bool = False) -> list[CubeCellLabel]:
+def all_cells(n: int, augmented: bool = False) -> list[DupCell]:
     """Every (nondegenerate) cell of the cube on Delta^n: the face closure of the top cell."""
     seen = {top_cell(n, augmented)}
     frontier = list(seen)
@@ -321,7 +231,7 @@ def all_cells(n: int, augmented: bool = False) -> list[CubeCellLabel]:
         for c in frontier:
             for i in range(1, c.dim + 1):
                 for eps in (0, 1):
-                    f = cube_face(c, i, eps)
+                    f = dup_face(c, i, eps)
                     if f not in seen:
                         seen.add(f)
                         nxt.append(f)

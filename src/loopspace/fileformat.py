@@ -24,7 +24,7 @@ from .simplicial import (
     sphere_quotient,
     wedge_of_circles,
 )
-from .words import LoopWord, canonical, check_composable, unit
+from .words import LoopWord, canonical, unit
 
 
 class FormatError(ValueError):
@@ -178,10 +178,4 @@ def parse_word(zx: SimplicialPresentation, text: str) -> LoopWord:
     text = text.strip()
     if text in ("", "e"):
         return unit(zx.basepoint)
-    letters = tuple(parse_term(zx, tok) for tok in text.split(";"))
-    check_composable(zx, letters)
-    return canonical(zx, letters)
-
-
-def format_word(w: LoopWord) -> str:
-    return str(w)
+    return canonical(zx, tuple(parse_term(zx, tok) for tok in text.split(";")))

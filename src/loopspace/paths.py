@@ -14,17 +14,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .simplicial import OP_SUFFIX, SimplexTerm, SimplicialPresentation
+from .simplicial import OP_SUFFIX, SimplexTerm, SimplicialPresentation, _split
 from .words import (
     LoopWord,
-    WordError,
-    canonical,
+    _normal_word,
     compose,
     degeneracy_slots,
     enumerate_words,
     unit,
     word_degeneracy,
-    word_face,
     word_face_raw,
 )
 
@@ -47,15 +45,17 @@ class PathCell:
 
 
 def path_canonical(zx: SimplicialPresentation, base: SimplexTerm, tail: LoopWord) -> PathCell:
-    """Strip trailing top degeneracies of the base into the tail."""
-    lo, hi = zx.endpoints(base)
+    """The base is the head of the necklace: its trailing top degeneracies
+    duplicate its last vertex, and it hands them to the tail as free
+    duplicates at its start."""
+    hi = zx.endpoints(base)[1]
     if tail.start != hi:
         raise PathError(f"tail starts at {tail.start}, base ends at {hi}")
+    pool = 0
     while base.degens and base.degens[-1] == base.dim - 1:
         base = SimplexTerm(base.degens[:-1], base.generator)
-        tail = word_degeneracy(zx, tail, 1)
-    tail = canonical(zx, tail.letters, tail.start)
-    return PathCell(base, tail)
+        pool += 1
+    return PathCell(base, _normal_word(zx, tail.letters, hi, pool))
 
 
 def path_cell(
@@ -64,18 +64,6 @@ def path_cell(
     if tail is None:
         tail = unit(zx.endpoints(base)[1])
     return path_canonical(zx, base, tail)
-
-
-def _front(zx: SimplicialPresentation, t: SimplexTerm, d: int) -> SimplexTerm:
-    while t.dim > d:
-        t = zx.face(t, t.dim)
-    return t
-
-
-def _back(zx: SimplicialPresentation, t: SimplexTerm, d: int) -> SimplexTerm:
-    while t.dim > d:
-        t = zx.face(t, 0)
-    return t
 
 
 def path_face_raw(
@@ -92,8 +80,7 @@ def path_face_raw(
     if i <= p:
         if eps == 1:
             return PathCell(zx.face(c.base, i - 1), c.tail)
-        head = _front(zx, c.base, i - 1)
-        letter = _back(zx, c.base, p - i + 1)
+        head, letter = _split(zx, c.base, i - 1)
         tail = LoopWord((letter,) + c.tail.letters, zx.endpoints(letter)[0], c.tail.end)
         return PathCell(head, tail)
     moved = word_face_raw(zx, c.tail, i - p, eps)

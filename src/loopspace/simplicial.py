@@ -187,13 +187,7 @@ class SimplicialPresentation:
             raise SimplicialError(f"unknown generator {t.generator.name!r}") from None
 
     def _walk_endpoints(self, t: SimplexTerm) -> tuple[str, str]:
-        # last faces down to the first vertex, zeroth faces down to the last
-        lo = t
-        while lo.dim > 0:
-            lo = self.face(lo, lo.dim)
-        hi = t
-        while hi.dim > 0:
-            hi = self.face(hi, 0)
+        lo, hi = _split(self, t, 0)[0], _split(self, t, t.dim)[1]
         return lo.generator.name, hi.generator.name
 
     # -- Z(X) -------------------------------------------------------------
@@ -239,6 +233,28 @@ class SimplicialPresentation:
             if self.face(self.term(b), 1) != self.face(self.term(a), 0):
                 report.append(f"d1({b}) != d0({a})")
         return report
+
+
+def _split(
+    zx: SimplicialPresentation, t: SimplexTerm, i: int
+) -> tuple[SimplexTerm, SimplexTerm]:
+    """The front i-face and the back (dim - i)-face of t, sharing vertex i:
+    iterated last faces and iterated zeroth faces."""
+    front, back = t, t
+    while front.dim > i:
+        front = zx.face(front, front.dim)
+    while back.dim > t.dim - i:
+        back = zx.face(back, 0)
+    return front, back
+
+
+def _inverse_pair(zx: SimplicialPresentation, a: SimplexTerm, b: SimplexTerm) -> bool:
+    """Whether a is a nondegenerate edge and b its formal inverse."""
+    return (
+        not a.degens
+        and not b.degens
+        and zx.op_pairs.get(a.generator.name) == b.generator.name
+    )
 
 
 # -- builders -------------------------------------------------------------

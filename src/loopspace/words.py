@@ -9,15 +9,18 @@ faces and degeneracies are identified by junction shifts (a top degeneracy
 of one letter equals an inner s_0 on the next), cancellation of adjacent
 inverse edge pairs, and absorption of unit letters.  Because cancellations
 can hide behind shifts in either direction, no one-directional rewriting
-is confluent; the canonical form is instead the minimum of the finite
-orbit of a word under all of these moves.
+is confluent; the canonical form is instead read off the bead normal form
+that cube cells share (``cubes._bead_normal_form``), and the tests check
+it against the minimum of the finite orbit of a word under these moves.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
-from .simplicial import SimplexTerm, SimplicialPresentation
+from .cubes import _bead_normal_form
+from .simplicial import SimplexTerm, SimplicialPresentation, _inverse_pair, _split
 
 
 class WordError(ValueError):
@@ -59,16 +62,6 @@ def unit(at: str) -> LoopWord:
     return LoopWord((), at, at)
 
 
-def _is_vertex_collapse(t: SimplexTerm) -> bool:
-    # a bead mapped entirely to a vertex
-    return t.generator.dim == 0
-
-
-def _is_unit_letter(t: SimplexTerm) -> bool:
-    # s_0 of a vertex: the only letter that absorbs outright
-    return t.dim == 1 and t.generator.dim == 0
-
-
 def check_composable(
     zx: SimplicialPresentation, letters: tuple[SimplexTerm, ...]
 ) -> tuple[str, str]:
@@ -87,127 +80,6 @@ def check_composable(
             start = lo
         prev_max = hi
     return start, prev_max
-
-
-def _cancellable(zx: SimplicialPresentation, a: SimplexTerm, b: SimplexTerm) -> bool:
-    return (
-        a.dim == 1
-        and b.dim == 1
-        and zx.has_op_partner(a)
-        and zx.op_pairs[a.generator.name] == b.generator.name
-    )
-
-
-def reduce_word(
-    zx: SimplicialPresentation,
-    letters: tuple[SimplexTerm, ...],
-    start: str | None = None,
-) -> LoopWord:
-    """Cancel adjacent inverse edge pairs and absorb unit letters (s_0 of a
-    vertex).  Higher vertex-collapse letters are not dropped here; the shift
-    normal form dissolves them without changing the degree."""
-    if not letters:
-        if start is None:
-            raise WordError("reducing the empty word needs a start vertex")
-        return unit(start)
-    s, e = check_composable(zx, letters)
-    if start is not None and start != s:
-        raise WordError(f"declared start {start} does not match word start {s}")
-    out = list(letters)
-    changed = True
-    while changed:
-        changed = False
-        for i, t in enumerate(out):
-            if _is_unit_letter(t) and len(out) >= 2:
-                del out[i]
-                changed = True
-                break
-        if changed:
-            continue
-        for i in range(len(out) - 1):
-            if _cancellable(zx, out[i], out[i + 1]):
-                del out[i : i + 2]
-                changed = True
-                break
-    if not out or (len(out) == 1 and _is_unit_letter(out[0])):
-        return unit(s)
-    return LoopWord(tuple(out), s, e)
-
-
-def _strip_inner_s0(t: SimplexTerm) -> SimplexTerm:
-    """Remove the innermost s_0 of a canonical degeneracy word."""
-    if not t.degens or t.degens[0] != 0:
-        raise WordError(f"{t} has no inner s_0")
-    return SimplexTerm(tuple(d - 1 for d in t.degens[1:]), t.generator)
-
-
-def _orbit_moves(
-    zx: SimplicialPresentation, cur: tuple[SimplexTerm, ...], start: str
-) -> list[tuple[SimplexTerm, ...]]:
-    """All words one relation move away: junction shifts in both directions,
-    cancellation of an adjacent inverse edge pair, absorption of a unit
-    letter, and insertion of a unit letter.  An inserted unit is only useful
-    as a landing pad for degeneracies migrating off a neighbouring letter,
-    so insertion next to a vertex-collapse letter is skipped; this keeps
-    every orbit finite."""
-    out = []
-    for i in range(len(cur) + 1):
-        if i > 0 and _is_vertex_collapse(cur[i - 1]):
-            continue
-        if i < len(cur) and _is_vertex_collapse(cur[i]):
-            continue
-        v = start if i == 0 else zx.endpoints(cur[i - 1])[1]
-        pad = zx.degenerate(zx.term(v), 0)
-        out.append(cur[:i] + (pad,) + cur[i:])
-    for i in range(len(cur) - 1):
-        if _cancellable(zx, cur[i], cur[i + 1]):
-            out.append(cur[:i] + cur[i + 2 :])
-    if len(cur) >= 2:
-        for i, t in enumerate(cur):
-            if _is_unit_letter(t):
-                out.append(cur[:i] + cur[i + 1 :])
-    for i in range(len(cur) - 1):
-        t, u = cur[i], cur[i + 1]
-        if t.degens and t.degens[-1] == t.dim - 1 and t.dim >= 2:
-            out.append(
-                cur[:i]
-                + (SimplexTerm(t.degens[:-1], t.generator), zx.degenerate(u, 0))
-                + cur[i + 2 :]
-            )
-        if u.degens and u.degens[0] == 0 and u.dim >= 2:
-            out.append(
-                cur[:i]
-                + (zx.degenerate(t, t.dim), _strip_inner_s0(u))
-                + cur[i + 2 :]
-            )
-    return out
-
-
-def orbit_minimum(
-    zx: SimplicialPresentation,
-    letters: tuple[SimplexTerm, ...],
-    start: str | None = None,
-) -> LoopWord:
-    """The minimal element of the relation orbit of a raw word, by explicit
-    search.  Exponential in the worst case; used as an oracle for the
-    linear-time ``canonical``."""
-    if not letters:
-        if start is None:
-            raise WordError("the empty word needs a start vertex")
-        return unit(start)
-    s, e = check_composable(zx, letters)
-    seen: set[tuple[SimplexTerm, ...]] = set()
-    stack = [letters]
-    while stack:
-        cur = stack.pop()
-        if cur in seen:
-            continue
-        seen.add(cur)
-        stack.extend(n for n in _orbit_moves(zx, cur, s) if n not in seen)
-    best = min(seen, key=lambda c: (len(c), c))
-    if not best or (len(best) == 1 and _is_unit_letter(best[0])):
-        return unit(s)
-    return LoopWord(best, s, e)
 
 
 def _vertex_multiplicities(t: SimplexTerm) -> list[int]:
@@ -242,64 +114,48 @@ def canonical(
 ) -> LoopWord:
     """Canonical representative of the relation class of a raw word.
 
-    The class of a word is determined by: its sequence of nondegenerate
-    letter cores after all possible cancellations, and the number of
-    duplicated vertices at each position along the word.  Vertex-collapse
-    letters dissolve into duplicates at their position (shedding one, which
-    is absorbed together with the collapsed core); an adjacent inverse pair
-    of edge cores cancels exactly when the position between them carries no
-    duplicates, pooling the duplicates of its outer positions.  The
-    representative assigns the duplicates of each surviving junction to the
-    right-hand letter as inner s_0 degeneracies.
+    Letters are beads with their nondegenerate simplices as cores, and the
+    class is the bead normal form of ``cubes._bead_normal_form``: the cores
+    left after every cancellation of an adjacent inverse edge pair with no
+    duplicate between them, and the number of duplicated vertices at each
+    position.  Vertex-collapse letters dissolve into duplicates at their
+    position, shedding one.  The representative assigns the duplicates of
+    each surviving junction to the right-hand letter as inner s_0
+    degeneracies, those of the end to the last letter, and those of a word
+    with no core left to one vertex-collapse letter.
     """
-    if not letters:
-        if start is None:
+    if start is None:
+        if not letters:
             raise WordError("the empty word needs a start vertex")
-        return unit(start)
-    s, e = check_composable(zx, letters)
-    if start is not None and start != s:
-        raise WordError(f"declared start {start} does not match word start {s}")
-    # alternating structure: dups[0], core[0], dups[1], ..., core[k-1], dups[k]
-    # where dups[i] counts free duplicates at the junction position and each
-    # core carries the frozen duplicate counts of its interior vertices.
-    dups: list[int] = [0]
-    cores: list[SimplexTerm] = []
-    middles: list[list[int]] = []
-    for t in letters:
-        mult = _vertex_multiplicities(t)
-        if t.generator.dim == 0:
-            # vertex-collapse letter: t.dim duplicates, one absorbed
-            dups[-1] += t.dim - 1
-        else:
-            dups[-1] += mult[0] - 1
-            cores.append(SimplexTerm((), t.generator))
-            middles.append([m - 1 for m in mult[1:-1]])
-            dups.append(mult[-1] - 1)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(cores) - 1):
-            if dups[i + 1] == 0 and _cancellable(zx, cores[i], cores[i + 1]):
-                merged = dups[i] + dups[i + 2]
-                del cores[i : i + 2]
-                del middles[i : i + 2]
-                dups[i : i + 3] = [merged]
-                changed = True
-                break
-    if not cores:
-        total = dups[0]
-        if total == 0:
-            return unit(s)
-        v = zx.generators[s]
-        letter = SimplexTerm(tuple(range(total + 1)), v)
-        return LoopWord((letter,), s, s)
-    out = []
-    for i, c in enumerate(cores):
-        mult = [dups[i] + 1] + [m + 1 for m in middles[i]] + [1]
-        if i == len(cores) - 1:
-            mult[-1] += dups[i + 1]
-        out.append(SimplexTerm(_degens_from_multiplicities(mult), c.generator))
-    return LoopWord(tuple(out), s, e)
+        start = zx.endpoints(letters[0])[0]
+    return _normal_word(zx, letters, start)
+
+
+def _normal_word(
+    zx: SimplicialPresentation,
+    letters: tuple[SimplexTerm, ...],
+    start: str,
+    pool: int = 0,
+) -> LoopWord:
+    """``canonical`` of the raw word from ``start`` with ``pool`` more free
+    duplicates at its start (those a path cell's base hands to its tail)."""
+    end = start
+    if letters:
+        s, end = check_composable(zx, letters)
+        if s != start:
+            raise WordError(f"declared start {start} does not match word start {s}")
+    beads, left = _bead_normal_form(
+        [(SimplexTerm((), t.generator), _vertex_multiplicities(t)) for t in letters],
+        pool,
+        partial(_inverse_pair, zx),
+    )
+    if beads:
+        out = (SimplexTerm(_degens_from_multiplicities(m), c.generator) for c, m in beads)
+        return LoopWord(tuple(out), start, end)
+    if left:
+        letter = SimplexTerm(tuple(range(left + 1)), zx.generators[start])
+        return LoopWord((letter,), start, start)
+    return unit(start)
 
 
 def compose(zx: SimplicialPresentation, u: LoopWord, v: LoopWord) -> LoopWord:
@@ -358,20 +214,6 @@ def _coordinate_letter(w: LoopWord, i: int) -> tuple[int, int]:
     raise AssertionError("unreachable")
 
 
-def _front_face(zx: SimplicialPresentation, t: SimplexTerm, d: int) -> SimplexTerm:
-    """The front d-face (first d+1 vertices), by iterated last faces."""
-    while t.dim > d:
-        t = zx.face(t, t.dim)
-    return t
-
-
-def _back_face(zx: SimplicialPresentation, t: SimplexTerm, d: int) -> SimplexTerm:
-    """The back d-face (last d+1 vertices), by iterated zeroth faces."""
-    while t.dim > d:
-        t = zx.face(t, 0)
-    return t
-
-
 def letter_face(
     zx: SimplicialPresentation, t: SimplexTerm, i: int, eps: int
 ) -> tuple[SimplexTerm, ...]:
@@ -384,7 +226,7 @@ def letter_face(
         raise WordError(f"letter coordinate {i} out of range 1..{m}")
     if eps == 1:
         return (zx.face(t, i),)
-    return (_front_face(zx, t, i), _back_face(zx, t, t.dim - i))
+    return _split(zx, t, i)
 
 
 def word_face_raw(
@@ -476,7 +318,7 @@ def enumerate_words(
             lo, hi = ends[t]
             if lo != at:
                 continue
-            if prefix and _cancellable(zx, prefix[-1], t):
+            if prefix and _inverse_pair(zx, prefix[-1], t):
                 continue
             prefix.append(t)
             if deg_left == d and hi == end:
@@ -504,7 +346,7 @@ def random_reduced_word(zx, rng, start: str, end: str, max_degree: int, max_leng
                 for t in pool
                 if ends[t][0] == at
                 and t.dim - 1 + sum(x.dim - 1 for x in letters) <= max_degree
-                and not (letters and _cancellable(zx, letters[-1], t))
+                and not (letters and _inverse_pair(zx, letters[-1], t))
             ]
             if not options:
                 ok = False

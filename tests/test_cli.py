@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -62,6 +63,15 @@ class TestCells:
         code, out, _ = run(capsys, "cells", "--cube", "3", "--aug", "--json")
         doc = json.loads(out)
         assert doc["augmented"] and len(doc["cells"]) == 27
+
+    @pytest.mark.parametrize("flags, golden", [
+        (("--cube", "3"), "cells_cube3.txt"),
+        (("--cube", "3", "--aug"), "cells_cube3_aug.txt"),
+    ])
+    def test_cube_listing_golden(self, capsys, flags, golden):
+        code, out, _ = run(capsys, "cells", *flags)
+        assert code == 0
+        assert out == (Path(__file__).parent / "golden" / golden).read_text()
 
     def test_word_cells(self, capsys):
         code, out, _ = run(capsys, "cells", "--builtin", "wedge:2",
@@ -206,3 +216,21 @@ class TestCover:
         code, out, err = run(capsys, "cover", non_simplicial, "--max-len", "2")
         assert code == 2 and out == ""
         assert "not a simplicial set" in err and "d1 d2 != d1 d1 on 012" in err
+
+
+class TestCountFlags:
+    @pytest.mark.parametrize("argv", [
+        ("homology", "--builtin", "sphere:2", "--degree", "-1"),
+        ("group", "--builtin", "wedge:2", "--count-length", "-1"),
+        ("cover", "--builtin", "wedge:2", "--max-len", "-1"),
+        ("check", "--builtin", "sphere:2", "--suite", "dsq", "--samples", "-3"),
+        ("cells", "--cube", "-1"),
+        ("check", "--builtin", "sphere:2", "--suite", "cubical", "--cube-n", "-1"),
+    ], ids=["degree", "count-length", "max-len", "samples", "cube", "cube-n"])
+    def test_negative_value_is_an_error(self, capsys, argv):
+        # at first these printed nothing, "length <= -1: 1", a one-vertex
+        # tree and a pass with zero checks, all with exit 0
+        code, out, err = run(capsys, *argv)
+        flag, value = argv[-2:]
+        assert code == 2 and out == ""
+        assert f"{flag} must be non-negative, got {value}" in err

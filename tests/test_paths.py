@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from word_oracles import canonical_reference, path_canonical_reference
 
 from loopspace.fileformat import parse_word
 from loopspace.paths import (
@@ -9,14 +10,25 @@ from loopspace.paths import (
     act,
     cover_graph,
     covering_report,
+    path_canonical,
     path_cell,
     path_degeneracy,
+    path_degeneracy_raw,
     path_degeneracy_slots,
     path_face,
+    path_face_raw,
     to_adjacency,
     to_dot,
 )
-from loopspace.words import canonical, random_reduced_word, unit
+from loopspace.suites import random_loop_cells, random_path_cells
+from loopspace.words import (
+    canonical,
+    degeneracy_slots,
+    random_reduced_word,
+    unit,
+    word_degeneracy,
+    word_face_raw,
+)
 
 
 class TestCells:
@@ -131,3 +143,26 @@ class TestCovering:
         adj = to_adjacency(g)
         assert len(adj) == g.vertex_count
         assert sum(len(v) for v in adj.values()) == g.edge_count
+
+
+
+class TestNormalFormOracle:
+    @pytest.mark.parametrize("key", ["sphere2", "sphere3", "bd2", "bd3", "wedge2"])
+    def test_agrees_with_separate_routines(self, fixtures, key):
+        zx = fixtures[key]
+        rng = random.Random(5)
+        for c in random_path_cells(zx, rng, 40):
+            raws = [path_face_raw(zx, c, i, eps)
+                    for i in range(1, c.degree + 1) for eps in (0, 1)]
+            raws += [path_degeneracy_raw(zx, c, j)
+                     for j in range(1, path_degeneracy_slots(c) + 1)]
+            for r in raws + [path_degeneracy_raw(zx, r, 1) for r in raws]:
+                assert (path_canonical(zx, r.base, r.tail)
+                        == path_canonical_reference(zx, r.base, r.tail)), r
+        for w in random_loop_cells(zx, rng, 40):
+            raws = [word_face_raw(zx, w, i, eps)
+                    for i in range(1, w.degree + 1) for eps in (0, 1)]
+            raws += [word_degeneracy(zx, w, j) for j in range(1, degeneracy_slots(w) + 1)]
+            for r in raws:
+                assert (canonical(zx, r.letters, r.start)
+                        == canonical_reference(zx, r.letters, r.start)), r

@@ -2,6 +2,7 @@ import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from word_oracles import orbit_minimum, reduce_word
 
 from loopspace.simplicial import sphere_quotient, wedge_of_circles
 from loopspace.words import (
@@ -13,10 +14,8 @@ from loopspace.words import (
     enumerate_words,
     invert,
     letter_pool,
-    orbit_minimum,
     power_decompose,
     random_reduced_word,
-    reduce_word,
     unit,
     word_degeneracy,
     word_face,
