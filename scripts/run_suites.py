@@ -10,7 +10,7 @@ import sys
 import time
 
 from loopspace.fileformat import resolve_complex
-from loopspace.suites import SUITES, run_suite
+from loopspace.suites import SUITES, run_suite, status
 
 FIXTURES = ["sphere:2", "sphere:3", "boundary-simplex:2", "boundary-simplex:3", "wedge:2"]
 
@@ -30,8 +30,7 @@ def main() -> int:
             rep = run_suite(name, zx, samples=args.samples, seed=args.seed,
                             cube_n=args.cube_n, max_degree=3, max_length=4)
             elapsed = time.perf_counter() - start
-            status = "pass" if rep["ok"] else "FAIL"
-            print(f"{spec:<22} {name:<10} {status}  ({elapsed:.2f}s)")
+            print(f"{spec:<22} {name:<10} {status(rep)}  ({elapsed:.2f}s)")
             if not rep["ok"]:
                 failed += 1
                 for f in rep["failures"][:3]:

@@ -16,18 +16,12 @@ import sys
 
 from .chains import VARIANTS, Ring, boundary_word
 from .cubes import all_cells
-from .fileformat import FormatError, parse_word, resolve_complex
+from .fileformat import parse_word, resolve_complex
 from .homology import field_dimensions, homology
 from .paths import cover_graph, covering_report, to_adjacency, to_dot
-from .simplicial import SimplicialError, SimplicialPresentation
-from .suites import SUITES, run_suite
-from .words import (
-    WordError,
-    compose,
-    enumerate_words,
-    invert,
-    power_decompose,
-)
+from .simplicial import SimplicialPresentation
+from .suites import SUITES, run_suite, status
+from .words import compose, enumerate_words, invert, power_decompose
 
 DEFAULT_SEED = 0
 # integer flags that count something, so a negative value is meaningless
@@ -122,8 +116,7 @@ def cmd_check(args) -> int:
     zx = _load(args)
     report = run_suite(args.suite, zx, samples=args.samples, seed=args.seed,
                        cube_n=args.cube_n, max_degree=args.degree, max_length=args.max_len)
-    status = "pass" if report["ok"] else "fail"
-    lines = [f"{zx.name} suite={args.suite}: {status}"]
+    lines = [f"{zx.name} suite={args.suite}: {status(report)}"]
     lines += [f"  {k}: {v}" for k, v in sorted(report["checks"].items())]
     lines += [f"  FAIL {f}" for f in report["failures"]]
     _emit(args, report, lines)
@@ -283,7 +276,7 @@ def main(argv: list[str] | None = None) -> int:
             return 2
     try:
         return args.fn(args)
-    except (CliError, FormatError, SimplicialError, WordError, ValueError) as exc:
+    except ValueError as exc:  # every library error subclasses it
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -10,7 +10,12 @@ duplicate a position.  Cells are compared through their normal form
 (``dup_canonical``): constant blocks dissolve, and the free duplicates at a
 junction, which may sit on either side, are pooled and handed to the
 right-hand block.  The word and path models obey the same rules, with
-simplices as beads, and share the engine (``_bead_normal_form``).
+simplices as beads, and share the engine (``_bead_normal_form``).  They
+also share the coordinate map (``face_coordinate``,
+``degeneracy_coordinate``, ``face_coordinates``): from the bead dimensions
+and whether the first bead is a head (an augmented cell's first block, a
+path cell's base), it finds the bead and vertex a face coordinate or a
+degeneracy slot addresses, and where that vertex sits in the necklace.
 """
 
 from __future__ import annotations
@@ -156,17 +161,60 @@ def dup_canonical(d: DupCell) -> DupCell:
     return DupCell(d.augmented, tuple(out))
 
 
+# -- the necklace coordinate map ---------------------------------------------
+#
+# A necklace of beads of dimensions dims has its vertices at positions
+# 0..sum(dims), bead b spanning acc_b..acc_b + dims[b] with junctions shared.
+# Face coordinates are the interior vertices of each bead, in order, plus the
+# vertices but the last of a head bead (an augmented cell's first block, a
+# path cell's base).  Degeneracy slot j duplicates the vertex at position
+# j - 1: a junction is vertex 0 of its right-hand bead, and the last vertex
+# belongs to the last bead.  Lookups stop at the bead they land in.
+
+
+def face_coordinate(dims: Iterable[int], i: int, head: bool = False) -> tuple[int, int] | None:
+    """(bead, vertex) of face coordinate i (from 1), or None out of range."""
+    if i < 1:
+        return None
+    lo = 0 if head else 1
+    for b, d in enumerate(dims):
+        if lo + i <= d:
+            return b, lo + i - 1
+        i -= max(d - lo, 0)
+        lo = 1
+    return None
+
+
+def degeneracy_coordinate(dims: Iterable[int], j: int) -> tuple[int, int] | None:
+    """(bead, vertex) that degeneracy slot j (from 1) duplicates, or None
+    out of range; there are sum(dims) + 1 slots."""
+    if j < 1:
+        return None
+    last = None
+    for last in enumerate(dims):
+        b, d = last
+        if j <= d:
+            return b, j - 1
+        j -= d
+    return last if j == 1 else None  # the last bead's last vertex
+
+
+def face_coordinates(dims: Iterable[int], head: bool = False) -> list[tuple[int, int, int]]:
+    """(necklace position, bead, vertex) of each face coordinate, in order."""
+    out = []
+    acc, lo = 0, 0 if head else 1
+    for b, d in enumerate(dims):
+        out.extend((acc + v, b, v) for v in range(lo, d))
+        acc += d
+        lo = 1
+    return out
+
+
 # -- faces and degeneracies --------------------------------------------------
 
 
-def _dup_spans(d: DupCell) -> list[tuple[int, int]]:
-    """(start position, end position) of each block, junctions shared."""
-    spans = []
-    acc = 0
-    for b in d.blocks:
-        spans.append((acc, acc + len(b) - 1))
-        acc += len(b) - 1
-    return spans
+def _dims(d: DupCell) -> list[int]:
+    return [len(b) - 1 for b in d.blocks]
 
 
 def dup_face_positions(d: DupCell) -> list[tuple[int, int, int]]:
@@ -175,22 +223,16 @@ def dup_face_positions(d: DupCell) -> list[tuple[int, int, int]]:
     Every non-junction position except the two word ends; for augmented
     cells the start position is also a coordinate.
     """
-    out = []
-    spans = _dup_spans(d)
-    for bi, b in enumerate(d.blocks):
-        lo = 0 if (d.augmented and bi == 0) else 1
-        for p in range(lo, len(b) - 1):
-            out.append((spans[bi][0] + p, bi, p))
-    return out
+    return face_coordinates(_dims(d), d.augmented)
 
 
 def dup_face(d: DupCell, i: int, eps: int) -> DupCell:
     if eps not in (0, 1):
         raise CubeError("epsilon must be 0 or 1")
-    slots = dup_face_positions(d)
-    if not 1 <= i <= len(slots):
-        raise CubeError(f"face index {i} out of range 1..{len(slots)}")
-    _, bi, p = slots[i - 1]
+    at = face_coordinate(_dims(d), i, d.augmented)
+    if at is None:
+        raise CubeError(f"face index {i} out of range 1..{d.dim}")
+    bi, p = at
     blocks = list(d.blocks)
     b = blocks[bi]
     if eps == 1:
@@ -200,22 +242,16 @@ def dup_face(d: DupCell, i: int, eps: int) -> DupCell:
     return DupCell(d.augmented, tuple(blocks))
 
 
-def dup_degeneracy_slots(d: DupCell) -> list[tuple[int, int]]:
-    """(block index, index in block) for each position, junctions addressed
-    once as index 0 of the right-hand block."""
-    slots = []
-    last = len(d.blocks) - 1
-    for bi, b in enumerate(d.blocks):
-        hi = len(b) - 1 if bi == last else len(b) - 2
-        slots.extend((bi, p) for p in range(0, hi + 1))
-    return slots
+def dup_degeneracy_slots(d: DupCell) -> int:
+    """Number of degeneracy slots: one per position, junctions once."""
+    return d.positions
 
 
 def dup_degeneracy(d: DupCell, j: int) -> DupCell:
-    slots = dup_degeneracy_slots(d)
-    if not 1 <= j <= len(slots):
-        raise CubeError(f"degeneracy index {j} out of range 1..{len(slots)}")
-    bi, p = slots[j - 1]
+    at = degeneracy_coordinate(_dims(d), j)
+    if at is None:
+        raise CubeError(f"degeneracy index {j} out of range 1..{d.positions}")
+    bi, p = at
     blocks = list(d.blocks)
     b = blocks[bi]
     blocks[bi] = b[: p + 1] + (b[p],) + b[p + 1 :]

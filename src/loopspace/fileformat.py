@@ -99,9 +99,16 @@ def save_complex(zx: SimplicialPresentation, path: str | Path) -> None:
     Path(path).write_text(json.dumps(complex_to_dict(zx), indent=2) + "\n")
 
 
+def _read_text(path: str | Path) -> str:
+    try:
+        return Path(path).read_text()
+    except OSError as exc:
+        raise FormatError(f"cannot read {path}: {exc.strerror or exc}") from exc
+
+
 def load_complex(path: str | Path) -> SimplicialPresentation:
     try:
-        doc = json.loads(Path(path).read_text())
+        doc = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     return complex_from_dict(doc)
@@ -111,7 +118,7 @@ def load_facets(path: str | Path) -> SimplicialPresentation:
     """Facet list: one facet per line, vertices separated by whitespace;
     blank lines and #-comments ignored."""
     facets = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
         if not body:
             continue

@@ -10,13 +10,20 @@ the index shift (row A), coordinates right of both commute without it
 splitting faces at the copies agree (row F), and two degeneracies
 interchange with the index shift (row EE).  Identities are compared as
 canonical forms; slot indices always refer to the raw, uncanonicalized
-representative.
+representative.  One checker (``_check_relations``) runs these rows, and
+the face-face interchange (FF) and the dimension count (dim), on cube
+cells, loop words and path cells alike; each model hands it a small
+record of its operators (``_Model``).  A report that ran no row, or a
+comparator that compared no word, is marked ``vacuous``.
 """
 
 from __future__ import annotations
 
 import inspect
 import random
+from functools import partial
+from operator import attrgetter
+from typing import Callable, NamedTuple
 
 from .chains import Ring, boundary_chain, boundary_word, is_killed, leibniz_defect
 from .cobar import compare_theorem2
@@ -27,6 +34,7 @@ from .cubes import (
     dup_degeneracy_slots,
     dup_face,
     dup_face_positions,
+    face_coordinates,
 )
 from .paths import (
     PathCell,
@@ -36,6 +44,7 @@ from .paths import (
     path_cell,
     path_degeneracy_raw,
     path_degeneracy_slots,
+    path_face,
     path_face_raw,
 )
 from .simplicial import SimplicialPresentation
@@ -64,15 +73,27 @@ class _Recorder:
             if len(self.failures) < self.max_failures:
                 self.failures.append(f"{row}: " + " ".join(str(x) for x in info))
 
-    def report(self, **extra) -> dict[str, object]:
+    def report(self, vacuous: bool = False, **extra) -> dict[str, object]:
+        """The report; ``vacuous`` (also set when no row ran) marks a run
+        that checked nothing, whose ``ok`` says nothing."""
         out = {
             "checks": dict(sorted(self.counts.items())),
             "failed": dict(sorted(self.fail_counts.items())),
             "failures": self.failures,
             "ok": not self.fail_counts,
         }
+        if vacuous or not self.counts:
+            out["vacuous"] = True
         out.update(extra)
         return out
+
+
+def status(report: dict[str, object]) -> str:
+    """How a report's outcome is printed: fail, pass, or vacuous when
+    nothing was checked."""
+    if not report["ok"]:
+        return "fail"
+    return "vacuous (no check ran)" if report.get("vacuous") else "pass"
 
 
 # -- random cell generators -------------------------------------------------
@@ -112,174 +133,92 @@ def random_path_cells(
 # -- the cubical relation suite ---------------------------------------------
 
 
-def _check_cube_cells(cells, rec: _Recorder, tag: str) -> None:
-    for d in cells:
-        n = d.dim
-        # face-face interchange; faces of duplicate-free cells need no normal form
+class _Model(NamedTuple):
+    """What the relation checker needs of one cell model."""
+
+    face: Callable  # (cell, i, eps) -> canonical face
+    face_raw: Callable  # (cell, i, eps) -> raw face
+    degeneracy_raw: Callable  # (cell, j) -> raw degeneracy
+    normal: Callable  # cell -> normal form
+    degree: Callable  # cell -> degree
+    positions: Callable  # cell -> necklace position of each face coordinate
+    slots: Callable  # cell -> number of degeneracy slots
+
+
+# faces of duplicate-free cells are duplicate-free, so FF needs no normal form
+_CUBE = _Model(
+    dup_face, dup_face, dup_degeneracy, dup_canonical, attrgetter("dim"),
+    lambda d: [p for p, _, _ in dup_face_positions(d)], dup_degeneracy_slots,
+)
+
+
+def _word_model(zx: SimplicialPresentation) -> _Model:
+    return _Model(
+        partial(word_face, zx), partial(word_face_raw, zx), partial(word_degeneracy, zx),
+        lambda w: canonical(zx, w.letters, w.start), attrgetter("degree"),
+        lambda w: [p for p, _, _ in face_coordinates(t.dim for t in w.letters)],
+        degeneracy_slots,
+    )
+
+
+def _path_model(zx: SimplicialPresentation) -> _Model:
+    def positions(c: PathCell) -> list[int]:
+        dims = [c.base.dim, *(t.dim for t in c.tail.letters)]
+        return [p for p, _, _ in face_coordinates(dims, head=True)]
+
+    return _Model(
+        partial(path_face, zx), partial(path_face_raw, zx), partial(path_degeneracy_raw, zx),
+        lambda c: path_canonical(zx, c.base, c.tail), attrgetter("degree"),
+        positions, path_degeneracy_slots,
+    )
+
+
+def _pad(zx: SimplicialPresentation, c: PathCell) -> PathCell:
+    """An empty tail as its unit letter, so that its slots have a letter."""
+    if c.tail.letters:
+        return c
+    v = c.tail.start
+    return PathCell(c.base, LoopWord((zx.degenerate(zx.term(v), 0),), v, v))
+
+
+def _check_relations(m: _Model, cells, rec: _Recorder, tag: str) -> None:
+    for c in cells:
+        n = m.degree(c)
         for j in range(1, n + 1):
             for i in range(1, j):
                 for eps in (0, 1):
                     for om in (0, 1):
-                        left = dup_face(dup_face(d, j, om), i, eps)
-                        right = dup_face(dup_face(d, i, eps), j - 1, om)
-                        rec.record(f"{tag}-FF", left == right, (d, i, j, eps, om))
-        slots = len(dup_degeneracy_slots(d))
-        for j in range(1, slots + 1):
-            ed = dup_degeneracy(d, j)  # raw; copies at positions j-1, j
-            fps = dup_face_positions(ed)
-            rec.record(f"{tag}-dim", ed.dim == n + 1 and len(fps) == n + 1, (d, j))
-            for idx, (p, _, _) in enumerate(fps, start=1):
-                for eps in (0, 1):
-                    left = dup_canonical(dup_face(ed, idx, eps))
-                    if p < j - 1:
-                        right = dup_canonical(
-                            dup_degeneracy(dup_face(d, idx, eps), j - eps)
-                        )
-                        rec.record(f"{tag}-A", left == right, (d, j, idx, eps))
-                    elif p > j:
-                        right = dup_canonical(
-                            dup_degeneracy(dup_face(d, idx - 1, eps), j)
-                        )
-                        rec.record(f"{tag}-B", left == right, (d, j, idx, eps))
-                    elif eps == 1:
-                        rec.record(f"{tag}-Id", left == dup_canonical(d), (d, j, idx))
-            copies = [
-                idx for idx, (p, _, _) in enumerate(fps, start=1) if p in (j - 1, j)
-            ]
-            if len(copies) == 2:
-                rec.record(
-                    f"{tag}-F",
-                    dup_canonical(dup_face(ed, copies[0], 0))
-                    == dup_canonical(dup_face(ed, copies[1], 0)),
-                    (d, j),
-                )
-            for i in range(j + 1, len(dup_degeneracy_slots(ed)) + 1):
-                left = dup_canonical(dup_degeneracy(ed, i))
-                right = dup_canonical(dup_degeneracy(dup_degeneracy(d, i - 1), j))
-                rec.record(f"{tag}-EE", left == right, (d, j, i))
-
-
-def _check_words(zx, words, rec: _Recorder) -> None:
-    def interior_positions(w: LoopWord) -> list[int]:
-        out, acc = [], 0
-        for t in w.letters:
-            out.extend(range(acc + 1, acc + t.dim))
-            acc += t.dim
-        return out
-
-    for w in words:
-        n = w.degree
-        # face-face interchange
-        for j in range(1, n + 1):
-            for i in range(1, j):
-                for eps in (0, 1):
-                    for om in (0, 1):
-                        left = word_face(zx, word_face(zx, w, j, om), i, eps)
-                        right = word_face(zx, word_face(zx, w, i, eps), j - 1, om)
-                        rec.record("word-FF", left == right, (w, i, j, eps, om))
-        for j in range(1, degeneracy_slots(w) + 1):
-            ew = word_degeneracy(zx, w, j)  # raw; copies at positions j-1, j
-            ips = interior_positions(ew)
-            rec.record("word-dim", len(ips) == n + 1, (w, j))
-            for idx, p in enumerate(ips, start=1):
-                for eps in (0, 1):
-                    left = word_face(zx, ew, idx, eps)
-                    if p < j - 1:
-                        fr = word_face_raw(zx, w, idx, eps)
-                        right = canonical(
-                            zx, word_degeneracy(zx, fr, j - eps).letters, fr.start
-                        )
-                        rec.record("word-A", left == right, (w, j, idx, eps))
-                    elif p > j:
-                        fr = word_face_raw(zx, w, idx - 1, eps)
-                        right = canonical(
-                            zx, word_degeneracy(zx, fr, j).letters, fr.start
-                        )
-                        rec.record("word-B", left == right, (w, j, idx, eps))
-                    elif eps == 1:
-                        rec.record("word-Id", left == w, (w, j, idx))
-            copies = [idx for idx, p in enumerate(ips, start=1) if p in (j - 1, j)]
-            if len(copies) == 2:
-                rec.record(
-                    "word-F",
-                    word_face(zx, ew, copies[0], 0) == word_face(zx, ew, copies[1], 0),
-                    (w, j),
-                )
-            for i in range(j + 1, degeneracy_slots(ew) + 1):
-                left = canonical(zx, word_degeneracy(zx, ew, i).letters, ew.start)
-                right = canonical(
-                    zx,
-                    word_degeneracy(zx, word_degeneracy(zx, w, i - 1), j).letters,
-                    w.start,
-                )
-                rec.record("word-EE", left == right, (w, j, i))
-
-
-def _check_paths(zx, cells, rec: _Recorder) -> None:
-    def pad(c: PathCell) -> PathCell:
-        # an empty tail is represented by its unit letter for slot arithmetic
-        if c.tail.letters:
-            return c
-        v = c.tail.start
-        padl = zx.degenerate(zx.term(v), 0)
-        return PathCell(c.base, LoopWord((padl,), v, v))
-
-    def coords(c: PathCell) -> list[int]:
-        out, acc = [], 0
-        for t in c.tail.letters:
-            out.extend(range(acc + 1, acc + t.dim))
-            acc += t.dim
-        p = c.base.dim
-        return list(range(p)) + [p + q for q in out]
-
-    def cn(c: PathCell) -> PathCell:
-        return path_canonical(zx, c.base, c.tail)
-
-    for c0 in cells:
-        c = pad(c0)
-        n = c0.degree
-        for j in range(1, n + 1):
-            for i in range(1, j):
-                for eps in (0, 1):
-                    for om in (0, 1):
-                        left = cn(path_face_raw(zx, cn(path_face_raw(zx, c, j, om)), i, eps))
-                        right = cn(path_face_raw(zx, cn(path_face_raw(zx, c, i, eps)), j - 1, om))
-                        rec.record("path-FF", left == right, (c, i, j, eps, om))
-        for j in range(1, path_degeneracy_slots(c) + 1):
-            er = path_degeneracy_raw(zx, c, j)
-            ps = coords(er)
-            rec.record("path-dim", len(ps) == n + 1, (c, j))
-            if len(ps) != n + 1:
+                        left = m.face(m.face(c, j, om), i, eps)
+                        right = m.face(m.face(c, i, eps), j - 1, om)
+                        rec.record(f"{tag}-FF", left == right, (c, i, j, eps, om))
+        home = m.normal(c)
+        for j in range(1, m.slots(c) + 1):
+            e = m.degeneracy_raw(c, j)  # raw; copies at positions j-1, j
+            ps = m.positions(e)
+            ok = m.degree(e) == n + 1 and len(ps) == n + 1
+            rec.record(f"{tag}-dim", ok, (c, j))
+            if not ok:
                 continue
+            copies = []  # the splitting faces at the two copies
             for idx, p in enumerate(ps, start=1):
                 for eps in (0, 1):
-                    left = cn(path_face_raw(zx, er, idx, eps))
+                    left = m.normal(m.face_raw(e, idx, eps))
                     if p < j - 1:
-                        right = cn(
-                            path_degeneracy_raw(zx, path_face_raw(zx, c, idx, eps), j - eps)
-                        )
-                        rec.record("path-A", left == right, (c, j, idx, eps))
+                        right = m.normal(m.degeneracy_raw(m.face_raw(c, idx, eps), j - eps))
+                        rec.record(f"{tag}-A", left == right, (c, j, idx, eps))
                     elif p > j:
-                        right = cn(
-                            path_degeneracy_raw(zx, path_face_raw(zx, c, idx - 1, eps), j)
-                        )
-                        rec.record("path-B", left == right, (c, j, idx, eps))
+                        right = m.normal(m.degeneracy_raw(m.face_raw(c, idx - 1, eps), j))
+                        rec.record(f"{tag}-B", left == right, (c, j, idx, eps))
                     elif eps == 1:
-                        rec.record("path-Id", left == c0, (c, j, idx))
-            copies = [idx for idx, p in enumerate(ps, start=1) if p in (j - 1, j)]
+                        rec.record(f"{tag}-Id", left == home, (c, j, idx))
+                    else:
+                        copies.append(left)
             if len(copies) == 2:
-                rec.record(
-                    "path-F",
-                    cn(path_face_raw(zx, er, copies[0], 0))
-                    == cn(path_face_raw(zx, er, copies[1], 0)),
-                    (c, j),
-                )
-            for i in range(j + 1, path_degeneracy_slots(er) + 1):
-                left = cn(path_degeneracy_raw(zx, er, i))
-                right = cn(
-                    path_degeneracy_raw(zx, path_degeneracy_raw(zx, c, i - 1), j)
-                )
-                rec.record("path-EE", left == right, (c, j, i))
+                rec.record(f"{tag}-F", copies[0] == copies[1], (c, j))
+            for i in range(j + 1, m.slots(e) + 1):
+                left = m.normal(m.degeneracy_raw(e, i))
+                right = m.normal(m.degeneracy_raw(m.degeneracy_raw(c, i - 1), j))
+                rec.record(f"{tag}-EE", left == right, (c, j, i))
 
 
 def cubical_suite(
@@ -291,12 +230,13 @@ def cubical_suite(
     """Exhaustive relation checks on the cube cell calculus, plus random
     loop-word and path-cell checks over the given complex."""
     rec = _Recorder()
-    _check_cube_cells(all_cells(cube_n + 1), rec, "cube")
-    _check_cube_cells(all_cells(cube_n, augmented=True), rec, "cube-aug")
+    _check_relations(_CUBE, all_cells(cube_n + 1), rec, "cube")
+    _check_relations(_CUBE, all_cells(cube_n, augmented=True), rec, "cube-aug")
     if zx is not None:
         rng = random.Random(seed)
-        _check_words(zx, random_loop_cells(zx, rng, samples), rec)
-        _check_paths(zx, random_path_cells(zx, rng, samples), rec)
+        _check_relations(_word_model(zx), random_loop_cells(zx, rng, samples), rec, "word")
+        paths = [_pad(zx, c) for c in random_path_cells(zx, rng, samples)]
+        _check_relations(_path_model(zx), paths, rec, "path")
     return rec.report(suite="cubical", complex=zx.name if zx else None)
 
 
@@ -368,6 +308,7 @@ def theorem2_suite(
         checked += rep["checked"]
         rec.record(f"theorem2-{variant}", rep["ok"], tuple(rep["mismatches"][:2]))
     return rec.report(
+        vacuous=not checked,
         suite="theorem2",
         complex=zx.name,
         max_degree=max_degree,

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 
-from .cubes import _bead_normal_form
+from .cubes import _bead_normal_form, degeneracy_coordinate, face_coordinate
 from .simplicial import SimplexTerm, SimplicialPresentation, _inverse_pair, _split
 
 
@@ -201,45 +201,21 @@ def power_decompose(zx: SimplicialPresentation, w: LoopWord) -> tuple[LoopWord, 
 # -- face and degeneracy operators ----------------------------------------
 
 
-def _coordinate_letter(w: LoopWord, i: int) -> tuple[int, int]:
-    """Map coordinate i in 1..degree to (letter index, local index)."""
-    if not 1 <= i <= w.degree:
-        raise WordError(f"coordinate {i} out of range 1..{w.degree}")
-    acc = 0
-    for k, t in enumerate(w.letters):
-        deg = t.dim - 1
-        if i <= acc + deg:
-            return k, i - acc
-        acc += deg
-    raise AssertionError("unreachable")
-
-
-def letter_face(
-    zx: SimplicialPresentation, t: SimplexTerm, i: int, eps: int
-) -> tuple[SimplexTerm, ...]:
-    """Face of a single letter at local coordinate i in 1..dim-1.
-
-    eps = 1 is the inner face; eps = 0 the front/back split.
-    """
-    m = t.dim - 1
-    if not 1 <= i <= m:
-        raise WordError(f"letter coordinate {i} out of range 1..{m}")
-    if eps == 1:
-        return (zx.face(t, i),)
-    return _split(zx, t, i)
-
-
 def word_face_raw(
     zx: SimplicialPresentation, w: LoopWord, i: int, eps: int
 ) -> LoopWord:
     """Face at coordinate i without canonicalization (for relation checks,
-    where slot indices refer to the raw representative)."""
+    where slot indices refer to the raw representative): eps = 1 deletes
+    the vertex, eps = 0 splits its letter there into front and back."""
     if eps not in (0, 1):
         raise WordError("epsilon must be 0 or 1")
-    k, local = _coordinate_letter(w, i)
-    replaced = letter_face(zx, w.letters[k], local, eps)
-    letters = w.letters[:k] + replaced + w.letters[k + 1 :]
-    return LoopWord(letters, w.start, w.end)
+    at = face_coordinate((t.dim for t in w.letters), i)
+    if at is None:
+        raise WordError(f"coordinate {i} out of range 1..{w.degree}")
+    k, v = at
+    t = w.letters[k]
+    replaced = (zx.face(t, v),) if eps == 1 else _split(zx, t, v)
+    return LoopWord(w.letters[:k] + replaced + w.letters[k + 1 :], w.start, w.end)
 
 
 def word_face(zx: SimplicialPresentation, w: LoopWord, i: int, eps: int) -> LoopWord:
@@ -260,23 +236,17 @@ def word_degeneracy(zx: SimplicialPresentation, w: LoopWord, j: int) -> LoopWord
 
     Junction slots are addressed as s_0 of the right-hand letter.
     """
-    if not 1 <= j <= degeneracy_slots(w):
-        raise WordError(f"degeneracy slot {j} out of range")
     if not w.letters:
-        x0 = zx.generators[w.start]
-        e_letter = SimplexTerm((0,), x0)
+        if not 1 <= j <= degeneracy_slots(w):
+            raise WordError(f"degeneracy slot {j} out of range")
+        e_letter = SimplexTerm((0,), zx.generators[w.start])
         return LoopWord((zx.degenerate(e_letter, 0),), w.start, w.end)
-    acc = 0
-    for k, t in enumerate(w.letters):
-        d = t.dim
-        last = k == len(w.letters) - 1
-        hi = acc + d + (1 if last else 0)
-        if j <= hi:
-            local = j - acc - 1
-            letters = w.letters[:k] + (zx.degenerate(t, local),) + w.letters[k + 1 :]
-            return LoopWord(letters, w.start, w.end)
-        acc += d
-    raise AssertionError("unreachable")
+    at = degeneracy_coordinate((t.dim for t in w.letters), j)
+    if at is None:
+        raise WordError(f"degeneracy slot {j} out of range")
+    k, v = at
+    letters = w.letters[:k] + (zx.degenerate(w.letters[k], v),) + w.letters[k + 1 :]
+    return LoopWord(letters, w.start, w.end)
 
 
 # -- enumeration -----------------------------------------------------------

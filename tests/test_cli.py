@@ -48,6 +48,16 @@ class TestValidate:
         code, _, err = run(capsys, "validate", "--builtin", "torus:2")
         assert code == 2 and "torus" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("--builtin", "facets:/nonexistent/facets.txt"),
+        (".",),
+    ], ids=["missing-facets", "directory"])
+    def test_unreadable_file(self, capsys, argv):
+        # both once ended in a traceback with exit 1, the "check failed" status
+        code, out, err = run(capsys, "validate", *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: cannot read ") and argv[-1].split(":")[-1] in err
+
     def test_reports_non_simplicial(self, capsys, non_simplicial):
         code, out, _ = run(capsys, "validate", non_simplicial)
         assert code == 1 and "d1 d2 != d1 d1 on 012" in out
@@ -100,11 +110,25 @@ class TestBoundary:
 class TestCheck:
     @pytest.mark.parametrize("suite", ["cubical", "dsq", "leibniz", "theorem2", "covering"])
     def test_suites_pass(self, capsys, suite):
-        code, out, _ = run(capsys, "check", "--builtin", "boundary-simplex:2",
+        # every suite records a row on sphere:2; on boundary-simplex:2 the
+        # dsq and theorem2 suites check nothing, since every word has degree 0
+        code, out, _ = run(capsys, "check", "--builtin", "sphere:2",
                            "--suite", suite, "--samples", "20", "--cube-n", "3",
                            "--degree", "2", "--max-len", "3")
         assert code == 0, out
-        assert "pass" in out
+        assert ": pass" in out and "vacuous" not in out
+
+    @pytest.mark.parametrize("argv", [
+        ("--builtin", "sphere:2", "--suite", "dsq", "--samples", "0"),
+        ("--builtin", "wedge:2", "--suite", "theorem2", "--degree", "3"),
+    ], ids=["no-row", "no-word"])
+    def test_vacuous_run(self, capsys, argv):
+        # both once printed "pass" after checking nothing
+        code, out, _ = run(capsys, "check", *argv)
+        assert code == 0 and out.splitlines()[0].endswith(": vacuous (no check ran)")
+        _, out, _ = run(capsys, "check", *argv, "--json")
+        doc = json.loads(out)
+        assert doc["vacuous"] is True and doc["ok"] is True
 
     def test_deterministic_with_seed(self, capsys):
         args = ("check", "--builtin", "sphere:2", "--suite", "dsq",

@@ -97,7 +97,7 @@ class TestDuplicateCalculus:
 
     def test_degeneracy_raises_dim(self):
         for d in all_cells(4):
-            for j in range(1, len(dup_degeneracy_slots(d)) + 1):
+            for j in range(1, dup_degeneracy_slots(d) + 1):
                 assert dup_degeneracy(d, j).dim == d.dim + 1
 
     def test_face_positions_cover_dim(self):
@@ -110,7 +110,7 @@ def _check_relation_rows(cells):
     coordinate relative to the two copies a degeneracy creates."""
     for d in cells:
         n = d.dim
-        for j in range(1, len(dup_degeneracy_slots(d)) + 1):
+        for j in range(1, dup_degeneracy_slots(d) + 1):
             ed = dup_degeneracy(d, j)
             fps = dup_face_positions(ed)
             assert ed.dim == n + 1 and len(fps) == n + 1
@@ -132,7 +132,7 @@ def _check_relation_rows(cells):
             if len(copies) == 2:
                 assert (dup_canonical(dup_face(ed, copies[0], 0))
                         == dup_canonical(dup_face(ed, copies[1], 0))), (d, j)
-            for i in range(j + 1, len(dup_degeneracy_slots(ed)) + 1):
+            for i in range(j + 1, dup_degeneracy_slots(ed) + 1):
                 assert (dup_canonical(dup_degeneracy(ed, i))
                         == dup_canonical(dup_degeneracy(dup_degeneracy(d, i - 1), j))), (d, j, i)
 
@@ -148,7 +148,7 @@ class TestRelationRows:
 def _raw_neighbours(d):
     """Every face and degeneracy of d, uncanonicalized."""
     out = [dup_face(d, i, eps) for i in range(1, d.dim + 1) for eps in (0, 1)]
-    out += [dup_degeneracy(d, j) for j in range(1, len(dup_degeneracy_slots(d)) + 1)]
+    out += [dup_degeneracy(d, j) for j in range(1, dup_degeneracy_slots(d) + 1)]
     return out
 
 
