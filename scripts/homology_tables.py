@@ -9,7 +9,7 @@ import argparse
 
 from loopspace.chains import Ring
 from loopspace.fileformat import resolve_complex
-from loopspace.homology import field_dimensions, stabilized_homology
+from loopspace.homology import field_dimensions, homology
 
 
 def main() -> None:
@@ -24,9 +24,10 @@ def main() -> None:
         zx = resolve_complex(spec)
         if not zx.op_pairs:
             zx = zx.z_extension()
-        table = stabilized_homology(zx, args.degree, args.variant)
-        flag = "" if table.stabilized else "  (NOT stabilized)"
-        print(f"{spec}  [{args.variant}, words of length <= {table.max_length}]{flag}")
+        # with edges, truncate at the least weight where degree + 1 has a one-letter word
+        table = homology(zx, args.degree, args.variant, args.degree + 2)
+        label = "exact" if table.max_weight is None else f"truncated at weight {table.max_weight}"
+        print(f"{spec}  [{args.variant}, {label}]")
         dims_q = field_dimensions(table, Ring.rationals())
         for g in table.groups:
             print(f"  H_{g.degree} = {g}   (dim_Q = {dims_q[g.degree]})")

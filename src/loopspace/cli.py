@@ -25,7 +25,8 @@ from .words import compose, enumerate_words, invert, power_decompose
 
 DEFAULT_SEED = 0
 # integer flags that count something, so a negative value is meaningless
-COUNT_FLAGS = ("--degree", "--max-len", "--count-length", "--samples", "--cube", "--cube-n")
+COUNT_FLAGS = ("--degree", "--max-len", "--max-weight", "--count-length", "--samples",
+               "--cube", "--cube-n")
 
 
 class CliError(ValueError):
@@ -125,11 +126,11 @@ def cmd_check(args) -> int:
 
 def cmd_homology(args) -> int:
     zx = _load(args)
-    table = homology(zx, args.degree, args.variant, args.max_len)
+    table = homology(zx, args.degree, args.variant, args.max_weight)
     ring = _ring(args.coeff)
     rows = []
     payload = {"complex": zx.name, "variant": args.variant, "coefficients": ring.name,
-               "max_length": args.max_len, "groups": []}
+               "max_weight": table.max_weight, "groups": []}
     dims = field_dimensions(table, ring)
     for g in table.groups:
         if ring.name == "Z":
@@ -141,6 +142,8 @@ def cmd_homology(args) -> int:
         payload["groups"].append(
             {"degree": g.degree, "free_rank": g.free_rank,
              "torsion": list(g.torsion), "rendered": desc})
+    if table.max_weight is not None:
+        rows.append(f"# truncated at weight {table.max_weight}")
     _emit(args, payload, rows)
     return 0
 
@@ -242,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("homology", help="loop-space homology table")
     add_common(sp)
     sp.add_argument("--degree", type=int, required=True)
-    sp.add_argument("--max-len", type=int)
+    sp.add_argument("--max-weight", type=int)
     sp.add_argument("--coeff", default="z")
     sp.add_argument("--variant", choices=(*VARIANTS, "norm"), default="normalized")
     sp.set_defaults(fn=cmd_homology)

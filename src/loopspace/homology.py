@@ -1,12 +1,15 @@
 """Integral homology of the loop-space complex via Smith normal form.
 
 Boundary matrices are assembled over the canonical-word bases in each
-degree, with an optional word-length truncation for complexes whose
-degree-0 part is infinite.  The bases of all degrees come from one pass
-up a tower: the ``de`` basis of degree n is read off the degeneracy
-closure C_n = E_n + D(C_{n-1}), where E_n is the reduced words of degree
-n and D applies every degeneracy and canonicalizes, so each closure layer
-is built once from the one below.
+degree.  A complex without edges has finitely many words per degree and
+an exact table; one with edges is truncated at a word weight N, weight
+being degree + length: a face keeps a word's weight or lowers it, so the
+words of weight <= N span a subcomplex (as total dimension filters Adams'
+cobar construction).  The bases of all degrees come from one pass up a
+tower: the ``de`` basis of degree n is read off the degeneracy closure
+C_n = E_n + D(C_{n-1}), where E_n is the reduced words of degree n and D
+applies every degeneracy and canonicalizes, so each closure layer is
+built once from the one below.
 
 Free ranks and torsion come from Smith normal form in two phases.  The
 boundary matrices are sparse and mostly +-1, so phase 1 removes unit
@@ -15,8 +18,7 @@ Villard 2001): clearing a +-1 entry's column by row operations splits
 off a summand [+-1], an invariant factor 1 that divides all the rest.
 Phase 2 runs dense minimal-magnitude reduction only on the small residual
 block, modulo twice a nonzero minor of full rank so that entries stay
-bounded (Hafner-McCurley 1991).  A stabilization scan raises the
-truncation until the reported groups stop changing.
+bounded (Hafner-McCurley 1991).
 """
 
 from __future__ import annotations
@@ -55,9 +57,6 @@ class SparseIntMatrix:
             self.entries[(i, j)] = v
         else:
             self.entries.pop((i, j), None)
-
-    def get(self, i: int, j: int) -> int:
-        return self.entries.get((i, j), 0)
 
 
 def smith_normal_form(matrix: SparseIntMatrix | list[list[int]]) -> tuple[int, ...]:
@@ -266,30 +265,50 @@ def _dense_smith_normal_form(m: list[list[int]]) -> tuple[int, ...]:
 # -- bases and boundary matrices --------------------------------------------
 
 
+def _weight_bound(zx: SimplicialPresentation, max_weight: int | None) -> int | None:
+    """The weight bound that applies to zx: None (exact) without edges,
+    where every degree is finite; with edges a bound is required."""
+    if not zx.generators_of_dim(1):
+        return None
+    if max_weight is None:
+        raise HomologyError(
+            f"{zx.name} has edges, so its loop complex is infinite in degree 0: "
+            "bound the word weight (--max-weight)"
+        )
+    return max_weight
+
+
 def degree_bases(
     zx: SimplicialPresentation,
     top: int,
     variant: str,
-    max_length: int | None,
+    max_weight: int | None,
 ) -> list[list[LoopWord]]:
-    """Canonical-word bases of degrees 0..top, built in one pass.
+    """Canonical-word bases of degrees 0..top, built in one pass; with
+    edges, degree n takes the words of length <= max_weight - n.
 
     The normalized basis of degree n is E_n, the reduced words of degree n
     with nondegenerate letters.  The ``de`` basis is the part of the
     closure C_n = E_n + D(C_{n-1}) that the variant does not kill, where D
     applies every degeneracy to a word and canonicalizes the result.  D
-    acts word by word and raises the degree by one, so C_n equals the
-    closure of all E_d (d <= n) under degeneracies; only C_{n-1} is held
-    while C_n is built.  Each basis is sorted by (length, letters).
+    acts word by word and raises the degree and the weight by one, so C_n
+    equals the closure of all E_d (d <= n) under degeneracies, and only the
+    words of C_{n-1} of length <= max_weight - n are degenerated; only
+    C_{n-1} is held while C_n is built.  Each basis is sorted by (length,
+    letters).
     """
     base = zx.basepoint
+    bound = _weight_bound(zx, max_weight)
+    lengths = [None if bound is None else bound - n for n in range(top + 1)]
     if variant == "normalized":
-        return [enumerate_words(zx, n, max_length, base, base) for n in range(top + 1)]
+        return [enumerate_words(zx, n, lengths[n], base, base) for n in range(top + 1)]
     bases: list[list[LoopWord]] = []
     closure: set[LoopWord] = set()
     for n in range(top + 1):
-        layer = set(enumerate_words(zx, n, max_length, base, base))
+        layer = set(enumerate_words(zx, n, lengths[n], base, base))
         for w in closure:
+            if bound is not None and len(w.letters) > lengths[n]:
+                continue
             for j in range(1, degeneracy_slots(w) + 1):
                 raw = word_degeneracy(zx, w, j)
                 layer.add(canonical(zx, raw.letters, raw.start))
@@ -304,46 +323,47 @@ def degree_basis(
     zx: SimplicialPresentation,
     degree: int,
     variant: str,
-    max_length: int | None,
+    max_weight: int | None,
 ) -> list[LoopWord]:
     """Canonical-word basis of one degree: entry ``degree`` of
     ``degree_bases``, which builds the lower bases on the way."""
-    return degree_bases(zx, degree, variant, max_length)[degree]
+    return degree_bases(zx, degree, variant, max_weight)[degree]
 
 
 def boundary_matrix(
     zx: SimplicialPresentation,
-    degree: int,
+    domain: list[LoopWord],
+    codomain: list[LoopWord],
     variant: str = "normalized",
-    max_length: int | None = None,
-    *,
-    bases: tuple[list[LoopWord], list[LoopWord]] | None = None,
 ) -> tuple[SparseIntMatrix, list[LoopWord], list[LoopWord]]:
-    """Matrix of the boundary from degree to degree-1 over the word bases.
+    """Matrix of the boundary from the domain basis to the codomain basis.
 
-    Returns (matrix, domain basis, codomain basis); rows are codomain
-    words, columns domain words.  ``bases`` = (domain, codomain) reuses
-    bases the caller already built with ``degree_bases``; without it both
-    come from one ``degree_bases`` call.  With a length truncation,
-    boundary terms whose length exceeds the bound are dropped (splits
-    lengthen a word by one), so truncated answers need the stabilization
-    scan.
+    Returns (matrix, domain, codomain); rows are codomain words, columns
+    domain words.  A boundary term outside the codomain raises
+    ``HomologyError``: the bases do not span a subcomplex.
     """
-    if degree < 1:
-        raise HomologyError("boundary matrix needs degree >= 1")
     ring = Ring.integers()
-    if bases is None:
-        tower = degree_bases(zx, degree, variant, max_length)
-        bases = tower[degree], tower[degree - 1]
-    domain, codomain = bases
     index = {w: i for i, w in enumerate(codomain)}
     m = SparseIntMatrix(len(codomain), len(domain))
     for j, w in enumerate(domain):
         for f, c in boundary_word(zx, ring, w, variant).items():
             i = index.get(f)
-            if i is not None:
-                m.set(i, j, m.get(i, j) + c)
+            if i is None:
+                raise HomologyError(f"boundary term {f} of {w} is outside the codomain basis")
+            m.set(i, j, c)
     return m, domain, codomain
+
+
+def _composes_to_zero(lo: SparseIntMatrix, hi: SparseIntMatrix) -> bool:
+    """Whether the product lo . hi of two sparse matrices is zero."""
+    by_row: dict[int, list[tuple[int, int]]] = {}
+    for (k, j), v in hi.entries.items():
+        by_row.setdefault(k, []).append((j, v))
+    product: dict[tuple[int, int], int] = {}
+    for (i, k), v in lo.entries.items():
+        for j, w in by_row.get(k, ()):
+            product[(i, j)] = product.get((i, j), 0) + v * w
+    return not any(product.values())
 
 
 @dataclass(frozen=True)
@@ -366,53 +386,46 @@ class HomologyGroup:
 class HomologyTable:
     complex_name: str
     variant: str
-    max_length: int | None
+    max_weight: int | None  # the weight the table was truncated at; None if exact
     groups: tuple[HomologyGroup, ...]
-    stabilized: bool | None = None
 
 
 def homology(
     zx: SimplicialPresentation,
     max_degree: int,
     variant: str = "normalized",
-    max_length: int | None = None,
+    max_weight: int | None = None,
 ) -> HomologyTable:
-    """H_0..H_max_degree of the loop-space complex.
+    """H_0..H_max_degree of the loop-space complex, truncated at word
+    weight ``max_weight`` on a complex with edges and exact without.
 
     The bases of degrees 0..max_degree+1 come from one ``degree_bases``
-    call, and each boundary matrix reuses the two it needs.  A negative
-    free rank, which a length truncation that is not a subcomplex can
-    produce, raises ``HomologyError``.
+    call, and each boundary matrix reuses the two it needs.  Each
+    consecutive pair must compose to zero, which also keeps every free
+    rank >= 0 (the image of d_{n+1} lies in the kernel of d_n).
     """
-    bases = degree_bases(zx, max_degree + 1, variant, max_length)
-    ranks: dict[int, int] = {}
-    snfs: dict[int, tuple[int, ...]] = {}
+    bases = degree_bases(zx, max_degree + 1, variant, max_weight)
+    snfs: list[tuple[int, ...]] = [()]  # d_0 = 0
+    prev = None
     for n in range(1, max_degree + 2):
-        m, _, _ = boundary_matrix(
-            zx, n, variant, max_length, bases=(bases[n], bases[n - 1])
-        )
-        snfs[n] = smith_normal_form(m)
-        ranks[n] = len(snfs[n])
+        m, _, _ = boundary_matrix(zx, bases[n], bases[n - 1], variant)
+        if prev is not None and not _composes_to_zero(prev, m):
+            raise HomologyError(f"d_{n - 1} d_{n} is not zero on {zx.name}")
+        snfs.append(smith_normal_form(m))
+        prev = m
     groups = []
     for n in range(max_degree + 1):
-        rank_in = ranks.get(n, 0)  # rank of d_n
-        rank_out = ranks.get(n + 1, 0)  # rank of d_{n+1}
-        free = len(bases[n]) - rank_in - rank_out
-        if free < 0:
-            raise HomologyError(
-                f"H_{n} has negative free rank {free} at word-length bound "
-                f"{max_length}: the truncated complex is not a subcomplex"
-            )
-        torsion = tuple(t for t in snfs.get(n + 1, ()) if t > 1)
+        free = len(bases[n]) - len(snfs[n]) - len(snfs[n + 1])
+        torsion = tuple(t for t in snfs[n + 1] if t > 1)
         groups.append(HomologyGroup(n, free, torsion))
-    return HomologyTable(zx.name, variant, max_length, tuple(groups))
+    return HomologyTable(zx.name, variant, _weight_bound(zx, max_weight), tuple(groups))
 
 
 def field_dimensions(table: HomologyTable, ring: Ring) -> dict[int, int]:
     """Dimensions of the homology with field (or integer) coefficients,
     read off from the integral table by universal coefficients: a torsion
-    factor divisible by p contributes to the group in its own degree and
-    the one below."""
+    factor of H_n divisible by p contributes to the group in its own
+    degree and the one above (Tor(H_n, F_p) lands in degree n + 1)."""
     dims = {g.degree: g.free_rank for g in table.groups}
     if ring.p is not None:
         p = ring.p
@@ -422,24 +435,3 @@ def field_dimensions(table: HomologyTable, ring: Ring) -> dict[int, int]:
         for n in dims:
             dims[n] += torsion_p.get(n, 0) + torsion_p.get(n - 1, 0)
     return dims
-
-
-def stabilized_homology(
-    zx: SimplicialPresentation,
-    max_degree: int,
-    variant: str = "normalized",
-    start_length: int = 2,
-    max_rounds: int = 6,
-) -> HomologyTable:
-    """Raise the word-length truncation until the table stops changing."""
-    prev = None
-    length = start_length
-    for _ in range(max_rounds):
-        table = homology(zx, max_degree, variant, length)
-        if prev is not None and table.groups == prev.groups:
-            return HomologyTable(
-                zx.name, variant, length, table.groups, stabilized=True
-            )
-        prev = table
-        length += 1
-    return HomologyTable(zx.name, variant, length - 1, prev.groups, stabilized=False)

@@ -140,30 +140,45 @@ class TestCheck:
 
 class TestHomology:
     def test_sphere_table(self, capsys):
-        code, out, _ = run(capsys, "homology", "--builtin", "sphere:2",
-                           "--degree", "2", "--max-len", "4")
+        code, out, _ = run(capsys, "homology", "--builtin", "sphere:2", "--degree", "2")
         assert code == 0
         lines = out.strip().splitlines()
         assert lines == ["H_0  = Z", "H_1  = Z", "H_2  = Z"]
 
     def test_field_coefficients(self, capsys):
         code, out, _ = run(capsys, "homology", "--builtin", "sphere:2",
-                           "--degree", "1", "--max-len", "4", "--coeff", "p:5")
+                           "--degree", "1", "--coeff", "p:5")
         assert code == 0 and "GF(5)^1" in out
 
     def test_json(self, capsys):
         code, out, _ = run(capsys, "homology", "--builtin", "sphere:3",
-                           "--degree", "3", "--max-len", "2", "--json")
+                           "--degree", "3", "--json")
         doc = json.loads(out)
         assert [g["free_rank"] for g in doc["groups"]] == [1, 0, 1, 0]
+        assert doc["max_weight"] is None  # exact
 
-    def test_negative_rank_is_an_error(self, capsys):
-        # the length truncation of a complex with edges is not a subcomplex;
-        # at this bound H_1 would come out with free rank -4
-        code, out, err = run(capsys, "homology", "--builtin", "boundary-simplex:3",
-                             "--degree", "2", "--max-len", "5")
+    @pytest.mark.parametrize("max_weight, ranks", [
+        ("3", [4, 0, 0]),
+        ("4", [4, 1, 0]),
+        ("5", [3, 4, 0]),
+    ], ids=["3", "4", "5"])
+    def test_truncated_label(self, capsys, max_weight, ranks):
+        # at length bounds 3 and 4 these printed wrong groups with no label,
+        # and at 5 a negative free rank; weight bounds give a subcomplex
+        argv = ("homology", "--builtin", "boundary-simplex:3", "--degree", "2",
+                "--max-weight", max_weight)
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out.splitlines()[-1] == f"# truncated at weight {max_weight}"
+        code, out, _ = run(capsys, *argv, "--json")
+        doc = json.loads(out)
+        assert code == 0 and doc["max_weight"] == int(max_weight)
+        assert [g["free_rank"] for g in doc["groups"]] == ranks
+
+    def test_edges_need_a_bound(self, capsys):
+        code, out, err = run(capsys, "homology", "--builtin", "wedge:2", "--degree", "1")
         assert code == 2 and out == ""
-        assert "H_1" in err and "-4" in err and "bound 5" in err
+        assert "--max-weight" in err
 
     def test_non_object_document(self, capsys, tmp_path):
         path = tmp_path / "doc.json"
@@ -182,12 +197,12 @@ class TestHomology:
         assert code == 2 and "wrong type" in err
 
 
-    @pytest.mark.parametrize("max_len", ["1", "3"])
-    def test_non_simplicial_refused(self, capsys, non_simplicial, max_len):
-        # unchecked, --max-len 1 printed H_0 = Z, H_1 = 0 with exit 0 and
-        # --max-len 3 failed on a word whose endpoints did not match
+    @pytest.mark.parametrize("bound", ["1", "3"])
+    def test_non_simplicial_refused(self, capsys, non_simplicial, bound):
+        # unchecked, bound 1 printed H_0 = Z, H_1 = 0 with exit 0 and
+        # bound 3 failed on a word whose endpoints did not match
         code, out, err = run(capsys, "homology", non_simplicial,
-                             "--degree", "1", "--max-len", max_len)
+                             "--degree", "1", "--max-weight", bound)
         assert code == 2 and out == ""
         assert "not a simplicial set" in err and "d1 d2 != d1 d1 on 012" in err
 
@@ -247,10 +262,11 @@ class TestCountFlags:
         ("homology", "--builtin", "sphere:2", "--degree", "-1"),
         ("group", "--builtin", "wedge:2", "--count-length", "-1"),
         ("cover", "--builtin", "wedge:2", "--max-len", "-1"),
+        ("homology", "--builtin", "wedge:2", "--degree", "1", "--max-weight", "-2"),
         ("check", "--builtin", "sphere:2", "--suite", "dsq", "--samples", "-3"),
         ("cells", "--cube", "-1"),
         ("check", "--builtin", "sphere:2", "--suite", "cubical", "--cube-n", "-1"),
-    ], ids=["degree", "count-length", "max-len", "samples", "cube", "cube-n"])
+    ], ids=["degree", "count-length", "max-len", "max-weight", "samples", "cube", "cube-n"])
     def test_negative_value_is_an_error(self, capsys, argv):
         # at first these printed nothing, "length <= -1: 1", a one-vertex
         # tree and a pass with zero checks, all with exit 0

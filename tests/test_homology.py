@@ -15,21 +15,28 @@ from loopspace.homology import (
     field_dimensions,
     homology,
     smith_normal_form,
-    stabilized_homology,
 )
 from loopspace.words import canonical, degeneracy_slots, enumerate_words, word_degeneracy
 
 
-def closure_basis(zx, degree, variant, max_length):
-    """Basis of one degree built from scratch: every E_d (d <= degree)
-    closed under degree - d rounds of degeneracies (reference for the
-    one-pass tower of ``degree_bases``)."""
+def weight(w):
+    return w.degree + len(w.letters)
+
+
+def closure_basis(zx, degree, variant, max_weight):
+    """Basis of one degree built from scratch: every E_d (d <= degree) of
+    weight <= max_weight closed under degree - d rounds of degeneracies,
+    then filtered by weight (reference for the one-pass tower of
+    ``degree_bases``).  ``max_weight`` None means no bound, for complexes
+    without edges."""
     base = zx.basepoint
     if variant == "normalized":
-        return enumerate_words(zx, degree, max_length, base, base)
+        bound = None if max_weight is None else max_weight - degree
+        return enumerate_words(zx, degree, bound, base, base)
     seen = set()
     for d in range(degree + 1):
-        layer = set(enumerate_words(zx, d, max_length, base, base))
+        bound = None if max_weight is None else max_weight - d
+        layer = set(enumerate_words(zx, d, bound, base, base))
         for _ in range(degree - d):
             nxt = set()
             for w in layer:
@@ -38,7 +45,8 @@ def closure_basis(zx, degree, variant, max_length):
                     nxt.add(canonical(zx, raw.letters, raw.start))
             layer = nxt
         seen.update(layer)
-    out = [w for w in seen if w.degree == degree and not is_killed(w, variant)]
+    out = [w for w in seen if w.degree == degree and not is_killed(w, variant)
+           and (max_weight is None or weight(w) <= max_weight)]
     out.sort(key=lambda w: (len(w.letters), w.letters))
     return out
 
@@ -198,58 +206,101 @@ class TestBases:
     def test_de_basis_contains_normalized(self, fixtures):
         zx = fixtures["sphere2"]
         for degree in (2, 3):
-            norm = set(degree_basis(zx, degree, "normalized", 3))
-            de = set(degree_basis(zx, degree, "de", 3))
+            norm = set(degree_basis(zx, degree, "normalized", None))
+            de = set(degree_basis(zx, degree, "de", None))
             assert norm <= de
 
     @pytest.mark.parametrize("variant", ["de", "normalized"])
-    @pytest.mark.parametrize("name, top, max_length", [
+    @pytest.mark.parametrize("name, top, max_weight", [
         ("sphere2", 6, None),
         ("sphere3", 7, None),
         ("bd2", 3, 3),
         ("bd3", 3, 3),
     ])
-    def test_tower_matches_closure_oracle(self, fixtures, name, top, max_length, variant):
+    def test_tower_matches_closure_oracle(self, fixtures, name, top, max_weight, variant):
         zx = fixtures[name]
-        tower = degree_bases(zx, top, variant, max_length)
+        tower = degree_bases(zx, top, variant, max_weight)
         assert len(tower) == top + 1
         for d, basis in enumerate(tower):
-            assert basis == closure_basis(zx, d, variant, max_length), (name, d)
-        assert degree_basis(zx, top, variant, max_length) == tower[top]
+            assert basis == closure_basis(zx, d, variant, max_weight), (name, d)
+        assert degree_basis(zx, top, variant, max_weight) == tower[top]
 
-    @pytest.mark.parametrize("variant", ["de", "normalized"])
-    def test_boundary_matrix_with_given_bases(self, fixtures, variant):
-        zx = fixtures["bd3"]
-        tower = degree_bases(zx, 3, variant, 3)
-        for n in (1, 2, 3):
-            own = boundary_matrix(zx, n, variant, 3)
-            given = boundary_matrix(zx, n, variant, 3, bases=(tower[n], tower[n - 1]))
-            assert own[0] == given[0]
-            assert own[1:] == given[1:] == (tower[n], tower[n - 1])
+    def test_complex_without_edges_ignores_the_bound(self, fixtures):
+        zx = fixtures["sphere3"]
+        assert degree_bases(zx, 5, "de", 2) == degree_bases(zx, 5, "de", None)
 
     def test_boundary_matrix_shapes(self, fixtures):
         zx = fixtures["sphere2"]
-        m, dom, cod = boundary_matrix(zx, 2, "normalized", 3)
+        tower = degree_bases(zx, 2, "normalized", None)
+        m, dom, cod = boundary_matrix(zx, tower[2], tower[1], "normalized")
         assert (m.rows, m.cols) == (len(cod), len(dom))
-        with pytest.raises(HomologyError):
-            boundary_matrix(zx, 0)
+        assert (dom, cod) == (tower[2], tower[1])
+
+    def test_term_outside_codomain_raises(self, fixtures):
+        zx = fixtures["bd3"]
+        tower = degree_bases(zx, 1, "normalized", 3)
+        with pytest.raises(HomologyError, match="outside the codomain basis"):
+            boundary_matrix(zx, tower[1], tower[0][:1], "normalized")
+
+
+class TestWeightTruncation:
+    # boundary-simplex:3 is a 2-sphere with edges: the words of weight <= N
+    # are a subcomplex, so homology assembles every d_n with no term leaving
+    # the bases, and checks d_n d_{n+1} = 0
+    @pytest.mark.parametrize("variant", ["de", "normalized"])
+    @pytest.mark.parametrize("max_weight", range(7))
+    def test_bd3_subcomplex(self, fixtures, max_weight, variant):
+        zx = fixtures["bd3"]
+        table = homology(zx, 3, variant, max_weight)
+        assert table.max_weight == max_weight
+        assert all(g.free_rank >= 0 for g in table.groups), table
+        tower = degree_bases(zx, 3, variant, max_weight)
+        for d, basis in enumerate(tower):
+            assert all(weight(w) <= max_weight for w in basis)
+            assert basis == closure_basis(zx, d, variant, max_weight), d
+
+    def test_broken_coefficient_raises(self, fixtures, monkeypatch):
+        assembled = []
+        original = homology_module.boundary_matrix
+
+        def broken(*args):
+            m, dom, cod = original(*args)
+            if assembled:  # d_2: double an entry in a row whose word d_1 keeps
+                d1 = assembled[0]
+                (i, j), v = next(((i, j), v) for (i, j), v in m.entries.items()
+                                 if any(k == i for _, k in d1.entries))
+                m.set(i, j, 2 * v)
+            assembled.append(m)
+            return m, dom, cod
+
+        monkeypatch.setattr(homology_module, "boundary_matrix", broken)
+        with pytest.raises(HomologyError, match="d_1 d_2 is not zero"):
+            homology(fixtures["bd3"], 1, "normalized", 6)
+
+    def test_edges_need_a_bound(self, fixtures):
+        with pytest.raises(HomologyError, match="--max-weight"):
+            homology(fixtures["wedge2"], 1)
+        with pytest.raises(HomologyError, match="--max-weight"):
+            degree_bases(fixtures["bd3"], 1, "de", None)
 
 
 class TestLoopHomology:
     def test_sphere2(self, fixtures):
         # based loops on S^2: H_n = Z for every n
-        table = homology(fixtures["sphere2"], 4, "normalized", 5)
+        table = homology(fixtures["sphere2"], 4, "normalized")
+        assert table.max_weight is None  # exact
         for g in table.groups:
             assert (g.free_rank, g.torsion) == (1, ()), g
 
     def test_sphere2_de_variant_agrees(self, fixtures):
-        de = homology(fixtures["sphere2"], 3, "de", 4)
-        norm = homology(fixtures["sphere2"], 3, "normalized", 4)
+        de = homology(fixtures["sphere2"], 3, "de")
+        norm = homology(fixtures["sphere2"], 3, "normalized")
         assert de.groups == norm.groups
 
     def test_sphere3(self, fixtures):
-        # based loops on S^3: Z in even degrees, 0 in odd
+        # based loops on S^3: Z in even degrees, 0 in odd; a bound is ignored
         table = homology(fixtures["sphere3"], 5, "normalized", 3)
+        assert table.max_weight is None
         for g in table.groups:
             want = 1 if g.degree % 2 == 0 else 0
             assert (g.free_rank, g.torsion) == (want, ()), g
@@ -258,23 +309,22 @@ class TestLoopHomology:
         # loops on a wedge of circles: H_0 counts the truncated group ball,
         # higher homology vanishes
         table = homology(fixtures["wedge2"], 2, "normalized", 3)
+        assert table.max_weight == 3
         assert table.groups[0].free_rank == 1 + 4 + 12 + 36
         for g in table.groups[1:]:
             assert (g.free_rank, g.torsion) == (0, ())
 
-    def test_negative_rank_raises(self, fixtures):
-        with pytest.raises(HomologyError, match=r"H_1 .*-4.*bound 5"):
-            homology(fixtures["bd3"], 2, "normalized", 5)
-
-    def test_stabilization(self, fixtures):
-        table = stabilized_homology(fixtures["sphere2"], 2, "normalized", 2, 6)
-        assert table.stabilized
-        assert [g.free_rank for g in table.groups] == [1, 1, 1]
+    def test_truncated_label(self, fixtures):
+        # at length bound 5 this complex once gave H_1 free rank -4; at
+        # weight 5 it is a subcomplex, and its table says it is truncated
+        table = homology(fixtures["bd3"], 2, "normalized", 5)
+        assert table.max_weight == 5
+        assert [g.free_rank for g in table.groups] == [3, 4, 0]
 
 
 class TestFieldCoefficients:
     def test_free_part_only(self, fixtures):
-        table = homology(fixtures["sphere2"], 3, "normalized", 4)
+        table = homology(fixtures["sphere2"], 3, "normalized")
         dims = field_dimensions(table, Ring.rationals())
         assert dims == {0: 1, 1: 1, 2: 1, 3: 1}
 
