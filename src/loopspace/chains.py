@@ -59,9 +59,6 @@ class Ring:
         c = a * b
         return c % self.p if self.p is not None else c
 
-    def neg(self, a):
-        return (-a) % self.p if self.p is not None else -a
-
 
 Chain = dict  # LoopWord -> coefficient
 

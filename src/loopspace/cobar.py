@@ -20,7 +20,7 @@ from functools import partial
 from .chains import VARIANTS, Chain, Ring, add_into, boundary_word, is_killed
 from .cubes import _bead_normal_form
 from .simplicial import SimplexTerm, SimplicialPresentation, _inverse_pair, _split
-from .words import LoopWord, canonical, enumerate_words, unit
+from .words import canonical, enumerate_words, unit
 
 
 class CobarError(ValueError):
@@ -125,12 +125,6 @@ def cobar_boundary(
 # -- the comparator ---------------------------------------------------------
 
 
-def word_to_monomial(
-    zx: SimplicialPresentation, w: LoopWord, variant: str = "de"
-) -> CobarMonomial | None:
-    return monomial(zx, w.letters, variant)
-
-
 def monomial_to_word_chain(
     zx: SimplicialPresentation, ring: Ring, ch: Chain, variant: str = "de"
 ) -> Chain:
@@ -168,7 +162,7 @@ def compare_theorem2(
         for w in enumerate_words(zx, degree, max_length, base, base):
             if is_killed(w, variant):
                 continue
-            m = word_to_monomial(zx, w, variant)
+            m = monomial(zx, w.letters, variant)
             if m is None or m.letters != w.letters:
                 continue  # not a generator on the cobar side
             checked += 1

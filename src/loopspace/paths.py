@@ -134,7 +134,7 @@ class CoverGraph:
     """Edges are (cell, source, target) with source = d^1_1, target = d^0_1
     read against the base edge direction: the cell lies over its base edge,
     running from the lift over min to the lift over max."""
-    truncated: bool
+    max_length: int | None  # the word-length bound; None if not truncated
 
     @property
     def vertex_count(self) -> int:
@@ -197,7 +197,7 @@ def cover_graph(
             tgt = path_face(zx, cell, 1, 1)
             if src in vertex_set and tgt in vertex_set:
                 edges.append((cell, src, tgt))
-    return CoverGraph(tuple(vertices), tuple(edges), truncated=max_length is not None)
+    return CoverGraph(tuple(vertices), tuple(edges), max_length)
 
 
 def covering_report(
@@ -214,11 +214,10 @@ def covering_report(
         name = cell.base.generator.name
         by_vertex[src].append((name, 0))
         by_vertex[tgt].append((name, 1))
-    max_len = max((len(v.tail.letters) for v in graph.vertices), default=0)
     failures = []
     interior = 0
     for v in graph.vertices:
-        if graph.truncated and len(v.tail.letters) >= max_len:
+        if graph.max_length is not None and len(v.tail.letters) >= graph.max_length:
             continue  # truncation boundary: lifts may be missing
         interior += 1
         want: dict[tuple[str, int], int] = {}

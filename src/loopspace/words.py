@@ -37,18 +37,6 @@ class LoopWord:
     def degree(self) -> int:
         return sum(t.dim - 1 for t in self.letters)
 
-    @property
-    def length(self) -> int:
-        return len(self.letters)
-
-    @property
-    def bidegree(self) -> tuple[int, int]:
-        return (self.degree, len(self.letters))
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.letters
-
     def has_degenerate_letter(self) -> bool:
         return any(t.degens for t in self.letters)
 

@@ -130,6 +130,24 @@ class TestCheck:
         doc = json.loads(out)
         assert doc["vacuous"] is True and doc["ok"] is True
 
+    @pytest.mark.parametrize("argv, interior", [
+        (("--builtin", "sphere:2"), 1),
+        (("--builtin", "facets:PATH"), 3),
+        (("--builtin", "wedge:2", "--max-len", "0"), 0),
+    ], ids=["sphere2", "two-edge-path", "max-len-0"])
+    def test_covering_interior(self, capsys, tmp_path, argv, interior):
+        # every word shorter than the bound is interior; the first two once
+        # skipped their longest words, though nothing was cut (sphere:2
+        # checked no lift at all)
+        path = tmp_path / "path.facets"
+        path.write_text("0 1\n1 2\n")
+        argv = [a.replace("PATH", str(path)) for a in argv]
+        code, out, _ = run(capsys, "check", *argv, "--suite", "covering", "--json")
+        doc = json.loads(out)
+        assert code == 0 and doc["ok"]
+        assert doc["interior_vertices"] == interior
+        assert doc.get("vacuous", False) == (interior == 0)
+
     def test_deterministic_with_seed(self, capsys):
         args = ("check", "--builtin", "sphere:2", "--suite", "dsq",
                 "--samples", "15", "--seed", "7", "--json")

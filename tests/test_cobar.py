@@ -17,7 +17,6 @@ from loopspace.cobar import (
     letter_is_zero,
     monomial,
     monomial_to_word_chain,
-    word_to_monomial,
 )
 from loopspace.simplicial import (
     GeneratorId,
@@ -101,7 +100,7 @@ class TestDifferentials:
             for variant in ("de", "normalized"):
                 for degree in (1, 2, 3):
                     for w in enumerate_words(zx, degree, 3, zx.basepoint, zx.basepoint):
-                        m = word_to_monomial(zx, w, variant)
+                        m = monomial(zx, w.letters, variant)
                         if m is None or m.letters != w.letters:
                             continue
                         d1 = cobar_boundary(zx, ZZ, m, variant)

@@ -84,3 +84,17 @@ class TestCheckerFails:
         model, _, face, cells, tag = case
         failed = _failed_rows(model._replace(face_raw=face), cells, tag)
         assert {f"{tag}-A", f"{tag}-B", f"{tag}-Id"} <= failed
+
+    @pytest.mark.parametrize("name", ["cube", "word-bd3"])
+    def test_raising_model(self, fixtures, name):
+        # a degeneracy that always uses slot 1 sends some later face index
+        # out of range; the checker records the cell and goes on
+        model, _, _, cells, tag = _cube_cases() if name == "cube" else _word_cases(fixtures["bd3"])
+        slot_one = model._replace(degeneracy_raw=lambda c, j: model.degeneracy_raw(c, 1))
+        rec = _Recorder(max_failures=10_000)
+        _check_relations(slot_one, cells, rec, tag)
+        report = rec.report()
+        assert 1 < report["failed"][f"{tag}-error"] < len(cells)
+        errors = [f for f in report["failures"] if f.startswith(f"{tag}-error: ")]
+        assert all("out of range" in f for f in errors)
+        assert {f.split(" ")[1] for f in errors} <= {str(c) for c in cells}  # names the cell
