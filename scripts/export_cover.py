@@ -22,10 +22,11 @@ def main() -> None:
         zx = zx.z_extension()
     graph = cover_graph(zx, args.max_len)
     rep = covering_report(zx, graph)
+    covering = ("FAIL" if not rep["ok"]
+                else "vacuous (no lift checked)" if rep["vacuous"] else "ok")
     print(to_dot(graph))
     print(f"// {rep['vertices']} vertices, {rep['edges']} edges, "
-          f"connected={rep['connected']}, tree={rep['tree']}, "
-          f"covering={'ok' if rep['ok'] else 'FAIL'}")
+          f"connected={rep['connected']}, tree={rep['tree']}, covering={covering}")
 
 
 if __name__ == "__main__":

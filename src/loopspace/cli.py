@@ -130,7 +130,8 @@ def cmd_homology(args) -> int:
     ring = _ring(args.coeff)
     rows = []
     payload = {"complex": zx.name, "variant": args.variant, "coefficients": ring.name,
-               "max_weight": table.max_weight, "groups": []}
+               "max_weight": table.max_weight, "basis_sizes": list(table.basis_sizes),
+               "nonzeros": list(table.nonzeros), "groups": []}
     dims = field_dimensions(table, ring)
     for g in table.groups:
         if ring.name == "Z":
@@ -192,9 +193,11 @@ def cmd_cover(args) -> int:
         body = "\n".join(f"{src} -> {' '.join(dsts)}"
                          for src, dsts in sorted(to_adjacency(graph).items()))
     else:
+        covering = ("FAIL" if not report["ok"]
+                    else "vacuous (no lift checked)" if report["vacuous"] else "ok")
         body = (f"{zx.name}: {report['vertices']} vertices, {report['edges']} edges, "
                 f"connected={report['connected']}, tree={report['tree']}, "
-                f"covering={'ok' if report['ok'] else 'FAIL'}")
+                f"covering={covering}")
     payload = dict(report)
     payload["complex"] = zx.name
     if args.out in ("dot", "adj"):

@@ -5,11 +5,17 @@ degree.  A complex without edges has finitely many words per degree and
 an exact table; one with edges is truncated at a word weight N, weight
 being degree + length: a face keeps a word's weight or lowers it, so the
 words of weight <= N span a subcomplex (as total dimension filters Adams'
-cobar construction).  The bases of all degrees come from one pass up a
-tower: the ``de`` basis of degree n is read off the degeneracy closure
-C_n = E_n + D(C_{n-1}), where E_n is the reduced words of degree n and D
-applies every degeneracy and canonicalizes, so each closure layer is
-built once from the one below.
+cobar construction).
+
+Neither bases nor matrices take a canonical form word by word.  The
+normalized basis of degree n is E_n, the reduced words of degree n with
+nondegenerate letters.  A ``de`` basis word is a word of some E_d, d <= n,
+with n - d duplicates on interior vertices of its letters (a duplicate at
+a junction or an end is what the variant kills), so the basis is listed
+by placing the duplicates.  The chain algebra is a dga, as Adams' cobar
+construction is, so its boundary is the derivation fixed by its values on
+letters: each matrix column is a signed sum of the word with one letter t
+replaced by a term of d(t), and d(t) is taken once per distinct letter.
 
 Free ranks and torsion come from Smith normal form in two phases.  The
 boundary matrices are sparse and mostly +-1, so phase 1 removes unit
@@ -24,17 +30,12 @@ bounded (Hafner-McCurley 1991).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 from math import gcd
 
-from .chains import Ring, boundary_word, is_killed
-from .simplicial import SimplicialPresentation
-from .words import (
-    LoopWord,
-    canonical,
-    degeneracy_slots,
-    enumerate_words,
-    word_degeneracy,
-)
+from .chains import VARIANTS, Ring, boundary_word
+from .simplicial import SimplexTerm, SimplicialPresentation, _inverse_pair
+from .words import LoopWord, _degens_from_multiplicities, canonical, enumerate_words
 
 
 class HomologyError(ValueError):
@@ -284,39 +285,57 @@ def degree_bases(
     variant: str,
     max_weight: int | None,
 ) -> list[list[LoopWord]]:
-    """Canonical-word bases of degrees 0..top, built in one pass; with
-    edges, degree n takes the words of length <= max_weight - n.
+    """Canonical-word bases of degrees 0..top; with edges, degree n takes
+    the words of length <= max_weight - n.
 
     The normalized basis of degree n is E_n, the reduced words of degree n
-    with nondegenerate letters.  The ``de`` basis is the part of the
-    closure C_n = E_n + D(C_{n-1}) that the variant does not kill, where D
-    applies every degeneracy to a word and canonicalizes the result.  D
-    acts word by word and raises the degree and the weight by one, so C_n
-    equals the closure of all E_d (d <= n) under degeneracies, and only the
-    words of C_{n-1} of length <= max_weight - n are degenerated; only
-    C_{n-1} is held while C_n is built.  Each basis is sorted by (length,
-    letters).
+    with nondegenerate letters.  A ``de`` basis word of degree n is a word
+    of E_d (d <= n) whose letters carry n - d extra duplicates on their
+    interior vertices, 1..dim-1 of each letter: a duplicate at a junction
+    or an end is what the variant kills, and a degeneracy keeps the
+    letters' cores and the length.  So the basis is listed directly, by
+    placing the duplicates on the d interior vertices of each reduced word
+    in every way (stars and bars), with no canonical form taken.  Each
+    basis is sorted by (length, letters).
     """
+    if variant not in VARIANTS:
+        raise HomologyError(f"unknown variant {variant!r}")
     base = zx.basepoint
     bound = _weight_bound(zx, max_weight)
     lengths = [None if bound is None else bound - n for n in range(top + 1)]
+    reduced = [enumerate_words(zx, n, lengths[n], base, base) for n in range(top + 1)]
     if variant == "normalized":
-        return [enumerate_words(zx, n, lengths[n], base, base) for n in range(top + 1)]
+        return reduced
     bases: list[list[LoopWord]] = []
-    closure: set[LoopWord] = set()
     for n in range(top + 1):
-        layer = set(enumerate_words(zx, n, lengths[n], base, base))
-        for w in closure:
-            if bound is not None and len(w.letters) > lengths[n]:
-                continue
-            for j in range(1, degeneracy_slots(w) + 1):
-                raw = word_degeneracy(zx, w, j)
-                layer.add(canonical(zx, raw.letters, raw.start))
-        closure = layer
-        basis = [w for w in closure if not is_killed(w, variant)]
+        basis = []
+        for d in range(n + 1):
+            for w in reduced[d]:
+                if lengths[n] is None or len(w.letters) <= lengths[n]:
+                    basis.extend(_interior_duplicates(w, n - d))
         basis.sort(key=lambda w: (len(w.letters), w.letters))
         bases.append(basis)
     return bases
+
+
+def _interior_duplicates(w: LoopWord, extra: int) -> list[LoopWord]:
+    """The words made from the reduced word w by ``extra`` more duplicates
+    of the interior vertices of its letters, one word per placement."""
+    if not extra:
+        return [w]
+    slots = w.degree  # a letter of dimension m has m - 1 interior vertices
+    if not slots:
+        return []
+    out = []
+    width = extra + slots - 1
+    for bars in combinations(range(width), slots - 1):
+        counts = iter([b - a - 1 for a, b in zip((-1, *bars), (*bars, width))])
+        letters = []
+        for t in w.letters:
+            mult = [1, *(1 + next(counts) for _ in range(t.dim - 1)), 1]
+            letters.append(SimplexTerm(_degens_from_multiplicities(mult), t.generator))
+        out.append(LoopWord(tuple(letters), w.start, w.end))
+    return out
 
 
 def degree_basis(
@@ -339,19 +358,58 @@ def boundary_matrix(
     """Matrix of the boundary from the domain basis to the codomain basis.
 
     Returns (matrix, domain, codomain); rows are codomain words, columns
-    domain words.  A boundary term outside the codomain raises
-    ``HomologyError``: the bases do not span a subcomplex.
+    domain words.  The boundary is the derivation fixed by its values on
+    letters, d(t_1...t_m) = sum_k (-1)^e t_1...t_{k-1} d(t_k) t_{k+1}...t_m
+    with e the degree of t_1...t_{k-1}; d(t) is ``chains.boundary_word`` of
+    the one-letter word, computed once per distinct letter in this call.
+    The pieces of a canonical word the variant keeps are canonical and
+    kept, and so is each term of d(t), so a term is their plain
+    concatenation, unless the letters meeting at a junction are an inverse
+    edge pair: only then is it canonicalized.  A boundary term outside the
+    codomain raises ``HomologyError``: the bases do not span a subcomplex.
     """
     ring = Ring.integers()
     index = {w: i for i, w in enumerate(codomain)}
+    letter_boundary: dict[SimplexTerm, list[tuple[tuple[SimplexTerm, ...], int]]] = {}
     m = SparseIntMatrix(len(codomain), len(domain))
     for j, w in enumerate(domain):
-        for f, c in boundary_word(zx, ring, w, variant).items():
-            i = index.get(f)
-            if i is None:
-                raise HomologyError(f"boundary term {f} of {w} is outside the codomain basis")
-            m.set(i, j, c)
+        column: dict[LoopWord, int] = {}
+        sign = 1  # (-1)^(degree of the letters before t)
+        for k, t in enumerate(w.letters):
+            terms = letter_boundary.get(t)
+            if terms is None:
+                lo, hi = zx.endpoints(t)
+                one = boundary_word(zx, ring, LoopWord((t,), lo, hi), variant)
+                terms = letter_boundary[t] = [(f.letters, c) for f, c in one.items()]
+            front, back = w.letters[:k], w.letters[k + 1 :]
+            for piece, c in terms:
+                letters = front + piece + back
+                if _inverse_at_seam(zx, front, piece, back):
+                    f = canonical(zx, letters, w.start)
+                else:
+                    f = LoopWord(letters, w.start, w.end)
+                column[f] = column.get(f, 0) + sign * c
+            if t.dim % 2 == 0:  # t has odd degree
+                sign = -sign
+        for f, c in column.items():
+            if c:
+                i = index.get(f)
+                if i is None:
+                    raise HomologyError(f"boundary term {f} of {w} is outside the codomain basis")
+                m.set(i, j, c)
     return m, domain, codomain
+
+
+def _inverse_at_seam(
+    zx: SimplicialPresentation,
+    front: tuple[SimplexTerm, ...],
+    piece: tuple[SimplexTerm, ...],
+    back: tuple[SimplexTerm, ...],
+) -> bool:
+    """Whether an inverse edge pair meets where piece is put between front
+    and back (inside a canonical piece none does)."""
+    seam = front[-1:] + piece + back[:1]
+    return any(_inverse_pair(zx, a, b) for a, b in zip(seam, seam[1:]))
 
 
 def _composes_to_zero(lo: SparseIntMatrix, hi: SparseIntMatrix) -> bool:
@@ -388,6 +446,10 @@ class HomologyTable:
     variant: str
     max_weight: int | None  # the weight the table was truncated at; None if exact
     groups: tuple[HomologyGroup, ...]
+    # per degree n = 0..max_degree + 1: the size of the basis, and the
+    # nonzero entries of d_n from it (d_0 = 0 has none)
+    basis_sizes: tuple[int, ...] = ()
+    nonzeros: tuple[int, ...] = ()
 
 
 def homology(
@@ -406,11 +468,13 @@ def homology(
     """
     bases = degree_bases(zx, max_degree + 1, variant, max_weight)
     snfs: list[tuple[int, ...]] = [()]  # d_0 = 0
+    nonzeros = [0]
     prev = None
     for n in range(1, max_degree + 2):
         m, _, _ = boundary_matrix(zx, bases[n], bases[n - 1], variant)
         if prev is not None and not _composes_to_zero(prev, m):
             raise HomologyError(f"d_{n - 1} d_{n} is not zero on {zx.name}")
+        nonzeros.append(len(m.entries))
         snfs.append(smith_normal_form(m))
         prev = m
     groups = []
@@ -418,7 +482,14 @@ def homology(
         free = len(bases[n]) - len(snfs[n]) - len(snfs[n + 1])
         torsion = tuple(t for t in snfs[n + 1] if t > 1)
         groups.append(HomologyGroup(n, free, torsion))
-    return HomologyTable(zx.name, variant, _weight_bound(zx, max_weight), tuple(groups))
+    return HomologyTable(
+        zx.name,
+        variant,
+        _weight_bound(zx, max_weight),
+        tuple(groups),
+        tuple(len(b) for b in bases),
+        tuple(nonzeros),
+    )
 
 
 def field_dimensions(table: HomologyTable, ring: Ring) -> dict[int, int]:

@@ -207,7 +207,8 @@ def covering_report(
 
     For every graph vertex whose word is strictly shorter than the bound,
     each incidence of its underlying vertex with an edge of the complex
-    must lift to exactly one incident graph edge.
+    must lift to exactly one incident graph edge.  A graph with no
+    interior vertex checks no lift, and its report is ``vacuous``.
     """
     by_vertex: dict[PathCell, list[tuple[str, int]]] = {v: [] for v in graph.vertices}
     for cell, src, tgt in graph.edges:
@@ -243,6 +244,7 @@ def covering_report(
         "tree": graph.is_tree(),
         "covering_failures": failures,
         "ok": not failures,
+        "vacuous": interior == 0,
     }
 
 

@@ -338,7 +338,7 @@ def covering_suite(
     rec.record("covering-connected", bool(rep["connected"]), ())
     rec.record("covering-lifts", bool(rep["ok"]), tuple(rep["covering_failures"][:2]))
     return rec.report(
-        vacuous=not rep["interior_vertices"],
+        vacuous=rep["vacuous"],
         suite="covering",
         complex=zx.name,
         max_length=max_length,

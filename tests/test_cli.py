@@ -174,6 +174,22 @@ class TestHomology:
         doc = json.loads(out)
         assert [g["free_rank"] for g in doc["groups"]] == [1, 0, 1, 0]
         assert doc["max_weight"] is None  # exact
+        # the normalized bases of degrees 0..4 are the powers of sigma, and
+        # every d_n is zero
+        assert doc["basis_sizes"] == [1, 0, 1, 0, 1]
+        assert doc["nonzeros"] == [0, 0, 0, 0, 0]
+
+    def test_json_counts_de(self, capsys):
+        # a de word of degree n >= 1 on sphere:2 is a composition of n: one
+        # letter of each part's degree, with its interior duplicates
+        argv = ("homology", "--builtin", "sphere:2", "--degree", "4", "--variant", "de")
+        code, out, _ = run(capsys, *argv, "--json")
+        doc = json.loads(out)
+        assert code == 0
+        assert doc["basis_sizes"] == [1, 1, 2, 4, 8, 16]
+        assert doc["nonzeros"] == [0, 0, 0, 1, 2, 6]
+        _, text, _ = run(capsys, *argv)
+        assert text.splitlines() == [f"H_{n:<2} = Z" for n in range(5)]
 
     @pytest.mark.parametrize("max_weight, ranks", [
         ("3", [4, 0, 0]),
@@ -260,6 +276,21 @@ class TestCover:
     def test_summary(self, capsys):
         code, out, _ = run(capsys, "cover", "--builtin", "wedge:2", "--max-len", "3")
         assert code == 0 and "53 vertices" in out and "tree=True" in out
+
+    def test_vacuous(self, capsys):
+        # with no interior vertex no lift is checked; this once printed
+        # covering=ok
+        argv = ("cover", "--builtin", "wedge:2", "--max-len", "0")
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out.strip().endswith("covering=vacuous (no lift checked)")
+        code, out, _ = run(capsys, *argv, "--json")
+        doc = json.loads(out)
+        assert code == 0 and doc["ok"] and doc["vacuous"] is True
+        assert doc["interior_vertices"] == 0
+        code, out, _ = run(capsys, "cover", "--builtin", "wedge:2", "--max-len", "1", "--json")
+        doc = json.loads(out)
+        assert code == 0 and doc["vacuous"] is False
 
     def test_dot_and_adj(self, capsys):
         code, out, _ = run(capsys, "cover", "--builtin", "boundary-simplex:2",

@@ -4,7 +4,8 @@ import pytest
 from snf_oracles import minors_gcd_invariants, rank
 
 from loopspace import homology as homology_module
-from loopspace.chains import Ring, is_killed
+from loopspace.chains import Ring, boundary_word, is_killed
+from loopspace.fileformat import parse_word
 from loopspace.homology import (
     HomologyError,
     SparseIntMatrix,
@@ -16,7 +17,16 @@ from loopspace.homology import (
     homology,
     smith_normal_form,
 )
+from loopspace.simplicial import boundary_simplex, sphere_quotient
 from loopspace.words import canonical, degeneracy_slots, enumerate_words, word_degeneracy
+
+
+@pytest.fixture(scope="module")
+def complexes(fixtures):
+    """The standard fixtures plus sphere4 and bd4, edge-inverted."""
+    return {**fixtures,
+            "sphere4": sphere_quotient(4).z_extension(),
+            "bd4": boundary_simplex(4).z_extension()}
 
 
 def weight(w):
@@ -26,7 +36,7 @@ def weight(w):
 def closure_basis(zx, degree, variant, max_weight):
     """Basis of one degree built from scratch: every E_d (d <= degree) of
     weight <= max_weight closed under degree - d rounds of degeneracies,
-    then filtered by weight (reference for the one-pass tower of
+    then filtered by weight (reference for the directly listed bases of
     ``degree_bases``).  ``max_weight`` None means no bound, for complexes
     without edges."""
     base = zx.basepoint
@@ -214,11 +224,14 @@ class TestBases:
     @pytest.mark.parametrize("name, top, max_weight", [
         ("sphere2", 6, None),
         ("sphere3", 7, None),
+        ("sphere4", 7, None),
         ("bd2", 3, 3),
         ("bd3", 3, 3),
+        ("bd4", 3, 5),
+        ("wedge2", 2, 5),
     ])
-    def test_tower_matches_closure_oracle(self, fixtures, name, top, max_weight, variant):
-        zx = fixtures[name]
+    def test_tower_matches_closure_oracle(self, complexes, name, top, max_weight, variant):
+        zx = complexes[name]
         tower = degree_bases(zx, top, variant, max_weight)
         assert len(tower) == top + 1
         for d, basis in enumerate(tower):
@@ -235,6 +248,48 @@ class TestBases:
         m, dom, cod = boundary_matrix(zx, tower[2], tower[1], "normalized")
         assert (m.rows, m.cols) == (len(cod), len(dom))
         assert (dom, cod) == (tower[2], tower[1])
+
+    @pytest.mark.parametrize("variant", ["de", "normalized"])
+    @pytest.mark.parametrize("name, top, max_weight", [
+        ("sphere2", 6, None),
+        ("sphere3", 7, None),
+        ("bd3", 5, 6),
+        ("bd4", 4, 5),
+        ("wedge2", 2, 5),
+    ])
+    def test_columns_match_face_sum(self, complexes, name, top, max_weight, variant):
+        # the Leibniz-rule assembly against the face-sum definition of d,
+        # one basis word at a time
+        zx = complexes[name]
+        ring = Ring.integers()
+        tower = degree_bases(zx, top, variant, max_weight)
+        for n in range(1, top + 1):
+            m, dom, cod = boundary_matrix(zx, tower[n], tower[n - 1], variant)
+            columns = [{} for _ in dom]
+            for (i, j), v in m.entries.items():
+                columns[j][cod[i]] = v
+            for w, column in zip(dom, columns):
+                assert column == boundary_word(zx, ring, w, variant), (name, n, str(w))
+
+    @pytest.mark.parametrize("variant", ["de", "normalized"])
+    def test_junction_cancellation_is_canonicalized(self, fixtures, monkeypatch, variant):
+        # d(013) holds the split term 01;13, which meets 13^op and then
+        # 01^op: the term of 013;13^op;01^op cancels to the unit word
+        zx = fixtures["bd3"]
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return canonical(*args)
+
+        monkeypatch.setattr(homology_module, "canonical", spy)
+        w = parse_word(zx, "013;13^op;01^op")
+        tower = degree_bases(zx, 1, variant, 4)
+        assert w in tower[1]
+        m, dom, cod = boundary_matrix(zx, [w], tower[0], variant)
+        column = {str(cod[i]): v for (i, _), v in m.entries.items()}
+        assert column == {"e": 1, "03;13^op;01^op": -1}
+        assert len(calls) == 1
 
     def test_term_outside_codomain_raises(self, fixtures):
         zx = fixtures["bd3"]
@@ -313,6 +368,27 @@ class TestLoopHomology:
         assert table.groups[0].free_rank == 1 + 4 + 12 + 36
         for g in table.groups[1:]:
             assert (g.free_rank, g.torsion) == (0, ())
+
+    @pytest.mark.parametrize("name, top, step", [
+        ("sphere2", 10, 1),
+        ("sphere3", 12, 2),
+        ("sphere4", 12, 3),
+    ])
+    def test_spheres_deep_de(self, complexes, name, top, step):
+        # Bott-Samelson: H(Omega S^n) = Z[x] with |x| = n - 1
+        table = homology(complexes[name], top, "de")
+        for g in table.groups:
+            want = 1 if g.degree % step == 0 else 0
+            assert (g.free_rank, g.torsion) == (want, ()), g
+
+    def test_basis_sizes_and_nonzeros(self, fixtures):
+        zx = fixtures["sphere3"]
+        table = homology(zx, 3, "de")
+        tower = degree_bases(zx, 4, "de", None)
+        assert table.basis_sizes == tuple(len(b) for b in tower)
+        nonzeros = [0] + [len(boundary_matrix(zx, tower[n], tower[n - 1], "de")[0].entries)
+                          for n in range(1, 5)]
+        assert table.nonzeros == tuple(nonzeros)
 
     def test_truncated_label(self, fixtures):
         # at length bound 5 this complex once gave H_1 free rank -4; at
