@@ -6,20 +6,25 @@ Usage:
 """
 
 import argparse
+import sys
 
-from loopspace.fileformat import resolve_complex
+from loopspace.fileformat import resolve_model
 from loopspace.paths import cover_graph, covering_report, to_dot
 
 
-def main() -> None:
+def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("complex", help="builtin spec or complex file")
     ap.add_argument("--max-len", type=int, default=3)
     args = ap.parse_args()
+    if args.max_len < 0:
+        ap.error(f"--max-len must be non-negative, got {args.max_len}")
 
-    zx = resolve_complex(args.complex)
-    if not zx.op_pairs:
-        zx = zx.z_extension()
+    try:
+        zx = resolve_model(args.complex)
+    except ValueError as exc:  # every library error subclasses it
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     graph = cover_graph(zx, args.max_len)
     rep = covering_report(zx, graph)
     covering = ("FAIL" if not rep["ok"]
@@ -27,7 +32,8 @@ def main() -> None:
     print(to_dot(graph))
     print(f"// {rep['vertices']} vertices, {rep['edges']} edges, "
           f"connected={rep['connected']}, tree={rep['tree']}, covering={covering}")
+    return 0 if rep["ok"] else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

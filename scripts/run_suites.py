@@ -9,7 +9,7 @@ import argparse
 import sys
 import time
 
-from loopspace.fileformat import resolve_complex
+from loopspace.fileformat import resolve_model
 from loopspace.suites import SUITES, run_suite, status
 
 FIXTURES = ["sphere:2", "sphere:3", "boundary-simplex:2", "boundary-simplex:3", "wedge:2"]
@@ -21,10 +21,12 @@ def main() -> int:
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--cube-n", type=int, default=4)
     args = ap.parse_args()
+    if min(args.samples, args.cube_n) < 0:
+        ap.error(f"--samples and --cube-n must be non-negative, got {args.samples}, {args.cube_n}")
 
     failed = 0
     for spec in FIXTURES:
-        zx = resolve_complex(spec).z_extension()
+        zx = resolve_model(spec)
         for name in sorted(SUITES):
             start = time.perf_counter()
             rep = run_suite(name, zx, samples=args.samples, seed=args.seed,

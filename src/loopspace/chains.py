@@ -70,12 +70,12 @@ def is_killed(w: LoopWord, variant: str) -> bool:
     generated by the degeneracies of the unit word: products u.z.v with z a
     positive-degree degeneracy of the unit.  In the canonical form these
     are exactly the words carrying a free duplicate at a junction or end
-    position -- an inner s_0 on some letter, a top degeneracy on the last
-    letter, or a lone vertex-collapse letter.  (Duplicates of a letter's
-    interior vertices are not of this form and survive.)  Killing only the
-    lone vertex-collapse words would not give an ideal: multiplying one
-    into a word dissolves it into free duplicates on its neighbour, so the
-    boundary would not be a derivation.
+    position -- an extra copy of some letter's first vertex or of the last
+    letter's last vertex, or a lone vertex-collapse letter.  (Duplicates of
+    a letter's interior vertices are not of this form and survive.)
+    Killing only the lone vertex-collapse words would not give an ideal:
+    multiplying one into a word dissolves it into free duplicates on its
+    neighbour, so the boundary would not be a derivation.
     """
     if variant not in VARIANTS:
         raise ChainError(f"unknown variant {variant!r}")
@@ -83,12 +83,8 @@ def is_killed(w: LoopWord, variant: str) -> bool:
         return False
     if variant == "normalized":
         return w.has_degenerate_letter()
-    if len(w.letters) == 1 and w.letters[0].generator.dim == 0:
-        return True
-    last = w.letters[-1]
-    if last.degens and last.degens[-1] == last.dim - 1:
-        return True
-    return any(t.degens and t.degens[0] == 0 for t in w.letters)
+    # a vertex-collapse letter's one vertex is its first, with >= 2 copies
+    return w.letters[-1].mult[-1] > 1 or any(t.mult[0] > 1 for t in w.letters)
 
 
 def chain_of(ring: Ring, w: LoopWord, coeff=1) -> Chain:

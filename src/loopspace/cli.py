@@ -14,14 +14,14 @@ import argparse
 import json
 import sys
 
-from .chains import VARIANTS, Ring, boundary_word
+from .chains import VARIANTS, ChainError, Ring, boundary_word
 from .cubes import all_cells
-from .fileformat import parse_word, resolve_complex
+from .fileformat import parse_word, resolve_complex, resolve_model
 from .homology import field_dimensions, homology
 from .paths import cover_graph, covering_report, to_adjacency, to_dot
 from .simplicial import SimplicialPresentation
 from .suites import SUITES, run_suite, status
-from .words import compose, enumerate_words, invert, power_decompose
+from .words import LoopWord, compose, enumerate_words, invert, power_decompose
 
 DEFAULT_SEED = 0
 # integer flags that count something, so a negative value is meaningless
@@ -33,26 +33,12 @@ class CliError(ValueError):
     pass
 
 
-def _resolve(args) -> SimplicialPresentation:
-    """The complex named on the command line, edge-inverted, unchecked."""
+def _spec(args) -> str:
+    """The complex named on the command line."""
     spec = getattr(args, "builtin", None) or getattr(args, "complex", None)
     if not spec:
         raise CliError("no complex given: pass a source or --builtin")
-    zx = resolve_complex(spec)
-    return zx if zx.op_pairs else zx.z_extension()
-
-
-def _load(args) -> SimplicialPresentation:
-    """The complex for a model command; one that breaks the simplicial
-    identities is refused, since every model built on it would be wrong."""
-    zx = _resolve(args)
-    report = zx.validate()
-    if report:
-        raise CliError(
-            f"{zx.name} is not a simplicial set ({len(report)} violation(s), "
-            f"first: {report[0]}); see 'loopspace validate'"
-        )
-    return zx
+    return spec
 
 
 def _emit(args, payload: dict, lines: list[str]) -> None:
@@ -64,7 +50,8 @@ def _emit(args, payload: dict, lines: list[str]) -> None:
 
 
 def cmd_validate(args) -> int:
-    zx = _resolve(args)
+    zx = resolve_complex(_spec(args))  # unchecked: this command reports the violations
+    zx = zx if zx.op_pairs else zx.z_extension()
     report = zx.validate()
     _emit(args, {"complex": zx.name, "violations": report, "ok": not report},
           [f"{zx.name}: ok" if not report else f"{zx.name}: {len(report)} violation(s)"]
@@ -80,7 +67,7 @@ def cmd_cells(args) -> int:
                "cells": [{"label": str(c), "dim": c.dim} for c in cells]},
               [f"{str(c):<30} dim {c.dim}" for c in cells])
         return 0
-    zx = _load(args)
+    zx = resolve_model(_spec(args))
     words = enumerate_words(zx, args.degree, args.max_len, zx.basepoint, zx.basepoint)
     _emit(args,
           {"complex": zx.name, "degree": args.degree, "max_length": args.max_len,
@@ -94,15 +81,19 @@ def _ring(spec: str) -> Ring:
         return Ring.integers()
     if spec == "q":
         return Ring.rationals()
-    if spec.startswith("p:"):
-        return Ring.prime_field(int(spec[2:]))
+    if spec.startswith("p:") and spec[2:].isdecimal():
+        try:
+            return Ring.prime_field(int(spec[2:]))
+        except ChainError as exc:
+            raise CliError(f"coefficient ring {spec!r}: {exc}") from None
     raise CliError(f"unknown coefficient ring {spec!r} (use z, q, or p:<prime>)")
 
 
 def cmd_boundary(args) -> int:
-    zx = _load(args)
+    ring = _ring(args.coeff)
+    zx = resolve_model(_spec(args))
     w = parse_word(zx, args.word)
-    ch = boundary_word(zx, _ring(args.coeff), w, args.variant)
+    ch = boundary_word(zx, ring, w, args.variant)
     terms = sorted(((str(f), c) for f, c in ch.items()))
     rendered = " + ".join(
         (f"{c}*({f})" if c != 1 else f"({f})") for f, c in terms) or "0"
@@ -114,7 +105,7 @@ def cmd_boundary(args) -> int:
 
 
 def cmd_check(args) -> int:
-    zx = _load(args)
+    zx = resolve_model(_spec(args))
     report = run_suite(args.suite, zx, samples=args.samples, seed=args.seed,
                        cube_n=args.cube_n, max_degree=args.degree, max_length=args.max_len)
     lines = [f"{zx.name} suite={args.suite}: {status(report)}"]
@@ -125,9 +116,9 @@ def cmd_check(args) -> int:
 
 
 def cmd_homology(args) -> int:
-    zx = _load(args)
+    ring = _ring(args.coeff)  # before the computation, which can take long
+    zx = resolve_model(_spec(args))
     table = homology(zx, args.degree, args.variant, args.max_weight)
-    ring = _ring(args.coeff)
     rows = []
     payload = {"complex": zx.name, "variant": args.variant, "coefficients": ring.name,
                "max_weight": table.max_weight, "basis_sizes": list(table.basis_sizes),
@@ -149,14 +140,21 @@ def cmd_homology(args) -> int:
     return 0
 
 
+def _group_element(zx: SimplicialPresentation, literal: str) -> LoopWord:
+    """A word literal that is a group element: a degree-0 loop at the basepoint."""
+    w = parse_word(zx, literal)
+    if w.degree or w.start != zx.basepoint or w.end != zx.basepoint:
+        raise CliError(f"{literal!r} (degree {w.degree}, from {w.start} to {w.end}) is not a "
+                       f"group element, a degree-0 loop at the basepoint {zx.basepoint}")
+    return w
+
+
 def cmd_group(args) -> int:
-    zx = _load(args)
+    zx = resolve_model(_spec(args))
     out: dict[str, object] = {"complex": zx.name}
     lines = []
     if args.element:
-        w = parse_word(zx, args.element)
-        if w.degree != 0:
-            raise CliError(f"{args.element!r} has degree {w.degree}, not a group element")
+        w = _group_element(zx, args.element)
         out["element"] = str(w)
         lines.append(f"element: {w}")
         if args.power_detect:
@@ -168,8 +166,7 @@ def cmd_group(args) -> int:
             out["inverse"] = str(iw)
             lines.append(f"inverse: {iw}")
     if args.compose:
-        u = parse_word(zx, args.compose[0])
-        v = parse_word(zx, args.compose[1])
+        u, v = (_group_element(zx, literal) for literal in args.compose)
         w = compose(zx, u, v)
         out["composition"] = str(w)
         lines.append(f"composition: {w}")
@@ -184,7 +181,7 @@ def cmd_group(args) -> int:
 
 
 def cmd_cover(args) -> int:
-    zx = _load(args)
+    zx = resolve_model(_spec(args))
     graph = cover_graph(zx, args.max_len)
     report = covering_report(zx, graph)
     if args.out == "dot":

@@ -15,7 +15,6 @@ sign system.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 from .chains import VARIANTS, Chain, Ring, add_into, boundary_word, is_killed
 from .cubes import _bead_normal_form
@@ -32,8 +31,8 @@ def letter_is_zero(t: SimplexTerm, variant: str) -> bool:
     if variant not in VARIANTS:
         raise CobarError(f"unknown variant {variant!r}")
     if variant == "normalized":
-        return bool(t.degens)
-    return bool(t.degens) and t.generator.dim == 0
+        return not t.is_nondegenerate
+    return t.generator.dim == 0 and not t.is_nondegenerate
 
 
 @dataclass(frozen=True, order=True)
@@ -54,8 +53,12 @@ def hat_reduce(
     zx: SimplicialPresentation, letters: tuple[SimplexTerm, ...]
 ) -> tuple[SimplexTerm, ...]:
     """Cancel adjacent inverse edge pairs until none remain: the bead normal
-    form of letters taken whole as cores, with no duplicates to pool."""
-    beads, _ = _bead_normal_form(((t, [1, 1]) for t in letters), 0, partial(_inverse_pair, zx))
+    form of letters taken whole as cores, with no duplicates to pool, where
+    a degenerate edge is a letter of positive degree and cancels nothing."""
+    beads, _ = _bead_normal_form(
+        ((t, [1, 1]) for t in letters), 0,
+        lambda a, b: a.is_nondegenerate and b.is_nondegenerate and _inverse_pair(zx, a, b),
+    )
     return tuple(t for t, _ in beads)
 
 

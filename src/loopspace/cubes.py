@@ -21,7 +21,7 @@ degeneracy slot addresses, and where that vertex sits in the necklace.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 
 class CubeError(ValueError):
@@ -78,7 +78,7 @@ def psi(c: DupCell) -> tuple[int, ...]:
 
 
 def _bead_normal_form(
-    beads: Iterable[tuple[object, list[int]]],
+    beads: Iterable[tuple[object, Sequence[int]]],
     pool: int = 0,
     cancellable: Callable[[object, object], bool] | None = None,
 ) -> tuple[list[tuple[object, list[int]]], int]:

@@ -2,7 +2,8 @@
 
 A complex is stored as one JSON document: name, vertex list, basepoint,
 and one record per generator of positive dimension with its face table;
-degeneracy words are written innermost-first, as in the canonical form.
+a face is a generator and a degeneracy word, applied innermost-first and
+written in canonical form (strictly increasing), one s_j at a time.
 Word literals are semicolon-separated letters ``gen``, ``gen^op``,
 ``s<j>.gen`` (degeneracies outermost-first, matching the printed form),
 with ``e`` for the unit.
@@ -18,9 +19,10 @@ from .simplicial import (
     GeneratorId,
     SimplexTerm,
     SimplicialPresentation,
+    _degenerate,
+    _nondegenerate,
     boundary_simplex,
     from_facets,
-    normalize_degeneracies,
     sphere_quotient,
     wedge_of_circles,
 )
@@ -75,12 +77,13 @@ def complex_from_dict(doc: dict) -> SimplicialPresentation:
                 gname = f["generator"]
                 if gname not in dims:
                     raise FormatError(f"face of {rec['name']!r} uses unknown generator {gname!r}")
-                entries.append(
-                    SimplexTerm(
-                        normalize_degeneracies(int(j) for j in f.get("degeneracies", ())),
-                        GeneratorId(gname, dims[gname]),
-                    )
-                )
+                t = _nondegenerate(GeneratorId(gname, dims[gname]))
+                try:
+                    for j in f.get("degeneracies", ()):  # innermost first
+                        t = _degenerate(t, int(j))
+                except ValueError as exc:
+                    raise FormatError(f"face {len(entries)} of {rec['name']!r} on {gname!r}: {exc}") from None
+                entries.append(t)
             faces[rec["name"]] = tuple(entries)
         pairs = {}
         for a, b in doc.get("op_pairs", {}).items():
@@ -149,6 +152,20 @@ def resolve_complex(spec: str) -> SimplicialPresentation:
         f"unknown complex {spec!r}: expected sphere:n, wedge:r, "
         f"boundary-simplex:n, facets:<file>, or a file path"
     )
+
+
+def resolve_model(spec: str) -> SimplicialPresentation:
+    """The edge-inverted complex a model is built on; one that breaks the
+    simplicial identities is refused, as every model on it would be wrong."""
+    zx = resolve_complex(spec)
+    zx = zx if zx.op_pairs else zx.z_extension()
+    report = zx.validate()
+    if report:
+        raise FormatError(
+            f"{zx.name} is not a simplicial set ({len(report)} violation(s), "
+            f"first: {report[0]}); see 'loopspace validate'"
+        )
+    return zx
 
 
 def _int_arg(spec: str, arg: str) -> int:

@@ -35,7 +35,7 @@ from math import gcd
 
 from .chains import VARIANTS, Ring, boundary_word
 from .simplicial import SimplexTerm, SimplicialPresentation, _inverse_pair
-from .words import LoopWord, _degens_from_multiplicities, canonical, enumerate_words
+from .words import LoopWord, canonical, enumerate_words
 
 
 class HomologyError(ValueError):
@@ -332,8 +332,8 @@ def _interior_duplicates(w: LoopWord, extra: int) -> list[LoopWord]:
         counts = iter([b - a - 1 for a, b in zip((-1, *bars), (*bars, width))])
         letters = []
         for t in w.letters:
-            mult = [1, *(1 + next(counts) for _ in range(t.dim - 1)), 1]
-            letters.append(SimplexTerm(_degens_from_multiplicities(mult), t.generator))
+            mult = (1, *(1 + next(counts) for _ in range(t.dim - 1)), 1)
+            letters.append(SimplexTerm(t.generator, mult))
         out.append(LoopWord(tuple(letters), w.start, w.end))
     return out
 

@@ -2,9 +2,9 @@
 
 A path cell is a pair (x, y) of a simplex x of the edge-inverted
 presentation and a word y running from the last vertex of x to the
-basepoint.  Its degree is dim(x) + degree(y).  Trailing top degeneracies
-of the base are equivalent to an initial degeneracy of the tail; the
-canonical form strips them into the tail.  The degree-0 cells with the
+basepoint.  Its degree is dim(x) + degree(y).  Extra copies of the
+base's last vertex are equivalent to duplicates at the start of the tail;
+the canonical form moves them into the tail.  The degree-0 cells with the
 1-cells between them form a graph on which words act on the right; over a
 connected complex this graph covers the 1-skeleton with deck group the
 degree-0 word group.
@@ -45,16 +45,14 @@ class PathCell:
 
 
 def path_canonical(zx: SimplicialPresentation, base: SimplexTerm, tail: LoopWord) -> PathCell:
-    """The base is the head of the necklace: its trailing top degeneracies
-    duplicate its last vertex, and it hands them to the tail as free
-    duplicates at its start."""
+    """The base is the head of the necklace: it hands the extra copies of
+    its last vertex to the tail as free duplicates at its start."""
     hi = zx.endpoints(base)[1]
     if tail.start != hi:
         raise PathError(f"tail starts at {tail.start}, base ends at {hi}")
-    pool = 0
-    while base.degens and base.degens[-1] == base.dim - 1:
-        base = SimplexTerm(base.degens[:-1], base.generator)
-        pool += 1
+    pool = base.mult[-1] - 1
+    if pool:
+        base = SimplexTerm(base.generator, base.mult[:-1] + (1,))
     return PathCell(base, _normal_word(zx, tail.letters, hi, pool))
 
 

@@ -1,9 +1,10 @@
 """Finite simplicial sets presented by nondegenerate generators with face tables.
 
 A presentation lists the nondegenerate simplices ("generators") by dimension
-together with the faces of each generator, which may be degenerate and are
-written in canonical form (strictly increasing degeneracy word applied
-innermost-first).  Formal edge inverses are attached by ``z_extension``.
+together with the faces of each generator, which may be degenerate.  A
+simplex is a generator with the number of copies of each of its vertices,
+on which faces and degeneracies act directly.  Formal edge inverses are
+attached by ``z_extension``.
 """
 
 from __future__ import annotations
@@ -25,48 +26,58 @@ class GeneratorId:
     dim: int
 
 
-def push_degeneracy(word: tuple[int, ...], j: int) -> tuple[int, ...]:
-    """Apply s_j on the outside of a canonical degeneracy word.
-
-    Words are strictly increasing and read innermost-first; the rewrite
-    s_i s_j = s_{j+1} s_i (i <= j) is applied until the result is canonical
-    again.
-    """
-    out = list(word)
-    pos = len(out)
-    while pos > 0 and out[pos - 1] >= j:
-        out[pos - 1] += 1
-        pos -= 1
-    out.insert(pos, j)
-    return tuple(out)
-
-
-def normalize_degeneracies(raw: Iterable[int]) -> tuple[int, ...]:
-    """Canonical form of a raw degeneracy word, applied innermost-first."""
-    word: tuple[int, ...] = ()
-    for j in raw:
-        word = push_degeneracy(word, j)
-    return word
-
-
 @dataclass(frozen=True, order=True)
 class SimplexTerm:
-    """A (possibly degenerate) simplex: canonical degeneracy word over a generator."""
+    """A (possibly degenerate) simplex: a generator and how many copies of
+    each of its vertices the simplex has.  By the Eilenberg-Zilber lemma
+    these fix the simplex: s_I g repeats the vertices of g in order."""
 
-    degens: tuple[int, ...]
     generator: GeneratorId
+    mult: tuple[int, ...]
 
     @property
     def dim(self) -> int:
-        return len(self.degens) + self.generator.dim
+        return sum(self.mult) - 1
 
     @property
     def is_nondegenerate(self) -> bool:
-        return not self.degens
+        return sum(self.mult) == len(self.mult)
+
+    @property
+    def degens(self) -> tuple[int, ...]:
+        """The canonical degeneracy word (strictly increasing, innermost first)."""
+        word: list[int] = []
+        pos = 0
+        for m in self.mult:
+            word.extend(range(pos, pos + m - 1))
+            pos += m
+        return tuple(word)
 
     def __str__(self) -> str:
         prefix = "".join(f"s{j}." for j in reversed(self.degens))
         return prefix + self.generator.name
+
+
+def _nondegenerate(g: GeneratorId) -> SimplexTerm:
+    return SimplexTerm(g, (1,) * (g.dim + 1))
+
+
+def _vertex_at(mult: tuple[int, ...], i: int) -> int:
+    """Index of the generator vertex whose copies cover position i."""
+    v = 0
+    while i >= mult[v]:
+        i -= mult[v]
+        v += 1
+    return v
+
+
+def _degenerate(t: SimplexTerm, j: int) -> SimplexTerm:
+    """s_j t: one more copy of the vertex at position j."""
+    if not 0 <= j <= t.dim:
+        raise SimplicialError(f"degeneracy index {j} out of range for dimension {t.dim}")
+    mult = t.mult
+    v = _vertex_at(mult, j)
+    return SimplexTerm(t.generator, mult[:v] + (mult[v] + 1,) + mult[v + 1 :])
 
 
 class SimplicialPresentation:
@@ -99,7 +110,7 @@ class SimplicialPresentation:
         self.op_pairs: dict[str, str] = dict(op_pairs or {})
         self._check_well_formed()
         self._endpoints: dict[str, tuple[str, str]] = {
-            name: self._walk_endpoints(SimplexTerm((), g))
+            name: self._walk_endpoints(_nondegenerate(g))
             for name, g in self.generators.items()
         }
 
@@ -130,7 +141,7 @@ class SimplicialPresentation:
     def term(self, name: str) -> SimplexTerm:
         if name not in self.generators:
             raise SimplicialError(f"unknown generator {name!r}")
-        return SimplexTerm((), self.generators[name])
+        return _nondegenerate(self.generators[name])
 
     def generators_of_dim(self, d: int) -> list[GeneratorId]:
         return sorted(g for g in self.generators.values() if g.dim == d)
@@ -150,28 +161,32 @@ class SimplicialPresentation:
     # -- simplicial operators --------------------------------------------
 
     def face(self, t: SimplexTerm, i: int) -> SimplexTerm:
-        """The i-th face of t, in canonical form."""
-        if t.dim < 1:
+        """The i-th face of t: one copy fewer of the vertex at position i
+        if it has several; otherwise the generator's face at that vertex,
+        each of whose vertices collects the copies of the block of the
+        remaining vertices it collapses."""
+        mult = t.mult
+        dim = sum(mult) - 1
+        if dim < 1:
             raise SimplicialError("faces are only defined in dimension >= 1")
-        if not 0 <= i <= t.dim:
-            raise SimplicialError(f"face index {i} out of range for dimension {t.dim}")
-        if t.degens:
-            j = t.degens[-1]  # outermost degeneracy
-            inner = SimplexTerm(t.degens[:-1], t.generator)
-            if i in (j, j + 1):
-                return inner
-            if i < j:
-                return self.degenerate(self.face(inner, i), j - 1)
-            return self.degenerate(self.face(inner, i - 1), j)
-        if t.generator.name not in self.faces:
-            raise SimplicialError(f"unknown generator {t.generator.name!r}")
-        return self.faces[t.generator.name][i]
+        if not 0 <= i <= dim:
+            raise SimplicialError(f"face index {i} out of range for dimension {dim}")
+        v = _vertex_at(mult, i)
+        if mult[v] > 1:
+            return SimplexTerm(t.generator, mult[:v] + (mult[v] - 1,) + mult[v + 1 :])
+        try:
+            f = self.faces[t.generator.name][v]
+        except KeyError:
+            raise SimplicialError(f"unknown generator {t.generator.name!r}") from None
+        rest = mult[:v] + mult[v + 1 :]
+        if sum(rest) == len(rest):  # t is the generator itself
+            return f
+        ends = list(itertools.accumulate(f.mult))
+        return SimplexTerm(f.generator, tuple(sum(rest[a:b]) for a, b in zip([0, *ends], ends)))
 
     def degenerate(self, t: SimplexTerm, j: int) -> SimplexTerm:
         """Apply s_j to t."""
-        if not 0 <= j <= t.dim:
-            raise SimplicialError(f"degeneracy index {j} out of range for dimension {t.dim}")
-        return SimplexTerm(push_degeneracy(t.degens, j), t.generator)
+        return _degenerate(t, j)
 
     def endpoints(self, t: SimplexTerm) -> tuple[str, str]:
         """(min, max) = (first, last) vertex of t, as generator names.
@@ -249,12 +264,8 @@ def _split(
 
 
 def _inverse_pair(zx: SimplicialPresentation, a: SimplexTerm, b: SimplexTerm) -> bool:
-    """Whether a is a nondegenerate edge and b its formal inverse."""
-    return (
-        not a.degens
-        and not b.degens
-        and zx.op_pairs.get(a.generator.name) == b.generator.name
-    )
+    """Whether the generators of a and b are an edge and its formal inverse."""
+    return zx.op_pairs.get(a.generator.name) == b.generator.name
 
 
 # -- builders -------------------------------------------------------------
@@ -299,7 +310,7 @@ def from_facets(
         entries = []
         for i in range(len(s)):
             sub = s[:i] + s[i + 1 :]
-            entries.append(SimplexTerm((), GeneratorId(_simplex_name(sub), len(sub) - 1)))
+            entries.append(_nondegenerate(GeneratorId(_simplex_name(sub), len(sub) - 1)))
         faces[_simplex_name(s)] = tuple(entries)
     return SimplicialPresentation(name, gens, faces, basepoint or vertices[0])
 
@@ -324,7 +335,7 @@ def sphere_quotient(n: int) -> SimplicialPresentation:
         raise SimplicialError("n must be >= 1")
     x0 = GeneratorId("x0", 0)
     top = GeneratorId("sigma", n)
-    collapsed = SimplexTerm(tuple(range(n - 1)), x0)
+    collapsed = SimplexTerm(x0, (n,))
     faces = {"sigma": tuple(collapsed for _ in range(n + 1))}
     return SimplicialPresentation(f"sphere{n}", [x0, top], faces, "x0")
 
@@ -333,7 +344,7 @@ def wedge_of_circles(r: int) -> SimplicialPresentation:
     if r < 1:
         raise SimplicialError("r must be >= 1")
     x0 = GeneratorId("x0", 0)
-    base = SimplexTerm((), x0)
+    base = _nondegenerate(x0)
     gens = [x0] + [GeneratorId(f"a{k}", 1) for k in range(1, r + 1)]
     faces = {f"a{k}": (base, base) for k in range(1, r + 1)}
     return SimplicialPresentation(f"wedge{r}", gens, faces, "x0")

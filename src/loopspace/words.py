@@ -5,13 +5,15 @@ presentation of dimension >= 1, composable in the sense that the last
 vertex of each letter is the first vertex of the next.  The degree of a
 letter is its simplex dimension minus one.  Canonical generators are
 reduced words with nondegenerate letters; degenerate words arising from
-faces and degeneracies are identified by junction shifts (a top degeneracy
-of one letter equals an inner s_0 on the next), cancellation of adjacent
-inverse edge pairs, and absorption of unit letters.  Because cancellations
-can hide behind shifts in either direction, no one-directional rewriting
-is confluent; the canonical form is instead read off the bead normal form
-that cube cells share (``cubes._bead_normal_form``), and the tests check
-it against the minimum of the finite orbit of a word under these moves.
+faces and degeneracies are identified by junction shifts (an extra copy
+of one letter's last vertex equals an extra copy of the next letter's
+first vertex), cancellation of adjacent inverse edge pairs, and
+absorption of unit letters.  Because cancellations can hide behind shifts
+in either direction, no one-directional rewriting is confluent; the
+canonical form is instead read off the bead normal form that cube cells
+share (``cubes._bead_normal_form``), with each letter's vertex
+multiplicities as its bead, and the tests check it against the minimum of
+the finite orbit of a word under these moves.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ class LoopWord:
         return sum(t.dim - 1 for t in self.letters)
 
     def has_degenerate_letter(self) -> bool:
-        return any(t.degens for t in self.letters)
+        return not all(t.is_nondegenerate for t in self.letters)
 
     def __str__(self) -> str:
         if not self.letters:
@@ -70,31 +72,6 @@ def check_composable(
     return start, prev_max
 
 
-def _vertex_multiplicities(t: SimplexTerm) -> list[int]:
-    """How many times each vertex of the underlying nondegenerate simplex
-    appears in the degenerate simplex t."""
-    vs = list(range(t.generator.dim + 1))
-    for j in t.degens:  # innermost first
-        vs.insert(j + 1, vs[j])
-    mult = [0] * (t.generator.dim + 1)
-    for v in vs:
-        mult[v] += 1
-    return mult
-
-
-def _degens_from_multiplicities(mult: list[int]) -> tuple[int, ...]:
-    """Canonical degeneracy word of the degenerate simplex with the given
-    vertex multiplicities (inverse of _vertex_multiplicities)."""
-    degens = []
-    pos = 0
-    for m in mult:
-        for c in range(m):
-            if c > 0:
-                degens.append(pos - 1)
-            pos += 1
-    return tuple(degens)
-
-
 def canonical(
     zx: SimplicialPresentation,
     letters: tuple[SimplexTerm, ...],
@@ -108,9 +85,9 @@ def canonical(
     duplicate between them, and the number of duplicated vertices at each
     position.  Vertex-collapse letters dissolve into duplicates at their
     position, shedding one.  The representative assigns the duplicates of
-    each surviving junction to the right-hand letter as inner s_0
-    degeneracies, those of the end to the last letter, and those of a word
-    with no core left to one vertex-collapse letter.
+    each surviving junction to the first vertex of the right-hand letter,
+    those of the end to the last vertex of the last letter, and those of a
+    word with no core left to one vertex-collapse letter.
     """
     if start is None:
         if not letters:
@@ -133,15 +110,14 @@ def _normal_word(
         if s != start:
             raise WordError(f"declared start {start} does not match word start {s}")
     beads, left = _bead_normal_form(
-        [(SimplexTerm((), t.generator), _vertex_multiplicities(t)) for t in letters],
-        pool,
-        partial(_inverse_pair, zx),
+        ((t, t.mult) for t in letters), pool, partial(_inverse_pair, zx)
     )
     if beads:
-        out = (SimplexTerm(_degens_from_multiplicities(m), c.generator) for c, m in beads)
+        # an unchanged letter is reused, not rebuilt: long words share letters
+        out = (t if m == list(t.mult) else SimplexTerm(t.generator, tuple(m)) for t, m in beads)
         return LoopWord(tuple(out), start, end)
     if left:
-        letter = SimplexTerm(tuple(range(left + 1)), zx.generators[start])
+        letter = SimplexTerm(zx.generators[start], (left + 2,))
         return LoopWord((letter,), start, start)
     return unit(start)
 
@@ -227,7 +203,7 @@ def word_degeneracy(zx: SimplicialPresentation, w: LoopWord, j: int) -> LoopWord
     if not w.letters:
         if not 1 <= j <= degeneracy_slots(w):
             raise WordError(f"degeneracy slot {j} out of range")
-        e_letter = SimplexTerm((0,), zx.generators[w.start])
+        e_letter = SimplexTerm(zx.generators[w.start], (2,))  # s_0 of the vertex
         return LoopWord((zx.degenerate(e_letter, 0),), w.start, w.end)
     at = degeneracy_coordinate((t.dim for t in w.letters), j)
     if at is None:

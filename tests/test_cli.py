@@ -14,21 +14,6 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
-@pytest.fixture
-def non_simplicial(tmp_path):
-    """The 2-simplex 012 with face table (12, 12, 01): d1 d2 != d1 d1."""
-    def gen(name, faces):
-        return {"name": name, "dim": len(faces) - 1,
-                "faces": [{"degeneracies": [], "generator": f} for f in faces]}
-
-    doc = {"name": "bad-triangle", "vertices": ["0", "1", "2"], "basepoint": "0",
-           "generators": [gen("01", ["1", "0"]), gen("02", ["2", "0"]),
-                          gen("12", ["2", "1"]), gen("012", ["12", "12", "01"])]}
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps(doc))
-    return str(path)
-
-
 class TestValidate:
     def test_builtin_ok(self, capsys):
         code, out, _ = run(capsys, "validate", "--builtin", "sphere:2")
@@ -209,6 +194,24 @@ class TestHomology:
         assert code == 0 and doc["max_weight"] == int(max_weight)
         assert [g["free_rank"] for g in doc["groups"]] == ranks
 
+    @pytest.mark.parametrize("spec, reason", [
+        ("p:4", "4 is not prime"),
+        ("p:abc", "unknown coefficient ring"),
+        ("p:", "unknown coefficient ring"),
+        ("r", "unknown coefficient ring"),
+    ], ids=["p4", "pabc", "p-empty", "r"])
+    def test_bad_coefficients_refused_before_computing(self, capsys, monkeypatch, spec, reason):
+        # p:4 once ran the whole computation before failing, and p:abc
+        # printed int()'s "invalid literal" message
+        def computed(*args, **kwargs):
+            raise AssertionError("homology ran before the ring was parsed")
+
+        monkeypatch.setattr("loopspace.cli.homology", computed)
+        code, out, err = run(capsys, "homology", "--builtin", "sphere:3", "--degree", "12",
+                             "--variant", "de", "--coeff", spec)
+        assert code == 2 and out == ""
+        assert repr(spec) in err and reason in err and "invalid literal" not in err
+
     def test_edges_need_a_bound(self, capsys):
         code, out, err = run(capsys, "homology", "--builtin", "wedge:2", "--degree", "1")
         assert code == 2 and out == ""
@@ -266,6 +269,18 @@ class TestGroup:
         code, _, err = run(capsys, "group", "--builtin", "sphere:2",
                            "--element", "sigma")
         assert code == 2 and "degree" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("--element", "12", "--power-detect", "--invert"),
+        ("--element", "01;12"),
+        ("--compose", "01", "12"),
+        ("--compose", "01;01^op", "12"),
+    ], ids=["edge", "open-path", "compose-edges", "compose-one-edge"])
+    def test_not_a_loop_at_the_basepoint(self, capsys, argv):
+        # the first three printed a power, an inverse or a composition with exit 0
+        code, out, err = run(capsys, "group", "--builtin", "boundary-simplex:2", *argv)
+        assert code == 2 and out == ""
+        assert "is not a group element, a degree-0 loop at the basepoint 0" in err
 
     def test_nothing_to_do(self, capsys):
         code, _, err = run(capsys, "group", "--builtin", "wedge:2")

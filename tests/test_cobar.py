@@ -34,12 +34,12 @@ def wedge_with_relator():
     x0 = GeneratorId("x0", 0)
     a1, a2 = GeneratorId("a1", 1), GeneratorId("a2", 1)
     r = GeneratorId("r", 2)
-    v = SimplexTerm((), x0)
+    v = SimplexTerm(x0, (1,))
     faces = {
         "a1": (v, v),
         "a2": (v, v),
         # d0 = back edge, d1 = long edge, d2 = front edge
-        "r": (SimplexTerm((), a2), SimplexTerm((), a1), SimplexTerm((), a1)),
+        "r": (SimplexTerm(a2, (1, 1)), SimplexTerm(a1, (1, 1)), SimplexTerm(a1, (1, 1))),
     }
     return SimplicialPresentation("wedge2+r", [x0, a1, a2, r], faces, "x0").z_extension()
 

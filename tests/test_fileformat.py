@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from loopspace.cli import main
 from loopspace.fileformat import (
     FormatError,
     complex_from_dict,
@@ -45,6 +46,24 @@ class TestComplexDocuments:
         doc["generators"][0]["faces"][0]["generator"] = "nope"
         with pytest.raises(FormatError, match="nope"):
             complex_from_dict(doc)
+
+    @pytest.mark.parametrize("degeneracies, message", [
+        ([3], "degeneracy index 3 out of range for dimension 0"),
+        ([0, 2], "degeneracy index 2 out of range for dimension 1"),
+        ([-1], "degeneracy index -1 out of range for dimension 0"),
+        (["x"], "invalid literal for int() with base 10: 'x'"),
+    ], ids=["s3", "s2-after-s0", "negative", "not-an-integer"])
+    def test_degeneracy_out_of_range(self, tmp_path, capsys, degeneracies, message):
+        # once accepted, after which every command, validate too, failed
+        # with "faces are only defined in dimension >= 1"
+        doc = {"vertices": ["v"], "basepoint": "v", "generators": [
+            {"name": "a", "dim": 1, "faces": [
+                {"degeneracies": [], "generator": "v"},
+                {"degeneracies": degeneracies, "generator": "v"}]}]}
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        assert main(["validate", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: face 1 of 'a' on 'v': {message}\n"
 
     def test_json_error_reports_position(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -3,6 +3,13 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
+from simplex_oracles import (
+    degeneracy_words,
+    face_reference,
+    normalize_degeneracies,
+    push_degeneracy,
+    term_from_word,
+)
 
 from loopspace.simplicial import (
     GeneratorId,
@@ -11,8 +18,6 @@ from loopspace.simplicial import (
     SimplicialPresentation,
     boundary_simplex,
     from_facets,
-    normalize_degeneracies,
-    push_degeneracy,
     sphere_quotient,
     standard_simplex,
     wedge_of_circles,
@@ -22,26 +27,41 @@ from loopspace.fileformat import load_complex
 DATA = Path(__file__).resolve().parent.parent / "data"
 
 
+def apply_degeneracies(zx, t, raw):
+    """s_{raw[-1]} ... s_{raw[0]} t, each index clamped to the dimension."""
+    for j in raw:
+        t = zx.degenerate(t, min(j, t.dim))
+    return t
+
+
 class TestDegeneracyWords:
     @given(st.lists(st.integers(0, 6), max_size=8))
     def test_normal_form_strictly_increasing(self, raw):
-        word = normalize_degeneracies(raw)
+        zx = standard_simplex(2)
+        t = apply_degeneracies(zx, zx.term("01"), raw)
+        word = t.degens
         assert list(word) == sorted(set(word)) == sorted(word)
+        assert len(word) == len(raw) and t.dim == 1 + len(raw)
 
-    @given(st.lists(st.integers(0, 5), min_size=2, max_size=6), st.randoms())
-    def test_application_order_irrelevant(self, raw, rng):
-        # building the word one s_j at a time in any interleaving of an
-        # already-normal prefix gives the same normal form
-        word = normalize_degeneracies(raw)
-        prefix = ()
-        for j in raw:
-            prefix = push_degeneracy(prefix, j)
-        assert prefix == word
+    @given(st.lists(st.integers(0, 5), min_size=2, max_size=6))
+    def test_application_order_irrelevant(self, raw):
+        # applying s_j one at a time gives the term of the canonical word,
+        # and the derived word is that canonical word
+        zx = standard_simplex(3)
+        g = zx.generators["012"]
+        clamped = [min(j, g.dim + k) for k, j in enumerate(raw)]
+        t = apply_degeneracies(zx, zx.term("012"), clamped)
+        word = normalize_degeneracies(clamped)
+        assert t == term_from_word(g, word)
+        assert t.degens == word
 
     def test_known_rewrite(self):
         # s_0 then s_0 again: s_0 s_0 = s_1 s_0
-        assert normalize_degeneracies([0, 0]) == (0, 1)
-        assert normalize_degeneracies([1, 0]) == (0, 2)
+        zx = standard_simplex(1)
+        v = apply_degeneracies(zx, zx.term("0"), [0, 0])
+        assert v.mult == (3,) and v.degens == (0, 1)
+        e = apply_degeneracies(zx, zx.term("01"), [1, 0])
+        assert e.mult == (2, 2) and e.degens == (0, 2)
 
 
 class TestBuilders:
@@ -105,6 +125,45 @@ class TestOperators:
         assert zx.endpoints(t) == ("0", "1")
 
 
+class TestFaceOracle:
+    """``face`` and ``degenerate`` on vertex multiplicities against the
+    recursive d_i s_j rewrite on degeneracy words (``simplex_oracles``)."""
+
+    def presentations(self):
+        docs = sorted(DATA.glob("*.json"))
+        assert docs
+        built = [boundary_simplex(3), boundary_simplex(4), sphere_quotient(3), sphere_quotient(4)]
+        return built + [load_complex(p) for p in docs]
+
+    def test_every_term_with_three_degeneracies(self):
+        faces = 0
+        for zx in self.presentations():
+            for g in zx.generators.values():
+                for word in degeneracy_words(g, 3):
+                    t = term_from_word(g, word)
+                    assert t.degens == word and t.dim == g.dim + len(word)
+                    assert t.is_nondegenerate == (not word)
+                    for j in range(t.dim + 1):
+                        want = term_from_word(g, push_degeneracy(word, j))
+                        assert zx.degenerate(t, j) == want, (zx.name, t, j)
+                    for i in range(t.dim + 1 if t.dim else 0):
+                        w, h = face_reference(zx, word, g, i)
+                        assert zx.face(t, i) == term_from_word(h, w), (zx.name, t, i)
+                        faces += 1
+        assert faces > 4000
+
+    def test_out_of_range(self):
+        zx = sphere_quotient(2)
+        t = zx.degenerate(zx.term("sigma"), 1)
+        for bad in (-1, 4):
+            with pytest.raises(SimplicialError):
+                zx.face(t, bad)
+            with pytest.raises(SimplicialError):
+                zx.degenerate(t, bad)
+        with pytest.raises(SimplicialError, match="dimension >= 1"):
+            zx.face(zx.term("x0"), 0)
+
+
 def walk_endpoints(zx, t):
     """First and last vertex of t by iterated last and zeroth faces
     (reference for the endpoint table)."""
@@ -138,7 +197,7 @@ class TestEndpointTable:
         zx = fixtures["sphere2"]
         for dim in (0, 1):
             with pytest.raises(SimplicialError):
-                zx.endpoints(SimplexTerm((), GeneratorId("nowhere", dim)))
+                zx.endpoints(SimplexTerm(GeneratorId("nowhere", dim), (1,) * (dim + 1)))
 
 
 class TestEdgeInversion:
@@ -164,4 +223,4 @@ class TestEdgeInversion:
         x0 = GeneratorId("v", 0)
         a = GeneratorId("a", 1)
         with pytest.raises(SimplicialError):
-            SimplicialPresentation("bad", [x0, a], {"a": (SimplexTerm((), x0),)}, "v")
+            SimplicialPresentation("bad", [x0, a], {"a": (SimplexTerm(x0, (1,)),)}, "v")

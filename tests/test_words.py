@@ -96,6 +96,16 @@ class TestCanonical:
         assert canonical(zx, left, "x0") == canonical(zx, right, "x0")
         assert canonical(zx, left, "x0").letters[1].degens == (0,)
 
+    def test_unchanged_letters_are_reused(self, fixtures):
+        # rebuilding equal letters instead costs memory on long words
+        zx = fixtures["bd3"]
+        t, u = zx.degenerate(zx.term("013"), 1), zx.term("03^op")
+        w = canonical(zx, (t, u), "0")
+        assert w.letters[0] is t and w.letters[1] is u
+        # a copy of the junction vertex moves to the right-hand letter
+        moved = canonical(zx, (zx.degenerate(t, 3), u), "0")
+        assert moved.letters == (t, zx.degenerate(u, 0))
+
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 10 ** 9), st.sampled_from(["wedge2", "sphere2"]))
     def test_canonical_matches_orbit_minimum(self, fixtures, seed, key):

@@ -12,6 +12,8 @@ them pins the merged engine.
 
 from __future__ import annotations
 
+from simplex_oracles import term_from_word
+
 from loopspace.cubes import CubeError, DupCell
 from loopspace.paths import PathCell, PathError
 from loopspace.simplicial import SimplexTerm, SimplicialPresentation
@@ -86,7 +88,7 @@ def _strip_inner_s0(t: SimplexTerm) -> SimplexTerm:
     """Remove the innermost s_0 of a canonical degeneracy word."""
     if not t.degens or t.degens[0] != 0:
         raise WordError(f"{t} has no inner s_0")
-    return SimplexTerm(tuple(d - 1 for d in t.degens[1:]), t.generator)
+    return term_from_word(t.generator, tuple(d - 1 for d in t.degens[1:]))
 
 
 def _orbit_moves(
@@ -119,7 +121,7 @@ def _orbit_moves(
         if t.degens and t.degens[-1] == t.dim - 1 and t.dim >= 2:
             out.append(
                 cur[:i]
-                + (SimplexTerm(t.degens[:-1], t.generator), zx.degenerate(u, 0))
+                + (term_from_word(t.generator, t.degens[:-1]), zx.degenerate(u, 0))
                 + cur[i + 2 :]
             )
         if u.degens and u.degens[0] == 0 and u.dim >= 2:
@@ -205,7 +207,7 @@ def canonical_reference(
             dups[-1] += t.dim - 1
         else:
             dups[-1] += mult[0] - 1
-            cores.append(SimplexTerm((), t.generator))
+            cores.append(term_from_word(t.generator, ()))
             middles.append([m - 1 for m in mult[1:-1]])
             dups.append(mult[-1] - 1)
     changed = True
@@ -223,14 +225,14 @@ def canonical_reference(
         total = dups[0]
         if total == 0:
             return unit(s)
-        letter = SimplexTerm(tuple(range(total + 1)), zx.generators[s])
+        letter = term_from_word(zx.generators[s], tuple(range(total + 1)))
         return LoopWord((letter,), s, s)
     out = []
     for i, c in enumerate(cores):
         mult = [dups[i] + 1] + [m + 1 for m in middles[i]] + [1]
         if i == len(cores) - 1:
             mult[-1] += dups[i + 1]
-        out.append(SimplexTerm(_degens_from_multiplicities(mult), c.generator))
+        out.append(term_from_word(c.generator, _degens_from_multiplicities(mult)))
     return LoopWord(tuple(out), s, e)
 
 
@@ -242,7 +244,7 @@ def path_canonical_reference(
     if tail.start != hi:
         raise PathError(f"tail starts at {tail.start}, base ends at {hi}")
     while base.degens and base.degens[-1] == base.dim - 1:
-        base = SimplexTerm(base.degens[:-1], base.generator)
+        base = term_from_word(base.generator, base.degens[:-1])
         tail = word_degeneracy(zx, tail, 1)
     tail = canonical_reference(zx, tail.letters, tail.start)
     return PathCell(base, tail)
