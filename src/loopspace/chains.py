@@ -6,6 +6,13 @@ letters of positive degree), and ``normalized`` kills every degenerate
 word.  The boundary of a word is the signed sum over its coordinates of
 the deleting face minus the splitting face; concatenation of words makes
 each quotient a ring, with the boundary a derivation for the usual sign.
+
+Chains have integer coefficients, as the paper's C_*(Omega-hat X) is a
+dga over Z.  Other coefficients come from it by a change of rings: the
+boundary has integer coefficients and Z -> R is a ring map, so the CLI's
+``--coeff`` ring is applied once, to a finished chain (``Ring.coerce``),
+and ``homology.field_dimensions`` reads field homology off the integral
+table.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ class ChainError(ValueError):
 
 @dataclass(frozen=True)
 class Ring:
-    """Z, Q, or GF(p)."""
+    """Z, Q, or GF(p): a target of the change of rings from integral chains."""
 
     name: str
     p: int | None = None
@@ -51,16 +58,8 @@ class Ring:
             return Fraction(a)
         return int(a)
 
-    def add(self, a, b):
-        c = a + b
-        return c % self.p if self.p is not None else c
 
-    def mul(self, a, b):
-        c = a * b
-        return c % self.p if self.p is not None else c
-
-
-Chain = dict  # LoopWord -> coefficient
+Chain = dict  # LoopWord (or cobar monomial) -> nonzero int
 
 
 def is_killed(w: LoopWord, variant: str) -> bool:
@@ -87,40 +86,31 @@ def is_killed(w: LoopWord, variant: str) -> bool:
     return w.letters[-1].mult[-1] > 1 or any(t.mult[0] > 1 for t in w.letters)
 
 
-def chain_of(ring: Ring, w: LoopWord, coeff=1) -> Chain:
-    c = ring.coerce(coeff)
-    return {w: c} if c else {}
+def chain_of(w: LoopWord) -> Chain:
+    return {w: 1}
 
 
-def add_into(ring: Ring, acc: Chain, w: LoopWord, coeff) -> None:
-    c = ring.add(acc.get(w, ring.coerce(0)), coeff)
+def add_into(acc: Chain, w, coeff: int) -> None:
+    c = acc.get(w, 0) + coeff
     if c:
         acc[w] = c
     else:
         acc.pop(w, None)
 
 
-def chain_sum(ring: Ring, *chains: Chain) -> Chain:
+def chain_sum(*chains: Chain) -> Chain:
     acc: Chain = {}
     for ch in chains:
         for w, c in ch.items():
-            add_into(ring, acc, w, c)
+            add_into(acc, w, c)
     return acc
 
 
-def chain_scale(ring: Ring, ch: Chain, scalar) -> Chain:
-    s = ring.coerce(scalar)
-    out: Chain = {}
-    for w, c in ch.items():
-        sc = ring.mul(c, s)
-        if sc:
-            out[w] = sc
-    return out
+def chain_scale(ch: Chain, scalar: int) -> Chain:
+    return {w: c * scalar for w, c in ch.items()} if scalar else {}
 
 
-def boundary_word(
-    zx: SimplicialPresentation, ring: Ring, w: LoopWord, variant: str = "de"
-) -> Chain:
+def boundary_word(zx: SimplicialPresentation, w: LoopWord, variant: str = "de") -> Chain:
     """d(w) = sum over coordinates i of (-1)^i (deleting face - split face)."""
     acc: Chain = {}
     sign = 1
@@ -129,45 +119,36 @@ def boundary_word(
         for eps, s in ((1, sign), (0, -sign)):
             f = word_face(zx, w, i, eps)
             if not is_killed(f, variant):
-                add_into(ring, acc, f, ring.coerce(s))
+                add_into(acc, f, s)
     return acc
 
 
-def boundary_chain(
-    zx: SimplicialPresentation, ring: Ring, ch: Chain, variant: str = "de"
-) -> Chain:
+def boundary_chain(zx: SimplicialPresentation, ch: Chain, variant: str = "de") -> Chain:
     acc: Chain = {}
     for w, c in ch.items():
-        for f, s in boundary_word(zx, ring, w, variant).items():
-            add_into(ring, acc, f, ring.mul(c, s))
+        for f, s in boundary_word(zx, w, variant).items():
+            add_into(acc, f, c * s)
     return acc
 
 
-def multiply(
-    zx: SimplicialPresentation, ring: Ring, a: Chain, b: Chain, variant: str = "de"
-) -> Chain:
+def multiply(zx: SimplicialPresentation, a: Chain, b: Chain, variant: str = "de") -> Chain:
     """Concatenation product of chains (no internal sign)."""
     acc: Chain = {}
     for u, cu in a.items():
         for v, cv in b.items():
             w = compose(zx, u, v)
             if not is_killed(w, variant):
-                add_into(ring, acc, w, ring.mul(cu, cv))
+                add_into(acc, w, cu * cv)
     return acc
 
 
 def leibniz_defect(
-    zx: SimplicialPresentation, ring: Ring, u: LoopWord, v: LoopWord, variant: str = "de"
+    zx: SimplicialPresentation, u: LoopWord, v: LoopWord, variant: str = "de"
 ) -> Chain:
     """d(uv) - d(u)v - (-1)^{deg u} u d(v); zero when the product is a
     dg algebra on the given elements."""
-    uv = multiply(zx, ring, chain_of(ring, u), chain_of(ring, v), variant)
-    lhs = boundary_chain(zx, ring, uv, variant)
-    du_v = multiply(zx, ring, boundary_word(zx, ring, u, variant), chain_of(ring, v), variant)
+    lhs = boundary_chain(zx, multiply(zx, chain_of(u), chain_of(v), variant), variant)
+    du_v = multiply(zx, boundary_word(zx, u, variant), chain_of(v), variant)
+    u_dv = multiply(zx, chain_of(u), boundary_word(zx, v, variant), variant)
     sgn = 1 if u.degree % 2 == 0 else -1
-    u_dv = chain_scale(
-        ring,
-        multiply(zx, ring, chain_of(ring, u), boundary_word(zx, ring, v, variant), variant),
-        sgn,
-    )
-    return chain_sum(ring, lhs, chain_scale(ring, du_v, -1), chain_scale(ring, u_dv, -1))
+    return chain_sum(lhs, chain_scale(du_v, -1), chain_scale(u_dv, -sgn))

@@ -93,8 +93,9 @@ def cmd_boundary(args) -> int:
     ring = _ring(args.coeff)
     zx = resolve_model(_spec(args))
     w = parse_word(zx, args.word)
-    ch = boundary_word(zx, ring, w, args.variant)
-    terms = sorted(((str(f), c) for f, c in ch.items()))
+    # d is integral and Z -> ring is a ring map: reduce once, at the end
+    reduced = ((str(f), ring.coerce(c)) for f, c in boundary_word(zx, w, args.variant).items())
+    terms = sorted((f, c) for f, c in reduced if c)
     rendered = " + ".join(
         (f"{c}*({f})" if c != 1 else f"({f})") for f, c in terms) or "0"
     _emit(args,

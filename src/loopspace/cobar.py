@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .chains import VARIANTS, Chain, Ring, add_into, boundary_word, is_killed
+from .chains import VARIANTS, Chain, add_into, boundary_word, is_killed
 from .cubes import _bead_normal_form
 from .simplicial import SimplexTerm, SimplicialPresentation, _inverse_pair, _split
 from .words import canonical, enumerate_words, unit
@@ -80,13 +80,8 @@ def d_A(
     for i in range(1, t.dim):
         sign = -sign  # (-1)^i
         f = zx.face(t, i)
-        if letter_is_zero(f, variant):
-            continue
-        c = acc.get(f, 0) + sign
-        if c:
-            acc[f] = c
-        else:
-            del acc[f]
+        if not letter_is_zero(f, variant):
+            add_into(acc, f, sign)
     return acc
 
 
@@ -98,7 +93,7 @@ def aw_reduced(
 
 
 def cobar_boundary(
-    zx: SimplicialPresentation, ring: Ring, m: CobarMonomial, variant: str = "de"
+    zx: SimplicialPresentation, m: CobarMonomial, variant: str = "de"
 ) -> Chain:
     """Derivation extension of d1 + d2 with Koszul signs in desuspended
     degrees: d1[a-bar] = -[d_A(a)-bar] and d2[a-bar] = sum over reduced
@@ -111,7 +106,7 @@ def cobar_boundary(
         def emit(repl: tuple[SimplexTerm, ...], coeff: int) -> None:
             mono = monomial(zx, rest[0] + repl + rest[1], variant)
             if mono is not None:
-                add_into(ring, acc, mono, ring.coerce(coeff))
+                add_into(acc, mono, coeff)
 
         for f, c in d_A(zx, t, variant).items():
             emit((f,), -koszul * c)
@@ -129,7 +124,7 @@ def cobar_boundary(
 
 
 def monomial_to_word_chain(
-    zx: SimplicialPresentation, ring: Ring, ch: Chain, variant: str = "de"
+    zx: SimplicialPresentation, ch: Chain, variant: str = "de"
 ) -> Chain:
     """Reinterpret each monomial as a loop word (canonical form), dropping
     words killed by the chain-side quotient."""
@@ -140,24 +135,20 @@ def monomial_to_word_chain(
         else:
             w = unit(zx.basepoint)
         if not is_killed(w, variant):
-            add_into(ring, acc, w, c)
+            add_into(acc, w, c)
     return acc
 
 
 def compare_theorem2(
-    zx: SimplicialPresentation,
-    max_degree: int,
-    max_length: int,
-    variant: str = "de",
-    ring: Ring | None = None,
+    zx: SimplicialPresentation, max_degree: int, max_length: int, variant: str = "de"
 ) -> dict[str, object]:
     """For every generator word within the bounds, compare its word-model
     boundary with the translated cobar boundary of its monomial.  Under the
     letterwise identification the two differentials are negatives of each
     other (the desuspension sign), uniformly in degree; the comparison
-    accounts for that.  An empty mismatch list means the two realizations
-    agree."""
-    ring = ring or Ring.integers()
+    accounts for that.  Both sides are integral chains, so agreement over Z
+    gives agreement over every coefficient ring.  An empty mismatch list
+    means the two realizations agree."""
     mismatches = []
     checked = 0
     base = zx.basepoint
@@ -169,13 +160,11 @@ def compare_theorem2(
             if m is None or m.letters != w.letters:
                 continue  # not a generator on the cobar side
             checked += 1
-            chain_side = boundary_word(zx, ring, w, variant)
-            cobar_side = monomial_to_word_chain(
-                zx, ring, cobar_boundary(zx, ring, m, variant), variant
-            )
+            chain_side = boundary_word(zx, w, variant)
+            cobar_side = monomial_to_word_chain(zx, cobar_boundary(zx, m, variant), variant)
             diff = dict(chain_side)
             for f, c in cobar_side.items():
-                add_into(ring, diff, f, c)  # expect cobar = -chain
+                add_into(diff, f, c)  # expect cobar = -chain
             if diff:
                 mismatches.append(
                     (str(w), {str(f): c for f, c in sorted(diff.items(), key=lambda kv: str(kv[0]))})
@@ -254,10 +243,10 @@ def extend_monomial(zx: SimplicialPresentation, m: CobarMonomial) -> ExtendedMon
 
 
 def extended_boundary(
-    zx: SimplicialPresentation, ring: Ring, m: CobarMonomial, variant: str = "de"
-) -> dict[ExtendedMonomial, object]:
+    zx: SimplicialPresentation, m: CobarMonomial, variant: str = "de"
+) -> dict[ExtendedMonomial, int]:
     """Boundary in the merged basis, induced from the cobar boundary."""
-    acc: dict[ExtendedMonomial, object] = {}
-    for mono, c in cobar_boundary(zx, ring, m, variant).items():
-        add_into(ring, acc, extend_monomial(zx, mono), c)
+    acc: dict[ExtendedMonomial, int] = {}
+    for mono, c in cobar_boundary(zx, m, variant).items():
+        add_into(acc, extend_monomial(zx, mono), c)
     return acc

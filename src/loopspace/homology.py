@@ -368,7 +368,6 @@ def boundary_matrix(
     edge pair: only then is it canonicalized.  A boundary term outside the
     codomain raises ``HomologyError``: the bases do not span a subcomplex.
     """
-    ring = Ring.integers()
     index = {w: i for i, w in enumerate(codomain)}
     letter_boundary: dict[SimplexTerm, list[tuple[tuple[SimplexTerm, ...], int]]] = {}
     m = SparseIntMatrix(len(codomain), len(domain))
@@ -379,7 +378,7 @@ def boundary_matrix(
             terms = letter_boundary.get(t)
             if terms is None:
                 lo, hi = zx.endpoints(t)
-                one = boundary_word(zx, ring, LoopWord((t,), lo, hi), variant)
+                one = boundary_word(zx, LoopWord((t,), lo, hi), variant)
                 terms = letter_boundary[t] = [(f.letters, c) for f, c in one.items()]
             front, back = w.letters[:k], w.letters[k + 1 :]
             for piece, c in terms:
@@ -492,14 +491,14 @@ def homology(
     )
 
 
-def field_dimensions(table: HomologyTable, ring: Ring) -> dict[int, int]:
+def field_dimensions(table: HomologyTable, coeff: Ring) -> dict[int, int]:
     """Dimensions of the homology with field (or integer) coefficients,
     read off from the integral table by universal coefficients: a torsion
     factor of H_n divisible by p contributes to the group in its own
     degree and the one above (Tor(H_n, F_p) lands in degree n + 1)."""
     dims = {g.degree: g.free_rank for g in table.groups}
-    if ring.p is not None:
-        p = ring.p
+    if coeff.p is not None:
+        p = coeff.p
         torsion_p = {
             g.degree: sum(1 for t in g.torsion if t % p == 0) for g in table.groups
         }

@@ -159,8 +159,15 @@ class CoverGraph:
                     frontier.append(w)
         return len(seen) == len(self.vertices)
 
-    def is_tree(self) -> bool:
-        return self.is_connected() and self.edge_count == self.vertex_count - 1
+
+def _underlying_edges(zx: SimplicialPresentation) -> list[SimplexTerm]:
+    """One 1-generator per underlying edge of the complex: the ``^op``
+    partner of an inverted edge is the same edge read backwards."""
+    return [
+        zx.term(a.name)
+        for a in zx.generators_of_dim(1)
+        if not (a.name in zx.op_pairs and a.name.endswith(OP_SUFFIX))
+    ]
 
 
 def cover_graph(
@@ -182,11 +189,8 @@ def cover_graph(
             vertices.append(c)
             vertex_set.add(c)
     edges = []
-    for a in zx.generators_of_dim(1):
-        if a.name in zx.op_pairs and a.name.endswith(OP_SUFFIX):
-            continue  # one graph edge per underlying edge of the complex
-        t = zx.term(a.name)
-        lo, hi = zx.endpoints(t)
+    for t in _underlying_edges(zx):
+        hi = zx.endpoints(t)[1]
         for w in enumerate_words(zx, 0, max_length, hi, base):
             cell = path_cell(zx, t, w)
             # d^0_1 restricts to min(a), prepending the edge to the word;
@@ -208,6 +212,11 @@ def covering_report(
     must lift to exactly one incident graph edge.  A graph with no
     interior vertex checks no lift, and its report is ``vacuous``.
     """
+    # incidences (edge, end) of each base vertex, end 0 at min and 1 at max
+    want_at: dict[str, dict[tuple[str, int], int]] = {}
+    for t in _underlying_edges(zx):
+        for end, v in enumerate(zx.endpoints(t)):
+            want_at.setdefault(v, {})[(t.generator.name, end)] = 1
     by_vertex: dict[PathCell, list[tuple[str, int]]] = {v: [] for v in graph.vertices}
     for cell, src, tgt in graph.edges:
         name = cell.base.generator.name
@@ -219,27 +228,20 @@ def covering_report(
         if graph.max_length is not None and len(v.tail.letters) >= graph.max_length:
             continue  # truncation boundary: lifts may be missing
         interior += 1
-        want: dict[tuple[str, int], int] = {}
-        for a in zx.generators_of_dim(1):
-            if a.name in zx.op_pairs and a.name.endswith(OP_SUFFIX):
-                continue
-            lo, hi = zx.endpoints(zx.term(a.name))
-            if lo == v.base.generator.name:
-                want[(a.name, 0)] = want.get((a.name, 0), 0) + 1
-            if hi == v.base.generator.name:
-                want[(a.name, 1)] = want.get((a.name, 1), 0) + 1
+        want = want_at.get(v.base.generator.name, {})
         have: dict[tuple[str, int], int] = {}
         for key in by_vertex[v]:
             have[key] = have.get(key, 0) + 1
         if want != have:
             failures.append((str(v), {k: (want.get(k, 0), have.get(k, 0))
                                       for k in set(want) | set(have)}))
+    connected = graph.is_connected()
     return {
         "vertices": graph.vertex_count,
         "edges": graph.edge_count,
         "interior_vertices": interior,
-        "connected": graph.is_connected(),
-        "tree": graph.is_tree(),
+        "connected": connected,
+        "tree": connected and graph.edge_count == graph.vertex_count - 1,
         "covering_failures": failures,
         "ok": not failures,
         "vacuous": interior == 0,

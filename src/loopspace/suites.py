@@ -25,7 +25,7 @@ from functools import partial
 from operator import attrgetter
 from typing import Callable, NamedTuple
 
-from .chains import Ring, boundary_chain, boundary_word, is_killed, leibniz_defect
+from .chains import boundary_chain, boundary_word, is_killed, leibniz_defect
 from .cobar import compare_theorem2
 from .cubes import (
     all_cells,
@@ -260,7 +260,6 @@ def dsq_suite(
     two variants under the quotient map."""
     rec = _Recorder()
     rng = random.Random(seed)
-    ring = Ring.integers()
     cells = random_loop_cells(zx, rng, samples)
     for w in cells:
         if w.degree == 0:
@@ -268,18 +267,18 @@ def dsq_suite(
         for variant in ("de", "normalized"):
             if is_killed(w, variant):
                 continue
-            d1 = boundary_word(zx, ring, w, variant)
-            d2 = boundary_chain(zx, ring, d1, variant)
+            d1 = boundary_word(zx, w, variant)
+            d2 = boundary_chain(zx, d1, variant)
             rec.record(f"dsq-{variant}", not d2, (w, {str(k): v for k, v in d2.items()}))
         if not is_killed(w, "normalized"):
             de_then_project = {
                 f: c
-                for f, c in boundary_word(zx, ring, w, "de").items()
+                for f, c in boundary_word(zx, w, "de").items()
                 if not is_killed(f, "normalized")
             }
             rec.record(
                 "quotient-chain-map",
-                de_then_project == boundary_word(zx, ring, w, "normalized"),
+                de_then_project == boundary_word(zx, w, "normalized"),
                 (w,),
             )
     return rec.report(suite="dsq", complex=zx.name, samples=len(cells))
@@ -291,14 +290,13 @@ def leibniz_suite(
     """Zero Leibniz defect on random pairs of algebra generators."""
     rec = _Recorder()
     rng = random.Random(seed)
-    ring = Ring.integers()
     us = random_loop_cells(zx, rng, samples)
     vs = random_loop_cells(zx, rng, samples)
     for u, v in zip(us, vs):
         for variant in ("de", "normalized"):
             if is_killed(u, variant) or is_killed(v, variant):
                 continue
-            defect = leibniz_defect(zx, ring, u, v, variant)
+            defect = leibniz_defect(zx, u, v, variant)
             rec.record(
                 f"leibniz-{variant}",
                 not defect,

@@ -237,7 +237,6 @@ def enumerate_words(
             raise WordError("unbounded enumeration needs a complex without edges")
         max_length = max(degree, 1)
     pool = letter_pool(zx)
-    ends = {t: zx.endpoints(t) for t in pool}
     found: list[LoopWord] = []
     if degree == 0 and start == end:
         found.append(unit(start))
@@ -249,7 +248,7 @@ def enumerate_words(
             d = t.dim - 1
             if d > deg_left:
                 continue
-            lo, hi = ends[t]
+            lo, hi = zx.endpoints(t)
             if lo != at:
                 continue
             if prefix and _inverse_pair(zx, prefix[-1], t):
@@ -268,7 +267,6 @@ def enumerate_words(
 def random_reduced_word(zx, rng, start: str, end: str, max_degree: int, max_length: int):
     """A random reduced word between the endpoints, or the unit on failure."""
     pool = letter_pool(zx)
-    ends = {t: zx.endpoints(t) for t in pool}
     for _ in range(60):
         target_len = rng.randint(0 if start == end else 1, max_length)
         letters: list[SimplexTerm] = []
@@ -278,7 +276,7 @@ def random_reduced_word(zx, rng, start: str, end: str, max_degree: int, max_leng
             options = [
                 t
                 for t in pool
-                if ends[t][0] == at
+                if zx.endpoints(t)[0] == at
                 and t.dim - 1 + sum(x.dim - 1 for x in letters) <= max_degree
                 and not (letters and _inverse_pair(zx, letters[-1], t))
             ]
@@ -287,7 +285,7 @@ def random_reduced_word(zx, rng, start: str, end: str, max_degree: int, max_leng
                 break
             pick = options[rng.randrange(len(options))]
             letters.append(pick)
-            at = ends[pick][1]
+            at = zx.endpoints(pick)[1]
         if ok and at == end and (letters or start == end):
             if not letters:
                 return unit(start)

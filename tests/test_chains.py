@@ -17,8 +17,6 @@ from loopspace.chains import (
 )
 from loopspace.words import canonical, unit, word_degeneracy
 
-ZZ = Ring.integers()
-
 
 def sigma_loop(zx, copies=1):
     return canonical(zx, (zx.term("sigma"),) * copies, "x0")
@@ -34,8 +32,7 @@ class TestRings:
     def test_chain_arithmetic(self, fixtures):
         zx = fixtures["sphere2"]
         w = sigma_loop(zx)
-        assert chain_sum(ZZ, chain_of(ZZ, w), chain_scale(ZZ, chain_of(ZZ, w), -1)) == {}
-        assert chain_of(Ring.prime_field(3), w, 3) == {}
+        assert chain_sum(chain_of(w), chain_scale(chain_of(w), -1)) == {}
 
 
 class TestKillRules:
@@ -83,13 +80,13 @@ class TestBoundary:
     def test_sphere_generator_boundary_vanishes(self, fixtures):
         zx = fixtures["sphere2"]
         for variant in ("de", "normalized"):
-            assert boundary_word(zx, ZZ, sigma_loop(zx), variant) == {}
-            assert boundary_word(zx, ZZ, sigma_loop(zx, 2), variant) == {}
+            assert boundary_word(zx, sigma_loop(zx), variant) == {}
+            assert boundary_word(zx, sigma_loop(zx, 2), variant) == {}
 
     def test_triangle_word_boundary(self, fixtures):
         zx = fixtures["bd3"]
         w = canonical(zx, (zx.term("012"), zx.term("02^op")), "0")
-        d = boundary_word(zx, ZZ, w, "normalized")
+        d = boundary_word(zx, w, "normalized")
         # degree 1 word: one face coordinate, two faces
         assert len(d) == 2 and set(d.values()) == {1, -1}
         for f in d:
@@ -109,24 +106,22 @@ class TestBoundary:
                     w = canonical(zx, letters, zx.basepoint)
                     if is_killed(w, variant):
                         continue
-                    dd = boundary_chain(
-                        zx, ZZ, boundary_word(zx, ZZ, w, variant), variant)
+                    dd = boundary_chain(zx, boundary_word(zx, w, variant), variant)
                     assert dd == {}, (key, variant, w)
 
 
 class TestProduct:
     def test_unit_is_identity(self, fixtures):
         zx = fixtures["sphere2"]
-        v = chain_of(ZZ, sigma_loop(zx))
-        e = chain_of(ZZ, unit("x0"))
-        assert multiply(zx, ZZ, e, v) == v
-        assert multiply(zx, ZZ, v, e) == v
+        v = chain_of(sigma_loop(zx))
+        e = chain_of(unit("x0"))
+        assert multiply(zx, e, v) == v
+        assert multiply(zx, v, e) == v
 
     def test_concatenation(self, fixtures):
         zx = fixtures["sphere2"]
-        out = multiply(zx, ZZ, chain_of(ZZ, sigma_loop(zx)),
-                       chain_of(ZZ, sigma_loop(zx)))
-        assert out == chain_of(ZZ, sigma_loop(zx, 2))
+        out = multiply(zx, chain_of(sigma_loop(zx)), chain_of(sigma_loop(zx)))
+        assert out == chain_of(sigma_loop(zx, 2))
 
     def test_leibniz(self, fixtures):
         from loopspace.suites import random_loop_cells
@@ -139,7 +134,7 @@ class TestProduct:
                 for u, v in zip(cells[::2], cells[1::2]):
                     if is_killed(u, variant) or is_killed(v, variant):
                         continue
-                    assert leibniz_defect(zx, ZZ, u, v, variant) == {}, (
+                    assert leibniz_defect(zx, u, v, variant) == {}, (
                         key, variant, u, v)
 
 
@@ -159,7 +154,7 @@ class TestQuotientMap:
                 w = canonical(zx, letters, zx.basepoint)
                 if is_killed(w, "normalized"):
                     continue
-                de = boundary_word(zx, ZZ, w, "de")
+                de = boundary_word(zx, w, "de")
                 projected = {f: c for f, c in de.items()
                              if not is_killed(f, "normalized")}
-                assert projected == boundary_word(zx, ZZ, w, "normalized")
+                assert projected == boundary_word(zx, w, "normalized")

@@ -3,7 +3,9 @@ degenerate-word boundaries, suites, homology, errors) against a recorded
 golden file.
 
 The golden file was recorded before letters stored vertex multiplicities
-in place of degeneracy words; regenerate it only for an intended output
+in place of degeneracy words, and the two ``--coeff ... --json`` boundaries
+while chains still reduced modulo p at every addition (they pin the
+reduction the CLI now applies once); regenerate it only for an intended output
 change, with ``PYTHONPATH=src python3 tests/test_cli_golden.py >
 tests/golden/cli_transcript.txt``.
 """
@@ -33,6 +35,8 @@ COMMANDS = [
     "boundary --builtin boundary-simplex:4 --word 's1.0123;03^op' --json",
     "boundary --builtin boundary-simplex:4 --word 's2.0123;03^op' --coeff p:3",
     "boundary --builtin boundary-simplex:4 --word 's1.s1.0123;03^op' --coeff q",
+    "boundary --builtin boundary-simplex:4 --word 's1.s1.0123;03^op' --coeff q --json",
+    "boundary --builtin boundary-simplex:4 --word 's1.s1.0123;03^op' --coeff p:2 --json",
     "boundary --builtin boundary-simplex:4 --word 's2.s1.0123;03^op' --variant norm",
     "boundary --builtin boundary-simplex:4 --word '0123;s1.s0.03^op'",
     "boundary --builtin wedge:2 --word 's1.s0.a1;a1^op;a2'",

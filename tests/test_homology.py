@@ -261,7 +261,6 @@ class TestBases:
         # the Leibniz-rule assembly against the face-sum definition of d,
         # one basis word at a time
         zx = complexes[name]
-        ring = Ring.integers()
         tower = degree_bases(zx, top, variant, max_weight)
         for n in range(1, top + 1):
             m, dom, cod = boundary_matrix(zx, tower[n], tower[n - 1], variant)
@@ -269,7 +268,7 @@ class TestBases:
             for (i, j), v in m.entries.items():
                 columns[j][cod[i]] = v
             for w, column in zip(dom, columns):
-                assert column == boundary_word(zx, ring, w, variant), (name, n, str(w))
+                assert column == boundary_word(zx, w, variant), (name, n, str(w))
 
     @pytest.mark.parametrize("variant", ["de", "normalized"])
     def test_junction_cancellation_is_canonicalized(self, fixtures, monkeypatch, variant):

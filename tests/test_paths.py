@@ -5,6 +5,7 @@ from word_oracles import canonical_reference, path_canonical_reference
 
 from loopspace.fileformat import parse_word
 from loopspace.paths import (
+    CoverGraph,
     PathCell,
     PathError,
     act,
@@ -111,6 +112,29 @@ class TestCovering:
         assert report["vertices"] == 485  # 1 + sum 4*3^(k-1), k<=5
         assert report["edges"] == 484
         assert report["tree"] and report["connected"] and report["ok"]
+
+    def test_cycle_is_connected_but_not_a_tree(self, fixtures):
+        zx = fixtures["wedge2"]
+        star = cover_graph(zx, max_length=1)  # the unit joined to 4 leaves
+        unit_cell, leaves = star.vertices[0], star.vertices[1:]
+        assert all(unit_cell in (src, tgt) for _, src, tgt in star.edges)
+        chord = (star.edges[0][0], leaves[0], leaves[1])  # closes a triangle
+        report = covering_report(zx, CoverGraph(star.vertices, star.edges + (chord,), 1))
+        assert report["edges"] == report["vertices"]
+        assert report["connected"] and not report["tree"]
+
+    def test_two_components_are_not_a_tree(self, fixtures):
+        # as many edges as a tree has, but one leaf cut off and a cycle
+        # closed elsewhere: the count alone does not make a tree
+        zx = fixtures["wedge2"]
+        star = cover_graph(zx, max_length=1)
+        (cell, src, tgt), kept = star.edges[0], star.edges[1:]
+        cut = src if src != star.vertices[0] else tgt
+        others = [v for v in star.vertices[1:] if v != cut]
+        chord = (cell, others[0], others[1])
+        report = covering_report(zx, CoverGraph(star.vertices, kept + (chord,), 1))
+        assert report["edges"] == report["vertices"] - 1
+        assert not report["connected"] and not report["tree"]
 
     def test_triangle_cover_is_line(self, fixtures):
         zx = fixtures["bd2"]
