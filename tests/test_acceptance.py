@@ -10,7 +10,6 @@ from contextlib import contextmanager
 import pytest
 from snf_oracles import minors_gcd_invariants
 
-from loopspace.chains import Ring
 from loopspace.homology import homology, smith_normal_form
 from loopspace.paths import cover_graph, covering_report
 from loopspace.simplicial import wedge_of_circles

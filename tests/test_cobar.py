@@ -16,7 +16,6 @@ from loopspace.cobar import (
     hat_reduce,
     letter_is_zero,
     monomial,
-    monomial_to_word_chain,
 )
 from loopspace.simplicial import (
     GeneratorId,
