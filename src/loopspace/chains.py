@@ -18,7 +18,6 @@ table.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .simplicial import SimplicialPresentation
 from .words import LoopWord, compose, word_face
@@ -51,11 +50,11 @@ class Ring:
             raise ChainError(f"{p} is not prime")
         return Ring(f"GF({p})", p)
 
-    def coerce(self, a):
+    def coerce(self, a: int) -> int:
+        """The image of an integer; Q holds it as the integer itself, since
+        d is integral and no coefficient ever needs a denominator."""
         if self.p is not None:
             return int(a) % self.p
-        if self.name == "Q":
-            return Fraction(a)
         return int(a)
 
 

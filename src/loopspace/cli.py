@@ -15,11 +15,10 @@ import json
 import sys
 
 from .chains import VARIANTS, ChainError, Ring, boundary_word
-from .cubes import all_cells
 from .fileformat import parse_word, resolve_complex, resolve_model
 from .homology import field_dimensions, homology
-from .paths import cover_graph, covering_report, to_adjacency, to_dot
-from .simplicial import SimplicialPresentation
+from .paths import cover_graph, covering_report, cube_cells, to_adjacency, to_dot
+from .simplicial import SimplicialPresentation, standard_simplex
 from .suites import SUITES, run_suite, status
 from .words import LoopWord, compose, enumerate_words, invert, power_decompose
 
@@ -59,14 +58,25 @@ def cmd_validate(args) -> int:
     return 1 if report else 0
 
 
+def _cube_label(blocks, augmented: bool) -> str:
+    """``[0,1,2][2,3]``; an augmented cell's base block opens bare: ``0,2][2,3]``."""
+    label = "".join("[" + ",".join(map(str, b)) + "]" for b in blocks)
+    return label[1:] if augmented else label
+
+
 def cmd_cells(args) -> int:
     if args.cube is not None:
-        cells = all_cells(args.cube + (0 if args.aug else 1), augmented=args.aug)
+        if args.complex or args.builtin:
+            raise CliError("cells: --cube lists the cube on a simplex and takes no complex")
+        zx = standard_simplex(args.cube + (0 if args.aug else 1))
+        cells = [(_cube_label(b, args.aug), c.degree) for b, c in cube_cells(zx, args.aug)]
         _emit(args,
               {"cube": args.cube, "augmented": args.aug,
-               "cells": [{"label": str(c), "dim": c.dim} for c in cells]},
-              [f"{str(c):<30} dim {c.dim}" for c in cells])
+               "cells": [{"label": label, "dim": dim} for label, dim in cells]},
+              [f"{label:<30} dim {dim}" for label, dim in cells])
         return 0
+    if args.aug:
+        raise CliError("cells: --aug needs --cube")
     zx = resolve_model(_spec(args))
     words = enumerate_words(zx, args.degree, args.max_len, zx.basepoint, zx.basepoint)
     _emit(args,

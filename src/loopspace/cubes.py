@@ -1,77 +1,24 @@
-"""Block-label calculus for the cube cells of a standard simplex, and the
-bead normal form shared by cube cells, loop words and path cells.
+"""The bead normal form and the necklace coordinate map, shared by loop
+words and path cells.
 
-A cell is a necklace of blocks of weakly increasing labels, consecutive
-blocks sharing their junction value, e.g. ``[0,1,2][2,3]`` or, in the
-augmented flavour, ``0,2][2,3]`` where the first block is allowed to start
-anywhere.  A repeated label is a duplicated position.  Faces split a block
-at a position (epsilon = 0) or delete it (epsilon = 1); degeneracies
-duplicate a position.  Cells are compared through their normal form
-(``dup_canonical``): constant blocks dissolve, and the free duplicates at a
-junction, which may sit on either side, are pooled and handed to the
-right-hand block.  The word and path models obey the same rules, with
-simplices as beads, and share the engine (``_bead_normal_form``).  They
-also share the coordinate map (``face_coordinate``,
-``degeneracy_coordinate``, ``face_coordinates``): from the bead dimensions
-and whether the first bead is a head (an augmented cell's first block, a
-path cell's base), it finds the bead and vertex a face coordinate or a
-degeneracy slot addresses, and where that vertex sits in the necklace.
+A loop word's beads are its letters; a path cell's are its base, the head
+of the necklace, and its tail's letters.  The cube on a standard simplex
+is no separate object: its cells are the necklaces of standard_simplex(n)
+from vertex 0 to n (loop words), and its augmented cells the path cells
+whose tail ends at n (``paths.cube_cells`` lists both).  Cells are
+compared through their normal form (``_bead_normal_form``): constant beads
+dissolve, and the free duplicates at a junction, which may sit on either
+side, are pooled and handed to the right-hand bead.  The coordinate map
+(``face_coordinate``, ``degeneracy_coordinate``, ``face_coordinates``)
+finds, from the bead dimensions and whether the first bead is a head, the
+bead and vertex a face coordinate or a degeneracy slot addresses, and
+where that vertex sits in the necklace.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from itertools import groupby
 from typing import Callable, Iterable, Sequence
-
-
-class CubeError(ValueError):
-    pass
-
-
-@dataclass(frozen=True, order=True)
-class DupCell:
-    augmented: bool
-    blocks: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        if not self.blocks or any(not b for b in self.blocks):
-            raise CubeError("blocks must be non-empty")
-        for b in self.blocks:
-            if list(b) != sorted(b):
-                raise CubeError(f"block {b} is not weakly increasing")
-        for left, right in zip(self.blocks, self.blocks[1:]):
-            if left[-1] != right[0]:
-                raise CubeError("consecutive blocks must share their junction")
-        if not self.augmented and self.blocks[0][0] != 0:
-            raise CubeError("non-augmented cells must start at 0")
-
-    @property
-    def positions(self) -> int:
-        """Number of label positions (junctions counted once)."""
-        return sum(len(b) for b in self.blocks) - (len(self.blocks) - 1)
-
-    @property
-    def dim(self) -> int:
-        return self.positions - len(self.blocks) - (0 if self.augmented else 1)
-
-    def __str__(self) -> str:
-        head = ",".join(map(str, self.blocks[0]))
-        first = head + "]" if self.augmented else "[" + head + "]"
-        rest = "".join("[" + ",".join(map(str, b)) + "]" for b in self.blocks[1:])
-        return first + rest
-
-
-def top_cell(n: int, augmented: bool = False) -> DupCell:
-    if n < (0 if augmented else 1):
-        raise CubeError("n out of range")
-    return DupCell(augmented, (tuple(range(n + 1)),))
-
-
-def psi(c: DupCell) -> tuple[int, ...]:
-    """Project an augmented cell to the face of the simplex cut out by its first block."""
-    if not c.augmented:
-        raise CubeError("psi is only defined on augmented cells")
-    return c.blocks[0]
 
 
 # -- the bead normal form ----------------------------------------------------
@@ -125,40 +72,21 @@ def _bead_normal_form(
     return out, 0
 
 
-def _run_length(b: tuple[int, ...]) -> tuple[tuple[int, ...], list[int]]:
-    strict: list[int] = []
-    mult: list[int] = []
-    for v in b:
-        if strict and strict[-1] == v:
-            mult[-1] += 1
-        else:
-            strict.append(v)
-            mult.append(1)
-    return tuple(strict), mult
-
-
-def _expand(core: tuple[int, ...], mult: list[int]) -> tuple[int, ...]:
-    return tuple(v for v, m in zip(core, mult) for _ in range(m))
-
-
-def dup_canonical(d: DupCell) -> DupCell:
-    """Normal form of a cell.  The first block of an augmented cell is a
-    head: it keeps its own duplicates except those of its last label, which
-    join the first junction, and it absorbs nothing."""
-    blocks, pool, out = d.blocks, 0, []
-    if d.augmented:
-        core, mult = _run_length(blocks[0])
-        out.append(_expand(core, mult[:-1] + [1]))
-        blocks, pool = blocks[1:], mult[-1] - 1
-    beads, left = _bead_normal_form(map(_run_length, blocks), pool)
-    out.extend(_expand(core, mult) for core, mult in beads)
-    if left:
-        if not d.augmented:
-            raise CubeError("cell dissolved entirely with duplicates left")
-        out.append((out[0][-1],) * (left + 2))
-    if not out:
-        raise CubeError("cell dissolved entirely; no block left")
-    return DupCell(d.augmented, tuple(out))
+def dup_canonical(augmented: bool, blocks: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
+    """Normal form of a cube cell as weakly increasing label blocks (a repeated
+    label is a duplicated vertex; an augmented cell's first block is a head).
+    The cube rows use the word and path-cell normal forms of the same cells;
+    this one stays because the benchmark's per-layer metrics name it."""
+    runs = [tuple(zip(*((v, len(list(g))) for v, g in groupby(b)))) for b in blocks]
+    out, pool = [], 0
+    if augmented:
+        core, mult = runs.pop(0)
+        out, pool = [list(zip(core, (*mult[:-1], 1)))], mult[-1] - 1
+    beads, left = _bead_normal_form(runs, pool)
+    out += [list(zip(core, mult)) for core, mult in beads]
+    if left:  # nothing survived the head: its duplicates form a constant bead
+        out.append([(out[0][-1][0], left + 2)])
+    return tuple(tuple(v for v, m in r for _ in range(m)) for r in out)
 
 
 # -- the necklace coordinate map ---------------------------------------------
@@ -166,10 +94,10 @@ def dup_canonical(d: DupCell) -> DupCell:
 # A necklace of beads of dimensions dims has its vertices at positions
 # 0..sum(dims), bead b spanning acc_b..acc_b + dims[b] with junctions shared.
 # Face coordinates are the interior vertices of each bead, in order, plus the
-# vertices but the last of a head bead (an augmented cell's first block, a
-# path cell's base).  Degeneracy slot j duplicates the vertex at position
-# j - 1: a junction is vertex 0 of its right-hand bead, and the last vertex
-# belongs to the last bead.  Lookups stop at the bead they land in.
+# vertices but the last of a head bead (a path cell's base).  Degeneracy
+# slot j duplicates the vertex at position j - 1: a junction is vertex 0 of
+# its right-hand bead, and the last vertex belongs to the last bead.
+# Lookups stop at the bead they land in.
 
 
 def face_coordinate(dims: Iterable[int], i: int, head: bool = False) -> tuple[int, int] | None:
@@ -208,68 +136,3 @@ def face_coordinates(dims: Iterable[int], head: bool = False) -> list[tuple[int,
         acc += d
         lo = 1
     return out
-
-
-# -- faces and degeneracies --------------------------------------------------
-
-
-def _dims(d: DupCell) -> list[int]:
-    return [len(b) - 1 for b in d.blocks]
-
-
-def dup_face_positions(d: DupCell) -> list[tuple[int, int, int]]:
-    """(global position, block index, index in block) of each face coordinate.
-
-    Every non-junction position except the two word ends; for augmented
-    cells the start position is also a coordinate.
-    """
-    return face_coordinates(_dims(d), d.augmented)
-
-
-def dup_face(d: DupCell, i: int, eps: int) -> DupCell:
-    if eps not in (0, 1):
-        raise CubeError("epsilon must be 0 or 1")
-    at = face_coordinate(_dims(d), i, d.augmented)
-    if at is None:
-        raise CubeError(f"face index {i} out of range 1..{d.dim}")
-    bi, p = at
-    blocks = list(d.blocks)
-    b = blocks[bi]
-    if eps == 1:
-        blocks[bi] = b[:p] + b[p + 1 :]
-    else:
-        blocks[bi : bi + 1] = [b[: p + 1], b[p:]]
-    return DupCell(d.augmented, tuple(blocks))
-
-
-def dup_degeneracy_slots(d: DupCell) -> int:
-    """Number of degeneracy slots: one per position, junctions once."""
-    return d.positions
-
-
-def dup_degeneracy(d: DupCell, j: int) -> DupCell:
-    at = degeneracy_coordinate(_dims(d), j)
-    if at is None:
-        raise CubeError(f"degeneracy index {j} out of range 1..{d.positions}")
-    bi, p = at
-    blocks = list(d.blocks)
-    b = blocks[bi]
-    blocks[bi] = b[: p + 1] + (b[p],) + b[p + 1 :]
-    return DupCell(d.augmented, tuple(blocks))
-
-
-def all_cells(n: int, augmented: bool = False) -> list[DupCell]:
-    """Every (nondegenerate) cell of the cube on Delta^n: the face closure of the top cell."""
-    seen = {top_cell(n, augmented)}
-    frontier = list(seen)
-    while frontier:
-        nxt = []
-        for c in frontier:
-            for i in range(1, c.dim + 1):
-                for eps in (0, 1):
-                    f = dup_face(c, i, eps)
-                    if f not in seen:
-                        seen.add(f)
-                        nxt.append(f)
-        frontier = nxt
-    return sorted(seen, key=lambda c: (-c.dim, c.blocks))

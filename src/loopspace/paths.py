@@ -12,14 +12,14 @@ degree-0 word group.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
-from .simplicial import OP_SUFFIX, SimplexTerm, SimplicialPresentation, _split
+from .simplicial import OP_SUFFIX, SimplexTerm, SimplicialPresentation, _simplex_name, _split
 from .words import (
     LoopWord,
     _normal_word,
     compose,
-    degeneracy_slots,
     enumerate_words,
     unit,
     word_degeneracy,
@@ -93,19 +93,19 @@ def path_face(zx: SimplicialPresentation, c: PathCell, i: int, eps: int) -> Path
 
 
 def path_degeneracy_slots(c: PathCell) -> int:
-    """One slot per position of the cell: dim(base) base positions plus the
-    slots of the tail (an empty tail counts as its unit-letter
-    representative, whose two slots both address the junction)."""
-    return c.base.dim + degeneracy_slots(c.tail)
+    """One slot per position of the cell, junctions once: dim(base) + 1
+    base positions, then the positions of the tail after its start."""
+    return c.base.dim + 1 + sum(t.dim for t in c.tail.letters)
 
 
 def path_degeneracy_raw(zx: SimplicialPresentation, c: PathCell, j: int) -> PathCell:
-    """Degeneracy at slot j without canonicalization."""
+    """Degeneracy at slot j without canonicalization.  The junction slot acts
+    on the tail's first letter, or without one duplicates the base's last vertex."""
     S = path_degeneracy_slots(c)
     if not 1 <= j <= S:
         raise PathError(f"degeneracy slot {j} out of range 1..{S}")
     p = c.base.dim
-    if j <= p:
+    if j <= p or not c.tail.letters:
         return PathCell(zx.degenerate(c.base, j - 1), c.tail)
     return PathCell(c.base, word_degeneracy(zx, c.tail, j - p))
 
@@ -120,6 +120,39 @@ def path_degeneracy(zx: SimplicialPresentation, c: PathCell, j: int) -> PathCell
 def act(zx: SimplicialPresentation, c: PathCell, w: LoopWord) -> PathCell:
     """Right action of a word on a path cell, by composing tails."""
     return path_canonical(zx, c.base, compose(zx, c.tail, w))
+
+
+# -- the cube on a simplex --------------------------------------------------
+
+def cube_cells(
+    zx: SimplicialPresentation, augmented: bool = False
+) -> list[tuple[tuple[tuple[int, ...], ...], LoopWord | PathCell]]:
+    """The cells of the cube on Delta^n, for zx = standard_simplex(n), each
+    with the vertex blocks of its beads, by (-degree, blocks).
+
+    A plain cell is a necklace from vertex 0 to n (a loop word); an
+    augmented cell is a path cell whose tail ends at n, its base free to
+    start anywhere.  Each vertex below n is dropped, kept, or cut (a
+    junction) -- all but 0 for plain cells, which start there -- giving
+    3^(n-1) plain and 3^n augmented cells.
+    """
+    n, first = zx.max_dim, 0 if augmented else 1
+    cells = []
+    for choice in itertools.product("dkc", repeat=n - first):
+        blocks, block = [], [] if augmented else [0]
+        for v, how in zip(range(first, n), choice):
+            if how != "d":
+                block.append(v)
+            if how == "c":
+                blocks.append(tuple(block))
+                block = [v]
+        blocks.append(tuple(block + [n]))
+        beads = tuple(zx.term(_simplex_name([str(v) for v in b])) for b in blocks)
+        tail = LoopWord(beads[1:], str(blocks[0][-1]), str(n))
+        cells.append((tuple(blocks), PathCell(beads[0], tail) if augmented
+                      else LoopWord(beads, "0", str(n))))
+    cells.sort(key=lambda bc: (-bc[1].degree, bc[0]))
+    return cells
 
 
 # -- the covering graph of the 1-skeleton ----------------------------------

@@ -10,10 +10,11 @@ of one letter's last vertex equals an extra copy of the next letter's
 first vertex), cancellation of adjacent inverse edge pairs, and
 absorption of unit letters.  Because cancellations can hide behind shifts
 in either direction, no one-directional rewriting is confluent; the
-canonical form is instead read off the bead normal form that cube cells
+canonical form is instead read off the bead normal form that path cells
 share (``cubes._bead_normal_form``), with each letter's vertex
 multiplicities as its bead, and the tests check it against the minimum of
-the finite orbit of a word under these moves.
+the finite orbit of a word under these moves.  The plain cells of the cube
+on Delta^n are the words of standard_simplex(n) from vertex 0 to n.
 """
 
 from __future__ import annotations

@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -24,7 +23,8 @@ def sigma_loop(zx, copies=1):
 
 class TestRings:
     def test_coerce(self):
-        assert Ring.rationals().coerce(3) == Fraction(3)
+        assert Ring.rationals().coerce(3) == 3
+        assert type(Ring.rationals().coerce(-1)) is int  # JSON prints it as a number
         assert Ring.prime_field(5).coerce(-1) == 4
         with pytest.raises(ChainError):
             Ring.prime_field(6)

@@ -68,6 +68,16 @@ class TestCells:
         assert code == 0
         assert out == (Path(__file__).parent / "golden" / golden).read_text()
 
+    @pytest.mark.parametrize("argv, message", [
+        (("--aug", "--builtin", "sphere:2", "--degree", "1"), "--aug needs --cube"),
+        (("--cube", "2", "--builtin", "sphere:2"), "takes no complex"),
+        (("--cube", "2", "--aug", "sphere:2"), "takes no complex"),
+    ], ids=["aug-without-cube", "cube-with-builtin", "cube-with-source"])
+    def test_ignored_flags_refused(self, capsys, argv, message):
+        # both once exited 0, dropping the flag or the complex
+        code, out, err = run(capsys, "cells", *argv)
+        assert code == 2 and out == "" and message in err
+
     def test_word_cells(self, capsys):
         code, out, _ = run(capsys, "cells", "--builtin", "wedge:2",
                            "--degree", "0", "--max-len", "2")

@@ -5,9 +5,13 @@ golden file.
 The golden file was recorded before letters stored vertex multiplicities
 in place of degeneracy words, and the two ``--coeff ... --json`` boundaries
 while chains still reduced modulo p at every addition (they pin the
-reduction the CLI now applies once); regenerate it only for an intended output
-change, with ``PYTHONPATH=src python3 tests/test_cli_golden.py >
-tests/golden/cli_transcript.txt``.
+reduction the CLI now applies once).  The ``cells --cube 0``, ``--cube 0
+--aug`` and ``--cube 3 --aug --json`` listings were recorded with the
+block-label cube cells that the necklaces of a standard simplex replaced,
+and the ``--coeff q --json`` boundary was regenerated once, when Q
+coefficients became JSON numbers.  Regenerate the file only for an
+intended output change, with ``PYTHONPATH=src python3
+tests/test_cli_golden.py > tests/golden/cli_transcript.txt``.
 """
 
 import contextlib
@@ -28,6 +32,9 @@ COMMANDS = [
     "cells --builtin boundary-simplex:2 --degree 1 --max-len 3",
     "cells --builtin sphere:3 --degree 4 --json",
     "cells --cube 2 --aug",
+    "cells --cube 0",
+    "cells --cube 0 --aug",
+    "cells --cube 3 --aug --json",
     "boundary --builtin sphere:2 --word sigma",
     "boundary --builtin sphere:3 --word 'sigma;s1.sigma' --json",
     "boundary --builtin boundary-simplex:3 --word '012;02^op' --variant norm",

@@ -7,11 +7,12 @@ from pathlib import Path
 
 import pytest
 
-from loopspace.cubes import all_cells, dup_degeneracy, dup_face
+from loopspace.paths import cube_cells
+from loopspace.simplicial import standard_simplex
 from loopspace.suites import (
-    _CUBE,
     _Recorder,
     _check_relations,
+    _path_model,
     _word_model,
     cubical_suite,
     random_loop_cells,
@@ -41,35 +42,34 @@ def _failed_rows(model, cells, tag):
     return set(report["failed"])
 
 
-def _cube_cases():
-    # slot j duplicates position j - 2 in place of j - 1 (slot 1 stays)
-    def degeneracy(d, j):
-        return dup_degeneracy(d, max(j - 1, 1))
-
-    # face coordinate i acts at coordinate dim + 1 - i
-    def face(d, i, eps):
-        return dup_face(d, d.dim + 1 - i, eps)
-
-    return _CUBE, degeneracy, face, all_cells(4), "cube"
-
-
-def _word_cases(zx):
+def _word_cases(zx, cells, tag):
     model = _word_model(zx)
 
+    # slot j duplicates position j - 2 in place of j - 1 (slot 1 stays)
     def degeneracy(w, j):
         return word_degeneracy(zx, w, max(j - 1, 1))
 
+    # face coordinate i acts at coordinate degree + 1 - i
     def face(w, i, eps):
         return word_face_raw(zx, w, w.degree + 1 - i, eps)
 
-    return model, degeneracy, face, random_loop_cells(zx, random.Random(1), 20), "word"
+    return model, degeneracy, face, cells, tag
+
+
+def _cube_cases():
+    delta = standard_simplex(4)
+    return _word_cases(delta, [c for _, c in cube_cells(delta)], "cube")
+
+
+def _random_cases(zx):
+    return _word_cases(zx, random_loop_cells(zx, random.Random(1), 20), "word")
 
 
 @pytest.fixture(params=["cube", "word-sphere2", "word-bd3"])
 def case(request, fixtures):
     if request.param == "cube":
         return _cube_cases()
-    return _word_cases(fixtures[request.param.split("-")[1]])
+    return _random_cases(fixtures[request.param.split("-")[1]])
 
 
 class TestCheckerFails:
@@ -89,7 +89,8 @@ class TestCheckerFails:
     def test_raising_model(self, fixtures, name):
         # a degeneracy that always uses slot 1 sends some later face index
         # out of range; the checker records the cell and goes on
-        model, _, _, cells, tag = _cube_cases() if name == "cube" else _word_cases(fixtures["bd3"])
+        cases = _cube_cases() if name == "cube" else _random_cases(fixtures["bd3"])
+        model, _, _, cells, tag = cases
         slot_one = model._replace(degeneracy_raw=lambda c, j: model.degeneracy_raw(c, 1))
         rec = _Recorder(max_failures=10_000)
         _check_relations(slot_one, cells, rec, tag)
@@ -98,3 +99,17 @@ class TestCheckerFails:
         errors = [f for f in report["failures"] if f.startswith(f"{tag}-error: ")]
         assert all("out of range" in f for f in errors)
         assert {f.split(" ")[1] for f in errors} <= {str(c) for c in cells}  # names the cell
+
+
+class TestEmptyTail:
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_unpadded_path_cells(self, n):
+        # every path cell of Delta^n: a tail ending at t runs in the face on
+        # 0..t, so these are the augmented cube cells of each Delta^t; the
+        # empty-tail ones, such as (012 | e), have no unit letter to address
+        cells = [c for t in range(n + 1) for _, c in cube_cells(standard_simplex(t), True)]
+        assert any(not c.tail.letters and c.base.dim == n for c in cells)
+        rec = _Recorder()
+        _check_relations(_path_model(standard_simplex(n)), cells, rec, "path")
+        report = rec.report()
+        assert report["ok"] and "path-error" not in report["checks"], report["failures"]

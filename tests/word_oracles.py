@@ -7,14 +7,15 @@ outright reductions (inverse-pair cancellation and unit absorption).  The
 ``*_reference`` functions are the three separate normal-form routines the
 library had before they were merged into one bead normal form: each
 strips, pools and cancels in its own loop, so an agreement check against
-them pins the merged engine.
+them pins the merged engine.  Cube cells are the necklaces and path cells
+of a standard simplex; ``dup_canonical_reference`` reads one as the vertex
+labels of its beads, a repeated label a duplicated vertex.
 """
 
 from __future__ import annotations
 
 from simplex_oracles import term_from_word
 
-from loopspace.cubes import CubeError, DupCell
 from loopspace.paths import PathCell, PathError
 from loopspace.simplicial import SimplexTerm, SimplicialPresentation
 from loopspace.words import (
@@ -262,11 +263,14 @@ def _run_length(b: tuple[int, ...]) -> tuple[tuple[int, ...], list[int]]:
     return tuple(strict), mult
 
 
-def dup_canonical_reference(d: DupCell) -> DupCell:
-    """Canonical form of a duplicate-label cube cell."""
-    blocks = d.blocks
+Blocks = tuple[tuple[int, ...], ...]
+
+
+def dup_canonical_reference(augmented: bool, blocks: Blocks) -> Blocks:
+    """Canonical form of a cube cell given by the weakly increasing vertex
+    labels of its beads; an augmented cell's first block is its base."""
     base = None  # (core, counts without the trailing extras)
-    if d.augmented:
+    if augmented:
         core, mult = _run_length(blocks[0])
         if len(core) == 1:
             base = (core, [1])
@@ -303,10 +307,10 @@ def dup_canonical_reference(d: DupCell) -> DupCell:
         free = dups[0]
         if base is None:
             if free:
-                raise CubeError("cell dissolved entirely with duplicates left")
+                raise ValueError("cell dissolved entirely with duplicates left")
         elif free:
             v = base[0][-1]
             out.append((v,) * (free + 2))
     if not out:
-        raise CubeError("cell dissolved entirely; no block left")
-    return DupCell(d.augmented, tuple(out))
+        raise ValueError("cell dissolved entirely; no block left")
+    return tuple(out)
