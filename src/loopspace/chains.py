@@ -97,18 +97,6 @@ def add_into(acc: Chain, w, coeff: int) -> None:
         acc.pop(w, None)
 
 
-def chain_sum(*chains: Chain) -> Chain:
-    acc: Chain = {}
-    for ch in chains:
-        for w, c in ch.items():
-            add_into(acc, w, c)
-    return acc
-
-
-def chain_scale(ch: Chain, scalar: int) -> Chain:
-    return {w: c * scalar for w, c in ch.items()} if scalar else {}
-
-
 def boundary_word(zx: SimplicialPresentation, w: LoopWord, variant: str = "de") -> Chain:
     """d(w) = sum over coordinates i of (-1)^i (deleting face - split face)."""
     acc: Chain = {}
@@ -146,8 +134,12 @@ def leibniz_defect(
 ) -> Chain:
     """d(uv) - d(u)v - (-1)^{deg u} u d(v); zero when the product is a
     dg algebra on the given elements."""
-    lhs = boundary_chain(zx, multiply(zx, chain_of(u), chain_of(v), variant), variant)
+    acc = boundary_chain(zx, multiply(zx, chain_of(u), chain_of(v), variant), variant)
     du_v = multiply(zx, boundary_word(zx, u, variant), chain_of(v), variant)
     u_dv = multiply(zx, chain_of(u), boundary_word(zx, v, variant), variant)
     sgn = 1 if u.degree % 2 == 0 else -1
-    return chain_sum(lhs, chain_scale(du_v, -1), chain_scale(u_dv, -sgn))
+    for w, c in du_v.items():
+        add_into(acc, w, -c)
+    for w, c in u_dv.items():
+        add_into(acc, w, -sgn * c)
+    return acc

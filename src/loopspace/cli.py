@@ -68,6 +68,9 @@ def cmd_cells(args) -> int:
     if args.cube is not None:
         if args.complex or args.builtin:
             raise CliError("cells: --cube lists the cube on a simplex and takes no complex")
+        for flag, value in (("--degree", args.degree), ("--max-len", args.max_len)):
+            if value is not None:
+                raise CliError(f"cells: --cube lists every cell of the cube and takes no {flag}")
         zx = standard_simplex(args.cube + (0 if args.aug else 1))
         cells = [(_cube_label(b, args.aug), c.degree) for b, c in cube_cells(zx, args.aug)]
         _emit(args,
@@ -78,9 +81,10 @@ def cmd_cells(args) -> int:
     if args.aug:
         raise CliError("cells: --aug needs --cube")
     zx = resolve_model(_spec(args))
-    words = enumerate_words(zx, args.degree, args.max_len, zx.basepoint, zx.basepoint)
+    degree = args.degree or 0
+    words = enumerate_words(zx, degree, args.max_len, zx.basepoint, zx.basepoint)
     _emit(args,
-          {"complex": zx.name, "degree": args.degree, "max_length": args.max_len,
+          {"complex": zx.name, "degree": degree, "max_length": args.max_len,
            "count": len(words), "cells": [str(w) for w in words]},
           [str(w) for w in words] + [f"# {len(words)} cell(s)"])
     return 0
@@ -232,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(sp)
     sp.add_argument("--cube", type=int, help="list the cells of the n-cube")
     sp.add_argument("--aug", action="store_true")
-    sp.add_argument("--degree", type=int, default=0)
+    sp.add_argument("--degree", type=int, help="word degree (default 0)")
     sp.add_argument("--max-len", type=int)
     sp.set_defaults(fn=cmd_cells)
 

@@ -178,75 +178,3 @@ def compare_theorem2(
         "mismatches": mismatches,
         "ok": not mismatches,
     }
-
-
-# -- extended presentation for single-vertex complexes ----------------------
-
-
-@dataclass(frozen=True, order=True)
-class GroupRingLetter:
-    """A reduced word in the free group on the nondegenerate 1-generators."""
-
-    word: tuple[str, ...]
-
-    def __str__(self) -> str:
-        return "<" + (".".join(self.word) or "1") + ">"
-
-
-def group_ring_letter(zx: SimplicialPresentation, names: tuple[str, ...]) -> GroupRingLetter:
-    out: list[str] = []
-    for n in names:
-        if n not in zx.op_pairs:
-            raise CobarError(f"{n!r} is not an invertible edge")
-        if out and zx.op_pairs[out[-1]] == n:
-            out.pop()
-        else:
-            out.append(n)
-    return GroupRingLetter(tuple(out))
-
-
-@dataclass(frozen=True, order=True)
-class ExtendedMonomial:
-    """Alternating sequence of group-ring letters and higher letters.
-
-    slots holds 2k+1 entries for k higher letters: group elements in the
-    even positions, simplices of dimension >= 2 in the odd ones; maximal
-    runs of degree-0 letters are merged, and an identity group letter is
-    the unit of the algebra.
-    """
-
-    slots: tuple[object, ...]
-
-    @property
-    def degree(self) -> int:
-        return sum(t.dim - 1 for t in self.slots[1::2])
-
-    def __str__(self) -> str:
-        return "[" + "|".join(str(s) for s in self.slots) + "]"
-
-
-def extend_monomial(zx: SimplicialPresentation, m: CobarMonomial) -> ExtendedMonomial:
-    """Merge maximal runs of edge letters into group-ring letters."""
-    if len(zx.generators_of_dim(0)) != 1:
-        raise CobarError("extended presentation needs a single-vertex complex")
-    slots: list[object] = []
-    run: list[str] = []
-    for t in m.letters:
-        if t.dim == 1 and t.is_nondegenerate:
-            run.append(t.generator.name)
-        else:
-            slots.append(group_ring_letter(zx, tuple(run)))
-            run = []
-            slots.append(t)
-    slots.append(group_ring_letter(zx, tuple(run)))
-    return ExtendedMonomial(tuple(slots))
-
-
-def extended_boundary(
-    zx: SimplicialPresentation, m: CobarMonomial, variant: str = "de"
-) -> dict[ExtendedMonomial, int]:
-    """Boundary in the merged basis, induced from the cobar boundary."""
-    acc: dict[ExtendedMonomial, int] = {}
-    for mono, c in cobar_boundary(zx, m, variant).items():
-        add_into(acc, extend_monomial(zx, mono), c)
-    return acc

@@ -59,38 +59,53 @@ def complex_to_dict(zx: SimplicialPresentation) -> dict:
     return doc
 
 
+_KINDS = {list: "a list", int: "an integer", str: "a string", dict: "an object"}
+
+
+def _typed(value, kind: type, what: str):
+    """The value of a document field, if it has the JSON type the field takes."""
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise FormatError(f"{what} has the wrong type: expected {_KINDS[kind]}, got {value!r}")
+    return value
+
+
 def complex_from_dict(doc: dict) -> SimplicialPresentation:
     if not isinstance(doc, dict):
         raise FormatError("complex document must be a JSON object")
     try:
-        gens = [GeneratorId(v, 0) for v in doc["vertices"]]
+        gens = [GeneratorId(_typed(v, str, "a vertex name"), 0)
+                for v in _typed(doc["vertices"], list, "'vertices'")]
         faces: dict[str, tuple[SimplexTerm, ...]] = {}
-        records = doc.get("generators", [])
-        by_name = {}
+        records = _typed(doc.get("generators", []), list, "'generators'")
         for rec in records:
-            gens.append(GeneratorId(rec["name"], int(rec["dim"])))
-            by_name[rec["name"]] = rec
+            name = _typed(rec["name"], str, "a generator name")
+            gens.append(GeneratorId(name, _typed(rec["dim"], int, f"'dim' of {name!r}")))
         dims = {g.name: g.dim for g in gens}
         for rec in records:
             entries = []
-            for f in rec["faces"]:
-                gname = f["generator"]
+            for f in _typed(rec["faces"], list, f"'faces' of {rec['name']!r}"):
+                gname = _typed(f["generator"], str, f"a face generator of {rec['name']!r}")
                 if gname not in dims:
                     raise FormatError(f"face of {rec['name']!r} uses unknown generator {gname!r}")
                 t = _nondegenerate(GeneratorId(gname, dims[gname]))
-                try:
-                    for j in f.get("degeneracies", ()):  # innermost first
-                        t = _degenerate(t, int(j))
-                except ValueError as exc:
-                    raise FormatError(f"face {len(entries)} of {rec['name']!r} on {gname!r}: {exc}") from None
+                where = f"face {len(entries)} of {rec['name']!r} on {gname!r}"
+                for j in _typed(f.get("degeneracies", []), list, f"'degeneracies' of {where}"):
+                    try:  # applied innermost first
+                        t = _degenerate(t, _typed(j, int, "a degeneracy"))
+                    except ValueError as exc:
+                        raise FormatError(f"{where}: {exc}") from None
                 entries.append(t)
             faces[rec["name"]] = tuple(entries)
         pairs = {}
-        for a, b in doc.get("op_pairs", {}).items():
+        for a, b in _typed(doc.get("op_pairs", {}), dict, "'op_pairs'").items():
+            for g in (a, _typed(b, str, f"the op pair of {a!r}")):
+                if g not in dims:
+                    raise FormatError(f"op pair {a!r}: {b!r} names unknown generator {g!r}")
             pairs[a] = b
             pairs[b] = a
         return SimplicialPresentation(
-            doc.get("name", "complex"), gens, faces, doc["basepoint"], pairs or None
+            _typed(doc.get("name", "complex"), str, "'name'"), gens, faces,
+            _typed(doc["basepoint"], str, "'basepoint'"), pairs or None,
         )
     except KeyError as exc:
         raise FormatError(f"missing field {exc} in complex document") from exc

@@ -110,13 +110,6 @@ def path_degeneracy_raw(zx: SimplicialPresentation, c: PathCell, j: int) -> Path
     return PathCell(c.base, word_degeneracy(zx, c.tail, j - p))
 
 
-def path_degeneracy(zx: SimplicialPresentation, c: PathCell, j: int) -> PathCell:
-    """Degeneracy at slot j; slots 1..dim(base) duplicate a base vertex,
-    the junction and tail slots act on the tail."""
-    raw = path_degeneracy_raw(zx, c, j)
-    return path_canonical(zx, raw.base, raw.tail)
-
-
 def act(zx: SimplicialPresentation, c: PathCell, w: LoopWord) -> PathCell:
     """Right action of a word on a path cell, by composing tails."""
     return path_canonical(zx, c.base, compose(zx, c.tail, w))

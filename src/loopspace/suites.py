@@ -96,15 +96,15 @@ def status(report: dict[str, object]) -> str:
 
 
 def random_loop_cells(
-    zx: SimplicialPresentation, rng: random.Random, count: int,
-    max_degree: int = 4, max_length: int = 3, max_degens: int = 2,
+    zx: SimplicialPresentation, rng: random.Random, count: int
 ) -> list[LoopWord]:
-    """Random canonical basepoint words with degeneracies sprinkled in."""
+    """Random canonical basepoint words of degree <= 4 and length <= 3,
+    each with 0 to 2 random degeneracies applied."""
     base = zx.basepoint
     out = []
     for _ in range(count):
-        w = random_reduced_word(zx, rng, base, base, max_degree, max_length)
-        for _ in range(rng.randrange(max_degens + 1)):
+        w = random_reduced_word(zx, rng, base, base, 4, 3)
+        for _ in range(rng.randrange(3)):
             raw = word_degeneracy(zx, w, rng.randint(1, degeneracy_slots(w)))
             w = canonical(zx, raw.letters, raw.start)
         out.append(w)

@@ -72,9 +72,12 @@ class TestCells:
         (("--aug", "--builtin", "sphere:2", "--degree", "1"), "--aug needs --cube"),
         (("--cube", "2", "--builtin", "sphere:2"), "takes no complex"),
         (("--cube", "2", "--aug", "sphere:2"), "takes no complex"),
-    ], ids=["aug-without-cube", "cube-with-builtin", "cube-with-source"])
+        (("--cube", "1", "--degree", "3"), "takes no --degree"),
+        (("--cube", "1", "--aug", "--max-len", "2"), "takes no --max-len"),
+    ], ids=["aug-without-cube", "cube-with-builtin", "cube-with-source", "cube-with-degree",
+            "cube-with-max-len"])
     def test_ignored_flags_refused(self, capsys, argv, message):
-        # both once exited 0, dropping the flag or the complex
+        # each once exited 0, dropping the flag or the complex
         code, out, err = run(capsys, "cells", *argv)
         assert code == 2 and out == "" and message in err
 

@@ -9,7 +9,11 @@ reduction the CLI now applies once).  The ``cells --cube 0``, ``--cube 0
 --aug`` and ``--cube 3 --aug --json`` listings were recorded with the
 block-label cube cells that the necklaces of a standard simplex replaced,
 and the ``--coeff q --json`` boundary was regenerated once, when Q
-coefficients became JSON numbers.  Regenerate the file only for an
+coefficients became JSON numbers.  The truncated ``homology --coeff q``
+table to degree 2, ``cover --out dot`` and ``check --suite theorem2`` on
+boundary-simplex:3 were recorded before the standalone scripts they stand
+in for (homology tables, covering export, every suite on the fixtures)
+were folded into these commands.  Regenerate the file only for an
 intended output change, with ``PYTHONPATH=src python3
 tests/test_cli_golden.py > tests/golden/cli_transcript.txt``.
 """
@@ -53,10 +57,12 @@ COMMANDS = [
     "check --builtin sphere:3 --suite theorem2 --degree 3 --max-len 3",
     "check --builtin wedge:2 --suite covering --max-len 3",
     "check --builtin boundary-simplex:3 --suite leibniz --samples 10 --seed 3",
+    "check --builtin boundary-simplex:3 --suite theorem2 --degree 3",
     "homology --builtin sphere:2 --degree 4 --variant de",
     "homology --builtin sphere:3 --degree 6 --json",
     "homology --builtin boundary-simplex:3 --degree 2 --max-weight 4 --variant de --coeff p:2",
     "homology --builtin wedge:2 --degree 1 --max-weight 4 --coeff q",
+    "homology --builtin wedge:2 --degree 2 --max-weight 4 --coeff q",
     "homology {data}/sphere2.json --degree 3 --variant de --json",
     "group --builtin wedge:2 --element 'a1;a2;a1;a2' --power-detect --invert",
     "group --builtin wedge:2 --compose 'a1;a2' 'a2^op;a1' --json",
@@ -64,6 +70,7 @@ COMMANDS = [
     "cover --builtin wedge:2 --max-len 2",
     "cover --builtin boundary-simplex:2 --max-len 2 --out adj",
     "cover --builtin wedge:2 --max-len 0 --json",
+    "cover --builtin wedge:2 --max-len 2 --out dot",
     "boundary --builtin sphere:2 --word 's5.sigma'",
     "boundary --builtin sphere:2 --word bogus",
     "homology --builtin wedge:2 --degree 1",

@@ -4,15 +4,10 @@ import pytest
 
 from loopspace.chains import add_into
 from loopspace.cobar import (
-    CobarError,
-    CobarMonomial,
     aw_reduced,
     cobar_boundary,
     compare_theorem2,
     d_A,
-    extend_monomial,
-    extended_boundary,
-    group_ring_letter,
     hat_reduce,
     letter_is_zero,
     monomial,
@@ -21,7 +16,6 @@ from loopspace.simplicial import (
     GeneratorId,
     SimplexTerm,
     SimplicialPresentation,
-    wedge_of_circles,
 )
 from loopspace.words import enumerate_words
 
@@ -122,39 +116,3 @@ class TestComparator:
         assert report["ok"], report["mismatches"][:3]
         assert report["checked"] > 0
 
-
-class TestExtended:
-    def test_group_letters_reduce(self):
-        zx = wedge_of_circles(2).z_extension()
-        g = group_ring_letter(zx, ("a1", "a1^op", "a2"))
-        assert g.word == ("a2",)
-        with pytest.raises(CobarError):
-            group_ring_letter(zx, ("x0",))
-
-    def test_extend_merges_edge_runs(self):
-        zx = wedge_with_relator()
-        m = CobarMonomial((zx.term("a1"), zx.term("a2"), zx.term("r"), zx.term("a1")))
-        e = extend_monomial(zx, m)
-        assert len(e.slots) == 3
-        assert e.slots[0].word == ("a1", "a2")
-        assert e.slots[1] == zx.term("r")
-        assert e.degree == 1
-
-    def test_requires_single_vertex(self, fixtures):
-        with pytest.raises(CobarError):
-            extend_monomial(fixtures["bd2"], CobarMonomial(()))
-
-    def test_inverse_pair_collapses_to_unit(self):
-        zx = wedge_of_circles(2).z_extension()
-        m = monomial(zx, (zx.term("a1"), zx.term("a1^op")))
-        assert m is not None and m.letters == ()
-        assert extend_monomial(zx, m).slots[0].word == ()
-
-    def test_extended_boundary_of_relator(self):
-        zx = wedge_with_relator()
-        out = extended_boundary(zx, CobarMonomial((zx.term("r"),)))
-        # d2 contributes [a1 | a2.a1... ] splittings merged into group letters;
-        # d_A contributes the long edge a1.a1... every term has degree 0
-        assert out
-        for e, c in out.items():
-            assert e.degree == 0 and c in (1, -1)

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -51,7 +52,7 @@ class TestComplexDocuments:
         ([3], "degeneracy index 3 out of range for dimension 0"),
         ([0, 2], "degeneracy index 2 out of range for dimension 1"),
         ([-1], "degeneracy index -1 out of range for dimension 0"),
-        (["x"], "invalid literal for int() with base 10: 'x'"),
+        (["x"], "a degeneracy has the wrong type: expected an integer, got 'x'"),
     ], ids=["s3", "s2-after-s0", "negative", "not-an-integer"])
     def test_degeneracy_out_of_range(self, tmp_path, capsys, degeneracies, message):
         # once accepted, after which every command, validate too, failed
@@ -64,6 +65,37 @@ class TestComplexDocuments:
         path.write_text(json.dumps(doc))
         assert main(["validate", str(path)]) == 2
         assert capsys.readouterr().err == f"error: face 1 of 'a' on 'v': {message}\n"
+
+    @pytest.mark.parametrize("edit, message", [
+        ({"vertices": "ab"}, "'vertices' has the wrong type: expected a list, got 'ab'"),
+        ({"vertices": ["v", 1]}, "a vertex name has the wrong type: expected a string, got 1"),
+        ({"generators": {}}, "'generators' has the wrong type: expected a list, got {}"),
+        ({"dim": 1.7}, "'dim' of 'a' has the wrong type: expected an integer, got 1.7"),
+        ({"dim": "x"}, "'dim' of 'a' has the wrong type: expected an integer, got 'x'"),
+        ({"dim": True}, "'dim' of 'a' has the wrong type: expected an integer, got True"),
+        ({"faces": "vv"}, "'faces' of 'a' has the wrong type: expected a list, got 'vv'"),
+        ({"degeneracies": "0"},
+         "'degeneracies' of face 0 of 'a' on 'v' has the wrong type: expected a list, got '0'"),
+        ({"degeneracies": [False]},
+         "face 0 of 'a' on 'v': a degeneracy has the wrong type: expected an integer, got False"),
+        ({"op_pairs": {"ab": "zz"}}, "op pair 'ab': 'zz' names unknown generator 'ab'"),
+        ({"op_pairs": {"a": "zz"}}, "op pair 'a': 'zz' names unknown generator 'zz'"),
+    ], ids=["vertices-string", "vertex-name-int", "generators-object", "dim-float", "dim-string",
+            "dim-bool", "faces-string", "degeneracies-string", "degeneracy-bool",
+            "op-pair-unknown-key", "op-pair-unknown-value"])
+    def test_field_types_checked(self, edit, message):
+        # once read: "ab" as the vertices a and b, 1.7 as 1, "0" one
+        # character at a time; an unknown op-pair generator was reported
+        # as a missing field
+        doc = {"vertices": ["v"], "basepoint": "v", "generators": [
+            {"name": "a", "dim": 1, "faces": [
+                {"degeneracies": [], "generator": "v"},
+                {"degeneracies": [], "generator": "v"}]}]}
+        rec, face = doc["generators"][0], doc["generators"][0]["faces"][0]
+        for key, value in edit.items():
+            {"dim": rec, "faces": rec, "degeneracies": face}.get(key, doc)[key] = value
+        with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+            complex_from_dict(doc)
 
     def test_json_error_reports_position(self, tmp_path):
         path = tmp_path / "bad.json"
