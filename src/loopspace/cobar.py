@@ -39,15 +39,6 @@ def letter_is_zero(t: SimplexTerm, variant: str) -> bool:
 class CobarMonomial:
     letters: tuple[SimplexTerm, ...]
 
-    @property
-    def degree(self) -> int:
-        return sum(t.dim - 1 for t in self.letters)
-
-    def __str__(self) -> str:
-        if not self.letters:
-            return "1"
-        return "[" + "|".join(str(t) for t in self.letters) + "]"
-
 
 def hat_reduce(
     zx: SimplicialPresentation, letters: tuple[SimplexTerm, ...]

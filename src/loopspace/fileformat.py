@@ -55,7 +55,7 @@ def complex_to_dict(zx: SimplicialPresentation) -> dict:
         ],
     }
     if zx.op_pairs:
-        doc["op_pairs"] = {a: b for a, b in sorted(zx.op_pairs.items()) if a < b}
+        doc["op_pairs"] = {a.name: zx.op_pairs[a.name] for a in zx.underlying_edges()}
     return doc
 
 
@@ -101,8 +101,9 @@ def complex_from_dict(doc: dict) -> SimplicialPresentation:
             for g in (a, _typed(b, str, f"the op pair of {a!r}")):
                 if g not in dims:
                     raise FormatError(f"op pair {a!r}: {b!r} names unknown generator {g!r}")
-            pairs[a] = b
-            pairs[b] = a
+            for x, y in ((a, b), (b, a)):
+                if pairs.setdefault(x, y) != y:
+                    raise FormatError(f"op pair {a!r}: {b!r} pairs {x!r} again, after {pairs[x]!r}")
         return SimplicialPresentation(
             _typed(doc.get("name", "complex"), str, "'name'"), gens, faces,
             _typed(doc["basepoint"], str, "'basepoint'"), pairs or None,

@@ -15,16 +15,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .simplicial import OP_SUFFIX, SimplexTerm, SimplicialPresentation, _simplex_name, _split
-from .words import (
-    LoopWord,
-    _normal_word,
-    compose,
-    enumerate_words,
-    unit,
-    word_degeneracy,
-    word_face_raw,
-)
+from .cubes import degeneracy_coordinate, face_coordinate
+from .simplicial import SimplexTerm, SimplicialPresentation, _simplex_name, _split
+from .words import LoopWord, _normal_word, compose, enumerate_words
 
 
 class PathError(ValueError):
@@ -56,33 +49,22 @@ def path_canonical(zx: SimplicialPresentation, base: SimplexTerm, tail: LoopWord
     return PathCell(base, _normal_word(zx, tail.letters, hi, pool))
 
 
-def path_cell(
-    zx: SimplicialPresentation, base: SimplexTerm, tail: LoopWord | None = None
-) -> PathCell:
-    if tail is None:
-        tail = unit(zx.endpoints(base)[1])
-    return path_canonical(zx, base, tail)
-
-
 def path_face_raw(
     zx: SimplicialPresentation, c: PathCell, i: int, eps: int
 ) -> PathCell:
     """Face at coordinate i without canonicalization (for relation checks,
-    where slot indices refer to the raw representative)."""
+    where slot indices refer to the raw representative).  The base is the
+    head bead of the necklace (base, *tail letters)."""
     if eps not in (0, 1):
         raise PathError("epsilon must be 0 or 1")
-    n = c.degree
-    if not 1 <= i <= n:
-        raise PathError(f"face index {i} out of range 1..{n}")
-    p = c.base.dim
-    if i <= p:
-        if eps == 1:
-            return PathCell(zx.face(c.base, i - 1), c.tail)
-        head, letter = _split(zx, c.base, i - 1)
-        tail = LoopWord((letter,) + c.tail.letters, zx.endpoints(letter)[0], c.tail.end)
-        return PathCell(head, tail)
-    moved = word_face_raw(zx, c.tail, i - p, eps)
-    return PathCell(c.base, moved)
+    beads = (c.base, *c.tail.letters)
+    at = face_coordinate((t.dim for t in beads), i, head=True)
+    if at is None:
+        raise PathError(f"face index {i} out of range 1..{c.degree}")
+    k, v = at
+    replaced = (zx.face(beads[k], v),) if eps == 1 else _split(zx, beads[k], v)
+    head, *tail = beads[:k] + replaced + beads[k + 1 :]
+    return PathCell(head, LoopWord(tuple(tail), zx.endpoints(head)[1], c.tail.end))
 
 
 def path_face(zx: SimplicialPresentation, c: PathCell, i: int, eps: int) -> PathCell:
@@ -101,13 +83,13 @@ def path_degeneracy_slots(c: PathCell) -> int:
 def path_degeneracy_raw(zx: SimplicialPresentation, c: PathCell, j: int) -> PathCell:
     """Degeneracy at slot j without canonicalization.  The junction slot acts
     on the tail's first letter, or without one duplicates the base's last vertex."""
-    S = path_degeneracy_slots(c)
-    if not 1 <= j <= S:
-        raise PathError(f"degeneracy slot {j} out of range 1..{S}")
-    p = c.base.dim
-    if j <= p or not c.tail.letters:
-        return PathCell(zx.degenerate(c.base, j - 1), c.tail)
-    return PathCell(c.base, word_degeneracy(zx, c.tail, j - p))
+    beads = (c.base, *c.tail.letters)
+    at = degeneracy_coordinate((t.dim for t in beads), j)
+    if at is None:
+        raise PathError(f"degeneracy slot {j} out of range 1..{path_degeneracy_slots(c)}")
+    k, v = at
+    head, *tail = beads[:k] + (zx.degenerate(beads[k], v),) + beads[k + 1 :]
+    return PathCell(head, LoopWord(tuple(tail), c.tail.start, c.tail.end))
 
 
 def act(zx: SimplicialPresentation, c: PathCell, w: LoopWord) -> PathCell:
@@ -158,7 +140,7 @@ class CoverGraph:
     """Edges are (cell, source, target) with source = d^1_1, target = d^0_1
     read against the base edge direction: the cell lies over its base edge,
     running from the lift over min to the lift over max."""
-    max_length: int | None  # the word-length bound; None if not truncated
+    max_length: int  # the word-length bound
 
     @property
     def vertex_count(self) -> int:
@@ -186,25 +168,13 @@ class CoverGraph:
         return len(seen) == len(self.vertices)
 
 
-def _underlying_edges(zx: SimplicialPresentation) -> list[SimplexTerm]:
-    """One 1-generator per underlying edge of the complex: the ``^op``
-    partner of an inverted edge is the same edge read backwards."""
-    return [
-        zx.term(a.name)
-        for a in zx.generators_of_dim(1)
-        if not (a.name in zx.op_pairs and a.name.endswith(OP_SUFFIX))
-    ]
-
-
-def cover_graph(
-    zx: SimplicialPresentation, max_length: int | None = None
-) -> CoverGraph:
+def cover_graph(zx: SimplicialPresentation, max_length: int) -> CoverGraph:
     """Degree-0 path cells and the 1-cells between them.
 
     Vertices are pairs (vertex v, reduced word v -> basepoint); edges are
-    pairs (edge a, reduced word max(a) -> basepoint).  With a word-length
-    bound the graph is truncated: edges whose endpoints both survive are
-    kept.
+    pairs (edge a, reduced word max(a) -> basepoint), one edge a of each
+    pair with its formal inverse.  The graph is truncated at a word-length
+    bound: edges whose endpoints both survive are kept.
     """
     base = zx.basepoint
     vertices = []
@@ -215,10 +185,11 @@ def cover_graph(
             vertices.append(c)
             vertex_set.add(c)
     edges = []
-    for t in _underlying_edges(zx):
+    for a in zx.underlying_edges():
+        t = zx.term(a.name)
         hi = zx.endpoints(t)[1]
         for w in enumerate_words(zx, 0, max_length, hi, base):
-            cell = path_cell(zx, t, w)
+            cell = path_canonical(zx, t, w)
             # d^0_1 restricts to min(a), prepending the edge to the word;
             # d^1_1 deletes the first vertex, leaving the lift over max(a).
             src = path_face(zx, cell, 1, 0)
@@ -240,9 +211,9 @@ def covering_report(
     """
     # incidences (edge, end) of each base vertex, end 0 at min and 1 at max
     want_at: dict[str, dict[tuple[str, int], int]] = {}
-    for t in _underlying_edges(zx):
-        for end, v in enumerate(zx.endpoints(t)):
-            want_at.setdefault(v, {})[(t.generator.name, end)] = 1
+    for a in zx.underlying_edges():
+        for end, v in enumerate(zx.endpoints(zx.term(a.name))):
+            want_at.setdefault(v, {})[(a.name, end)] = 1
     by_vertex: dict[PathCell, list[tuple[str, int]]] = {v: [] for v in graph.vertices}
     for cell, src, tgt in graph.edges:
         name = cell.base.generator.name
@@ -251,7 +222,7 @@ def covering_report(
     failures = []
     interior = 0
     for v in graph.vertices:
-        if graph.max_length is not None and len(v.tail.letters) >= graph.max_length:
+        if len(v.tail.letters) >= graph.max_length:
             continue  # truncation boundary: lifts may be missing
         interior += 1
         want = want_at.get(v.base.generator.name, {})

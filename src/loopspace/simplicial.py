@@ -131,10 +131,17 @@ class SimplicialPresentation:
                 if t.dim != g.dim - 1:
                     raise SimplicialError(f"face of {g.name!r} has dimension {t.dim}, expected {g.dim - 1}")
         for a, b in self.op_pairs.items():
+            for g in (a, b):
+                if g not in self.generators or self.generators[g].dim != 1:
+                    raise SimplicialError(f"op pair {a!r}: {b!r} names {g!r}, not a 1-generator")
+            if a == b:
+                raise SimplicialError(f"op pair {a!r}: {b!r} pairs an edge with itself")
             if self.op_pairs.get(b) != a:
                 raise SimplicialError(f"op-pairing is not an involution at {a!r}")
-            if self.generators[a].dim != 1:
-                raise SimplicialError("op-pairing is only defined on 1-generators")
+        unpaired = [g.name for g in self.generators_of_dim(1) if g.name not in self.op_pairs]
+        if self.op_pairs and unpaired:
+            raise SimplicialError(
+                f"op_pairs leaves edge {unpaired[0]!r} unpaired: pair every edge or none")
 
     # -- basic accessors -------------------------------------------------
 
@@ -149,6 +156,12 @@ class SimplicialPresentation:
     @property
     def max_dim(self) -> int:
         return max(g.dim for g in self.generators.values())
+
+    def underlying_edges(self) -> list[GeneratorId]:
+        """One 1-generator per edge of the complex: of an edge and its formal
+        inverse, the one whose name sorts first."""
+        return [a for a in self.generators_of_dim(1)
+                if a.name not in self.op_pairs or a.name < self.op_pairs[a.name]]
 
     def has_op_partner(self, term: SimplexTerm) -> bool:
         return term.is_nondegenerate and term.generator.name in self.op_pairs

@@ -28,7 +28,7 @@ from functools import partial
 from operator import attrgetter
 from typing import Callable, NamedTuple
 
-from .chains import boundary_chain, boundary_word, is_killed, leibniz_defect
+from .chains import VARIANTS, boundary_chain, boundary_word, is_killed, leibniz_defect
 from .cobar import compare_theorem2
 from .cubes import face_coordinates
 from .paths import (
@@ -37,7 +37,6 @@ from .paths import (
     covering_report,
     cube_cells,
     path_canonical,
-    path_cell,
     path_degeneracy_raw,
     path_degeneracy_slots,
     path_face,
@@ -122,7 +121,7 @@ def random_path_cells(
             base = zx.degenerate(base, rng.randrange(base.dim + 1))
         hi = zx.endpoints(base)[1]
         w = random_reduced_word(zx, rng, hi, zx.basepoint, 3, 3)
-        out.append(path_cell(zx, base, w))
+        out.append(path_canonical(zx, base, w))
     return out
 
 
@@ -258,7 +257,7 @@ def dsq_suite(
     for w in cells:
         if w.degree == 0:
             continue
-        for variant in ("de", "normalized"):
+        for variant in VARIANTS:
             if is_killed(w, variant):
                 continue
             d1 = boundary_word(zx, w, variant)
@@ -287,7 +286,7 @@ def leibniz_suite(
     us = random_loop_cells(zx, rng, samples)
     vs = random_loop_cells(zx, rng, samples)
     for u, v in zip(us, vs):
-        for variant in ("de", "normalized"):
+        for variant in VARIANTS:
             if is_killed(u, variant) or is_killed(v, variant):
                 continue
             defect = leibniz_defect(zx, u, v, variant)
@@ -305,7 +304,7 @@ def theorem2_suite(
     """The chain/cobar comparator in both variant pairings."""
     rec = _Recorder()
     checked = 0
-    for variant in ("de", "normalized"):
+    for variant in VARIANTS:
         rep = compare_theorem2(zx, max_degree, max_length, variant)
         checked += rep["checked"]
         rec.record(f"theorem2-{variant}", rep["ok"], tuple(rep["mismatches"][:2]))

@@ -4,8 +4,8 @@ from pathlib import Path
 import pytest
 
 from loopspace.cli import main
-from loopspace.fileformat import save_complex
-from loopspace.simplicial import boundary_simplex
+from loopspace.fileformat import complex_to_dict, save_complex
+from loopspace.simplicial import boundary_simplex, wedge_of_circles
 
 
 def run(capsys, *argv):
@@ -351,3 +351,51 @@ class TestCountFlags:
         flag, value = argv[-2:]
         assert code == 2 and out == ""
         assert f"{flag} must be non-negative, got {value}" in err
+
+
+def _document(tmp_path, doc) -> str:
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+class TestEdgePairing:
+    """An edge and its formal inverse are paired by op_pairs alone, under
+    any names; the covering graph takes one edge of each pair."""
+
+    def test_renamed_pairs(self, capsys, tmp_path):
+        # read by the ^op suffix, all four edges were underlying edges:
+        # 32 edges, tree=False, covering=ok, exit 0
+        text = (json.dumps(complex_to_dict(wedge_of_circles(2).z_extension()))
+                .replace("a1^op", "b1").replace("a2^op", "b2"))
+        code, out, _ = run(capsys, "cover", _document(tmp_path, json.loads(text)),
+                           "--max-len", "2")
+        assert code == 0
+        assert out.strip().endswith(
+            "17 vertices, 16 edges, connected=True, tree=True, covering=ok")
+
+    def test_op_suffix_on_an_unpaired_edge(self, capsys, tmp_path):
+        # an edge named b^op, before the z-extension pairs it with b^op^op,
+        # was dropped by the suffix rule: 8 edges, connected=False, exit 0
+        doc = {"name": "ab", "vertices": ["x0"], "basepoint": "x0", "generators": [
+            {"name": name, "dim": 1, "faces": [{"generator": "x0"}, {"generator": "x0"}]}
+            for name in ("a", "b^op")]}
+        path = _document(tmp_path, doc)
+        code, out, _ = run(capsys, "cover", path, "--max-len", "2")
+        assert code == 0 and "17 vertices, 16 edges, connected=True, tree=True" in out
+        code, out, _ = run(capsys, "check", path, "--suite", "covering")
+        assert code == 0 and out.startswith("ab+op suite=covering: pass")
+
+    @pytest.mark.parametrize("argv", [
+        ("validate",),
+        ("homology", "--degree", "0", "--max-weight", "3"),
+        ("cover", "--max-len", "2"),
+    ], ids=["validate", "homology", "cover"])
+    def test_partial_pairing_refused(self, capsys, tmp_path, argv):
+        # with a2 and a2^op unpaired, homology printed H_0 = Z^69 (Z^53 with
+        # both pairs) with exit 0
+        doc = complex_to_dict(wedge_of_circles(2).z_extension())
+        doc["op_pairs"] = {"a1": "a1^op"}
+        code, out, err = run(capsys, argv[0], _document(tmp_path, doc), *argv[1:])
+        assert code == 2 and out == ""
+        assert "'a2'" in err and "pair every edge or none" in err

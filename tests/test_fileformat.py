@@ -32,6 +32,22 @@ class TestComplexDocuments:
         assert complex_to_dict(back) == complex_to_dict(zx)
         assert back.validate() == []
 
+    def test_renamed_pairs_round_trip(self):
+        # pairs are written from the edge whose name sorts first, whatever
+        # the names
+        text = (json.dumps(complex_to_dict(wedge_of_circles(2).z_extension()))
+                .replace("a1^op", "b1").replace("a2^op", "b2"))
+        doc = complex_to_dict(complex_from_dict(json.loads(text)))
+        assert doc["op_pairs"] == {"a1": "b1", "a2": "b2"}
+
+    def test_conflicting_pairs_refused(self):
+        # read one entry at a time, the last pairing of an edge won
+        doc = complex_to_dict(wedge_of_circles(2).z_extension())
+        doc["op_pairs"] = {"a1": "a2", "a2": "a1^op", "a2^op": "a1"}
+        with pytest.raises(FormatError, match=re.escape(
+                "op pair 'a2': 'a1^op' pairs 'a2' again, after 'a1'")):
+            complex_from_dict(doc)
+
     def test_degenerate_face_entries_round_trip(self):
         doc = complex_to_dict(sphere_quotient(2))
         rec = next(r for r in doc["generators"] if r["name"] == "sigma")

@@ -12,7 +12,6 @@ from loopspace.paths import (
     cover_graph,
     covering_report,
     path_canonical,
-    path_cell,
     path_degeneracy_raw,
     path_degeneracy_slots,
     path_face,
@@ -34,26 +33,26 @@ from loopspace.words import (
 class TestCells:
     def test_degree_and_canonical_base(self, fixtures):
         zx = fixtures["bd2"]
-        c = path_cell(zx, zx.term("01"))
+        c = path_canonical(zx, zx.term("01"), unit("1"))
         assert c.degree == 1 and c.tail == unit("1")
 
     def test_top_degeneracy_moves_to_tail(self, fixtures):
         zx = fixtures["bd2"]
         t = zx.degenerate(zx.term("01"), 1)  # s1.01
-        c = path_cell(zx, t)
+        c = path_canonical(zx, t, unit("1"))
         assert c.base == zx.term("01")
         assert c.tail.degree == 1  # one unit-degeneracy absorbed into the tail
 
     def test_tail_endpoint_checked(self, fixtures):
         zx = fixtures["bd2"]
         with pytest.raises(PathError):
-            path_cell(zx, zx.term("01"), unit("0"))
+            path_canonical(zx, zx.term("01"), unit("0"))
 
 
 class TestFaces:
     def test_edge_faces(self, fixtures):
         zx = fixtures["bd2"]
-        c = path_cell(zx, zx.term("01"))
+        c = path_canonical(zx, zx.term("01"), unit("1"))
         src = path_face(zx, c, 1, 0)
         tgt = path_face(zx, c, 1, 1)
         assert tgt == PathCell(zx.term("1"), unit("1"))
@@ -72,7 +71,7 @@ class TestFaces:
                     t = zx.degenerate(t, rng.randrange(t.dim + 1))
                 tail = random_reduced_word(
                     zx, rng, zx.endpoints(t)[1], zx.basepoint, 0, 2)
-                c = path_cell(zx, t, tail)
+                c = path_canonical(zx, t, tail)
                 n = c.degree
                 for j in range(1, n + 1):
                     for i in range(1, j):
@@ -85,8 +84,8 @@ class TestFaces:
 
     def test_degeneracy_raises_degree(self, fixtures):
         zx = fixtures["bd3"]
-        c = path_cell(zx, zx.term("012"),
-                      canonical(zx, (zx.term("23"), zx.term("03^op")), "2"))
+        c = path_canonical(zx, zx.term("012"),
+                           canonical(zx, (zx.term("23"), zx.term("03^op")), "2"))
         for j in range(1, path_degeneracy_slots(c) + 1):
             assert path_degeneracy_raw(zx, c, j).degree == c.degree + 1
 
@@ -94,8 +93,8 @@ class TestFaces:
 class TestAction:
     def test_act_composes_tail(self, fixtures):
         zx = fixtures["bd2"]
-        c = path_cell(zx, zx.term("01"),
-                      canonical(zx, (zx.term("12"), zx.term("02^op")), "1"))
+        c = path_canonical(zx, zx.term("01"),
+                           canonical(zx, (zx.term("12"), zx.term("02^op")), "1"))
         w = parse_word(zx, "02;12^op;01^op")
         moved = act(zx, c, w)
         assert moved.base == c.base

@@ -1,4 +1,5 @@
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -213,6 +214,27 @@ class TestEdgeInversion:
         zx = boundary_simplex(2).z_extension()
         a = zx.term("01")
         assert zx.op(zx.op(a)) == a
+
+    def test_underlying_edges(self, fixtures):
+        zx = fixtures["bd2"]
+        assert [a.name for a in zx.underlying_edges()] == ["01", "02", "12"]
+        assert [a.name for a in boundary_simplex(2).underlying_edges()] == ["01", "02", "12"]
+
+    @pytest.mark.parametrize("pairs, message", [
+        ({"a": "zz", "zz": "a"}, "op pair 'a': 'zz' names 'a', not a 1-generator"),
+        ({"e": "x", "x": "e"}, "op pair 'e': 'x' names 'x', not a 1-generator"),
+        ({"e": "e"}, "op pair 'e': 'e' pairs an edge with itself"),
+        ({"e": "f", "f": "g", "g": "f"}, "op-pairing is not an involution at 'e'"),
+    ], ids=["unknown", "vertex", "self", "not-involution"])
+    def test_malformed_pairs(self, pairs, message):
+        # an unknown name raised a bare KeyError
+        x = GeneratorId("x", 0)
+        gens, faces = [x], {}
+        if "e" in pairs:
+            gens += [GeneratorId(n, 1) for n in "efg"]
+            faces = {n: (SimplexTerm(x, (1,)),) * 2 for n in "efg"}
+        with pytest.raises(SimplicialError, match=re.escape(message)):
+            SimplicialPresentation("t", gens, faces, "x", pairs)
 
     def test_double_extension_rejected(self):
         zx = boundary_simplex(2).z_extension()
