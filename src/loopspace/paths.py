@@ -136,9 +136,9 @@ def cube_cells(
 @dataclass(frozen=True)
 class CoverGraph:
     vertices: tuple[PathCell, ...]
-    edges: tuple[tuple[PathCell, PathCell, PathCell], ...]
-    """Edges are (cell, source, target) with source = d^1_1, target = d^0_1
-    read against the base edge direction: the cell lies over its base edge,
+    edges: tuple[tuple[PathCell, int, int], ...]
+    """Edges are (cell, source, target), the ends indices into ``vertices``:
+    source = d^0_1 and target = d^1_1, so the cell lies over its base edge,
     running from the lift over min to the lift over max."""
     max_length: int  # the word-length bound
 
@@ -150,23 +150,6 @@ class CoverGraph:
     def edge_count(self) -> int:
         return len(self.edges)
 
-    def is_connected(self) -> bool:
-        if not self.vertices:
-            return True
-        adj: dict[PathCell, list[PathCell]] = {v: [] for v in self.vertices}
-        for _, a, b in self.edges:
-            adj[a].append(b)
-            adj[b].append(a)
-        seen = {self.vertices[0]}
-        frontier = [self.vertices[0]]
-        while frontier:
-            v = frontier.pop()
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    frontier.append(w)
-        return len(seen) == len(self.vertices)
-
 
 def cover_graph(zx: SimplicialPresentation, max_length: int) -> CoverGraph:
     """Degree-0 path cells and the 1-cells between them.
@@ -176,33 +159,29 @@ def cover_graph(zx: SimplicialPresentation, max_length: int) -> CoverGraph:
     pair with its formal inverse.  The graph is truncated at a word-length
     bound: edges whose endpoints both survive are kept.
     """
-    base = zx.basepoint
-    vertices = []
-    vertex_set = set()
-    for g in zx.generators_of_dim(0):
-        for w in enumerate_words(zx, 0, max_length, g.name, base):
-            c = PathCell(zx.term(g.name), w)
-            vertices.append(c)
-            vertex_set.add(c)
+    tails = {g.name: enumerate_words(zx, 0, max_length, g.name, zx.basepoint)
+             for g in zx.generators_of_dim(0)}
+    vertices = tuple(PathCell(zx.term(v), w) for v, ws in tails.items() for w in ws)
+    index = {c: k for k, c in enumerate(vertices)}
     edges = []
     for a in zx.underlying_edges():
         t = zx.term(a.name)
-        hi = zx.endpoints(t)[1]
-        for w in enumerate_words(zx, 0, max_length, hi, base):
+        for w in tails[zx.endpoints(t)[1]]:
             cell = path_canonical(zx, t, w)
             # d^0_1 restricts to min(a), prepending the edge to the word;
             # d^1_1 deletes the first vertex, leaving the lift over max(a).
-            src = path_face(zx, cell, 1, 0)
-            tgt = path_face(zx, cell, 1, 1)
-            if src in vertex_set and tgt in vertex_set:
+            src = index.get(path_face(zx, cell, 1, 0))
+            tgt = index.get(path_face(zx, cell, 1, 1))
+            if src is not None and tgt is not None:
                 edges.append((cell, src, tgt))
-    return CoverGraph(tuple(vertices), tuple(edges), max_length)
+    return CoverGraph(vertices, tuple(edges), max_length)
 
 
 def covering_report(
     zx: SimplicialPresentation, graph: CoverGraph
 ) -> dict[str, object]:
-    """Check the covering property away from the truncation boundary.
+    """Check the covering property away from the truncation boundary, and
+    connectivity.
 
     For every graph vertex whose word is strictly shorter than the bound,
     each incidence of its underlying vertex with an edge of the complex
@@ -214,25 +193,32 @@ def covering_report(
     for a in zx.underlying_edges():
         for end, v in enumerate(zx.endpoints(zx.term(a.name))):
             want_at.setdefault(v, {})[(a.name, end)] = 1
-    by_vertex: dict[PathCell, list[tuple[str, int]]] = {v: [] for v in graph.vertices}
+    have_at: list[dict[tuple[str, int], int]] = [{} for _ in graph.vertices]
+    adj: list[list[int]] = [[] for _ in graph.vertices]
     for cell, src, tgt in graph.edges:
         name = cell.base.generator.name
-        by_vertex[src].append((name, 0))
-        by_vertex[tgt].append((name, 1))
+        for k, end in ((src, 0), (tgt, 1)):
+            have_at[k][(name, end)] = have_at[k].get((name, end), 0) + 1
+        adj[src].append(tgt)
+        adj[tgt].append(src)
     failures = []
     interior = 0
-    for v in graph.vertices:
+    for v, have in zip(graph.vertices, have_at):
         if len(v.tail.letters) >= graph.max_length:
             continue  # truncation boundary: lifts may be missing
         interior += 1
         want = want_at.get(v.base.generator.name, {})
-        have: dict[tuple[str, int], int] = {}
-        for key in by_vertex[v]:
-            have[key] = have.get(key, 0) + 1
         if want != have:
             failures.append((str(v), {k: (want.get(k, 0), have.get(k, 0))
                                       for k in set(want) | set(have)}))
-    connected = graph.is_connected()
+    seen = {0} if graph.vertices else set()
+    frontier = list(seen)
+    while frontier:
+        for k in adj[frontier.pop()]:
+            if k not in seen:
+                seen.add(k)
+                frontier.append(k)
+    connected = len(seen) == graph.vertex_count
     return {
         "vertices": graph.vertex_count,
         "edges": graph.edge_count,
@@ -245,23 +231,25 @@ def covering_report(
     }
 
 
+def _dot_quote(label: str) -> str:
+    return '"' + label.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def to_dot(graph: CoverGraph) -> str:
     lines = ["digraph cover {"]
-    index = {v: k for k, v in enumerate(graph.vertices)}
-    for v, k in index.items():
-        lines.append(f'  n{k} [label="{v.base.generator.name}|{v.tail}"];')
+    for k, v in enumerate(graph.vertices):
+        lines.append(f"  n{k} [label={_dot_quote(f'{v.base.generator.name}|{v.tail}')}];")
     for cell, src, tgt in graph.edges:
-        lines.append(
-            f'  n{index[src]} -> n{index[tgt]} [label="{cell.base.generator.name}"];'
-        )
+        lines.append(f"  n{src} -> n{tgt} [label={_dot_quote(cell.base.generator.name)}];")
     lines.append("}")
     return "\n".join(lines)
 
 
 def to_adjacency(graph: CoverGraph) -> dict[str, list[str]]:
-    out: dict[str, list[str]] = {str(v): [] for v in graph.vertices}
-    for cell, src, tgt in graph.edges:
-        out[str(src)].append(str(tgt))
+    names = [str(v) for v in graph.vertices]
+    out: dict[str, list[str]] = {name: [] for name in names}
+    for _, src, tgt in graph.edges:
+        out[names[src]].append(names[tgt])
     for k in out:
         out[k].sort()
     return out

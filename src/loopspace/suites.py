@@ -25,7 +25,6 @@ from __future__ import annotations
 import inspect
 import random
 from functools import partial
-from operator import attrgetter
 from typing import Callable, NamedTuple
 
 from .chains import VARIANTS, boundary_chain, boundary_word, is_killed, leibniz_defect
@@ -39,7 +38,6 @@ from .paths import (
     path_canonical,
     path_degeneracy_raw,
     path_degeneracy_slots,
-    path_face,
     path_face_raw,
 )
 from .simplicial import SimplicialPresentation, standard_simplex
@@ -49,7 +47,6 @@ from .words import (
     degeneracy_slots,
     random_reduced_word,
     word_degeneracy,
-    word_face,
     word_face_raw,
 )
 
@@ -131,19 +128,17 @@ def random_path_cells(
 class _Model(NamedTuple):
     """What the relation checker needs of one cell model."""
 
-    face: Callable  # (cell, i, eps) -> canonical face
     face_raw: Callable  # (cell, i, eps) -> raw face
     degeneracy_raw: Callable  # (cell, j) -> raw degeneracy
     normal: Callable  # cell -> normal form
-    degree: Callable  # cell -> degree
     positions: Callable  # cell -> necklace position of each face coordinate
     slots: Callable  # cell -> number of degeneracy slots
 
 
 def _word_model(zx: SimplicialPresentation) -> _Model:
     return _Model(
-        partial(word_face, zx), partial(word_face_raw, zx), partial(word_degeneracy, zx),
-        lambda w: canonical(zx, w.letters, w.start), attrgetter("degree"),
+        partial(word_face_raw, zx), partial(word_degeneracy, zx),
+        lambda w: canonical(zx, w.letters, w.start),
         lambda w: [p for p, _, _ in face_coordinates(t.dim for t in w.letters)],
         degeneracy_slots,
     )
@@ -155,8 +150,8 @@ def _path_model(zx: SimplicialPresentation) -> _Model:
         return [p for p, _, _ in face_coordinates(dims, head=True)]
 
     return _Model(
-        partial(path_face, zx), partial(path_face_raw, zx), partial(path_degeneracy_raw, zx),
-        lambda c: path_canonical(zx, c.base, c.tail), attrgetter("degree"),
+        partial(path_face_raw, zx), partial(path_degeneracy_raw, zx),
+        lambda c: path_canonical(zx, c.base, c.tail),
         positions, path_degeneracy_slots,
     )
 
@@ -183,19 +178,22 @@ def _check_relations(m: _Model, cells, rec: _Recorder, tag: str) -> None:
 
 
 def _check_cell(m: _Model, c, rec: _Recorder, tag: str) -> None:
-    n = m.degree(c)
+    def face(x, i, eps):
+        return m.normal(m.face_raw(x, i, eps))
+
+    n = c.degree
     for j in range(1, n + 1):
         for i in range(1, j):
             for eps in (0, 1):
                 for om in (0, 1):
-                    left = m.face(m.face(c, j, om), i, eps)
-                    right = m.face(m.face(c, i, eps), j - 1, om)
+                    left = face(face(c, j, om), i, eps)
+                    right = face(face(c, i, eps), j - 1, om)
                     rec.record(f"{tag}-FF", left == right, (c, i, j, eps, om))
     home = m.normal(c)
     for j in range(1, m.slots(c) + 1):
         e = m.degeneracy_raw(c, j)  # raw; copies at positions j-1, j
         ps = m.positions(e)
-        ok = m.degree(e) == n + 1 and len(ps) == n + 1
+        ok = e.degree == n + 1 and len(ps) == n + 1
         rec.record(f"{tag}-dim", ok, (c, j))
         if not ok:
             continue

@@ -139,14 +139,14 @@ class TestCriterion7Covering:
         graph = cover_graph(zx, max_length=6)
         rep = covering_report(zx, graph)
         assert rep["connected"] and rep["ok"]
-        degrees = {v: 0 for v in graph.vertices}
+        degrees = [0] * graph.vertex_count
         for cell, src, tgt in graph.edges:
             degrees[src] += 1
             degrees[tgt] += 1
         max_len = max(len(v.tail.letters) for v in graph.vertices)
-        for v in graph.vertices:
+        for v, degree in zip(graph.vertices, degrees):
             if len(v.tail.letters) < max_len:  # away from the truncation
-                assert degrees[v] == 2, v
+                assert degree == 2, v
 
 
 class TestCriterion8SmithNormalForm:

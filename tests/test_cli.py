@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -327,6 +328,21 @@ class TestCover:
         code, out, _ = run(capsys, "cover", "--builtin", "boundary-simplex:2",
                            "--max-len", "2", "--out", "adj")
         assert code == 0 and "->" in out
+
+    def test_dot_labels_are_quoted(self, capsys, tmp_path):
+        # a quote in a vertex name once closed its DOT label early, exit 0
+        doc = {"name": "q", "vertices": ['x"0'], "basepoint": 'x"0', "generators": [
+            {"name": "a\\1", "dim": 1, "faces": [{"generator": 'x"0'}] * 2}]}
+        code, out, _ = run(capsys, "cover", _document(tmp_path, doc),
+                           "--max-len", "1", "--out", "dot")
+        lines = out.strip().splitlines()
+        assert code == 0 and lines[0] == "digraph cover {" and lines[-1] == "}"
+        labels = []
+        for line in lines[1:-1]:
+            m = re.fullmatch(r'  n\d+(?: -> n\d+)? \[label="((?:[^"\\]|\\.)*)"\];', line)
+            assert m, line
+            labels.append(re.sub(r"\\(.)", r"\1", m.group(1)))
+        assert labels == ['x"0|e', 'x"0|a\\1', 'x"0|a\\1^op', "a\\1", "a\\1"]
 
     def test_non_simplicial_refused(self, capsys, non_simplicial):
         code, out, err = run(capsys, "cover", non_simplicial, "--max-len", "2")

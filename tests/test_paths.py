@@ -3,6 +3,7 @@ import random
 import pytest
 from word_oracles import canonical_reference, path_canonical_reference
 
+from loopspace import paths
 from loopspace.fileformat import parse_word
 from loopspace.paths import (
     CoverGraph,
@@ -23,6 +24,7 @@ from loopspace.suites import random_loop_cells, random_path_cells
 from loopspace.words import (
     canonical,
     degeneracy_slots,
+    enumerate_words,
     random_reduced_word,
     unit,
     word_degeneracy,
@@ -114,8 +116,8 @@ class TestCovering:
     def test_cycle_is_connected_but_not_a_tree(self, fixtures):
         zx = fixtures["wedge2"]
         star = cover_graph(zx, max_length=1)  # the unit joined to 4 leaves
-        unit_cell, leaves = star.vertices[0], star.vertices[1:]
-        assert all(unit_cell in (src, tgt) for _, src, tgt in star.edges)
+        hub, leaves = 0, range(1, star.vertex_count)
+        assert all(hub in (src, tgt) for _, src, tgt in star.edges)
         chord = (star.edges[0][0], leaves[0], leaves[1])  # closes a triangle
         report = covering_report(zx, CoverGraph(star.vertices, star.edges + (chord,), 1))
         assert report["edges"] == report["vertices"]
@@ -127,12 +129,32 @@ class TestCovering:
         zx = fixtures["wedge2"]
         star = cover_graph(zx, max_length=1)
         (cell, src, tgt), kept = star.edges[0], star.edges[1:]
-        cut = src if src != star.vertices[0] else tgt
-        others = [v for v in star.vertices[1:] if v != cut]
+        cut = src if src != 0 else tgt
+        others = [k for k in range(1, star.vertex_count) if k != cut]
         chord = (cell, others[0], others[1])
         report = covering_report(zx, CoverGraph(star.vertices, kept + (chord,), 1))
         assert report["edges"] == report["vertices"] - 1
         assert not report["connected"] and not report["tree"]
+
+    @pytest.mark.parametrize("key, calls", [("wedge2", 1), ("bd2", 3)])
+    def test_tails_listed_once_per_vertex(self, fixtures, monkeypatch, key, calls):
+        # the edges over a reuse the tails of max(a); the words to the
+        # basepoint were once listed again for every edge (3 and 6 calls)
+        listed = []
+
+        def counting(*args):
+            listed.append(args)
+            return enumerate_words(*args)
+
+        monkeypatch.setattr(paths, "enumerate_words", counting)
+        cover_graph(fixtures[key], max_length=3)
+        assert len(listed) == calls == len(fixtures[key].generators_of_dim(0))
+
+    def test_empty_graph(self, fixtures):
+        # no vertex to seed the connectivity search at
+        report = covering_report(fixtures["wedge2"], CoverGraph((), (), 0))
+        assert report["connected"] is True and report["tree"] is False
+        assert report["vacuous"] is True and report["ok"]
 
     def test_triangle_cover_is_line(self, fixtures):
         zx = fixtures["bd2"]
