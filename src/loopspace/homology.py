@@ -22,6 +22,9 @@ boundary matrices are sparse and mostly +-1, so phase 1 removes unit
 pivots on sparse rows (Kaczynski-Mrozek-Slusarek 1998; Dumas-Saunders-
 Villard 2001): clearing a +-1 entry's column by row operations splits
 off a summand [+-1], an invariant factor 1 that divides all the rest.
+The pivots come from a priority queue keyed by Markowitz cost (Markowitz
+1957), whose row and column counts are kept current as elimination runs;
+costs are refreshed lazily, so the order is approximately Markowitz.
 Phase 2 runs dense minimal-magnitude reduction only on the small residual
 block, modulo twice a nonzero minor of full rank so that entries stay
 bounded (Hafner-McCurley 1991).
@@ -30,6 +33,7 @@ bounded (Hafner-McCurley 1991).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from heapq import heapify, heappop, heappush
 from itertools import combinations
 from math import gcd
 
@@ -63,15 +67,25 @@ class SparseIntMatrix:
 def smith_normal_form(matrix: SparseIntMatrix | list[list[int]]) -> tuple[int, ...]:
     """Invariant factors (d_1 | d_2 | ...) of an integer matrix.
 
-    Phase 1 works on sparse rows and removes unit pivots: it picks an entry
-    u = +-1 of least Markowitz cost (row nonzeros - 1) * (column nonzeros
-    - 1), clears u's column by row operations, drops u's row and column and
-    counts one invariant factor 1.  This is exact: once the column is
-    clear, column operations clear u's row without touching any other row,
-    so the matrix is equivalent to [u] + (the rest), and a leading 1
-    divides every later factor.  Phase 2 (``_dense_smith_normal_form``)
-    reduces the residual block, the rows and columns that still hold
-    entries; with no unit entry that block is the whole matrix.
+    Phase 1 works on sparse rows and removes unit pivots: it takes an
+    entry u = +-1, clears u's column by row operations, drops u's row and
+    column and counts one invariant factor 1.  This is exact: once the
+    column is clear, column operations clear u's row without touching any
+    other row, so the matrix is equivalent to [u] + (the rest), and a
+    leading 1 divides every later factor; so any order of unit pivots
+    gives the same factors.  The pivots come from a queue of (cost, row,
+    column) ordered by Markowitz cost (row nonzeros - 1) * (column nonzeros
+    - 1), ties to the lowest position.  Every +-1 entry is queued once at
+    the start; after each elimination the queue gets the entries the row
+    operations set to +-1 (fill-in included), the +-1 entries of rows that
+    got shorter, and the entry of each column left with one row, at cost
+    0.  A popped candidate whose row is gone or whose entry is no longer
+    +-1 is dropped, and one whose cost rose goes back with its new cost.
+    A cost that fell only because a column got shorter is not refreshed,
+    and its candidate comes out late, so the order is approximately
+    Markowitz.  Phase 2 (``_dense_smith_normal_form``) reduces the residual
+    block, the rows and columns that still hold entries; with no unit
+    entry that block is the whole matrix.
 
     A list-of-lists input must be rectangular (``HomologyError`` names
     the first short row).
@@ -81,13 +95,29 @@ def smith_normal_form(matrix: SparseIntMatrix | list[list[int]]) -> tuple[int, .
     for i, row in rows.items():
         for j in row:
             cols.setdefault(j, set()).add(i)
+
+    def cost(i: int, j: int) -> int:
+        return (len(rows[i]) - 1) * (len(cols[j]) - 1)
+
+    queue = [(cost(i, j), i, j) for i, row in rows.items() for j, v in row.items()
+             if v == 1 or v == -1]
+    heapify(queue)
     units = 0
-    while (pivot := _unit_pivot(rows, cols)) is not None:
-        p, q = pivot
-        prow = rows.pop(p)
+    while queue:
+        c, p, q = heappop(queue)
+        prow = rows.get(p)
+        if prow is None or prow.get(q) not in (1, -1):
+            continue
+        now = cost(p, q)
+        if now > c:
+            heappush(queue, (now, p, q))
+            continue
+        del rows[p]
         u = prow[q]
+        fresh = set()  # unit entries to queue once the elimination is done
         for i in cols[q] - {p}:
             row = rows[i]
+            before = len(row)
             f = row[q] * u  # u is its own inverse
             for j, v in prow.items():
                 w = row.get(j, 0) - f * v
@@ -95,16 +125,26 @@ def smith_normal_form(matrix: SparseIntMatrix | list[list[int]]) -> tuple[int, .
                     if j not in row:
                         cols[j].add(i)
                     row[j] = w
+                    if w == 1 or w == -1:
+                        fresh.add((i, j))
                 else:
                     del row[j]
                     cols[j].discard(i)
             if not row:
                 del rows[i]
+            elif len(row) < before:
+                fresh.update((i, j) for j, v in row.items() if v == 1 or v == -1)
         for j in prow:
             col = cols[j]
             col.discard(p)
             if not col:
                 del cols[j]
+            elif len(col) == 1:  # a column singleton costs 0
+                (i,) = col
+                if rows[i][j] in (1, -1):
+                    fresh.add((i, j))
+        for i, j in fresh:
+            heappush(queue, (cost(i, j), i, j))
         units += 1
     place = {j: k for k, j in enumerate(sorted(cols))}
     residual = []
@@ -134,24 +174,6 @@ def _sparse_rows(matrix: SparseIntMatrix | list[list[int]]) -> dict[int, dict[in
         if row:
             rows[i] = row
     return rows
-
-
-def _unit_pivot(
-    rows: dict[int, dict[int, int]], cols: dict[int, set[int]]
-) -> tuple[int, int] | None:
-    """A +-1 entry of least Markowitz cost, or None if there is none."""
-    best = None
-    best_cost = 0
-    for i, row in rows.items():
-        row_cost = len(row) - 1
-        for j, v in row.items():
-            if v == 1 or v == -1:
-                cost = row_cost * (len(cols[j]) - 1)
-                if cost == 0:
-                    return i, j
-                if best is None or cost < best_cost:
-                    best, best_cost = (i, j), cost
-    return best
 
 
 def _rank_and_minor(m: list[list[int]]) -> tuple[int, int]:

@@ -167,7 +167,7 @@ def cover_graph(zx: SimplicialPresentation, max_length: int) -> CoverGraph:
     for a in zx.underlying_edges():
         t = zx.term(a.name)
         for w in tails[zx.endpoints(t)[1]]:
-            cell = path_canonical(zx, t, w)
+            cell = PathCell(t, w)  # t is nondegenerate and w reduced: canonical
             # d^0_1 restricts to min(a), prepending the edge to the word;
             # d^1_1 deletes the first vertex, leaving the lift over max(a).
             src = index.get(path_face(zx, cell, 1, 0))

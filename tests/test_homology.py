@@ -183,6 +183,26 @@ class TestUnitPivotElimination:
         # phase 2 sees only the residual block, never the whole matrix
         assert all(r < 20 and c < 30 for r, c in phase2_shapes), phase2_shapes
 
+    def test_units_made_by_row_operations_are_queued(self, phase2_shapes):
+        # the second unit exists only after the first pivot: 3 - 2 = 1
+        assert smith_normal_form([[1, 2], [1, 3]]) == (1, 1)
+        # here it is fill-in in a row that keeps its length, in a column
+        # that keeps two rows: row 1 becomes (0, -1, 2), and only the entry
+        # the row operation made can bring it to the queue
+        assert smith_normal_form([[1, 1, 0], [1, 0, 2], [0, 2, 2]]) == (1, 1, 6)
+        assert phase2_shapes == [(0, 0), (1, 1)]
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_planted_factors_at_scale(self, seed, phase2_shapes):
+        rng = random.Random(seed)
+        factors = (1,) * 296 + (2, 6, 12, 60)
+        rows = planted_udv(rng, 512, 1024, factors)
+        assert smith_normal_form(rows) == factors
+        # the residual blocks were 9 x 5 and 8 x 11 with the full-rescan
+        # pivot search, and are no larger with the queue
+        (shape,) = phase2_shapes
+        assert shape[0] <= 12 and shape[1] <= 12, shape
+
     def test_no_unit_entry_goes_whole_to_phase_2(self, phase2_shapes):
         rng = random.Random(5)
         rows = [[2 * rng.randint(-3, 3) for _ in range(7)] for _ in range(6)]

@@ -150,6 +150,33 @@ class TestCovering:
         cover_graph(fixtures[key], max_length=3)
         assert len(listed) == calls == len(fixtures[key].generators_of_dim(0))
 
+    @pytest.mark.parametrize("key", ["wedge2", "bd2"])
+    def test_edge_cells_are_not_recanonicalized(self, fixtures, monkeypatch, key):
+        # one normal form per edge face: the edge cell is canonical as built
+        # (test_edge_cells_are_canonical), so it takes none of its own
+        zx = fixtures[key]
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return path_canonical(*args)
+
+        monkeypatch.setattr(paths, "path_canonical", counting)
+        cover_graph(zx, max_length=3)
+        considered = sum(
+            len(enumerate_words(zx, 0, 3, zx.endpoints(zx.term(a.name))[1], zx.basepoint))
+            for a in zx.underlying_edges()
+        )
+        assert considered and len(calls) == 2 * considered
+
+    @pytest.mark.parametrize("key", ["wedge2", "bd3"])
+    def test_edge_cells_are_canonical(self, fixtures, key):
+        zx = fixtures[key]
+        g = cover_graph(zx, max_length=4)
+        assert g.edges
+        for cell, _, _ in g.edges:
+            assert path_canonical(zx, cell.base, cell.tail) == cell
+
     def test_empty_graph(self, fixtures):
         # no vertex to seed the connectivity search at
         report = covering_report(fixtures["wedge2"], CoverGraph((), (), 0))
