@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .cubes import degeneracy_coordinate, face_coordinate
 from .simplicial import SimplexTerm, SimplicialPresentation, _simplex_name, _split
@@ -24,8 +25,7 @@ class PathError(ValueError):
     pass
 
 
-@dataclass(frozen=True, order=True)
-class PathCell:
+class PathCell(NamedTuple):
     base: SimplexTerm
     tail: LoopWord
 

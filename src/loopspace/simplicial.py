@@ -3,15 +3,19 @@
 A presentation lists the nondegenerate simplices ("generators") by dimension
 together with the faces of each generator, which may be degenerate.  A
 simplex is a generator with the number of copies of each of its vertices,
-on which faces and degeneracies act directly.  Formal edge inverses are
-attached by ``z_extension``.
+on which faces and degeneracies act directly.  Generators and simplices are
+named tuples, so that hashing, comparing and sorting them runs in C.  Each
+presentation tables once, for every generator and every vertex, the front
+and back face of the generator meeting at that vertex; a simplex splits at
+a position (``_split``) by pushing its vertex multiplicities onto the
+tabled faces, and the first and last vertex of a simplex are read off the
+same table.  Formal edge inverses are attached by ``z_extension``.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 OP_SUFFIX = "^op"
 
@@ -20,14 +24,12 @@ class SimplicialError(ValueError):
     pass
 
 
-@dataclass(frozen=True, order=True)
-class GeneratorId:
+class GeneratorId(NamedTuple):
     name: str
     dim: int
 
 
-@dataclass(frozen=True, order=True)
-class SimplexTerm:
+class SimplexTerm(NamedTuple):
     """A (possibly degenerate) simplex: a generator and how many copies of
     each of its vertices the simplex has.  By the Eilenberg-Zilber lemma
     these fix the simplex: s_I g repeats the vertices of g in order."""
@@ -109,9 +111,13 @@ class SimplicialPresentation:
         self.basepoint = basepoint
         self.op_pairs: dict[str, str] = dict(op_pairs or {})
         self._check_well_formed()
+        # per generator, per vertex v: (front v-face, back face from v)
+        self._splits: dict[str, tuple[tuple[SimplexTerm, SimplexTerm], ...]] = {
+            name: self._split_table(g) for name, g in self.generators.items()
+        }
         self._endpoints: dict[str, tuple[str, str]] = {
-            name: self._walk_endpoints(_nondegenerate(g))
-            for name, g in self.generators.items()
+            name: (table[0][0].generator.name, table[-1][1].generator.name)
+            for name, table in self._splits.items()
         }
 
     def _check_well_formed(self) -> None:
@@ -191,11 +197,7 @@ class SimplicialPresentation:
             f = self.faces[t.generator.name][v]
         except KeyError:
             raise SimplicialError(f"unknown generator {t.generator.name!r}") from None
-        rest = mult[:v] + mult[v + 1 :]
-        if sum(rest) == len(rest):  # t is the generator itself
-            return f
-        ends = list(itertools.accumulate(f.mult))
-        return SimplexTerm(f.generator, tuple(sum(rest[a:b]) for a, b in zip([0, *ends], ends)))
+        return _push(f, mult[:v] + mult[v + 1 :])
 
     def degenerate(self, t: SimplexTerm, j: int) -> SimplexTerm:
         """Apply s_j to t."""
@@ -214,9 +216,14 @@ class SimplicialPresentation:
         except KeyError:
             raise SimplicialError(f"unknown generator {t.generator.name!r}") from None
 
-    def _walk_endpoints(self, t: SimplexTerm) -> tuple[str, str]:
-        lo, hi = _split(self, t, 0)[0], _split(self, t, t.dim)[1]
-        return lo.generator.name, hi.generator.name
+    def _split_table(self, g: GeneratorId) -> tuple[tuple[SimplexTerm, SimplexTerm], ...]:
+        """The front and back face of g at each of its vertices: iterated
+        last faces and iterated zeroth faces of g."""
+        fronts, backs = [_nondegenerate(g)], [_nondegenerate(g)]
+        for d in range(g.dim, 0, -1):
+            fronts.append(self.face(fronts[-1], d))
+            backs.append(self.face(backs[-1], 0))
+        return tuple(zip(reversed(fronts), backs))
 
     # -- Z(X) -------------------------------------------------------------
 
@@ -266,14 +273,35 @@ class SimplicialPresentation:
 def _split(
     zx: SimplicialPresentation, t: SimplexTerm, i: int
 ) -> tuple[SimplexTerm, SimplexTerm]:
-    """The front i-face and the back (dim - i)-face of t, sharing vertex i:
-    iterated last faces and iterated zeroth faces."""
-    front, back = t, t
-    while front.dim > i:
-        front = zx.face(front, front.dim)
-    while back.dim > t.dim - i:
-        back = zx.face(back, 0)
-    return front, back
+    """The front i-face and the back (dim - i)-face of t, sharing position i.
+
+    Position i is a copy of generator vertex v; the front runs over the
+    vertices up to v and the back over those from v, with the copies on
+    either side of i.  Both are the tabled faces of the generator at v with
+    these multiplicities pushed forward, as ``face`` does."""
+    mult = t.mult
+    if not 0 <= i < sum(mult):
+        raise SimplicialError(f"split index {i} out of range for dimension {sum(mult) - 1}")
+    try:
+        table = zx._splits[t.generator.name]
+    except KeyError:
+        raise SimplicialError(f"unknown generator {t.generator.name!r}") from None
+    v = _vertex_at(mult, i)
+    k = i - sum(mult[:v])  # position i is copy k of vertex v
+    front, back = table[v]
+    return _push(front, mult[:v] + (k + 1,)), _push(back, (mult[v] - k,) + mult[v + 1 :])
+
+
+def _push(f: SimplexTerm, mult: tuple[int, ...]) -> SimplexTerm:
+    """f precomposed with the degeneracy whose vertex copies are mult: each
+    vertex of f's generator collects the copies of the block of mult it
+    collapses."""
+    if sum(mult) == len(mult):  # no copies to collect
+        return f
+    if len(f.mult) == len(mult):  # f is nondegenerate
+        return SimplexTerm(f.generator, mult)
+    ends = list(itertools.accumulate(f.mult))
+    return SimplexTerm(f.generator, tuple(sum(mult[a:b]) for a, b in zip([0, *ends], ends)))
 
 
 def _inverse_pair(zx: SimplicialPresentation, a: SimplexTerm, b: SimplexTerm) -> bool:

@@ -16,7 +16,10 @@ words and path cells alike; each model hands it a small record of its
 operators (``_Model``).  Cube cells are no third model: the cube rows run
 the word model on the necklaces of standard_simplex(n + 1) from 0 to n + 1,
 and the path model on the path cells of standard_simplex(n) ending at n.
-A report that ran no row, or a comparator that compared no word, is
+The rows of one cell rebuild the same raw cells many times (the face
+d_j c under every d_i, say); the checker normalizes each distinct raw cell
+once per checked cell, in a memo that lives for that cell only, and still
+runs every row and comparison.  A report that ran no row, or a comparator that compared no word, is
 marked ``vacuous``.
 """
 
@@ -178,8 +181,18 @@ def _check_relations(m: _Model, cells, rec: _Recorder, tag: str) -> None:
 
 
 def _check_cell(m: _Model, c, rec: _Recorder, tag: str) -> None:
+    # the rows rebuild the same raw cells (face(c, j, om) for every i, say):
+    # each is normalized once per cell
+    normals: dict = {}
+
+    def normal(x):
+        y = normals.get(x)
+        if y is None:
+            y = normals[x] = m.normal(x)
+        return y
+
     def face(x, i, eps):
-        return m.normal(m.face_raw(x, i, eps))
+        return normal(m.face_raw(x, i, eps))
 
     n = c.degree
     for j in range(1, n + 1):
@@ -189,7 +202,7 @@ def _check_cell(m: _Model, c, rec: _Recorder, tag: str) -> None:
                     left = face(face(c, j, om), i, eps)
                     right = face(face(c, i, eps), j - 1, om)
                     rec.record(f"{tag}-FF", left == right, (c, i, j, eps, om))
-    home = m.normal(c)
+    home = normal(c)
     for j in range(1, m.slots(c) + 1):
         e = m.degeneracy_raw(c, j)  # raw; copies at positions j-1, j
         ps = m.positions(e)
@@ -200,12 +213,12 @@ def _check_cell(m: _Model, c, rec: _Recorder, tag: str) -> None:
         copies = []  # the splitting faces at the two copies
         for idx, p in enumerate(ps, start=1):
             for eps in (0, 1):
-                left = m.normal(m.face_raw(e, idx, eps))
+                left = face(e, idx, eps)
                 if p < j - 1:
-                    right = m.normal(m.degeneracy_raw(m.face_raw(c, idx, eps), j - eps))
+                    right = normal(m.degeneracy_raw(m.face_raw(c, idx, eps), j - eps))
                     rec.record(f"{tag}-A", left == right, (c, j, idx, eps))
                 elif p > j:
-                    right = m.normal(m.degeneracy_raw(m.face_raw(c, idx - 1, eps), j))
+                    right = normal(m.degeneracy_raw(m.face_raw(c, idx - 1, eps), j))
                     rec.record(f"{tag}-B", left == right, (c, j, idx, eps))
                 elif eps == 1:
                     rec.record(f"{tag}-Id", left == home, (c, j, idx))
@@ -214,8 +227,8 @@ def _check_cell(m: _Model, c, rec: _Recorder, tag: str) -> None:
         if len(copies) == 2:
             rec.record(f"{tag}-F", copies[0] == copies[1], (c, j))
         for i in range(j + 1, m.slots(e) + 1):
-            left = m.normal(m.degeneracy_raw(e, i))
-            right = m.normal(m.degeneracy_raw(m.degeneracy_raw(c, i - 1), j))
+            left = normal(m.degeneracy_raw(e, i))
+            right = normal(m.degeneracy_raw(m.degeneracy_raw(c, i - 1), j))
             rec.record(f"{tag}-EE", left == right, (c, j, i))
 
 

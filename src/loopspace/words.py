@@ -19,8 +19,8 @@ on Delta^n are the words of standard_simplex(n) from vertex 0 to n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
+from typing import NamedTuple
 
 from .cubes import _bead_normal_form, degeneracy_coordinate, face_coordinate
 from .simplicial import SimplexTerm, SimplicialPresentation, _inverse_pair, _split
@@ -30,8 +30,7 @@ class WordError(ValueError):
     pass
 
 
-@dataclass(frozen=True, order=True)
-class LoopWord:
+class LoopWord(NamedTuple):
     letters: tuple[SimplexTerm, ...]
     start: str
     end: str

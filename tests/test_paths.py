@@ -12,6 +12,7 @@ from loopspace.paths import (
     act,
     cover_graph,
     covering_report,
+    cube_cells,
     path_canonical,
     path_degeneracy_raw,
     path_degeneracy_slots,
@@ -20,6 +21,7 @@ from loopspace.paths import (
     to_adjacency,
     to_dot,
 )
+from loopspace.simplicial import standard_simplex
 from loopspace.suites import random_loop_cells, random_path_cells
 from loopspace.words import (
     canonical,
@@ -237,3 +239,48 @@ class TestNormalFormOracle:
             for r in raws:
                 assert (canonical(zx, r.letters, r.start)
                         == canonical_reference(zx, r.letters, r.start)), r
+
+
+def field_tuple(x):
+    """x as nested plain tuples of its fields: the order a frozen dataclass
+    with ``order=True`` compares by."""
+    return tuple(map(field_tuple, x)) if isinstance(x, tuple) else x
+
+
+class TestValueTypes:
+    """Simplices, loop words and path cells are immutable values, ordered by
+    their field tuples, and no two kinds of them compare equal."""
+
+    def values(self, fixtures):
+        zx = fixtures["bd2"]
+        terms = [zx.term(g) for g in zx.generators]
+        terms += [zx.degenerate(t, j) for t in terms for j in range(t.dim + 1)]
+        words = [w for d in range(3) for w in enumerate_words(zx, d, 3, "0", "0")]
+        words += random_loop_cells(zx, random.Random(2), 30)
+        cells = random_path_cells(zx, random.Random(3), 30)
+        cells += [c for _, c in cube_cells(standard_simplex(3), True)]
+        return terms, words, cells
+
+    def test_immutable(self, fixtures):
+        for kind in self.values(fixtures):
+            x = kind[-1]
+            for name in x._fields:
+                with pytest.raises(AttributeError):
+                    setattr(x, name, getattr(x, name))
+
+    def test_sorted_by_field_tuples(self, fixtures):
+        rng = random.Random(4)
+        for kind in self.values(fixtures):
+            shuffled = kind[:]
+            rng.shuffle(shuffled)
+            assert sorted(shuffled) == sorted(kind, key=field_tuple)
+        zx = fixtures["bd3"]
+        for d in range(3):
+            ws = enumerate_words(zx, d, 3, "0", "0")
+            assert ws == sorted(ws, key=lambda w: (len(w.letters), field_tuple(w.letters)))
+
+    def test_no_equality_across_kinds(self, fixtures):
+        terms, words, cells = self.values(fixtures)
+        for a, b in ((terms, words), (terms, cells), (words, cells)):
+            assert not any(x == y for x in a for y in b)
+            assert not set(a) & set(b)

@@ -17,6 +17,7 @@ from loopspace.simplicial import (
     SimplexTerm,
     SimplicialError,
     SimplicialPresentation,
+    _split,
     boundary_simplex,
     from_facets,
     sphere_quotient,
@@ -164,6 +165,16 @@ class TestFaceOracle:
         with pytest.raises(SimplicialError, match="dimension >= 1"):
             zx.face(zx.term("x0"), 0)
 
+    def test_split_out_of_range(self):
+        zx = sphere_quotient(2)
+        t = zx.term("sigma")
+        for bad in (-1, 3):
+            with pytest.raises(SimplicialError,
+                               match=re.escape(f"split index {bad} out of range for dimension 2")):
+                _split(zx, t, bad)
+        with pytest.raises(SimplicialError, match="unknown generator 'nowhere'"):
+            _split(zx, SimplexTerm(GeneratorId("nowhere", 0), (1,)), 0)
+
 
 def walk_endpoints(zx, t):
     """First and last vertex of t by iterated last and zeroth faces
@@ -175,6 +186,42 @@ def walk_endpoints(zx, t):
     while hi.dim > 0:
         hi = zx.face(hi, 0)
     return lo.generator.name, hi.generator.name
+
+
+def walk_split(zx, t, i):
+    """Front i-face and back (dim - i)-face of t by iterated last and
+    zeroth faces (reference for the split table)."""
+    front, back = t, t
+    while front.dim > i:
+        front = zx.face(front, front.dim)
+    while back.dim > t.dim - i:
+        back = zx.face(back, 0)
+    return front, back
+
+
+def terms_with_copies(zx, most=3):
+    """Every generator of zx and every degenerate term on it with up to
+    ``most`` extra vertex copies."""
+    for name in zx.generators:
+        layer = {zx.term(name)}
+        for _ in range(most + 1):
+            yield from sorted(layer)
+            layer = {zx.degenerate(t, j) for t in layer for j in range(t.dim + 1)}
+
+
+class TestSplitTable:
+    def test_matches_face_walk(self, fixtures):
+        # sphere_quotient(n) is here because its faces are degenerate
+        docs = sorted(DATA.glob("*.json"))
+        assert docs
+        built = [sphere_quotient(3), sphere_quotient(4)]
+        pairs = 0
+        for zx in list(fixtures.values()) + built + [load_complex(p) for p in docs]:
+            for t in terms_with_copies(zx):
+                for i in range(t.dim + 1):
+                    assert _split(zx, t, i) == walk_split(zx, t, i), (zx.name, t, i)
+                    pairs += 1
+        assert pairs > 2500
 
 
 class TestEndpointTable:

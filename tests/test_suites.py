@@ -34,6 +34,22 @@ class TestRowCounts:
         assert report["ok"] and report["checks"] == GOLDEN[key]
 
 
+class TestNormalMemo:
+    @pytest.mark.parametrize("tag, n, model", [("cube", 4, _word_model), ("cube-aug", 3, _path_model)])
+    def test_one_normal_form_per_raw_input(self, tag, n, model):
+        # the cells of cubical_suite(None, cube_n=3), one cell at a time
+        delta = standard_simplex(n)
+        m = model(delta)
+        rec = _Recorder()
+        for _, c in cube_cells(delta, tag == "cube-aug"):
+            inputs = []
+            counted = m._replace(normal=lambda x: inputs.append(x) or m.normal(x))
+            _check_relations(counted, [c], rec, tag)
+            assert inputs and len(inputs) == len(set(inputs)), c
+        rows = {k: v for k, v in GOLDEN["none"].items() if k.rsplit("-", 1)[0] == tag}
+        assert rec.report()["ok"] and rec.counts == rows
+
+
 def _failed_rows(model, cells, tag):
     rec = _Recorder()
     _check_relations(model, cells, rec, tag)
