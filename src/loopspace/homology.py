@@ -17,17 +17,14 @@ construction is, so its boundary is the derivation fixed by its values on
 letters: each matrix column is a signed sum of the word with one letter t
 replaced by a term of d(t), and d(t) is taken once per distinct letter.
 
-Free ranks and torsion come from Smith normal form in two phases.  The
-boundary matrices are sparse and mostly +-1, so phase 1 removes unit
-pivots on sparse rows (Kaczynski-Mrozek-Slusarek 1998; Dumas-Saunders-
-Villard 2001): clearing a +-1 entry's column by row operations splits
-off a summand [+-1], an invariant factor 1 that divides all the rest.
-The pivots come from a priority queue keyed by Markowitz cost (Markowitz
-1957), whose row and column counts are kept current as elimination runs;
+Free ranks and torsion come from Smith normal form by one sparse
+elimination (Kaczynski-Mrozek-Slusarek 1998; Dumas-Saunders-Villard
+2001).  The boundary matrices are sparse and mostly +-1, so unit pivots
+come first, from a priority queue keyed by Markowitz cost (Markowitz
+1957) whose row and column counts are kept current as elimination runs;
 costs are refreshed lazily, so the order is approximately Markowitz.
-Phase 2 runs dense minimal-magnitude reduction only on the small residual
-block, modulo twice a nonzero minor of full rank so that entries stay
-bounded (Hafner-McCurley 1991).
+When the units run out, the smallest entries pivot, and Euclidean row and
+column steps reduce each one until it splits off.
 """
 
 from __future__ import annotations
@@ -67,25 +64,29 @@ class SparseIntMatrix:
 def smith_normal_form(matrix: SparseIntMatrix | list[list[int]]) -> tuple[int, ...]:
     """Invariant factors (d_1 | d_2 | ...) of an integer matrix.
 
-    Phase 1 works on sparse rows and removes unit pivots: it takes an
-    entry u = +-1, clears u's column by row operations, drops u's row and
-    column and counts one invariant factor 1.  This is exact: once the
-    column is clear, column operations clear u's row without touching any
-    other row, so the matrix is equivalent to [u] + (the rest), and a
-    leading 1 divides every later factor; so any order of unit pivots
-    gives the same factors.  The pivots come from a queue of (cost, row,
-    column) ordered by Markowitz cost (row nonzeros - 1) * (column nonzeros
-    - 1), ties to the lowest position.  Every +-1 entry is queued once at
+    One elimination loop on sparse rows takes its pivots from a queue of
+    (key, row, column), ties to the lowest position.  A pivot u clears its
+    column by row operations with quotient floor(v / u).  For a unit this
+    is exact; otherwise it leaves remainders smaller than |u| in the
+    column, and they pivot next.  Once u is alone in its column, column
+    operations reduce its row modulo u without touching another row, and
+    what is left of the row pivots next.  When nothing is, the matrix is
+    [u] + (the rest), and |u| splits off.
+
+    Units pivot first, keyed by Markowitz cost (row nonzeros - 1) *
+    (column nonzeros - 1); a split-off 1 divides every later factor, so
+    their order does not change the factors.  Every +-1 entry is queued at
     the start; after each elimination the queue gets the entries the row
     operations set to +-1 (fill-in included), the +-1 entries of rows that
     got shorter, and the entry of each column left with one row, at cost
-    0.  A popped candidate whose row is gone or whose entry is no longer
-    +-1 is dropped, and one whose cost rose goes back with its new cost.
-    A cost that fell only because a column got shorter is not refreshed,
-    and its candidate comes out late, so the order is approximately
-    Markowitz.  Phase 2 (``_dense_smith_normal_form``) reduces the residual
-    block, the rows and columns that still hold entries; with no unit
-    entry that block is the whole matrix.
+    0.  A popped candidate whose entry is gone (or, while units last, is
+    no longer +-1) is dropped, and one whose key rose goes back with its
+    new key.  A cost that fell only because a column got shorter is not
+    refreshed, so the order is approximately Markowitz.  Whenever the
+    queue runs dry with entries left, every entry is queued by (|entry|,
+    cost); the remainders are queued as they are made.  Last, gcd/lcm
+    steps on neighbours put the sorted non-unit pivots in divisibility
+    order, in one linear pass when they already form a chain.
 
     A list-of-lists input must be rectangular (``HomologyError`` names
     the first short row).
@@ -99,26 +100,35 @@ def smith_normal_form(matrix: SparseIntMatrix | list[list[int]]) -> tuple[int, .
     def cost(i: int, j: int) -> int:
         return (len(rows[i]) - 1) * (len(cols[j]) - 1)
 
+    def size_and_cost(i: int, j: int) -> tuple[int, int]:
+        return abs(rows[i][j]), cost(i, j)
+
+    key = cost  # until the units run out
     queue = [(cost(i, j), i, j) for i, row in rows.items() for j, v in row.items()
              if v == 1 or v == -1]
     heapify(queue)
-    units = 0
-    while queue:
+    units, others = 0, []
+    while rows:
+        if not queue:
+            key = size_and_cost
+            queue = [(key(i, j), i, j) for i, row in rows.items() for j in row]
+            heapify(queue)
         c, p, q = heappop(queue)
         prow = rows.get(p)
-        if prow is None or prow.get(q) not in (1, -1):
+        u = prow.get(q) if prow else None
+        if u is None or key is cost and u != 1 and u != -1:
             continue
-        now = cost(p, q)
+        now = key(p, q)
         if now > c:
             heappush(queue, (now, p, q))
             continue
-        del rows[p]
-        u = prow[q]
-        fresh = set()  # unit entries to queue once the elimination is done
+        fresh = set()  # entries to queue once the elimination is done
         for i in cols[q] - {p}:
             row = rows[i]
+            f = row[q] // u
+            if not f:  # row[q] is already its own remainder
+                continue
             before = len(row)
-            f = row[q] * u  # u is its own inverse
             for j, v in prow.items():
                 w = row.get(j, 0) - f * v
                 if w:
@@ -134,6 +144,29 @@ def smith_normal_form(matrix: SparseIntMatrix | list[list[int]]) -> tuple[int, .
                 del rows[i]
             elif len(row) < before:
                 fresh.update((i, j) for j, v in row.items() if v == 1 or v == -1)
+        if u == 1 or u == -1:
+            units += 1
+        else:
+            if len(cols[q]) == 1:
+                # u is alone in its column, so column operations reduce its
+                # row modulo u and touch no other row
+                for j, v in list(prow.items()):
+                    if w := v % u:
+                        prow[j] = w
+                    elif j != q:
+                        del prow[j]
+                        cols[j].discard(p)
+                        if not cols[j]:
+                            del cols[j]
+            # the remainders, in u's column if the row operations left any
+            # there, else in its row, pivot next, and u after them
+            line = [(i, q) for i in cols[q]] if len(cols[q]) > 1 else [(p, j) for j in prow]
+            if len(line) > 1:
+                for i, j in fresh.union(line):
+                    heappush(queue, (key(i, j), i, j))
+                continue
+            others.append(abs(u))
+        del rows[p]
         for j in prow:
             col = cols[j]
             col.discard(p)
@@ -144,16 +177,18 @@ def smith_normal_form(matrix: SparseIntMatrix | list[list[int]]) -> tuple[int, .
                 if rows[i][j] in (1, -1):
                     fresh.add((i, j))
         for i, j in fresh:
-            heappush(queue, (cost(i, j), i, j))
-        units += 1
-    place = {j: k for k, j in enumerate(sorted(cols))}
-    residual = []
-    for row in rows.values():
-        dense = [0] * len(place)
-        for j, v in row.items():
-            dense[place[j]] = v
-        residual.append(dense)
-    return (1,) * units + _dense_smith_normal_form(residual)
+            heappush(queue, (key(i, j), i, j))
+    others.sort()
+    ordered = False
+    while not ordered:  # each gcd/lcm step sorts the pair's exponent of every prime
+        ordered = True
+        for k in range(len(others) - 1):
+            a, b = others[k], others[k + 1]
+            if b % a:
+                g = gcd(a, b)
+                others[k], others[k + 1] = g, a // g * b
+                ordered = False
+    return (1,) * units + tuple(others)
 
 
 def _sparse_rows(matrix: SparseIntMatrix | list[list[int]]) -> dict[int, dict[int, int]]:
@@ -175,114 +210,6 @@ def _sparse_rows(matrix: SparseIntMatrix | list[list[int]]) -> dict[int, dict[in
             rows[i] = row
     return rows
 
-
-def _rank_and_minor(m: list[list[int]]) -> tuple[int, int]:
-    """Rank r of a dense matrix and |det| of one nonzero r x r minor.
-
-    Fraction-free (Bareiss) elimination with full pivoting: every entry it
-    holds is a minor of ``m``, so entry sizes stay polynomial.
-    """
-    a = [row[:] for row in m]
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    prev = 1
-    k = 0
-    while k < min(rows, cols):
-        pivot = next(
-            ((i, j) for i in range(k, rows) for j in range(k, cols) if a[i][j]), None
-        )
-        if pivot is None:
-            break
-        pi, pj = pivot
-        a[k], a[pi] = a[pi], a[k]
-        for row in a:
-            row[k], row[pj] = row[pj], row[k]
-        for i in range(k + 1, rows):
-            for j in range(k + 1, cols):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-        k += 1
-    return k, abs(prev)
-
-
-def _dense_smith_normal_form(m: list[list[int]]) -> tuple[int, ...]:
-    """Invariant factors of a dense rectangular matrix, reduced in place.
-
-    Row/column reduction with the minimal-magnitude entry as pivot, done in
-    the integers modulo M = 2 |det B| for a nonzero r x r minor B, r the
-    rank.  Every nonzero invariant factor d divides det B, so d equals
-    gcd(d, M) and is not 0 mod M: the reduction mod M keeps all r factors,
-    and each pivot's gcd with M is the factor itself.  Reducing mod M
-    bounds every entry by M; without it, the Euclidean row and column steps
-    can grow entries without bound (past a thousand digits on 20 x 20 blocks
-    with entries in -3..3).
-    """
-    rank, minor = _rank_and_minor(m)
-    if rank == 0:
-        return ()
-    mod, half = 2 * minor, minor  # entries kept in [-half, half)
-    rows = len(m)
-    cols = len(m[0])
-    for row in m:
-        row[:] = [(v + half) % mod - half for v in row]
-    factors: list[int] = []
-    top = 0
-    while True:
-        pivot = None
-        best = None
-        for i in range(top, rows):
-            for j in range(top, cols):
-                v = abs(m[i][j])
-                if v and (best is None or v < best):
-                    best = v
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        pi, pj = pivot
-        m[top], m[pi] = m[pi], m[top]
-        for row in m:
-            row[top], row[pj] = row[pj], row[top]
-        while True:
-            # clear the pivot column; a remainder is smaller than the pivot,
-            # so it is its own residue and the pivot shrinks until done
-            done = True
-            for i in range(top + 1, rows):
-                if m[i][top]:
-                    q = m[i][top] // m[top][top]
-                    for j in range(top, cols):
-                        m[i][j] = (m[i][j] - q * m[top][j] + half) % mod - half
-                    if m[i][top]:  # remainder became the smaller pivot
-                        m[top], m[i] = m[i], m[top]
-                        done = False
-            for j in range(top + 1, cols):
-                if m[top][j]:
-                    q = m[top][j] // m[top][top]
-                    for i in range(top, rows):
-                        m[i][j] = (m[i][j] - q * m[i][top] + half) % mod - half
-                    if m[top][j]:
-                        for i in range(top, rows):
-                            m[i][top], m[i][j] = m[i][j], m[i][top]
-                        done = False
-            if done:
-                break
-        # make the pivot divide the rest of the block (mod M, the pivot is
-        # an associate of its gcd with M)
-        p = gcd(m[top][top], mod)
-        fixed = False
-        for i in range(top + 1, rows):
-            for j in range(top + 1, cols):
-                if m[i][j] % p:
-                    for jj in range(top, cols):
-                        m[top][jj] = (m[top][jj] + m[i][jj] + half) % mod - half
-                    fixed = True
-                    break
-            if fixed:
-                break
-        if fixed:
-            continue
-        factors.append(p)
-        top += 1
-    return tuple(factors)
 
 
 # -- bases and boundary matrices --------------------------------------------

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .cubes import degeneracy_coordinate, face_coordinate
-from .simplicial import SimplexTerm, SimplicialPresentation, _simplex_name, _split
+from .simplicial import SimplexTerm, SimplicialPresentation, _split, simplex_namer
 from .words import LoopWord, _normal_word, compose, enumerate_words
 
 
@@ -112,6 +112,7 @@ def cube_cells(
     3^(n-1) plain and 3^n augmented cells.
     """
     n, first = zx.max_dim, 0 if augmented else 1
+    simplex_name = simplex_namer(g.name for g in zx.generators_of_dim(0))
     cells = []
     for choice in itertools.product("dkc", repeat=n - first):
         blocks, block = [], [] if augmented else [0]
@@ -122,7 +123,7 @@ def cube_cells(
                 blocks.append(tuple(block))
                 block = [v]
         blocks.append(tuple(block + [n]))
-        beads = tuple(zx.term(_simplex_name([str(v) for v in b])) for b in blocks)
+        beads = tuple(zx.term(simplex_name(str(v) for v in b)) for b in blocks)
         tail = LoopWord(beads[1:], str(blocks[0][-1]), str(n))
         cells.append((tuple(blocks), PathCell(beads[0], tail) if augmented
                       else LoopWord(beads, "0", str(n))))

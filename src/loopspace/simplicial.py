@@ -15,7 +15,7 @@ same table.  Formal edge inverses are attached by ``z_extension``.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 OP_SUFFIX = "^op"
 
@@ -312,10 +312,12 @@ def _inverse_pair(zx: SimplicialPresentation, a: SimplexTerm, b: SimplexTerm) ->
 # -- builders -------------------------------------------------------------
 
 
-def _simplex_name(vertices: Sequence[str]) -> str:
-    if all(len(v) == 1 for v in vertices):
-        return "".join(vertices)
-    return ",".join(vertices)
+def simplex_namer(vertices: Iterable[str]) -> Callable[[Iterable[str]], str]:
+    """How ``from_facets`` names the simplices of a complex with these
+    vertex names: it concatenates the names of a simplex's vertices when
+    every vertex name has one character, and joins them with ',' otherwise,
+    so that the edge on 1 and 2 and a vertex 12 get different names."""
+    return ("" if all(len(v) == 1 for v in vertices) else ",").join
 
 
 def from_facets(
@@ -343,7 +345,8 @@ def from_facets(
     for facet in facets:
         for r in range(1, len(facet) + 1):
             subsets.update(itertools.combinations(facet, r))
-    gens = [GeneratorId(_simplex_name(s), len(s) - 1) for s in sorted(subsets, key=lambda s: ([rank[v] for v in s],))]
+    simplex_name = simplex_namer(vertices)
+    gens = [GeneratorId(simplex_name(s), len(s) - 1) for s in sorted(subsets, key=lambda s: ([rank[v] for v in s],))]
     faces = {}
     for s in subsets:
         if len(s) == 1:
@@ -351,8 +354,8 @@ def from_facets(
         entries = []
         for i in range(len(s)):
             sub = s[:i] + s[i + 1 :]
-            entries.append(_nondegenerate(GeneratorId(_simplex_name(sub), len(sub) - 1)))
-        faces[_simplex_name(s)] = tuple(entries)
+            entries.append(_nondegenerate(GeneratorId(simplex_name(sub), len(sub) - 1)))
+        faces[simplex_name(s)] = tuple(entries)
     return SimplicialPresentation(name, gens, faces, basepoint or vertices[0])
 
 

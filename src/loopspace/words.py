@@ -234,7 +234,10 @@ def enumerate_words(
     length bound and endpoints, in deterministic order."""
     if max_length is None:
         if zx.generators_of_dim(1):
-            raise WordError("unbounded enumeration needs a complex without edges")
+            raise WordError(
+                f"{zx.name} has edges, so its words have no length bound: "
+                "bound the word length (--max-len)"
+            )
         max_length = max(degree, 1)
     pool = letter_pool(zx)
     found: list[LoopWord] = []

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from loopspace import cobar
 from loopspace.cli import main
 from loopspace.fileformat import complex_to_dict, save_complex
 from loopspace.simplicial import boundary_simplex, wedge_of_circles
@@ -44,6 +45,17 @@ class TestValidate:
         assert code == 2 and out == ""
         assert err.startswith("error: cannot read ") and argv[-1].split(":")[-1] in err
 
+    def test_vertex_named_like_an_edge(self, capsys, tmp_path):
+        # the edge on 1 and 2 and the vertex 12 were both named '12', and
+        # the file was refused: duplicate generator name '12', exit 2
+        path = tmp_path / "two.facets"
+        path.write_text("0 1 2\n0 2 12\n")
+        code, out, _ = run(capsys, "validate", "--builtin", f"facets:{path}")
+        assert code == 0 and out == "two+op: ok\n"
+        code, out, _ = run(capsys, "homology", "--builtin", f"facets:{path}",
+                           "--degree", "1", "--max-weight", "3")
+        assert code == 0 and out.splitlines() == ["H_0  = Z^3", "H_1  = 0", "# truncated at weight 3"]
+
     def test_reports_non_simplicial(self, capsys, non_simplicial):
         code, out, _ = run(capsys, "validate", non_simplicial)
         assert code == 1 and "d1 d2 != d1 d1 on 012" in out
@@ -81,6 +93,11 @@ class TestCells:
         # each once exited 0, dropping the flag or the complex
         code, out, err = run(capsys, "cells", *argv)
         assert code == 2 and out == "" and message in err
+
+    def test_edges_need_a_length_bound(self, capsys):
+        code, out, err = run(capsys, "cells", "--builtin", "boundary-simplex:2", "--degree", "0")
+        assert code == 2 and out == ""
+        assert "has edges" in err and "(--max-len)" in err
 
     def test_word_cells(self, capsys):
         code, out, _ = run(capsys, "cells", "--builtin", "wedge:2",
@@ -128,6 +145,20 @@ class TestCheck:
         _, out, _ = run(capsys, "check", *argv, "--json")
         doc = json.loads(out)
         assert doc["vacuous"] is True and doc["ok"] is True
+
+    def test_theorem2_mismatch_fails(self, capsys, monkeypatch):
+        # the cobar side negated: both variants report a mismatch
+        original = cobar.cobar_boundary
+
+        def flipped(zx, m, variant="de"):
+            return {k: -c for k, c in original(zx, m, variant).items()}
+
+        monkeypatch.setattr(cobar, "cobar_boundary", flipped)
+        code, out, _ = run(capsys, "check", "--builtin", "boundary-simplex:3",
+                           "--suite", "theorem2", "--degree", "3")
+        assert code == 1
+        assert out.splitlines()[0] == "boundary-delta3+op suite=theorem2: fail"
+        assert "  FAIL theorem2-de: " in out and "  FAIL theorem2-normalized: " in out
 
     @pytest.mark.parametrize("argv, interior", [
         (("--builtin", "sphere:2"), 1),
@@ -415,3 +446,61 @@ class TestEdgePairing:
         code, out, err = run(capsys, argv[0], _document(tmp_path, doc), *argv[1:])
         assert code == 2 and out == ""
         assert "'a2'" in err and "pair every edge or none" in err
+
+
+def _same_way_pairs(doc):
+    """Pair every edge with a new one: 01 with b, which runs from 0 to 1
+    as 01 does, and the others with their reversals."""
+    doc["op_pairs"] = {}
+    for g in list(doc["generators"]):
+        other = "b" if g["name"] == "01" else g["name"] + "^op"
+        faces = g["faces"] if other == "b" else g["faces"][::-1]
+        doc["generators"].append({"name": other, "dim": 1, "faces": faces})
+        doc["op_pairs"][g["name"]] = other
+
+
+def _set(key, value):
+    def edit(doc):
+        doc[key] = value
+    return edit
+
+
+def _set_edge(key, value):
+    def edit(doc):
+        doc["generators"][0][key] = value
+    return edit
+
+
+class TestRefusals:
+    """Malformed input that no other test reaches: each is refused with a
+    message that names the fault.  The documents are data/triangle.json
+    (the edges 01, 02, 12) with one fault put in."""
+
+    @pytest.mark.parametrize("argv, edit, status, message", [
+        (("boundary", "--builtin", "boundary-simplex:3", "--word", "01;23"), None, 2,
+         "word not composable at 23: 1 != 2"),
+        (("validate",), _set_edge("faces", [{"generator": "02"}, {"generator": "0"}]), 2,
+         "face of '01' has dimension 1, expected 0"),
+        (("validate",), _set("basepoint", "01"), 2, "basepoint must be a 0-generator"),
+        (("validate",), _set("basepoint", "9"), 2, "unknown basepoint '9'"),
+        (("validate",), lambda doc: doc["generators"].append(dict(doc["generators"][0])), 2,
+         "duplicate generator name '01'"),
+        (("validate",), _set_edge("dim", -1), 2, "negative dimension for '01'"),
+        (("validate",), _same_way_pairs, 1, "d0(b) != d1(01)"),
+        (("homology", "--degree", "1", "--max-weight", "3"), _same_way_pairs, 2,
+         "d0(b) != d1(01)"),
+    ], ids=["word-not-composable", "face-dimension", "basepoint-on-edge", "unknown-basepoint",
+            "duplicate-generator", "negative-dim", "same-way-pair-validate",
+            "same-way-pair-homology"])
+    def test_refused(self, capsys, tmp_path, argv, edit, status, message):
+        if edit is not None:
+            doc = json.loads((Path(__file__).resolve().parent.parent / "data" / "triangle.json")
+                             .read_text())
+            edit(doc)
+            argv = (argv[0], _document(tmp_path, doc), *argv[1:])
+        code, out, err = run(capsys, *argv)
+        assert code == status
+        if status == 2:
+            assert out == "" and err.startswith("error: ") and message in err
+        else:  # validate lists every violation
+            assert "4 violation(s)" in out and message in out and err == ""

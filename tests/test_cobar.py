@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from loopspace.chains import add_into
+from loopspace import cobar as cobar_module
+from loopspace.chains import add_into, boundary_word
 from loopspace.cobar import (
     aw_reduced,
     cobar_boundary,
@@ -16,6 +17,7 @@ from loopspace.simplicial import (
     GeneratorId,
     SimplexTerm,
     SimplicialPresentation,
+    boundary_simplex,
 )
 from loopspace.words import enumerate_words
 
@@ -109,6 +111,35 @@ class TestComparator:
         assert report["ok"], report["mismatches"][:3]
         if key not in ("bd2", "wedge2"):  # no cells above dimension 1
             assert report["checked"] > 0
+
+    @pytest.mark.parametrize("variant", ["de", "normalized"])
+    @pytest.mark.parametrize("n, words", [(3, 32), (4, 288)])
+    def test_every_listed_word_is_checked(self, variant, n, words):
+        zx = boundary_simplex(n).z_extension()
+        base = zx.basepoint
+        listed = sum(len(enumerate_words(zx, d, 4, base, base)) for d in range(1, 5))
+        report = compare_theorem2(zx, 4, 4, variant)
+        assert report["ok"] and report["checked"] == listed == words
+
+    def test_sign_flip_is_a_mismatch(self, fixtures, monkeypatch):
+        # with the cobar side negated, every word whose boundary is not 0
+        # is reported, with twice its chain-side boundary as the difference
+        def flipped(zx, m, variant="de"):
+            return {k: -c for k, c in cobar_boundary(zx, m, variant).items()}
+
+        monkeypatch.setattr(cobar_module, "cobar_boundary", flipped)
+        zx = fixtures["bd3"]
+        report = compare_theorem2(zx, 3, 3, "de")
+        base = zx.basepoint
+        want = []
+        for d in range(1, 4):
+            for w in enumerate_words(zx, d, 3, base, base):
+                chain = boundary_word(zx, w, "de")
+                if chain:
+                    want.append((str(w), {str(f): 2 * c for f, c in
+                                          sorted(chain.items(), key=lambda kv: str(kv[0]))}))
+        assert want and report["mismatches"] == want
+        assert not report["ok"]
 
     @pytest.mark.parametrize("variant", ["de", "normalized"])
     def test_relator_complex_agrees(self, variant):

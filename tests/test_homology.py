@@ -1,15 +1,16 @@
 import random
+from heapq import heapify
+from pathlib import Path
 
 import pytest
-from snf_oracles import minors_gcd_invariants, rank
+from snf_oracles import dense_smith_normal_form, minors_gcd_invariants, rank
 
 from loopspace import homology as homology_module
 from loopspace.chains import Ring, boundary_word, is_killed
-from loopspace.fileformat import parse_word
+from loopspace.fileformat import load_complex, parse_word
 from loopspace.homology import (
     HomologyError,
     SparseIntMatrix,
-    _dense_smith_normal_form,
     boundary_matrix,
     degree_bases,
     degree_basis,
@@ -116,8 +117,9 @@ class TestSmithNormalForm:
 
 
 def dense_reference(rows):
-    """Phase 2 alone on the whole matrix: the reference for the two-phase path."""
-    return _dense_smith_normal_form([r[:] for r in rows])
+    """The dense reduction of the whole matrix: the reference for the
+    sparse elimination."""
+    return dense_smith_normal_form([r[:] for r in rows])
 
 
 def as_sparse(rows, cols):
@@ -149,16 +151,18 @@ def planted_udv(rng, rows, cols, factors):
 
 
 @pytest.fixture
-def phase2_shapes(monkeypatch):
-    """Shapes of the blocks that reach phase 2, in call order."""
-    shapes = []
+def queued(monkeypatch):
+    """How many entries each ``heapify`` of ``smith_normal_form`` gets, in
+    call order: one call for the units, and one more for every entry left
+    when they run out."""
+    sizes = []
 
-    def spy(m):
-        shapes.append((len(m), len(m[0]) if m else 0))
-        return _dense_smith_normal_form(m)
+    def spy(queue):
+        sizes.append(len(queue))
+        heapify(queue)
 
-    monkeypatch.setattr(homology_module, "_dense_smith_normal_form", spy)
-    return shapes
+    monkeypatch.setattr(homology_module, "heapify", spy)
+    return sizes
 
 
 class TestUnitPivotElimination:
@@ -172,54 +176,86 @@ class TestUnitPivotElimination:
             assert smith_normal_form(rows) == want, rows
             assert smith_normal_form(as_sparse(rows, n)) == want, rows
 
+    def test_no_unit_entries_against_dense(self):
+        # every pivot is a non-unit at first, so the Euclidean steps, the
+        # row reduction and the final ordering all run
+        rng = random.Random(37)
+        for _ in range(60):
+            m, n = rng.randint(1, 12), rng.randint(1, 16)
+            density = rng.uniform(0.1, 0.9)
+            rows = [[rng.choice((-5, -4, -3, -2, 2, 3, 4, 5)) if rng.random() < density else 0
+                     for _ in range(n)] for _ in range(m)]
+            want = dense_reference(rows)
+            assert smith_normal_form(rows) == want, rows
+            assert smith_normal_form(as_sparse(rows, n)) == want, rows
+
+    def test_non_unit_pivots_in_divisibility_order(self, monkeypatch):
+        # diag(2, 4, 6, 9): the exponents of 2 and of 3 are each sorted
+        rows = [[0] * 4 for _ in range(4)]
+        for k, d in enumerate((6, 4, 9, 2)):
+            rows[k][3 - k] = d
+        assert smith_normal_form(rows) == minors_gcd_invariants(rows) == (1, 2, 6, 36)
+        # pivots that already form a chain are ordered without a gcd
+        calls = []
+        monkeypatch.setattr(homology_module, "gcd", lambda a, b: calls.append((a, b)))
+        chain = SparseIntMatrix(3000, 3000)
+        for k in range(3000):
+            chain.set(k, k, 2 if k % 7 else 6)
+        assert smith_normal_form(chain) == (2,) * 2571 + (6,) * 429
+        assert calls == []
+
     @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_planted_factors(self, seed, phase2_shapes):
+    def test_planted_factors(self, seed, queued):
         rng = random.Random(seed)
         factors = (1,) * 12 + (2, 6, 12, 60)
         rows = planted_udv(rng, 20, 30, factors)
         assert dense_reference(rows) == factors
         assert smith_normal_form(rows) == factors
         assert smith_normal_form(as_sparse(rows, 30)) == factors
-        # phase 2 sees only the residual block, never the whole matrix
-        assert all(r < 20 and c < 30 for r, c in phase2_shapes), phase2_shapes
+        # the units leave part of the matrix, the same part for both inputs
+        units, left = queued[:2]
+        assert queued == [units, left] * 2, queued
+        assert left < sum(1 for r in rows for v in r if v), queued
 
-    def test_units_made_by_row_operations_are_queued(self, phase2_shapes):
+    def test_units_made_by_row_operations_are_queued(self, queued):
         # the second unit exists only after the first pivot: 3 - 2 = 1
         assert smith_normal_form([[1, 2], [1, 3]]) == (1, 1)
         # here it is fill-in in a row that keeps its length, in a column
         # that keeps two rows: row 1 becomes (0, -1, 2), and only the entry
         # the row operation made can bring it to the queue
         assert smith_normal_form([[1, 1, 0], [1, 0, 2], [0, 2, 2]]) == (1, 1, 6)
-        assert phase2_shapes == [(0, 0), (1, 1)]
+        # the units leave nothing of the first matrix, one entry of the second
+        assert queued == [2, 3, 1]
 
     @pytest.mark.parametrize("seed", [1, 2])
-    def test_planted_factors_at_scale(self, seed, phase2_shapes):
+    def test_planted_factors_at_scale(self, seed, queued):
         rng = random.Random(seed)
         factors = (1,) * 296 + (2, 6, 12, 60)
         rows = planted_udv(rng, 512, 1024, factors)
         assert smith_normal_form(rows) == factors
-        # the residual blocks were 9 x 5 and 8 x 11 with the full-rescan
-        # pivot search, and are no larger with the queue
-        (shape,) = phase2_shapes
-        assert shape[0] <= 12 and shape[1] <= 12, shape
+        # the units leave no more entries than a 12 x 12 block holds (the
+        # full-rescan pivot search left blocks of 9 x 5 and 8 x 11)
+        _, left = queued
+        assert left <= 12 * 12, queued
 
-    def test_no_unit_entry_goes_whole_to_phase_2(self, phase2_shapes):
+    def test_no_unit_entry_goes_whole_to_phase_2(self, queued):
         rng = random.Random(5)
         rows = [[2 * rng.randint(-3, 3) for _ in range(7)] for _ in range(6)]
         rows[0][0] = 4  # at least one nonzero entry
         want = dense_reference(rows)
         assert all(t % 2 == 0 for t in want)
         assert smith_normal_form(rows) == want
-        assert phase2_shapes == [(sum(1 for r in rows if any(r)), 7)]
+        # no unit is queued, and then every entry is
+        assert queued == [0, sum(1 for r in rows for v in r if v)]
 
-    def test_permutation_and_empty_shapes(self, phase2_shapes):
+    def test_permutation_and_empty_shapes(self, queued):
         rows = [[0] * 6 for _ in range(6)]
         for i, j in enumerate(random.Random(9).sample(range(6), 6)):
             rows[i][j] = (-1) ** i
         assert dense_reference(rows) == (1,) * 6
         assert smith_normal_form(rows) == (1,) * 6
         assert smith_normal_form(as_sparse(rows, 6)) == (1,) * 6
-        assert phase2_shapes == [(0, 0), (0, 0)]
+        assert queued == [6, 6]
         assert smith_normal_form([[0] * 4 for _ in range(3)]) == ()
         assert smith_normal_form(SparseIntMatrix(3, 4)) == ()
         assert smith_normal_form([]) == ()
@@ -399,6 +435,22 @@ class TestLoopHomology:
         for g in table.groups:
             want = 1 if g.degree % step == 0 else 0
             assert (g.free_rank, g.torsion) == (want, ()), g
+
+    @pytest.mark.parametrize("variant, top", [("normalized", 12), ("de", 8)])
+    def test_moore_space(self, variant, top):
+        # M(Z/2, 2) is Sigma RP^2 up to homotopy, and no d_n has a unit
+        # entry; Bott-Samelson gives H_n = (Z/2)^F_n for n >= 1, F_n the
+        # Fibonacci numbers with F_1 = F_2 = 1
+        zx = load_complex(Path(__file__).resolve().parent.parent / "data" / "moore2.json")
+        table = homology(zx.z_extension(), top, variant)
+        fib = [0, 1]
+        while len(fib) <= top:
+            fib.append(fib[-1] + fib[-2])
+        assert table.max_weight is None
+        assert [(g.free_rank, g.torsion) for g in table.groups] == \
+            [(1, ())] + [(0, (2,) * fib[n]) for n in range(1, top + 1)]
+        assert list(field_dimensions(table, Ring.prime_field(2)).values())[:5] == [1, 1, 2, 3, 5]
+        assert field_dimensions(table, Ring.rationals()) == {0: 1, **dict.fromkeys(range(1, top + 1), 0)}
 
     def test_basis_sizes_and_nonzeros(self, fixtures):
         zx = fixtures["sphere3"]

@@ -93,6 +93,20 @@ class TestBuilders:
         with pytest.raises(SimplicialError):
             from_facets([["1", "0"], ["0", "1"]])
 
+    def test_simplex_names_keep_apart(self):
+        # with per-simplex naming, the edge on 1 and 2 and the vertex 12 were
+        # both named '12', and both complexes were refused as duplicates
+        zx = from_facets([["0", "1", "2"], ["0", "2", "12"]])
+        assert {"1,2", "12", "0,2,12"} <= set(zx.generators)
+        assert zx.validate() == []
+        zx = standard_simplex(12)
+        assert len(zx.generators) == 2 ** 13 - 1
+        assert {"12", "1,2", "0,1,2,3,4,5,6,7,8,9,10,11,12"} <= set(zx.generators)
+        # one-character vertex names are concatenated, as before
+        assert "0123456789" in standard_simplex(9).generators
+        with pytest.raises(SimplicialError, match="duplicate generator name 'a,b'"):
+            from_facets([["a", "b"], ["a,b"]])
+
     def test_validate_all_builders(self):
         for zx in (standard_simplex(3), boundary_simplex(3), sphere_quotient(3),
                    wedge_of_circles(3)):
