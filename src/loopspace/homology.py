@@ -19,12 +19,13 @@ replaced by a term of d(t), and d(t) is taken once per distinct letter.
 
 Free ranks and torsion come from Smith normal form by one sparse
 elimination (Kaczynski-Mrozek-Slusarek 1998; Dumas-Saunders-Villard
-2001).  The boundary matrices are sparse and mostly +-1, so unit pivots
-come first, from a priority queue keyed by Markowitz cost (Markowitz
-1957) whose row and column counts are kept current as elimination runs;
-costs are refreshed lazily, so the order is approximately Markowitz.
-When the units run out, the smallest entries pivot, and Euclidean row and
-column steps reduce each one until it splits off.
+2001).  Its priority queue holds rows, keyed by their smallest |entry|
+and then their length, and a row goes back on it only when an
+elimination changes it.  The boundary matrices are sparse and mostly
++-1, so unit pivots come first, each in the shortest column among its
+row's units: the order is approximately Markowitz (Markowitz 1957).
+When the units run out, the smallest entries pivot, and Euclidean row
+and column steps reduce each one until it splits off.
 """
 
 from __future__ import annotations
@@ -64,29 +65,25 @@ class SparseIntMatrix:
 def smith_normal_form(matrix: SparseIntMatrix | list[list[int]]) -> tuple[int, ...]:
     """Invariant factors (d_1 | d_2 | ...) of an integer matrix.
 
-    One elimination loop on sparse rows takes its pivots from a queue of
-    (key, row, column), ties to the lowest position.  A pivot u clears its
-    column by row operations with quotient floor(v / u).  For a unit this
-    is exact; otherwise it leaves remainders smaller than |u| in the
-    column, and they pivot next.  Once u is alone in its column, column
-    operations reduce its row modulo u without touching another row, and
-    what is left of the row pivots next.  When nothing is, the matrix is
-    [u] + (the rest), and |u| splits off.
+    One elimination loop on sparse rows takes its pivot rows from a queue
+    keyed by (smallest |entry| of the row, row length), ties to the lowest
+    row.  ``keys`` holds the one queued key of each live row, and a popped
+    key that is not that one is dropped.  A row an elimination changes is
+    queued again when its key changed, and the pivot row if it stays, so
+    the popped row holds a smallest entry of the whole matrix.  Its pivot
+    u is a smallest entry whose column has the fewest rows (ties to the
+    lowest column): units pivot first, in approximately Markowitz order
+    (Markowitz 1957), and a split-off 1 divides every later factor, so
+    their order does not change the factors.
 
-    Units pivot first, keyed by Markowitz cost (row nonzeros - 1) *
-    (column nonzeros - 1); a split-off 1 divides every later factor, so
-    their order does not change the factors.  Every +-1 entry is queued at
-    the start; after each elimination the queue gets the entries the row
-    operations set to +-1 (fill-in included), the +-1 entries of rows that
-    got shorter, and the entry of each column left with one row, at cost
-    0.  A popped candidate whose entry is gone (or, while units last, is
-    no longer +-1) is dropped, and one whose key rose goes back with its
-    new key.  A cost that fell only because a column got shorter is not
-    refreshed, so the order is approximately Markowitz.  Whenever the
-    queue runs dry with entries left, every entry is queued by (|entry|,
-    cost); the remainders are queued as they are made.  Last, gcd/lcm
-    steps on neighbours put the sorted non-unit pivots in divisibility
-    order, in one linear pass when they already form a chain.
+    u clears its column by row operations with quotient floor(v / u).  For
+    a unit this is exact; otherwise it leaves remainders smaller than |u|
+    in the column, and they pivot next.  Once u is alone in its column,
+    column operations reduce its row modulo u without touching another
+    row, and what is left of the row pivots next.  When nothing is, the
+    matrix is [u] + (the rest), and |u| splits off.  Last, gcd/lcm steps
+    on neighbours put the sorted pivots in divisibility order, in one
+    linear pass when they already form a chain.
 
     A list-of-lists input must be rectangular (``HomologyError`` names
     the first short row).
@@ -97,98 +94,75 @@ def smith_normal_form(matrix: SparseIntMatrix | list[list[int]]) -> tuple[int, .
         for j in row:
             cols.setdefault(j, set()).add(i)
 
-    def cost(i: int, j: int) -> int:
-        return (len(rows[i]) - 1) * (len(cols[j]) - 1)
+    def key(i: int) -> tuple[int, int, int]:
+        row = rows[i]
+        return min(map(abs, row.values())), len(row), i
 
-    def size_and_cost(i: int, j: int) -> tuple[int, int]:
-        return abs(rows[i][j]), cost(i, j)
-
-    key = cost  # until the units run out
-    queue = [(cost(i, j), i, j) for i, row in rows.items() for j, v in row.items()
-             if v == 1 or v == -1]
+    keys = {i: key(i) for i in rows}
+    queue = list(keys.values())
     heapify(queue)
-    units, others = 0, []
-    while rows:
-        if not queue:
-            key = size_and_cost
-            queue = [(key(i, j), i, j) for i, row in rows.items() for j in row]
-            heapify(queue)
-        c, p, q = heappop(queue)
-        prow = rows.get(p)
-        u = prow.get(q) if prow else None
-        if u is None or key is cost and u != 1 and u != -1:
+    pivots = []
+    while queue:
+        top = heappop(queue)
+        size, _, p = top
+        if keys.get(p) is not top:  # p was queued again, or is gone
             continue
-        now = key(p, q)
-        if now > c:
-            heappush(queue, (now, p, q))
-            continue
-        fresh = set()  # entries to queue once the elimination is done
+        del keys[p]
+        prow = rows[p]
+        _, q = min((len(cols[j]), j) for j, v in prow.items() if v == size or v == -size)
+        u = prow[q]
+        changed = []
         for i in cols[q] - {p}:
             row = rows[i]
-            f = row[q] // u
-            if not f:  # row[q] is already its own remainder
-                continue
-            before = len(row)
+            f = row[q] // u  # not 0: |row[q]| >= |u|
             for j, v in prow.items():
                 w = row.get(j, 0) - f * v
                 if w:
                     if j not in row:
                         cols[j].add(i)
                     row[j] = w
-                    if w == 1 or w == -1:
-                        fresh.add((i, j))
                 else:
                     del row[j]
                     cols[j].discard(i)
-            if not row:
-                del rows[i]
-            elif len(row) < before:
-                fresh.update((i, j) for j, v in row.items() if v == 1 or v == -1)
-        if u == 1 or u == -1:
-            units += 1
+            changed.append(i)
+        if size > 1 and len(cols[q]) == 1:
+            # u is alone in its column, so column operations reduce its row
+            # modulo u and touch no other row
+            for j, v in list(prow.items()):
+                if w := v % u:
+                    prow[j] = w
+                elif j != q:
+                    del prow[j]
+                    cols[j].discard(p)
+                    if not cols[j]:
+                        del cols[j]
+        if size == 1 or len(prow) == len(cols[q]) == 1:
+            pivots.append(size)
+            del rows[p]
+            for j in prow:
+                col = cols[j]
+                col.discard(p)
+                if not col:
+                    del cols[j]
         else:
-            if len(cols[q]) == 1:
-                # u is alone in its column, so column operations reduce its
-                # row modulo u and touch no other row
-                for j, v in list(prow.items()):
-                    if w := v % u:
-                        prow[j] = w
-                    elif j != q:
-                        del prow[j]
-                        cols[j].discard(p)
-                        if not cols[j]:
-                            del cols[j]
-            # the remainders, in u's column if the row operations left any
-            # there, else in its row, pivot next, and u after them
-            line = [(i, q) for i in cols[q]] if len(cols[q]) > 1 else [(p, j) for j in prow]
-            if len(line) > 1:
-                for i, j in fresh.union(line):
-                    heappush(queue, (key(i, j), i, j))
-                continue
-            others.append(abs(u))
-        del rows[p]
-        for j in prow:
-            col = cols[j]
-            col.discard(p)
-            if not col:
-                del cols[j]
-            elif len(col) == 1:  # a column singleton costs 0
-                (i,) = col
-                if rows[i][j] in (1, -1):
-                    fresh.add((i, j))
-        for i, j in fresh:
-            heappush(queue, (key(i, j), i, j))
-    others.sort()
+            changed.append(p)  # u pivots again, after the remainders
+        for i in changed:
+            if not rows[i]:
+                del rows[i], keys[i]
+            elif (k := key(i)) != keys.get(i):
+                keys[i] = k
+                heappush(queue, k)
+    pivots.sort()
     ordered = False
     while not ordered:  # each gcd/lcm step sorts the pair's exponent of every prime
         ordered = True
-        for k in range(len(others) - 1):
-            a, b = others[k], others[k + 1]
+        for k in range(len(pivots) - 1):
+            a, b = pivots[k], pivots[k + 1]
             if b % a:
                 g = gcd(a, b)
-                others[k], others[k + 1] = g, a // g * b
+                pivots[k], pivots[k + 1] = g, a // g * b
                 ordered = False
-    return (1,) * units + tuple(others)
+    return tuple(pivots)
 
 
 def _sparse_rows(matrix: SparseIntMatrix | list[list[int]]) -> dict[int, dict[int, int]]:

@@ -489,9 +489,15 @@ class TestRefusals:
         (("validate",), _same_way_pairs, 1, "d0(b) != d1(01)"),
         (("homology", "--degree", "1", "--max-weight", "3"), _same_way_pairs, 2,
          "d0(b) != d1(01)"),
+        # trial division up to sqrt(P) ran for minutes on this P, and P**0.5
+        # overflowed on one of more than 308 digits
+        (("homology", "--builtin", "sphere:2", "--degree", "1",
+          "--coeff", "p:1000000000000000000000000000057"), None, 2, "below 2^31"),
+        (("boundary", "--builtin", "sphere:2", "--word", "sigma",
+          "--coeff", f"p:{10 ** 400 + 7}"), None, 2, "below 2^31"),
     ], ids=["word-not-composable", "face-dimension", "basepoint-on-edge", "unknown-basepoint",
             "duplicate-generator", "negative-dim", "same-way-pair-validate",
-            "same-way-pair-homology"])
+            "same-way-pair-homology", "prime-too-large-homology", "prime-too-large-boundary"])
     def test_refused(self, capsys, tmp_path, argv, edit, status, message):
         if edit is not None:
             doc = json.loads((Path(__file__).resolve().parent.parent / "data" / "triangle.json")
