@@ -24,6 +24,7 @@ from .simplicial import SimplicialPresentation
 from .words import LoopWord, compose, word_face
 
 VARIANTS = ("de", "normalized")
+PRIME_BOUND = 2**31  # GF(p) takes p below this
 
 
 class ChainError(ValueError):
@@ -49,8 +50,8 @@ class Ring:
     def prime_field(p: int) -> "Ring":
         """GF(p) for a prime p < 2^31, so trial division tries fewer than
         46 341 divisors."""
-        if p >= 2**31:
-            raise ChainError("the prime must be below 2^31 = 2147483648")
+        if p >= PRIME_BOUND:
+            raise ChainError(f"the prime must be below 2^31 = {PRIME_BOUND}")
         if p < 2 or any(p % q == 0 for q in range(2, isqrt(p) + 1)):
             raise ChainError(f"{p} is not prime")
         return Ring(f"GF({p})", p)

@@ -14,7 +14,7 @@ import argparse
 import json
 import sys
 
-from .chains import VARIANTS, ChainError, Ring, boundary_word
+from .chains import PRIME_BOUND, VARIANTS, ChainError, Ring, boundary_word
 from .fileformat import parse_word, resolve_complex, resolve_model
 from .homology import field_dimensions, homology
 from .paths import cover_graph, covering_report, cube_cells, to_adjacency, to_dot
@@ -96,8 +96,12 @@ def _ring(spec: str) -> Ring:
     if spec == "q":
         return Ring.rationals()
     if spec.startswith("p:") and spec[2:].isdecimal():
+        digits = spec[2:].lstrip("0") or "0"
+        # int() refuses more than 4 300 digits; a longer string than the
+        # bound's is at least the bound, which prime_field refuses
+        p = int(digits) if len(digits) <= len(str(PRIME_BOUND)) else PRIME_BOUND
         try:
-            return Ring.prime_field(int(spec[2:]))
+            return Ring.prime_field(p)
         except ChainError as exc:
             raise CliError(f"coefficient ring {spec!r}: {exc}") from None
     raise CliError(f"unknown coefficient ring {spec!r} (use z, q, or p:<prime>)")

@@ -5,11 +5,12 @@ edge-inverted presentation: the truncated differential keeps only the
 interior faces, the reduced diagonal is the Alexander-Whitney splitting
 without its primitive terms, and monomials are composable sequences of
 letters between basepoints, modulo cancellation of adjacent inverse edge
-pairs.  Letters that are positive-degree degeneracies of a vertex vanish
-(all degenerate letters, in the normalized variant).  The comparator
-translates monomials to loop words letterwise and checks that the two
-differentials agree -- the central cross-implementation oracle for the
-sign system.
+pairs (``hat_reduce``, a stack of whole letters; the word model's bead
+normal form lives in ``words``).  Letters that are positive-degree
+degeneracies of a vertex vanish (all degenerate letters, in the
+normalized variant).  The comparator translates monomials to loop words
+letterwise and checks that the two differentials agree -- the central
+cross-implementation oracle for the sign system.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .chains import VARIANTS, Chain, add_into, boundary_word, is_killed
-from .cubes import _bead_normal_form
 from .simplicial import SimplexTerm, SimplicialPresentation, _inverse_pair, _split
 from .words import canonical, enumerate_words, unit
 
@@ -43,14 +43,17 @@ class CobarMonomial:
 def hat_reduce(
     zx: SimplicialPresentation, letters: tuple[SimplexTerm, ...]
 ) -> tuple[SimplexTerm, ...]:
-    """Cancel adjacent inverse edge pairs until none remain: the bead normal
-    form of letters taken whole as cores, with no duplicates to pool, where
-    a degenerate edge is a letter of positive degree and cancels nothing."""
-    beads, _ = _bead_normal_form(
-        ((t, [1, 1]) for t in letters), 0,
-        lambda a, b: a.is_nondegenerate and b.is_nondegenerate and _inverse_pair(zx, a, b),
-    )
-    return tuple(t for t, _ in beads)
+    """Cancel adjacent inverse edge pairs until none remain.  Letters are
+    taken whole, and a degenerate edge is a letter of positive degree that
+    cancels nothing, so it stays between the letters on either side."""
+    out: list[SimplexTerm] = []
+    for t in letters:
+        if (out and _inverse_pair(zx, out[-1], t)
+                and t.is_nondegenerate and out[-1].is_nondegenerate):
+            out.pop()
+        else:
+            out.append(t)
+    return tuple(out)
 
 
 def monomial(

@@ -1,75 +1,25 @@
-"""The bead normal form and the necklace coordinate map, shared by loop
-words and path cells.
+"""The necklace coordinate map, shared by loop words and path cells.
 
 A loop word's beads are its letters; a path cell's are its base, the head
 of the necklace, and its tail's letters.  The cube on a standard simplex
 is no separate object: its cells are the necklaces of standard_simplex(n)
 from vertex 0 to n (loop words), and its augmented cells the path cells
 whose tail ends at n (``paths.cube_cells`` lists both).  Cells are
-compared through their normal form (``_bead_normal_form``): constant beads
-dissolve, and the free duplicates at a junction, which may sit on either
-side, are pooled and handed to the right-hand bead.  The coordinate map
-(``face_coordinate``, ``degeneracy_coordinate``, ``face_coordinates``)
-finds, from the bead dimensions and whether the first bead is a head, the
-bead and vertex a face coordinate or a degeneracy slot addresses, and
-where that vertex sits in the necklace.
+compared through the one bead normal form, ``words._normal_word``:
+constant beads dissolve, and the free duplicates at a junction, which may
+sit on either side, are pooled and handed to the right-hand bead.
+``dup_canonical`` pools the same way on cube cells given as label blocks,
+with nothing to cancel.  The coordinate map (``face_coordinate``,
+``degeneracy_coordinate``, ``face_coordinates``) finds, from the bead
+dimensions and whether the first bead is a head, the bead and vertex a
+face coordinate or a degeneracy slot addresses, and where that vertex sits
+in the necklace.
 """
 
 from __future__ import annotations
 
 from itertools import groupby
-from typing import Callable, Iterable, Sequence
-
-
-# -- the bead normal form ----------------------------------------------------
-
-
-def _bead_normal_form(
-    beads: Iterable[tuple[object, Sequence[int]]],
-    pool: int = 0,
-    cancellable: Callable[[object, object], bool] | None = None,
-) -> tuple[list[tuple[object, list[int]]], int]:
-    """Normal form of a necklace of beads.
-
-    Each bead is (core, mult): its distinct vertices and how many times
-    each one repeats.  The duplicates of a bead's first and last vertex are
-    free: they pool at the junction, which starts with ``pool`` duplicates
-    handed over by a head in front of the necklace.  A constant bead (one
-    vertex) dissolves into its junction and sheds one duplicate.  Adjacent
-    cores a, b with ``cancellable(a, b)`` cancel when no duplicate sits
-    between them, and the pools on either side merge.
-
-    Returns the surviving cores with their multiplicities, each junction's
-    duplicates on the right-hand bead and the last junction's on the last
-    bead, and the number of duplicates left over when no core survives.
-    """
-    dups = [pool]
-    cores: list[object] = []
-    middles: list[list[int]] = []
-    for core, mult in beads:
-        if len(mult) == 1:
-            dups[-1] += max(mult[0] - 2, 0)
-        else:
-            dups[-1] += mult[0] - 1
-            cores.append(core)
-            middles.append(mult[1:-1])
-            dups.append(mult[-1] - 1)
-    if cancellable is not None:
-        # leftmost pair first; a cancellation can only enable the pair
-        # that now straddles the merged junction
-        i = 0
-        while i < len(cores) - 1:
-            if dups[i + 1] or not cancellable(cores[i], cores[i + 1]):
-                i += 1
-                continue
-            del cores[i : i + 2], middles[i : i + 2]
-            dups[i : i + 3] = [dups[i] + dups[i + 2]]
-            i = max(i - 1, 0)
-    if not cores:
-        return [], dups[0]
-    out = [(c, [dups[i] + 1, *middles[i], 1]) for i, c in enumerate(cores)]
-    out[-1][1][-1] += dups[-1]
-    return out, 0
+from typing import Iterable, Sequence
 
 
 def dup_canonical(augmented: bool, blocks: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
@@ -82,10 +32,18 @@ def dup_canonical(augmented: bool, blocks: Sequence[Sequence[int]]) -> tuple[tup
     if augmented:
         core, mult = runs.pop(0)
         out, pool = [list(zip(core, (*mult[:-1], 1)))], mult[-1] - 1
-    beads, left = _bead_normal_form(runs, pool)
+    beads = []
+    for core, mult in runs:
+        if len(core) == 1:  # a constant bead dissolves and sheds one duplicate
+            pool += max(mult[0] - 2, 0)
+        else:  # the junction's duplicates go to the bead after it
+            beads.append((core, [pool + mult[0], *mult[1:-1], 1]))
+            pool = mult[-1] - 1
+    if beads:
+        beads[-1][1][-1] += pool
+    elif pool:  # nothing survived the head: its duplicates form a constant bead
+        out.append([(out[0][-1][0], pool + 2)])
     out += [list(zip(core, mult)) for core, mult in beads]
-    if left:  # nothing survived the head: its duplicates form a constant bead
-        out.append([(out[0][-1][0], left + 2)])
     return tuple(tuple(v for v, m in r for _ in range(m)) for r in out)
 
 

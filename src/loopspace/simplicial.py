@@ -15,6 +15,7 @@ same table.  Formal edge inverses are attached by ``z_extension``.
 from __future__ import annotations
 
 import itertools
+from functools import cached_property
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 OP_SUFFIX = "^op"
@@ -29,21 +30,38 @@ class GeneratorId(NamedTuple):
     dim: int
 
 
-class SimplexTerm(NamedTuple):
-    """A (possibly degenerate) simplex: a generator and how many copies of
-    each of its vertices the simplex has.  By the Eilenberg-Zilber lemma
-    these fix the simplex: s_I g repeats the vertices of g in order."""
-
+class _SimplexFields(NamedTuple):
     generator: GeneratorId
     mult: tuple[int, ...]
+    dim: int
 
-    @property
-    def dim(self) -> int:
-        return sum(self.mult) - 1
+
+class SimplexTerm(_SimplexFields):
+    """A (possibly degenerate) simplex: a generator and how many copies of
+    each of its vertices the simplex has.  By the Eilenberg-Zilber lemma
+    these fix the simplex: s_I g repeats the vertices of g in order.
+
+    The dimension, sum(mult) - 1, is stored at construction, since every
+    word and face operation reads it.  It follows from ``mult``, so it
+    changes neither equality nor the order by field tuples."""
+
+    __slots__ = ()
+
+    def __new__(cls, generator: GeneratorId, mult: tuple[int, ...]) -> "SimplexTerm":
+        return tuple.__new__(cls, (generator, mult, sum(mult) - 1))
+
+    @classmethod
+    def _make(cls, fields: Iterable) -> "SimplexTerm":
+        # ``_replace`` builds through here: recompute dim from mult
+        generator, mult, *_ = fields
+        return cls(generator, mult)
+
+    def __getnewargs__(self) -> tuple[GeneratorId, tuple[int, ...]]:
+        return self.generator, self.mult
 
     @property
     def is_nondegenerate(self) -> bool:
-        return sum(self.mult) == len(self.mult)
+        return self.dim + 1 == len(self.mult)
 
     @property
     def degens(self) -> tuple[int, ...]:
@@ -163,6 +181,18 @@ class SimplicialPresentation:
     def max_dim(self) -> int:
         return max(g.dim for g in self.generators.values())
 
+    @cached_property
+    def letters_from(self) -> dict[str, list[tuple[SimplexTerm, str]]]:
+        """The nondegenerate simplices of dimension >= 1 by first vertex, each
+        with its last vertex, in order of dimension and then name: the
+        letters that words are built from, tabled on first use."""
+        table: dict[str, list[tuple[SimplexTerm, str]]] = {}
+        for g in sorted(self.generators.values(), key=lambda g: (g.dim, g.name)):
+            if g.dim:
+                lo, hi = self._endpoints[g.name]
+                table.setdefault(lo, []).append((_nondegenerate(g), hi))
+        return table
+
     def underlying_edges(self) -> list[GeneratorId]:
         """One 1-generator per edge of the complex: of an edge and its formal
         inverse, the one whose name sorts first."""
@@ -184,8 +214,7 @@ class SimplicialPresentation:
         if it has several; otherwise the generator's face at that vertex,
         each of whose vertices collects the copies of the block of the
         remaining vertices it collapses."""
-        mult = t.mult
-        dim = sum(mult) - 1
+        mult, dim = t.mult, t.dim
         if dim < 1:
             raise SimplicialError("faces are only defined in dimension >= 1")
         if not 0 <= i <= dim:
@@ -280,8 +309,8 @@ def _split(
     either side of i.  Both are the tabled faces of the generator at v with
     these multiplicities pushed forward, as ``face`` does."""
     mult = t.mult
-    if not 0 <= i < sum(mult):
-        raise SimplicialError(f"split index {i} out of range for dimension {sum(mult) - 1}")
+    if not 0 <= i <= t.dim:
+        raise SimplicialError(f"split index {i} out of range for dimension {t.dim}")
     try:
         table = zx._splits[t.generator.name]
     except KeyError:

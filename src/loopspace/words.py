@@ -10,20 +10,19 @@ of one letter's last vertex equals an extra copy of the next letter's
 first vertex), cancellation of adjacent inverse edge pairs, and
 absorption of unit letters.  Because cancellations can hide behind shifts
 in either direction, no one-directional rewriting is confluent; the
-canonical form is instead read off the bead normal form that path cells
-share (``cubes._bead_normal_form``), with each letter's vertex
-multiplicities as its bead, and the tests check it against the minimum of
-the finite orbit of a word under these moves.  The plain cells of the cube
-on Delta^n are the words of standard_simplex(n) from vertex 0 to n.
+canonical form is instead read off the bead normal form of the letters'
+vertex multiplicities (``_normal_word``, which path cells share), and the
+tests check it against the minimum of the finite orbit of a word under
+these moves.  The plain cells of the cube on Delta^n are the words of
+standard_simplex(n) from vertex 0 to n.
 """
 
 from __future__ import annotations
 
-from functools import partial
 from typing import NamedTuple
 
-from .cubes import _bead_normal_form, degeneracy_coordinate, face_coordinate
-from .simplicial import SimplexTerm, SimplicialPresentation, _inverse_pair, _split
+from .cubes import degeneracy_coordinate, face_coordinate
+from .simplicial import SimplexTerm, SimplicialError, SimplicialPresentation, _split
 
 
 class WordError(ValueError):
@@ -52,26 +51,6 @@ def unit(at: str) -> LoopWord:
     return LoopWord((), at, at)
 
 
-def check_composable(
-    zx: SimplicialPresentation, letters: tuple[SimplexTerm, ...]
-) -> tuple[str, str]:
-    """Endpoints of a composable raw word; raises on a mismatch."""
-    if not letters:
-        raise WordError("empty raw word has no endpoints; use unit(at)")
-    prev_max = None
-    start = None
-    for t in letters:
-        if t.dim < 1:
-            raise WordError(f"letter {t} must have dimension >= 1")
-        lo, hi = zx.endpoints(t)
-        if prev_max is not None and lo != prev_max:
-            raise WordError(f"word not composable at {t}: {prev_max} != {lo}")
-        if start is None:
-            start = lo
-        prev_max = hi
-    return start, prev_max
-
-
 def canonical(
     zx: SimplicialPresentation,
     letters: tuple[SimplexTerm, ...],
@@ -80,14 +59,14 @@ def canonical(
     """Canonical representative of the relation class of a raw word.
 
     Letters are beads with their nondegenerate simplices as cores, and the
-    class is the bead normal form of ``cubes._bead_normal_form``: the cores
-    left after every cancellation of an adjacent inverse edge pair with no
-    duplicate between them, and the number of duplicated vertices at each
-    position.  Vertex-collapse letters dissolve into duplicates at their
-    position, shedding one.  The representative assigns the duplicates of
-    each surviving junction to the first vertex of the right-hand letter,
-    those of the end to the last vertex of the last letter, and those of a
-    word with no core left to one vertex-collapse letter.
+    class is their bead normal form: the cores left after every
+    cancellation of an adjacent inverse edge pair with no duplicate between
+    them, and the number of duplicated vertices at each position.
+    Vertex-collapse letters dissolve into duplicates at their position,
+    shedding one.  The representative assigns the duplicates of each
+    surviving junction to the first vertex of the right-hand letter, those
+    of the end to the last vertex of the last letter, and those of a word
+    with no core left to one vertex-collapse letter.
     """
     if start is None:
         if not letters:
@@ -103,23 +82,64 @@ def _normal_word(
     pool: int = 0,
 ) -> LoopWord:
     """``canonical`` of the raw word from ``start`` with ``pool`` more free
-    duplicates at its start (those a path cell's base hands to its tail)."""
-    end = start
-    if letters:
-        s, end = check_composable(zx, letters)
-        if s != start:
-            raise WordError(f"declared start {start} does not match word start {s}")
-    beads, left = _bead_normal_form(
-        ((t, t.mult) for t in letters), pool, partial(_inverse_pair, zx)
-    )
-    if beads:
-        # an unchanged letter is reused, not rebuilt: long words share letters
-        out = (t if m == list(t.mult) else SimplexTerm(t.generator, tuple(m)) for t, m in beads)
-        return LoopWord(tuple(out), start, end)
-    if left:
-        letter = SimplexTerm(zx.generators[start], (left + 2,))
-        return LoopWord((letter,), start, start)
-    return unit(start)
+    duplicates at its start (those a path cell's base hands to its tail).
+
+    One pass over the letters checks each letter and junction, and keeps
+    a stack of the letters that survive, with ``dups[k]`` free duplicates
+    in front of ``kept[k]`` and ``dups[-1]`` at the current junction.  A
+    letter on a vertex dissolves into the junction and sheds one duplicate.
+    Any other letter pools its first vertex's duplicates into the junction,
+    then cancels against the top of the stack when the two are an inverse
+    edge pair and the junction is empty; the pools on either side merge.
+    Pools only grow, so a nonempty junction never empties and the pool in
+    front of a kept letter is final: the stack reaches the same cores as
+    cancelling pairs in any order.  A wrong declared start is reported
+    only after every letter and junction passed.
+    """
+    ends, inverse = zx._endpoints, zx.op_pairs
+    kept: list[SimplexTerm] = []
+    dups = [pool]
+    first = at = None
+    for t in letters:
+        if t.dim < 1:
+            raise WordError(f"letter {t} must have dimension >= 1")
+        try:
+            lo, hi = ends[t.generator.name]
+        except KeyError:
+            raise SimplicialError(f"unknown generator {t.generator.name!r}") from None
+        if at is None:
+            first = lo
+        elif lo != at:
+            raise WordError(f"word not composable at {t}: {at} != {lo}")
+        at = hi
+        mult = t.mult
+        if len(mult) == 1:
+            dups[-1] += mult[0] - 2
+            continue
+        d = dups[-1] + mult[0] - 1
+        if not d and kept and inverse.get(kept[-1].generator.name) == t.generator.name:
+            kept.pop()
+            dups.pop()
+            dups[-1] += mult[-1] - 1
+        else:
+            dups[-1] = d
+            kept.append(t)
+            dups.append(mult[-1] - 1)
+    if first is not None and first != start:
+        raise WordError(f"declared start {start} does not match word start {first}")
+    if not kept:
+        if dups[0]:
+            return LoopWord((SimplexTerm(zx.generators[start], (dups[0] + 2,)),), start, start)
+        return unit(start)
+    # each junction's duplicates go to the letter after it, the end's to the
+    # last letter; a letter already in that form is reused, not rebuilt
+    last = len(kept) - 1
+    for k, t in enumerate(kept):
+        mult = t.mult
+        lead, tail = dups[k] + 1, dups[-1] + 1 if k == last else 1
+        if mult[0] != lead or mult[-1] != tail:
+            kept[k] = SimplexTerm(t.generator, (lead, *mult[1:-1], tail))
+    return LoopWord(tuple(kept), start, at)
 
 
 def compose(zx: SimplicialPresentation, u: LoopWord, v: LoopWord) -> LoopWord:
@@ -216,13 +236,6 @@ def word_degeneracy(zx: SimplicialPresentation, w: LoopWord, j: int) -> LoopWord
 # -- enumeration -----------------------------------------------------------
 
 
-def letter_pool(zx: SimplicialPresentation) -> list[SimplexTerm]:
-    pool = []
-    for d in range(1, zx.max_dim + 1):
-        pool.extend(zx.term(g.name) for g in zx.generators_of_dim(d))
-    return pool
-
-
 def enumerate_words(
     zx: SimplicialPresentation,
     degree: int,
@@ -239,7 +252,7 @@ def enumerate_words(
                 "bound the word length (--max-len)"
             )
         max_length = max(degree, 1)
-    pool = letter_pool(zx)
+    letters_from, inverse = zx.letters_from, zx.op_pairs
     found: list[LoopWord] = []
     if degree == 0 and start == end:
         found.append(unit(start))
@@ -247,14 +260,10 @@ def enumerate_words(
     def extend(prefix: list[SimplexTerm], at: str, deg_left: int):
         if len(prefix) >= max_length:
             return
-        for t in pool:
+        banned = inverse.get(prefix[-1].generator.name) if prefix else None
+        for t, hi in letters_from.get(at, ()):
             d = t.dim - 1
-            if d > deg_left:
-                continue
-            lo, hi = zx.endpoints(t)
-            if lo != at:
-                continue
-            if prefix and _inverse_pair(zx, prefix[-1], t):
+            if d > deg_left or t.generator.name == banned:
                 continue
             prefix.append(t)
             if deg_left == d and hi == end:
@@ -268,27 +277,30 @@ def enumerate_words(
 
 
 def random_reduced_word(zx, rng, start: str, end: str, max_degree: int, max_length: int):
-    """A random reduced word between the endpoints, or the unit on failure."""
-    pool = letter_pool(zx)
+    """A random reduced word between the endpoints, or the unit on failure.
+
+    Each letter is drawn uniformly from the letters at the current vertex,
+    in ``letters_from`` order, that keep the degree within ``max_degree`` and
+    do not cancel the letter before."""
+    letters_from, inverse = zx.letters_from, zx.op_pairs
     for _ in range(60):
         target_len = rng.randint(0 if start == end else 1, max_length)
         letters: list[SimplexTerm] = []
-        at = start
+        at, degree, banned = start, 0, None
         ok = True
         for k in range(target_len):
             options = [
-                t
-                for t in pool
-                if zx.endpoints(t)[0] == at
-                and t.dim - 1 + sum(x.dim - 1 for x in letters) <= max_degree
-                and not (letters and _inverse_pair(zx, letters[-1], t))
+                (t, hi)
+                for t, hi in letters_from.get(at, ())
+                if degree + t.dim - 1 <= max_degree and t.generator.name != banned
             ]
             if not options:
                 ok = False
                 break
-            pick = options[rng.randrange(len(options))]
+            pick, at = options[rng.randrange(len(options))]
             letters.append(pick)
-            at = zx.endpoints(pick)[1]
+            degree += pick.dim - 1
+            banned = inverse.get(pick.generator.name)
         if ok and at == end and (letters or start == end):
             if not letters:
                 return unit(start)

@@ -495,9 +495,13 @@ class TestRefusals:
           "--coeff", "p:1000000000000000000000000000057"), None, 2, "below 2^31"),
         (("boundary", "--builtin", "sphere:2", "--word", "sigma",
           "--coeff", f"p:{10 ** 400 + 7}"), None, 2, "below 2^31"),
+        # more digits than int() converts by default
+        (("homology", "--builtin", "sphere:2", "--degree", "1",
+          "--coeff", "p:1" + "0" * 5000 + "7"), None, 2, "below 2^31"),
     ], ids=["word-not-composable", "face-dimension", "basepoint-on-edge", "unknown-basepoint",
             "duplicate-generator", "negative-dim", "same-way-pair-validate",
-            "same-way-pair-homology", "prime-too-large-homology", "prime-too-large-boundary"])
+            "same-way-pair-homology", "prime-too-large-homology", "prime-too-large-boundary",
+            "prime-too-many-digits"])
     def test_refused(self, capsys, tmp_path, argv, edit, status, message):
         if edit is not None:
             doc = json.loads((Path(__file__).resolve().parent.parent / "data" / "triangle.json")

@@ -54,6 +54,9 @@ class TestLetters:
         # degenerate edges do not cancel
         sa = zx.degenerate(a, 1)
         assert len(hat_reduce(zx, (sa, zx.op(a)))) == 2
+        # and stay in place, keeping the pair on either side apart
+        assert hat_reduce(zx, (a, sa, zx.op(a))) == (a, sa, zx.op(a))
+        assert hat_reduce(zx, (a, sa, zx.op(a), a, zx.op(a))) == (a, sa, zx.op(a))
 
     def test_monomial_vanishes_on_zero_letter(self, fixtures):
         zx = fixtures["sphere2"]

@@ -17,6 +17,7 @@ from loopspace.simplicial import (
     SimplexTerm,
     SimplicialError,
     SimplicialPresentation,
+    _push,
     _split,
     boundary_simplex,
     from_facets,
@@ -260,6 +261,27 @@ class TestEndpointTable:
         for dim in (0, 1):
             with pytest.raises(SimplicialError):
                 zx.endpoints(SimplexTerm(GeneratorId("nowhere", dim), (1,) * (dim + 1)))
+
+
+class TestStoredDimension:
+    """A simplex stores its dimension at construction; every operator, and
+    ``_replace``, must hand back one whose dim is sum(mult) - 1."""
+
+    def test_every_operator(self, fixtures):
+        made = 0
+        for zx in fixtures.values():
+            for t in terms_with_copies(zx, 2):
+                out = [t, t._replace(mult=(*t.mult[:-1], t.mult[-1] + 1)),
+                       t._replace(generator=t.generator)]
+                out += [zx.degenerate(t, j) for j in range(t.dim + 1)]
+                out += [zx.face(t, i) for i in range(t.dim + 1) if t.dim]
+                out += [half for i in range(t.dim + 1) for half in _split(zx, t, i)]
+                for f in zx.faces.get(t.generator.name, ()):
+                    out += [_push(f, (1,) * k + (3,) + (1,) * (f.dim - k)) for k in range(f.dim + 1)]
+                for x in out:
+                    assert type(x) is SimplexTerm and x.dim == sum(x.mult) - 1, (zx.name, t, x)
+                made += len(out)
+        assert made > 2000
 
 
 class TestEdgeInversion:

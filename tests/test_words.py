@@ -4,7 +4,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from word_oracles import orbit_minimum, reduce_word
 
-from loopspace.simplicial import sphere_quotient, wedge_of_circles
+from loopspace.simplicial import (
+    GeneratorId,
+    SimplexTerm,
+    SimplicialError,
+    sphere_quotient,
+    wedge_of_circles,
+)
 from loopspace.words import (
     LoopWord,
     WordError,
@@ -13,7 +19,6 @@ from loopspace.words import (
     degeneracy_slots,
     enumerate_words,
     invert,
-    letter_pool,
     power_decompose,
     random_reduced_word,
     unit,
@@ -24,18 +29,16 @@ from loopspace.words import (
 
 def random_raw_word(zx, rng, max_letters=3, max_degens=2):
     """A composable word with degeneracies sprinkled on the letters."""
-    pool = letter_pool(zx)
     at = zx.basepoint
     letters = []
     for _ in range(rng.randrange(1, max_letters + 1)):
-        options = [t for t in pool if zx.endpoints(t)[0] == at]
+        options = zx.letters_from.get(at)
         if not options:
             break
-        t = options[rng.randrange(len(options))]
+        t, at = options[rng.randrange(len(options))]
         for _ in range(rng.randrange(max_degens + 1)):
             t = zx.degenerate(t, rng.randrange(t.dim + 1))
         letters.append(t)
-        at = zx.endpoints(t)[1]
     return tuple(letters)
 
 
@@ -129,6 +132,28 @@ class TestCanonical:
             return
         w = canonical(zx, letters, zx.basepoint)
         assert canonical(zx, w.letters, w.start) == w
+
+
+class TestRefusals:
+    """``canonical`` checks every letter and junction in the same pass that
+    normalizes the word; a wrong declared start is reported after them."""
+
+    @pytest.mark.parametrize("names, message", [
+        (("12", "03"), "word not composable at 03: 2 != 0"),
+        (("12", "2"), "letter 2 must have dimension >= 1"),
+        (("12", "23"), "declared start 0 does not match word start 1"),
+    ])
+    def test_precedence(self, fixtures, names, message):
+        zx = fixtures["bd3"]
+        with pytest.raises(WordError, match=message):
+            canonical(zx, tuple(zx.term(n) for n in names), "0")
+
+    def test_unknown_generator(self, fixtures):
+        zx = fixtures["bd3"]
+        stray = SimplexTerm(GeneratorId("nowhere", 1), (1, 1))
+        for letters in ((stray,), (zx.term("01"), stray)):
+            with pytest.raises(SimplicialError, match="unknown generator 'nowhere'"):
+                canonical(zx, letters, "0")
 
 
 class TestFacesAndDegeneracies:

@@ -18,13 +18,27 @@ from simplex_oracles import term_from_word
 
 from loopspace.paths import PathCell, PathError
 from loopspace.simplicial import SimplexTerm, SimplicialPresentation
-from loopspace.words import (
-    LoopWord,
-    WordError,
-    check_composable,
-    unit,
-    word_degeneracy,
-)
+from loopspace.words import LoopWord, WordError, unit, word_degeneracy
+
+
+def check_composable(
+    zx: SimplicialPresentation, letters: tuple[SimplexTerm, ...]
+) -> tuple[str, str]:
+    """Endpoints of a composable raw word; raises on a mismatch."""
+    if not letters:
+        raise WordError("empty raw word has no endpoints; use unit(at)")
+    prev_max = None
+    start = None
+    for t in letters:
+        if t.dim < 1:
+            raise WordError(f"letter {t} must have dimension >= 1")
+        lo, hi = zx.endpoints(t)
+        if prev_max is not None and lo != prev_max:
+            raise WordError(f"word not composable at {t}: {prev_max} != {lo}")
+        if start is None:
+            start = lo
+        prev_max = hi
+    return start, prev_max
 
 
 def _cancellable(zx: SimplicialPresentation, a: SimplexTerm, b: SimplexTerm) -> bool:
