@@ -15,7 +15,8 @@ a junction or an end is what the variant kills), so the basis is listed
 by placing the duplicates.  The chain algebra is a dga, as Adams' cobar
 construction is, so its boundary is the derivation fixed by its values on
 letters: each matrix column is a signed sum of the word with one letter t
-replaced by a term of d(t), and d(t) is taken once per distinct letter.
+replaced by a term of d(t), and d(t) is taken once per distinct letter in
+one ``homology`` call, for all of its matrices.
 
 Free ranks and torsion come from Smith normal form by one sparse
 elimination (Kaczynski-Mrozek-Slusarek 1998; Dumas-Saunders-Villard
@@ -30,9 +31,10 @@ and column steps reduce each one until it splits off.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
-from itertools import combinations
+from itertools import combinations, product
 from math import gcd
 
 from .chains import VARIANTS, Ring, boundary_word
@@ -216,10 +218,12 @@ def degree_bases(
     of E_d (d <= n) whose letters carry n - d extra duplicates on their
     interior vertices, 1..dim-1 of each letter: a duplicate at a junction
     or an end is what the variant kills, and a degeneracy keeps the
-    letters' cores and the length.  So the basis is listed directly, by
-    placing the duplicates on the d interior vertices of each reduced word
-    in every way (stars and bars), with no canonical form taken.  Each
-    basis is sorted by (length, letters).
+    letters' cores and the length.  So the basis is listed directly, with
+    no canonical form taken: the n - d duplicates are split among the
+    letters in every way, and each letter's share is placed on its
+    interior vertices in every way.  The placements of k duplicates on a
+    letter are built once per call and shared by every word that uses
+    them.  Each basis is sorted by (length, letters).
     """
     if variant not in VARIANTS:
         raise HomologyError(f"unknown variant {variant!r}")
@@ -229,36 +233,56 @@ def degree_bases(
     reduced = [enumerate_words(zx, n, lengths[n], base, base) for n in range(top + 1)]
     if variant == "normalized":
         return reduced
+    placements: dict[tuple[SimplexTerm, int], tuple[SimplexTerm, ...]] = {}
     bases: list[list[LoopWord]] = []
     for n in range(top + 1):
         basis = []
         for d in range(n + 1):
             for w in reduced[d]:
                 if lengths[n] is None or len(w.letters) <= lengths[n]:
-                    basis.extend(_interior_duplicates(w, n - d))
+                    basis.extend(_interior_duplicates(w, n - d, placements))
         basis.sort(key=lambda w: (len(w.letters), w.letters))
         bases.append(basis)
     return bases
 
 
-def _interior_duplicates(w: LoopWord, extra: int) -> list[LoopWord]:
+def _interior_duplicates(
+    w: LoopWord,
+    extra: int,
+    placements: dict[tuple[SimplexTerm, int], tuple[SimplexTerm, ...]],
+) -> list[LoopWord]:
     """The words made from the reduced word w by ``extra`` more duplicates
-    of the interior vertices of its letters, one word per placement."""
+    of the interior vertices of its letters, one word per placement: each
+    split of ``extra`` among the letters of dimension >= 2, times the
+    placements of each letter's share.  ``placements`` tables the letter
+    t with k duplicates, every placement, under (t, k)."""
     if not extra:
         return [w]
-    slots = w.degree  # a letter of dimension m has m - 1 interior vertices
-    if not slots:
+    inner = [k for k, t in enumerate(w.letters) if t.dim > 1]
+    if not inner:
         return []
     out = []
-    width = extra + slots - 1
-    for bars in combinations(range(width), slots - 1):
-        counts = iter([b - a - 1 for a, b in zip((-1, *bars), (*bars, width))])
-        letters = []
-        for t in w.letters:
-            mult = (1, *(1 + next(counts) for _ in range(t.dim - 1)), 1)
-            letters.append(SimplexTerm(t.generator, mult))
-        out.append(LoopWord(tuple(letters), w.start, w.end))
+    for shares in _compositions(extra, len(inner)):
+        choices: list[tuple[SimplexTerm, ...]] = [(t,) for t in w.letters]
+        for k, share in zip(inner, shares):
+            t = w.letters[k]
+            choice = placements.get((t, share))
+            if choice is None:
+                choice = placements[(t, share)] = tuple(
+                    SimplexTerm(t.generator, (1, *(1 + c for c in counts), 1))
+                    for counts in _compositions(share, t.dim - 1)
+                )
+            choices[k] = choice
+        out.extend(LoopWord(letters, w.start, w.end) for letters in product(*choices))
     return out
+
+
+def _compositions(total: int, parts: int) -> Iterator[list[int]]:
+    """Every way to write total as an ordered sum of ``parts`` numbers
+    >= 0 (stars and bars)."""
+    width = total + parts - 1
+    for bars in combinations(range(width), parts - 1):
+        yield [b - a - 1 for a, b in zip((-1, *bars), (*bars, width))]
 
 
 def degree_basis(
@@ -277,6 +301,7 @@ def boundary_matrix(
     domain: list[LoopWord],
     codomain: list[LoopWord],
     variant: str = "normalized",
+    letter_boundary: dict[SimplexTerm, list[tuple[tuple[SimplexTerm, ...], int]]] | None = None,
 ) -> tuple[SparseIntMatrix, list[LoopWord], list[LoopWord]]:
     """Matrix of the boundary from the domain basis to the codomain basis.
 
@@ -284,15 +309,19 @@ def boundary_matrix(
     domain words.  The boundary is the derivation fixed by its values on
     letters, d(t_1...t_m) = sum_k (-1)^e t_1...t_{k-1} d(t_k) t_{k+1}...t_m
     with e the degree of t_1...t_{k-1}; d(t) is ``chains.boundary_word`` of
-    the one-letter word, computed once per distinct letter in this call.
+    the one-letter word, computed once per distinct letter in this call
+    and kept in ``letter_boundary`` (letter -> [(term letters, coefficient)]
+    for this zx and variant).  ``homology`` passes one table to every
+    matrix it assembles; without one, a fresh table is used.
     The pieces of a canonical word the variant keeps are canonical and
     kept, and so is each term of d(t), so a term is their plain
-    concatenation, unless the letters meeting at a junction are an inverse
+    concatenation, unless the letters meeting at a seam are an inverse
     edge pair: only then is it canonicalized.  A boundary term outside the
     codomain raises ``HomologyError``: the bases do not span a subcomplex.
     """
     index = {w: i for i, w in enumerate(codomain)}
-    letter_boundary: dict[SimplexTerm, list[tuple[tuple[SimplexTerm, ...], int]]] = {}
+    if letter_boundary is None:
+        letter_boundary = {}
     m = SparseIntMatrix(len(codomain), len(domain))
     for j, w in enumerate(domain):
         column: dict[LoopWord, int] = {}
@@ -328,10 +357,19 @@ def _inverse_at_seam(
     piece: tuple[SimplexTerm, ...],
     back: tuple[SimplexTerm, ...],
 ) -> bool:
-    """Whether an inverse edge pair meets where piece is put between front
-    and back (inside a canonical piece none does)."""
-    seam = front[-1:] + piece + back[:1]
-    return any(_inverse_pair(zx, a, b) for a, b in zip(seam, seam[1:]))
+    """Whether an inverse edge pair meets at a seam where piece is put
+    between front and back: (front[-1], piece[0]) and (piece[-1], back[0]),
+    or (front[-1], back[0]) when piece is empty.  front and back are a
+    prefix and a suffix of a canonical word and piece is a term of d(t),
+    so each is canonical and no pair inside one needs a canonical form.
+    A complex without inverse edges has no such pair at all."""
+    if not zx.op_pairs:
+        return False
+    if not piece:
+        return bool(front and back) and _inverse_pair(zx, front[-1], back[0])
+    return (bool(front) and _inverse_pair(zx, front[-1], piece[0])) or (
+        bool(back) and _inverse_pair(zx, piece[-1], back[0])
+    )
 
 
 def _composes_to_zero(lo: SparseIntMatrix, hi: SparseIntMatrix) -> bool:
@@ -386,14 +424,19 @@ def homology(
     The bases of degrees 0..max_degree+1 come from one ``degree_bases``
     call, and each boundary matrix reuses the two it needs.  Each
     consecutive pair must compose to zero, which also keeps every free
-    rank >= 0 (the image of d_{n+1} lies in the kernel of d_n).
+    rank >= 0 (the image of d_{n+1} lies in the kernel of d_n).  The
+    matrices share one table of letter boundaries, so d of each letter is
+    computed once per call.
     """
+    if max_degree < 0:
+        raise HomologyError("max_degree must be non-negative")
     bases = degree_bases(zx, max_degree + 1, variant, max_weight)
+    letter_boundary: dict[SimplexTerm, list[tuple[tuple[SimplexTerm, ...], int]]] = {}
     snfs: list[tuple[int, ...]] = [()]  # d_0 = 0
     nonzeros = [0]
     prev = None
     for n in range(1, max_degree + 2):
-        m, _, _ = boundary_matrix(zx, bases[n], bases[n - 1], variant)
+        m, _, _ = boundary_matrix(zx, bases[n], bases[n - 1], variant, letter_boundary)
         if prev is not None and not _composes_to_zero(prev, m):
             raise HomologyError(f"d_{n - 1} d_{n} is not zero on {zx.name}")
         nonzeros.append(len(m.entries))

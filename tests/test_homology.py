@@ -1,5 +1,6 @@
 import random
 from heapq import heapify, heappop
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -18,8 +19,10 @@ from loopspace.homology import (
     homology,
     smith_normal_form,
 )
-from loopspace.simplicial import boundary_simplex, sphere_quotient
-from loopspace.words import canonical, degeneracy_slots, enumerate_words, word_degeneracy
+from loopspace.simplicial import SimplexTerm, boundary_simplex, sphere_quotient
+from loopspace.words import LoopWord, canonical, degeneracy_slots, enumerate_words, word_degeneracy
+
+DATA = Path(__file__).resolve().parent.parent / "data"
 
 
 @pytest.fixture(scope="module")
@@ -271,6 +274,43 @@ class TestUnitPivotElimination:
         assert smith_normal_form(SparseIntMatrix(5, 0)) == ()
 
 
+def stars_and_bars_duplicates(w, extra):
+    """The words made from the reduced word w by ``extra`` more duplicates
+    of the interior vertices of its letters, one word per placement of the
+    duplicates on all of w's interior vertices at once (reference for the
+    per-letter placement tables of ``degree_bases``)."""
+    if not extra:
+        return [w]
+    slots = w.degree  # a letter of dimension m has m - 1 interior vertices
+    if not slots:
+        return []
+    out = []
+    width = extra + slots - 1
+    for bars in combinations(range(width), slots - 1):
+        counts = iter([b - a - 1 for a, b in zip((-1, *bars), (*bars, width))])
+        letters = []
+        for t in w.letters:
+            mult = (1, *(1 + next(counts) for _ in range(t.dim - 1)), 1)
+            letters.append(SimplexTerm(t.generator, mult))
+        out.append(LoopWord(tuple(letters), w.start, w.end))
+    return out
+
+
+def stars_and_bars_de_bases(zx, top):
+    """The ``de`` bases of degrees 0..top of a complex without edges, each
+    reduced word of degree d <= n given n - d duplicates by
+    ``stars_and_bars_duplicates``."""
+    base = zx.basepoint
+    reduced = [enumerate_words(zx, d, None, base, base) for d in range(top + 1)]
+    bases = []
+    for n in range(top + 1):
+        basis = [u for d in range(n + 1) for w in reduced[d]
+                 for u in stars_and_bars_duplicates(w, n - d)]
+        basis.sort(key=lambda w: (len(w.letters), w.letters))
+        bases.append(basis)
+    return bases
+
+
 class TestBases:
     def test_normalized_degree0_is_group_ball(self, fixtures):
         zx = fixtures["wedge2"]
@@ -300,6 +340,19 @@ class TestBases:
         for d, basis in enumerate(tower):
             assert basis == closure_basis(zx, d, variant, max_weight), (name, d)
         assert degree_basis(zx, top, variant, max_weight) == tower[top]
+
+    @pytest.mark.parametrize("document, top, sizes", [
+        ("susp-rp2", 5, [1, 5, 35, 240, 1645, 11275]),
+        ("moore2", 8, None),
+    ], ids=["susp-rp2-5", "moore2-8"])
+    def test_de_bases_of_documents(self, document, top, sizes):
+        # triangles and tetrahedra in one word: the duplicates are split
+        # among letters of different dimensions
+        zx = load_complex(DATA / f"{document}.json").z_extension()
+        tower = degree_bases(zx, top, "de", None)
+        assert tower == stars_and_bars_de_bases(zx, top)
+        if sizes is not None:
+            assert [len(b) for b in tower] == sizes
 
     def test_complex_without_edges_ignores_the_bound(self, fixtures):
         zx = fixtures["sphere3"]
@@ -333,10 +386,18 @@ class TestBases:
             for w, column in zip(dom, columns):
                 assert column == boundary_word(zx, w, variant), (name, n, str(w))
 
-    @pytest.mark.parametrize("variant", ["de", "normalized"])
-    def test_junction_cancellation_is_canonicalized(self, fixtures, monkeypatch, variant):
-        # d(013) holds the split term 01;13, which meets 13^op and then
-        # 01^op: the term of 013;13^op;01^op cancels to the unit word
+    @pytest.mark.parametrize("variant, word, max_weight, want", [
+        # back seam: d(013) holds the split term 01;13, which meets 13^op and
+        # then 01^op, so the term of 013;13^op;01^op cancels to the unit word
+        *(pytest.param(v, "013;13^op;01^op", 4, {"e": 1, "03;13^op;01^op": -1}, id=v)
+          for v in ("de", "normalized")),
+        # front seam: the split term 12;23 of d(123) meets 12^op in front of it
+        *(pytest.param(v, "02;12^op;123;03^op", 5,
+                       {"02;12^op;13;03^op": -1, "02;23;03^op": 1}, id=f"front-seam-{v}")
+          for v in ("de", "normalized")),
+    ])
+    def test_junction_cancellation_is_canonicalized(self, fixtures, monkeypatch,
+                                                    variant, word, max_weight, want):
         zx = fixtures["bd3"]
         calls = []
 
@@ -345,13 +406,30 @@ class TestBases:
             return canonical(*args)
 
         monkeypatch.setattr(homology_module, "canonical", spy)
-        w = parse_word(zx, "013;13^op;01^op")
-        tower = degree_bases(zx, 1, variant, 4)
+        w = parse_word(zx, word)
+        tower = degree_bases(zx, 1, variant, max_weight)
         assert w in tower[1]
         m, dom, cod = boundary_matrix(zx, [w], tower[0], variant)
         column = {str(cod[i]): v for (i, _), v in m.entries.items()}
-        assert column == {"e": 1, "03;13^op;01^op": -1}
+        assert column == want
         assert len(calls) == 1
+
+    def test_letter_boundary_once_per_call(self, fixtures, monkeypatch):
+        # d is a derivation, so homology takes d of each distinct letter of
+        # the domains of d_1..d_9 once, for all nine matrices
+        zx = fixtures["sphere3"]
+        letters = []
+
+        def spy(zx, w, variant):
+            letters.extend(w.letters)
+            return boundary_word(zx, w, variant)
+
+        monkeypatch.setattr(homology_module, "boundary_word", spy)
+        homology(zx, 8, "de")
+        domains = degree_bases(zx, 9, "de", None)[1:]
+        distinct = {t for basis in domains for w in basis for t in w.letters}
+        assert sorted(letters) == sorted(distinct)
+        assert len(letters) == 36
 
     def test_term_outside_codomain_raises(self, fixtures):
         zx = fixtures["bd3"]
@@ -453,7 +531,7 @@ class TestLoopHomology:
         # triangulated RP^2 with five triangles and five tetrahedra, has
         # units and 2-torsion together.  Bott-Samelson gives H_n =
         # (Z/2)^F_n for n >= 1, F_n the Fibonacci numbers with F_1 = F_2 = 1
-        zx = load_complex(Path(__file__).resolve().parent.parent / "data" / f"{document}.json")
+        zx = load_complex(DATA / f"{document}.json")
         table = homology(zx.z_extension(), top, variant)
         fib = [0, 1]
         while len(fib) <= top:
@@ -463,6 +541,10 @@ class TestLoopHomology:
             [(1, ())] + [(0, (2,) * fib[n]) for n in range(1, top + 1)]
         assert list(field_dimensions(table, Ring.prime_field(2)).values())[:5] == [1, 1, 2, 3, 5]
         assert field_dimensions(table, Ring.rationals()) == {0: 1, **dict.fromkeys(range(1, top + 1), 0)}
+
+    def test_negative_degree_raises(self, fixtures):
+        with pytest.raises(HomologyError, match="max_degree must be non-negative"):
+            homology(fixtures["sphere2"], -1, "de")
 
     def test_basis_sizes_and_nonzeros(self, fixtures):
         zx = fixtures["sphere3"]
