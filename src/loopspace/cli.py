@@ -172,6 +172,9 @@ def cmd_group(args) -> int:
     zx = resolve_model(_spec(args))
     out: dict[str, object] = {"complex": zx.name}
     lines = []
+    for flag, value in (("--invert", args.invert), ("--power-detect", args.power_detect)):
+        if value and not args.element:
+            raise CliError(f"group: {flag} needs --element")
     if args.element:
         w = _group_element(zx, args.element)
         out["element"] = str(w)

@@ -7,16 +7,14 @@ being degree + length: a face keeps a word's weight or lowers it, so the
 words of weight <= N span a subcomplex (as total dimension filters Adams'
 cobar construction).
 
-Neither bases nor matrices take a canonical form word by word.  The
-normalized basis of degree n is E_n, the reduced words of degree n with
-nondegenerate letters.  A ``de`` basis word is a word of some E_d, d <= n,
-with n - d duplicates on interior vertices of its letters (a duplicate at
-a junction or an end is what the variant kills), so the basis is listed
-by placing the duplicates.  The chain algebra is a dga, as Adams' cobar
-construction is, so its boundary is the derivation fixed by its values on
-letters: each matrix column is a signed sum of the word with one letter t
-replaced by a term of d(t), and d(t) is taken once per distinct letter in
-one ``homology`` call, for all of its matrices.
+Both bases are listed by one walk, ``words.enumerate_words``, over a
+table of letters: the nondegenerate letters for ``normalized``, and for
+``de`` also those with duplicates on interior vertices (one at a junction
+or an end is what the variant kills).  The chain algebra is a dga, as
+Adams' cobar construction is, so its boundary is the derivation fixed by
+its values on letters: each matrix column is a signed sum of the word
+with one letter t replaced by a term of d(t), and d(t) is taken once per
+distinct letter in one ``homology`` call, for all of its matrices.
 
 Free ranks and torsion come from Smith normal form by one sparse
 elimination (Kaczynski-Mrozek-Slusarek 1998; Dumas-Saunders-Villard
@@ -34,7 +32,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
-from itertools import combinations, product
+from itertools import combinations
 from math import gcd
 
 from .chains import VARIANTS, Ring, boundary_word
@@ -210,71 +208,36 @@ def degree_bases(
     variant: str,
     max_weight: int | None,
 ) -> list[list[LoopWord]]:
-    """Canonical-word bases of degrees 0..top; with edges, degree n takes
-    the words of length <= max_weight - n.
-
-    The normalized basis of degree n is E_n, the reduced words of degree n
-    with nondegenerate letters.  A ``de`` basis word of degree n is a word
-    of E_d (d <= n) whose letters carry n - d extra duplicates on their
-    interior vertices, 1..dim-1 of each letter: a duplicate at a junction
-    or an end is what the variant kills, and a degeneracy keeps the
-    letters' cores and the length.  So the basis is listed directly, with
-    no canonical form taken: the n - d duplicates are split among the
-    letters in every way, and each letter's share is placed on its
-    interior vertices in every way.  The placements of k duplicates on a
-    letter are built once per call and shared by every word that uses
-    them.  Each basis is sorted by (length, letters).
-    """
+    """Canonical-word bases of degrees 0..top, one ``enumerate_words`` walk
+    each over the variant's table of letters; with edges, degree n takes
+    the words of length <= max_weight - n.  ``normalized`` walks the
+    nondegenerate letters, ``de`` the ``_de_letters`` of this call."""
     if variant not in VARIANTS:
         raise HomologyError(f"unknown variant {variant!r}")
+    if top < 0:
+        raise HomologyError(f"degree must be non-negative, got {top}")
     base = zx.basepoint
     bound = _weight_bound(zx, max_weight)
-    lengths = [None if bound is None else bound - n for n in range(top + 1)]
-    reduced = [enumerate_words(zx, n, lengths[n], base, base) for n in range(top + 1)]
-    if variant == "normalized":
-        return reduced
-    placements: dict[tuple[SimplexTerm, int], tuple[SimplexTerm, ...]] = {}
-    bases: list[list[LoopWord]] = []
-    for n in range(top + 1):
-        basis = []
-        for d in range(n + 1):
-            for w in reduced[d]:
-                if lengths[n] is None or len(w.letters) <= lengths[n]:
-                    basis.extend(_interior_duplicates(w, n - d, placements))
-        basis.sort(key=lambda w: (len(w.letters), w.letters))
-        bases.append(basis)
-    return bases
+    letters = zx.letters_from if variant == "normalized" else _de_letters(zx, top)
+    return [enumerate_words(zx, n, None if bound is None else bound - n, base, base, letters)
+            for n in range(top + 1)]
 
 
-def _interior_duplicates(
-    w: LoopWord,
-    extra: int,
-    placements: dict[tuple[SimplexTerm, int], tuple[SimplexTerm, ...]],
-) -> list[LoopWord]:
-    """The words made from the reduced word w by ``extra`` more duplicates
-    of the interior vertices of its letters, one word per placement: each
-    split of ``extra`` among the letters of dimension >= 2, times the
-    placements of each letter's share.  ``placements`` tables the letter
-    t with k duplicates, every placement, under (t, k)."""
-    if not extra:
-        return [w]
-    inner = [k for k, t in enumerate(w.letters) if t.dim > 1]
-    if not inner:
-        return []
-    out = []
-    for shares in _compositions(extra, len(inner)):
-        choices: list[tuple[SimplexTerm, ...]] = [(t,) for t in w.letters]
-        for k, share in zip(inner, shares):
-            t = w.letters[k]
-            choice = placements.get((t, share))
-            if choice is None:
-                choice = placements[(t, share)] = tuple(
-                    SimplexTerm(t.generator, (1, *(1 + c for c in counts), 1))
-                    for counts in _compositions(share, t.dim - 1)
-                )
-            choices[k] = choice
-        out.extend(LoopWord(letters, w.start, w.end) for letters in product(*choices))
-    return out
+def _de_letters(zx: SimplicialPresentation, top: int) -> dict[str, list[tuple[SimplexTerm, str]]]:
+    """``zx.letters_from`` and each letter of dimension m >= 2 with k >= 1
+    duplicates on its interior vertices 1..m-1, placed in every way, for
+    m - 1 + k <= top; each row in order of dimension."""
+    table = {}
+    for at, row in zx.letters_from.items():
+        out = list(row)
+        for t, hi in row:
+            if t.dim < 2:
+                continue  # an edge has no interior vertex
+            for k in range(1, top - t.dim + 2):
+                out.extend((SimplexTerm(t.generator, (1, *(1 + c for c in counts), 1)), hi)
+                           for counts in _compositions(k, t.dim - 1))
+        table[at] = sorted(out, key=lambda entry: entry[0].dim)
+    return table
 
 
 def _compositions(total: int, parts: int) -> Iterator[list[int]]:

@@ -242,9 +242,12 @@ def enumerate_words(
     max_length: int | None,
     start: str,
     end: str,
+    letters: dict[str, list[tuple[SimplexTerm, str]]] | None = None,
 ) -> list[LoopWord]:
-    """All reduced words with nondegenerate letters of the given degree,
-    length bound and endpoints, in deterministic order."""
+    """All reduced words (no inverse edge pair adjacent) of the given
+    degree, length bound and endpoints, sorted by (length, letters): one
+    walk over ``letters``, each vertex's letters with their last vertices,
+    each row in order of dimension (default ``zx.letters_from``)."""
     if max_length is None:
         if zx.generators_of_dim(1):
             raise WordError(
@@ -252,7 +255,7 @@ def enumerate_words(
                 "bound the word length (--max-len)"
             )
         max_length = max(degree, 1)
-    letters_from, inverse = zx.letters_from, zx.op_pairs
+    table, inverse = zx.letters_from if letters is None else letters, zx.op_pairs
     found: list[LoopWord] = []
     if degree == 0 and start == end:
         found.append(unit(start))
@@ -261,9 +264,11 @@ def enumerate_words(
         if len(prefix) >= max_length:
             return
         banned = inverse.get(prefix[-1].generator.name) if prefix else None
-        for t, hi in letters_from.get(at, ()):
+        for t, hi in table.get(at, ()):
             d = t.dim - 1
-            if d > deg_left or t.generator.name == banned:
+            if d > deg_left:
+                break  # each row is in order of dimension, so no later letter fits
+            if t.generator.name == banned:
                 continue
             prefix.append(t)
             if deg_left == d and hi == end:

@@ -331,6 +331,12 @@ class TestGroup:
         code, _, err = run(capsys, "group", "--builtin", "wedge:2")
         assert code == 2
 
+    @pytest.mark.parametrize("flag", ["--invert", "--power-detect"])
+    def test_element_flags_need_an_element(self, capsys, flag):
+        # each once printed the count, dropped the flag and exited 0
+        code, out, err = run(capsys, "group", "--builtin", "wedge:2", flag, "--count-length", "2")
+        assert code == 2 and out == "" and f"{flag} needs --element" in err
+
 
 class TestCover:
     def test_summary(self, capsys):

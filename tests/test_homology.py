@@ -274,11 +274,19 @@ class TestUnitPivotElimination:
         assert smith_normal_form(SparseIntMatrix(5, 0)) == ()
 
 
+def fibonacci(n):
+    """F_n, with F_0 = 0 and F_1 = 1."""
+    a, b = 0, 1
+    for _ in range(n):
+        a, b = b, a + b
+    return a
+
+
 def stars_and_bars_duplicates(w, extra):
     """The words made from the reduced word w by ``extra`` more duplicates
     of the interior vertices of its letters, one word per placement of the
     duplicates on all of w's interior vertices at once (reference for the
-    per-letter placement tables of ``degree_bases``)."""
+    ``de`` letter table that ``degree_bases`` walks)."""
     if not extra:
         return [w]
     slots = w.degree  # a letter of dimension m has m - 1 interior vertices
@@ -342,17 +350,20 @@ class TestBases:
         assert degree_basis(zx, top, variant, max_weight) == tower[top]
 
     @pytest.mark.parametrize("document, top, sizes", [
-        ("susp-rp2", 5, [1, 5, 35, 240, 1645, 11275]),
-        ("moore2", 8, None),
-    ], ids=["susp-rp2-5", "moore2-8"])
+        ("susp-rp2", 5, {"de": [1, 5, 35, 240, 1645, 11275],
+                         "normalized": [1, 5, 30, 175, 1025, 6000]}),
+        # M(Z/2, 2): in degree n >= 1, F_2n de words and F_n+1 normalized words
+        ("moore2", 11, {"de": [1] + [fibonacci(2 * n) for n in range(1, 12)],
+                        "normalized": [1] + [fibonacci(n + 1) for n in range(1, 12)]}),
+    ], ids=["susp-rp2-5", "moore2-11"])
     def test_de_bases_of_documents(self, document, top, sizes):
         # triangles and tetrahedra in one word: the duplicates are split
         # among letters of different dimensions
         zx = load_complex(DATA / f"{document}.json").z_extension()
         tower = degree_bases(zx, top, "de", None)
         assert tower == stars_and_bars_de_bases(zx, top)
-        if sizes is not None:
-            assert [len(b) for b in tower] == sizes
+        assert [len(b) for b in tower] == sizes["de"]
+        assert [len(b) for b in degree_bases(zx, top, "normalized", None)] == sizes["normalized"]
 
     def test_complex_without_edges_ignores_the_bound(self, fixtures):
         zx = fixtures["sphere3"]
@@ -543,8 +554,14 @@ class TestLoopHomology:
         assert field_dimensions(table, Ring.rationals()) == {0: 1, **dict.fromkeys(range(1, top + 1), 0)}
 
     def test_negative_degree_raises(self, fixtures):
+        zx = fixtures["sphere2"]
         with pytest.raises(HomologyError, match="max_degree must be non-negative"):
-            homology(fixtures["sphere2"], -1, "de")
+            homology(zx, -1, "de")
+        # these once returned [] and raised a bare IndexError
+        with pytest.raises(HomologyError, match="degree must be non-negative, got -1"):
+            degree_bases(zx, -1, "de", None)
+        with pytest.raises(HomologyError, match="degree must be non-negative, got -1"):
+            degree_basis(zx, -1, "normalized", None)
 
     def test_basis_sizes_and_nonzeros(self, fixtures):
         zx = fixtures["sphere3"]
