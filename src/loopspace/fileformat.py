@@ -114,10 +114,6 @@ def complex_from_dict(doc: dict) -> SimplicialPresentation:
         raise FormatError(f"field of the wrong type in complex document: {exc}") from exc
 
 
-def save_complex(zx: SimplicialPresentation, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(complex_to_dict(zx), indent=2) + "\n")
-
-
 def _read_text(path: str | Path) -> str:
     try:
         return Path(path).read_text()

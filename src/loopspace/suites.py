@@ -16,11 +16,15 @@ words and path cells alike; each model hands it a small record of its
 operators (``_Model``).  Cube cells are no third model: the cube rows run
 the word model on the necklaces of standard_simplex(n + 1) from 0 to n + 1,
 and the path model on the path cells of standard_simplex(n) ending at n.
-The rows of one cell rebuild the same raw cells many times (the face
-d_j c under every d_i, say); the checker normalizes each distinct raw cell
-once per checked cell, in a memo that lives for that cell only, and still
-runs every row and comparison.  A report that ran no row, or a comparator that compared no word, is
-marked ``vacuous``.
+Before the rows the checker builds a small table of the checked cell's
+own operators: its raw faces d_k^eps c for k in 1..n, their normal forms
+when the face-face rows read them (n >= 2), and its raw degeneracies at
+every slot; an index outside the table goes to the model, so a wrong model
+still raises there.  The rows build the same raw cells many times, too;
+the checker normalizes each distinct raw cell once per checked cell, in a
+memo that lives for that cell only, and still runs every row and
+comparison.  A report that ran no row, or a comparator that compared no
+word, is marked ``vacuous``.
 """
 
 from __future__ import annotations
@@ -181,8 +185,7 @@ def _check_relations(m: _Model, cells, rec: _Recorder, tag: str) -> None:
 
 
 def _check_cell(m: _Model, c, rec: _Recorder, tag: str) -> None:
-    # the rows rebuild the same raw cells (face(c, j, om) for every i, say):
-    # each is normalized once per cell
+    # different rows build equal raw cells: each is normalized once per cell
     normals: dict = {}
 
     def normal(x):
@@ -191,20 +194,32 @@ def _check_cell(m: _Model, c, rec: _Recorder, tag: str) -> None:
             y = normals[x] = m.normal(x)
         return y
 
-    def face(x, i, eps):
-        return normal(m.face_raw(x, i, eps))
+    # c's own faces and degeneracies, built once before the rows; an index
+    # outside the table goes to the model, which raises on it
+    n, slots = c.degree, m.slots(c)
+    faces = {(k, eps): m.face_raw(c, k, eps) for k in range(1, n + 1) for eps in (0, 1)}
+    degeneracies = {j: m.degeneracy_raw(c, j) for j in range(1, slots + 1)}
 
-    n = c.degree
-    for j in range(1, n + 1):
-        for i in range(1, j):
-            for eps in (0, 1):
-                for om in (0, 1):
-                    left = face(face(c, j, om), i, eps)
-                    right = face(face(c, i, eps), j - 1, om)
-                    rec.record(f"{tag}-FF", left == right, (c, i, j, eps, om))
+    def face_of_c(k, eps):
+        x = faces.get((k, eps))
+        return m.face_raw(c, k, eps) if x is None else x
+
+    def degeneracy_of_c(j):
+        x = degeneracies.get(j)
+        return m.degeneracy_raw(c, j) if x is None else x
+
+    if n >= 2:
+        normal_faces = {key: normal(x) for key, x in faces.items()}
+        for j in range(2, n + 1):
+            for i in range(1, j):
+                for eps in (0, 1):
+                    for om in (0, 1):
+                        left = normal(m.face_raw(normal_faces[j, om], i, eps))
+                        right = normal(m.face_raw(normal_faces[i, eps], j - 1, om))
+                        rec.record(f"{tag}-FF", left == right, (c, i, j, eps, om))
     home = normal(c)
-    for j in range(1, m.slots(c) + 1):
-        e = m.degeneracy_raw(c, j)  # raw; copies at positions j-1, j
+    for j in range(1, slots + 1):
+        e = degeneracies[j]  # raw; copies at positions j-1, j
         ps = m.positions(e)
         ok = e.degree == n + 1 and len(ps) == n + 1
         rec.record(f"{tag}-dim", ok, (c, j))
@@ -213,12 +228,12 @@ def _check_cell(m: _Model, c, rec: _Recorder, tag: str) -> None:
         copies = []  # the splitting faces at the two copies
         for idx, p in enumerate(ps, start=1):
             for eps in (0, 1):
-                left = face(e, idx, eps)
+                left = normal(m.face_raw(e, idx, eps))
                 if p < j - 1:
-                    right = normal(m.degeneracy_raw(m.face_raw(c, idx, eps), j - eps))
+                    right = normal(m.degeneracy_raw(face_of_c(idx, eps), j - eps))
                     rec.record(f"{tag}-A", left == right, (c, j, idx, eps))
                 elif p > j:
-                    right = normal(m.degeneracy_raw(m.face_raw(c, idx - 1, eps), j))
+                    right = normal(m.degeneracy_raw(face_of_c(idx - 1, eps), j))
                     rec.record(f"{tag}-B", left == right, (c, j, idx, eps))
                 elif eps == 1:
                     rec.record(f"{tag}-Id", left == home, (c, j, idx))
@@ -228,7 +243,7 @@ def _check_cell(m: _Model, c, rec: _Recorder, tag: str) -> None:
             rec.record(f"{tag}-F", copies[0] == copies[1], (c, j))
         for i in range(j + 1, m.slots(e) + 1):
             left = normal(m.degeneracy_raw(e, i))
-            right = normal(m.degeneracy_raw(m.degeneracy_raw(c, i - 1), j))
+            right = normal(m.degeneracy_raw(degeneracy_of_c(i - 1), j))
             rec.record(f"{tag}-EE", left == right, (c, j, i))
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from loopspace import cobar
 from loopspace.cli import main
-from loopspace.fileformat import complex_to_dict, save_complex
+from loopspace.fileformat import complex_to_dict
 from loopspace.simplicial import boundary_simplex, wedge_of_circles
 
 
@@ -23,7 +23,7 @@ class TestValidate:
 
     def test_file_input(self, capsys, tmp_path):
         path = tmp_path / "c.json"
-        save_complex(boundary_simplex(2), path)
+        path.write_text(json.dumps(complex_to_dict(boundary_simplex(2))))
         code, out, _ = run(capsys, "validate", str(path))
         assert code == 0
 

@@ -21,6 +21,9 @@ from loopspace.words import word_degeneracy, word_face_raw
 
 # per-row counts recorded from the three per-model checkers it replaced
 GOLDEN = json.loads((Path(__file__).parent / "golden" / "cubical_rows.json").read_text())
+# full reports of the wrong models below, recorded before the checker's
+# per-cell operator table
+WRONG_MODELS = json.loads((Path(__file__).parent / "golden" / "wrong_models.json").read_text())
 
 
 class TestRowCounts:
@@ -33,21 +36,67 @@ class TestRowCounts:
         report = cubical_suite(fixtures[key], samples=20, seed=1, cube_n=1)
         assert report["ok"] and report["checks"] == GOLDEN[key]
 
+    def test_benchmark_cube(self):
+        # the cube step of the check-suites benchmark
+        report = cubical_suite(None, cube_n=5)
+        assert report["ok"] and sum(report["checks"].values()) == 22_410
+
+
+def _logged(m, c):
+    """m with a log of its normal-form inputs, and of the face and
+    degeneracy indices it is asked for on the cell c."""
+    log = {"face": [], "degeneracy": [], "normal": []}
+
+    def face_raw(x, i, eps):
+        if x == c:
+            log["face"].append((i, eps))
+        return m.face_raw(x, i, eps)
+
+    def degeneracy_raw(x, j):
+        if x == c:
+            log["degeneracy"].append(j)
+        return m.degeneracy_raw(x, j)
+
+    def normal(x):
+        log["normal"].append(x)
+        return m.normal(x)
+
+    return m._replace(face_raw=face_raw, degeneracy_raw=degeneracy_raw, normal=normal), log
+
+
+def _cube_logs(tag, n, model):
+    """Check the cells of cubical_suite(None, cube_n=3) one at a time, each
+    with its own logged model; the (cell, log) pairs."""
+    delta = standard_simplex(n)
+    m = model(delta)
+    rec = _Recorder()
+    out = []
+    for _, c in cube_cells(delta, tag == "cube-aug"):
+        logged, log = _logged(m, c)
+        _check_relations(logged, [c], rec, tag)
+        out.append((c, log))
+    rows = {k: v for k, v in GOLDEN["none"].items() if k.rsplit("-", 1)[0] == tag}
+    assert rec.report()["ok"] and rec.counts == rows
+    return out
+
+
+CUBE_MODELS = [("cube", 4, _word_model), ("cube-aug", 3, _path_model)]
+
 
 class TestNormalMemo:
-    @pytest.mark.parametrize("tag, n, model", [("cube", 4, _word_model), ("cube-aug", 3, _path_model)])
+    @pytest.mark.parametrize("tag, n, model", CUBE_MODELS)
     def test_one_normal_form_per_raw_input(self, tag, n, model):
-        # the cells of cubical_suite(None, cube_n=3), one cell at a time
-        delta = standard_simplex(n)
-        m = model(delta)
-        rec = _Recorder()
-        for _, c in cube_cells(delta, tag == "cube-aug"):
-            inputs = []
-            counted = m._replace(normal=lambda x: inputs.append(x) or m.normal(x))
-            _check_relations(counted, [c], rec, tag)
-            assert inputs and len(inputs) == len(set(inputs)), c
-        rows = {k: v for k, v in GOLDEN["none"].items() if k.rsplit("-", 1)[0] == tag}
-        assert rec.report()["ok"] and rec.counts == rows
+        for c, log in _cube_logs(tag, n, model):
+            assert log["normal"] and len(log["normal"]) == len(set(log["normal"])), c
+
+
+class TestOperatorTable:
+    # the normal-form inputs stay distinct on the same runs (TestNormalMemo)
+    @pytest.mark.parametrize("tag, n, model", CUBE_MODELS)
+    def test_each_operator_on_the_cell_once(self, tag, n, model):
+        for c, log in _cube_logs(tag, n, model):
+            assert len(log["face"]) == len(set(log["face"])), c
+            assert len(log["degeneracy"]) == len(set(log["degeneracy"])), c
 
 
 def _failed_rows(model, cells, tag):
@@ -81,6 +130,24 @@ def _random_cases(zx):
     return _word_cases(zx, random_loop_cells(zx, random.Random(1), 20), "word")
 
 
+def _wrong_models(cases):
+    """The three wrong models of a case: its wrong degeneracy, its wrong
+    face, and a degeneracy that always uses slot 1."""
+    model, degeneracy, face, _, _ = cases
+    return {
+        "degeneracy": model._replace(degeneracy_raw=degeneracy),
+        "face": model._replace(face_raw=face),
+        "slot_one": model._replace(degeneracy_raw=lambda c, j: model.degeneracy_raw(c, 1)),
+    }
+
+
+def _full_report(model, cells, tag):
+    rec = _Recorder(max_failures=10_000)
+    _check_relations(model, cells, rec, tag)
+    report = rec.report()
+    return {k: report[k] for k in ("checks", "failed", "failures")}
+
+
 @pytest.fixture(params=["cube", "word-sphere2", "word-bd3"])
 def case(request, fixtures):
     if request.param == "cube":
@@ -106,15 +173,24 @@ class TestCheckerFails:
         # a degeneracy that always uses slot 1 sends some later face index
         # out of range; the checker records the cell and goes on
         cases = _cube_cases() if name == "cube" else _random_cases(fixtures["bd3"])
-        model, _, _, cells, tag = cases
-        slot_one = model._replace(degeneracy_raw=lambda c, j: model.degeneracy_raw(c, 1))
-        rec = _Recorder(max_failures=10_000)
-        _check_relations(slot_one, cells, rec, tag)
-        report = rec.report()
+        _, _, _, cells, tag = cases
+        report = _full_report(_wrong_models(cases)["slot_one"], cells, tag)
         assert 1 < report["failed"][f"{tag}-error"] < len(cells)
         errors = [f for f in report["failures"] if f.startswith(f"{tag}-error: ")]
         assert all("out of range" in f for f in errors)
         assert {f.split(" ")[1] for f in errors} <= {str(c) for c in cells}  # names the cell
+
+
+class TestWrongModelReports:
+    # every row, pass or fail, and every failure in order: a wrong model's
+    # report does not depend on when the checker calls its operators
+    @pytest.mark.parametrize("name", ["cube", "word-bd3"])
+    @pytest.mark.parametrize("kind", ["degeneracy", "face", "slot_one"])
+    def test_pinned(self, fixtures, name, kind):
+        cases = _cube_cases() if name == "cube" else _random_cases(fixtures["bd3"])
+        _, _, _, cells, tag = cases
+        report = _full_report(_wrong_models(cases)[kind], cells, tag)
+        assert report == WRONG_MODELS[f"{name}/{kind}"]
 
 
 class TestEmptyTail:
