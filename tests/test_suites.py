@@ -182,8 +182,8 @@ class TestCheckerFails:
 
 
 class TestWrongModelReports:
-    # every row, pass or fail, and every failure in order: a wrong model's
-    # report does not depend on when the checker calls its operators
+    # every row, pass or fail, and every failure in order, so that building
+    # the checked cell's operators ahead of the rows moves no row past a raise
     @pytest.mark.parametrize("name", ["cube", "word-bd3"])
     @pytest.mark.parametrize("kind", ["degeneracy", "face", "slot_one"])
     def test_pinned(self, fixtures, name, kind):
