@@ -33,11 +33,13 @@ class CliError(ValueError):
 
 
 def _spec(args) -> str:
-    """The complex named on the command line."""
-    spec = getattr(args, "builtin", None) or getattr(args, "complex", None)
-    if not spec:
+    """The complex named on the command line, by a source or by --builtin."""
+    source, builtin = args.complex, args.builtin
+    if source and builtin:
+        raise CliError(f"two complexes given, {source} and --builtin {builtin}: pass one")
+    if not (source or builtin):
         raise CliError("no complex given: pass a source or --builtin")
-    return spec
+    return source or builtin
 
 
 def _emit(args, payload: dict, lines: list[str]) -> None:

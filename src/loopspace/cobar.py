@@ -6,11 +6,12 @@ interior faces, the reduced diagonal is the Alexander-Whitney splitting
 without its primitive terms, and monomials are composable sequences of
 letters between basepoints, modulo cancellation of adjacent inverse edge
 pairs (``hat_reduce``, a stack of whole letters; the word model's bead
-normal form lives in ``words``).  Letters that are positive-degree
-degeneracies of a vertex vanish (all degenerate letters, in the
-normalized variant).  The comparator translates monomials to loop words
-letterwise and checks that the two differentials agree -- the central
-cross-implementation oracle for the sign system.
+normal form lives in ``words``).  A letter s_0 x on a vertex is the unit,
+as in the word model; higher degeneracies of a vertex vanish, and in the
+normalized variant every other degenerate letter too.  The comparator
+translates monomials to loop words letterwise and checks that the two
+differentials agree -- the central cross-implementation oracle for the
+sign system.
 """
 
 from __future__ import annotations
@@ -27,12 +28,12 @@ class CobarError(ValueError):
 
 
 def letter_is_zero(t: SimplexTerm, variant: str) -> bool:
-    """Whether a letter vanishes in the truncated coalgebra."""
+    """Whether a letter vanishes in the truncated coalgebra (s_0 x, the unit, does not)."""
     if variant not in VARIANTS:
         raise CobarError(f"unknown variant {variant!r}")
-    if variant == "normalized":
-        return not t.is_nondegenerate
-    return t.generator.dim == 0 and not t.is_nondegenerate
+    if t.generator.dim == 0:
+        return t.dim > 1
+    return variant == "normalized" and not t.is_nondegenerate
 
 
 @dataclass(frozen=True, order=True)
@@ -59,10 +60,11 @@ def hat_reduce(
 def monomial(
     zx: SimplicialPresentation, letters: tuple[SimplexTerm, ...], variant: str = "de"
 ) -> CobarMonomial | None:
-    """Hat-reduced monomial, or None if a letter vanishes."""
+    """Hat-reduced monomial, unit letters dropped, or None if a letter vanishes."""
     if any(letter_is_zero(t, variant) for t in letters):
         return None
-    return CobarMonomial(hat_reduce(zx, letters))
+    # past letter_is_zero, a letter on a vertex is a unit s_0 x
+    return CobarMonomial(hat_reduce(zx, tuple(t for t in letters if t.generator.dim)))
 
 
 def d_A(

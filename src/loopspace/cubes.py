@@ -1,25 +1,25 @@
-"""The necklace coordinate map, shared by loop words and path cells.
+"""The necklace operators, shared by loop words and path cells.
 
 A loop word's beads are its letters; a path cell's are its base, the head
-of the necklace, and its tail's letters.  The cube on a standard simplex
-is no separate object: its cells are the necklaces of standard_simplex(n)
-from vertex 0 to n (loop words), and its augmented cells the path cells
-whose tail ends at n (``paths.cube_cells`` lists both).  Cells are
-compared through the one bead normal form, ``words._normal_word``:
-constant beads dissolve, and the free duplicates at a junction, which may
-sit on either side, are pooled and handed to the right-hand bead.
-``dup_canonical`` pools the same way on cube cells given as label blocks,
-with nothing to cancel.  The coordinate map (``face_coordinate``,
-``degeneracy_coordinate``, ``face_coordinates``) finds, from the bead
-dimensions and whether the first bead is a head, the bead and vertex a
-face coordinate or a degeneracy slot addresses, and where that vertex sits
-in the necklace.
+of the necklace, and its tail's letters.  A face or a degeneracy acts on
+one bead the same way in both models, so the rule lives here, on bead
+tuples (``necklace_face``, ``necklace_degeneracy``, ``necklace_slots``,
+``face_positions``); the model operators check their arguments and
+rebuild their cell around it.  The cube on a standard simplex is no
+separate object: its cells are the necklaces of standard_simplex(n) from
+vertex 0 to n (loop words), and its augmented cells the path cells whose
+tail ends at n (``paths.cube_cells`` lists both).  Cells are compared
+through the one bead normal form, ``words._normal_word``;
+``dup_canonical`` pools duplicates the same way on cube cells given as
+label blocks, with nothing to cancel.
 """
 
 from __future__ import annotations
 
 from itertools import groupby
-from typing import Iterable, Sequence
+from typing import Sequence
+
+from .simplicial import SimplexTerm, SimplicialPresentation, _split
 
 
 def dup_canonical(augmented: bool, blocks: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
@@ -47,7 +47,7 @@ def dup_canonical(augmented: bool, blocks: Sequence[Sequence[int]]) -> tuple[tup
     return tuple(tuple(v for v, m in r for _ in range(m)) for r in out)
 
 
-# -- the necklace coordinate map ---------------------------------------------
+# -- the necklace operators --------------------------------------------------
 #
 # A necklace of beads of dimensions dims has its vertices at positions
 # 0..sum(dims), bead b spanning acc_b..acc_b + dims[b] with junctions shared.
@@ -57,40 +57,52 @@ def dup_canonical(augmented: bool, blocks: Sequence[Sequence[int]]) -> tuple[tup
 # its right-hand bead, and the last vertex belongs to the last bead.
 # Lookups stop at the bead they land in.
 
+Beads = tuple[SimplexTerm, ...]
 
-def face_coordinate(dims: Iterable[int], i: int, head: bool = False) -> tuple[int, int] | None:
-    """(bead, vertex) of face coordinate i (from 1), or None out of range."""
+
+def necklace_face(
+    zx: SimplicialPresentation, beads: Beads, i: int, eps: int, head: bool = False
+) -> Beads | None:
+    """The beads with face coordinate i (from 1) applied: eps = 1 deletes
+    its vertex, eps = 0 splits its bead there into front and back.  None
+    out of range."""
     if i < 1:
         return None
     lo = 0 if head else 1
-    for b, d in enumerate(dims):
-        if lo + i <= d:
-            return b, lo + i - 1
-        i -= max(d - lo, 0)
+    for k, t in enumerate(beads):
+        if lo + i <= t.dim:
+            v = lo + i - 1
+            replaced = (zx.face(t, v),) if eps else _split(zx, t, v)
+            return beads[:k] + replaced + beads[k + 1 :]
+        i -= max(t.dim - lo, 0)
         lo = 1
     return None
 
 
-def degeneracy_coordinate(dims: Iterable[int], j: int) -> tuple[int, int] | None:
-    """(bead, vertex) that degeneracy slot j (from 1) duplicates, or None
-    out of range; there are sum(dims) + 1 slots."""
+def necklace_degeneracy(zx: SimplicialPresentation, beads: Beads, j: int) -> Beads | None:
+    """The beads with the vertex at degeneracy slot j (from 1) duplicated,
+    or None out of range; there are ``necklace_slots(beads)`` slots."""
     if j < 1:
         return None
-    last = None
-    for last in enumerate(dims):
-        b, d = last
-        if j <= d:
-            return b, j - 1
-        j -= d
-    return last if j == 1 else None  # the last bead's last vertex
+    for k, t in enumerate(beads):
+        if j <= t.dim:
+            return beads[:k] + (zx.degenerate(t, j - 1),) + beads[k + 1 :]
+        j -= t.dim
+    if j == 1 and beads:  # the last bead's last vertex
+        return beads[:-1] + (zx.degenerate(beads[-1], beads[-1].dim),)
+    return None
 
 
-def face_coordinates(dims: Iterable[int], head: bool = False) -> list[tuple[int, int, int]]:
-    """(necklace position, bead, vertex) of each face coordinate, in order."""
-    out = []
-    acc, lo = 0, 0 if head else 1
-    for b, d in enumerate(dims):
-        out.extend((acc + v, b, v) for v in range(lo, d))
-        acc += d
+def necklace_slots(beads: Beads) -> int:
+    """Number of degeneracy slots: one per vertex of the necklace."""
+    return sum(t.dim for t in beads) + 1
+
+
+def face_positions(beads: Beads, head: bool = False) -> list[int]:
+    """Necklace position of each face coordinate, in order."""
+    out, acc, lo = [], 0, 0 if head else 1
+    for t in beads:
+        out.extend(range(acc + lo, acc + t.dim))
+        acc += t.dim
         lo = 1
     return out

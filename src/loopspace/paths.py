@@ -4,10 +4,11 @@ A path cell is a pair (x, y) of a simplex x of the edge-inverted
 presentation and a word y running from the last vertex of x to the
 basepoint.  Its degree is dim(x) + degree(y).  Extra copies of the
 base's last vertex are equivalent to duplicates at the start of the tail;
-the canonical form moves them into the tail.  The degree-0 cells with the
-1-cells between them form a graph on which words act on the right; over a
-connected complex this graph covers the 1-skeleton with deck group the
-degree-0 word group.
+the canonical form moves them into the tail.  Faces and degeneracies are
+the necklace operators of ``cubes`` on the beads (x, *letters of y), with
+x the head.  The degree-0 cells with the 1-cells between them form a
+graph on which words act on the right; over a connected complex this
+graph covers the 1-skeleton with deck group the degree-0 word group.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ import itertools
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .cubes import degeneracy_coordinate, face_coordinate
-from .simplicial import SimplexTerm, SimplicialPresentation, _split, simplex_namer
+from .cubes import necklace_degeneracy, necklace_face, necklace_slots
+from .simplicial import SimplexTerm, SimplicialPresentation, simplex_namer
 from .words import LoopWord, _normal_word, compose, enumerate_words
 
 
@@ -57,14 +58,11 @@ def path_face_raw(
     head bead of the necklace (base, *tail letters)."""
     if eps not in (0, 1):
         raise PathError("epsilon must be 0 or 1")
-    beads = (c.base, *c.tail.letters)
-    at = face_coordinate((t.dim for t in beads), i, head=True)
-    if at is None:
+    beads = necklace_face(zx, (c.base, *c.tail.letters), i, eps, head=True)
+    if beads is None:
         raise PathError(f"face index {i} out of range 1..{c.degree}")
-    k, v = at
-    replaced = (zx.face(beads[k], v),) if eps == 1 else _split(zx, beads[k], v)
-    head, *tail = beads[:k] + replaced + beads[k + 1 :]
-    return PathCell(head, LoopWord(tuple(tail), zx.endpoints(head)[1], c.tail.end))
+    head = beads[0]
+    return PathCell(head, LoopWord(beads[1:], zx.endpoints(head)[1], c.tail.end))
 
 
 def path_face(zx: SimplicialPresentation, c: PathCell, i: int, eps: int) -> PathCell:
@@ -77,19 +75,16 @@ def path_face(zx: SimplicialPresentation, c: PathCell, i: int, eps: int) -> Path
 def path_degeneracy_slots(c: PathCell) -> int:
     """One slot per position of the cell, junctions once: dim(base) + 1
     base positions, then the positions of the tail after its start."""
-    return c.base.dim + 1 + sum(t.dim for t in c.tail.letters)
+    return necklace_slots((c.base, *c.tail.letters))
 
 
 def path_degeneracy_raw(zx: SimplicialPresentation, c: PathCell, j: int) -> PathCell:
     """Degeneracy at slot j without canonicalization.  The junction slot acts
     on the tail's first letter, or without one duplicates the base's last vertex."""
-    beads = (c.base, *c.tail.letters)
-    at = degeneracy_coordinate((t.dim for t in beads), j)
-    if at is None:
+    beads = necklace_degeneracy(zx, (c.base, *c.tail.letters), j)
+    if beads is None:
         raise PathError(f"degeneracy slot {j} out of range 1..{path_degeneracy_slots(c)}")
-    k, v = at
-    head, *tail = beads[:k] + (zx.degenerate(beads[k], v),) + beads[k + 1 :]
-    return PathCell(head, LoopWord(tuple(tail), c.tail.start, c.tail.end))
+    return PathCell(beads[0], LoopWord(beads[1:], c.tail.start, c.tail.end))
 
 
 def act(zx: SimplicialPresentation, c: PathCell, w: LoopWord) -> PathCell:

@@ -36,7 +36,7 @@ from typing import Callable, NamedTuple
 
 from .chains import VARIANTS, boundary_chain, boundary_word, is_killed, leibniz_defect
 from .cobar import compare_theorem2
-from .cubes import face_coordinates
+from .cubes import face_positions
 from .paths import (
     PathCell,
     cover_graph,
@@ -146,20 +146,17 @@ def _word_model(zx: SimplicialPresentation) -> _Model:
     return _Model(
         partial(word_face_raw, zx), partial(word_degeneracy, zx),
         lambda w: canonical(zx, w.letters, w.start),
-        lambda w: [p for p, _, _ in face_coordinates(t.dim for t in w.letters)],
+        lambda w: face_positions(w.letters),
         degeneracy_slots,
     )
 
 
 def _path_model(zx: SimplicialPresentation) -> _Model:
-    def positions(c: PathCell) -> list[int]:
-        dims = [c.base.dim, *(t.dim for t in c.tail.letters)]
-        return [p for p, _, _ in face_coordinates(dims, head=True)]
-
     return _Model(
         partial(path_face_raw, zx), partial(path_degeneracy_raw, zx),
         lambda c: path_canonical(zx, c.base, c.tail),
-        positions, path_degeneracy_slots,
+        lambda c: face_positions((c.base, *c.tail.letters), head=True),
+        path_degeneracy_slots,
     )
 
 

@@ -13,7 +13,9 @@ in either direction, no one-directional rewriting is confluent; the
 canonical form is instead read off the bead normal form of the letters'
 vertex multiplicities (``_normal_word``, which path cells share), and the
 tests check it against the minimum of the finite orbit of a word under
-these moves.  The plain cells of the cube on Delta^n are the words of
+these moves.  Faces and degeneracies are the necklace operators of
+``cubes`` on the letters, the unit word taken as its unit letter s_0 x.
+The plain cells of the cube on Delta^n are the words of
 standard_simplex(n) from vertex 0 to n.
 """
 
@@ -21,8 +23,8 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .cubes import degeneracy_coordinate, face_coordinate
-from .simplicial import SimplexTerm, SimplicialError, SimplicialPresentation, _split
+from .cubes import necklace_degeneracy, necklace_face, necklace_slots
+from .simplicial import SimplexTerm, SimplicialError, SimplicialPresentation
 
 
 class WordError(ValueError):
@@ -193,13 +195,10 @@ def word_face_raw(
     the vertex, eps = 0 splits its letter there into front and back."""
     if eps not in (0, 1):
         raise WordError("epsilon must be 0 or 1")
-    at = face_coordinate((t.dim for t in w.letters), i)
-    if at is None:
+    letters = necklace_face(zx, w.letters, i, eps)
+    if letters is None:
         raise WordError(f"coordinate {i} out of range 1..{w.degree}")
-    k, v = at
-    t = w.letters[k]
-    replaced = (zx.face(t, v),) if eps == 1 else _split(zx, t, v)
-    return LoopWord(w.letters[:k] + replaced + w.letters[k + 1 :], w.start, w.end)
+    return LoopWord(letters, w.start, w.end)
 
 
 def word_face(zx: SimplicialPresentation, w: LoopWord, i: int, eps: int) -> LoopWord:
@@ -208,28 +207,20 @@ def word_face(zx: SimplicialPresentation, w: LoopWord, i: int, eps: int) -> Loop
 
 
 def degeneracy_slots(w: LoopWord) -> int:
-    """Number of degeneracy slots: degree + length + 1 (one per bead vertex,
-    junctions identified)."""
-    if not w.letters:
-        return 2  # the two slots of the unit letter, which agree
-    return w.degree + len(w.letters) + 1
+    """Number of degeneracy slots: degree + length + 1, one per bead vertex;
+    the unit has the two of its unit letter s_0 x, which agree."""
+    return necklace_slots(w.letters) if w.letters else 2
 
 
 def word_degeneracy(zx: SimplicialPresentation, w: LoopWord, j: int) -> LoopWord:
     """Insert a degeneracy at slot j; returns a raw (unreduced) word.
 
-    Junction slots are addressed as s_0 of the right-hand letter.
+    Junction slots are addressed as s_0 of the right-hand letter, and the
+    unit is taken as its unit letter s_0 x.
     """
-    if not w.letters:
-        if not 1 <= j <= degeneracy_slots(w):
-            raise WordError(f"degeneracy slot {j} out of range")
-        e_letter = SimplexTerm(zx.generators[w.start], (2,))  # s_0 of the vertex
-        return LoopWord((zx.degenerate(e_letter, 0),), w.start, w.end)
-    at = degeneracy_coordinate((t.dim for t in w.letters), j)
-    if at is None:
+    letters = necklace_degeneracy(zx, w.letters or (SimplexTerm(zx.generators[w.start], (2,)),), j)
+    if letters is None:
         raise WordError(f"degeneracy slot {j} out of range")
-    k, v = at
-    letters = w.letters[:k] + (zx.degenerate(w.letters[k], v),) + w.letters[k + 1 :]
     return LoopWord(letters, w.start, w.end)
 
 

@@ -406,6 +406,23 @@ class TestCountFlags:
         assert f"{flag} must be non-negative, got {value}" in err
 
 
+class TestTwoComplexes:
+    @pytest.mark.parametrize("argv", [
+        ("homology", "--degree", "2"),
+        ("check", "--suite", "theorem2"),
+        ("validate",),
+        ("cells", "--degree", "1"),
+        ("group", "--count-length", "1"),
+    ], ids=["homology", "check", "validate", "cells", "group"])
+    def test_source_and_builtin_refused(self, capsys, argv):
+        # --builtin used to win silently: homology printed the table of
+        # Omega S^2 for the moore2 document, with exit 0
+        source = str(Path(__file__).resolve().parent.parent / "data" / "moore2.json")
+        code, out, err = run(capsys, argv[0], source, "--builtin", "sphere:2", *argv[1:])
+        assert code == 2 and out == ""
+        assert source in err and "--builtin sphere:2" in err
+
+
 def _document(tmp_path, doc) -> str:
     path = tmp_path / "c.json"
     path.write_text(json.dumps(doc))

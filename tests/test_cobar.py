@@ -1,10 +1,12 @@
 import random
+from pathlib import Path
 
 import pytest
 
 from loopspace import cobar as cobar_module
 from loopspace.chains import add_into, boundary_word
 from loopspace.cobar import (
+    CobarMonomial,
     aw_reduced,
     cobar_boundary,
     compare_theorem2,
@@ -13,13 +15,17 @@ from loopspace.cobar import (
     letter_is_zero,
     monomial,
 )
+from loopspace.fileformat import load_complex
 from loopspace.simplicial import (
     GeneratorId,
     SimplexTerm,
     SimplicialPresentation,
     boundary_simplex,
 )
+from loopspace.suites import theorem2_suite
 from loopspace.words import enumerate_words
+
+DATA = Path(__file__).resolve().parent.parent / "data"
 
 
 def wedge_with_relator():
@@ -39,9 +45,12 @@ def wedge_with_relator():
 
 class TestLetters:
     def test_zero_letters(self, fixtures):
+        # s_0 x0 is the unit, in both variants; its degeneracies vanish
         zx = fixtures["sphere2"]
-        v = zx.term("x0")
-        assert letter_is_zero(zx.degenerate(v, 0), "de")
+        unit_letter = zx.degenerate(zx.term("x0"), 0)
+        for variant in ("de", "normalized"):
+            assert not letter_is_zero(unit_letter, variant)
+            assert letter_is_zero(zx.degenerate(unit_letter, 0), variant)
         assert not letter_is_zero(zx.degenerate(zx.term("sigma"), 1), "de")
         assert letter_is_zero(zx.degenerate(zx.term("sigma"), 1), "normalized")
         assert not letter_is_zero(zx.term("sigma"), "de")
@@ -60,8 +69,15 @@ class TestLetters:
 
     def test_monomial_vanishes_on_zero_letter(self, fixtures):
         zx = fixtures["sphere2"]
-        z = zx.degenerate(zx.term("x0"), 0)
-        assert monomial(zx, (zx.term("sigma"), z)) is None
+        sigma, unit_letter = zx.term("sigma"), zx.degenerate(zx.term("x0"), 0)
+        assert monomial(zx, (sigma, zx.degenerate(unit_letter, 1))) is None
+        # the unit letter is dropped, not zero
+        assert monomial(zx, (sigma, unit_letter)) == CobarMonomial((sigma,))
+        # and so lets the inverse pair around it cancel
+        zx = fixtures["bd2"]
+        a = zx.term("01")
+        unit_letter = zx.degenerate(zx.term(zx.endpoints(a)[1]), 0)
+        assert monomial(zx, (a, unit_letter, zx.op(a))) == CobarMonomial(())
 
 
 class TestDifferentials:
@@ -72,8 +88,13 @@ class TestDifferentials:
 
     def test_d_A_on_edge_and_sphere_cell(self, fixtures):
         assert d_A(fixtures["bd3"], fixtures["bd3"].term("01")) == {}
-        # both interior faces of sigma are degenerate vertices
-        assert d_A(fixtures["sphere2"], fixtures["sphere2"].term("sigma")) == {}
+        # the interior face of sigma is the unit letter s_0 x0, which
+        # cancels against sigma's splitting into two unit letters
+        zx = fixtures["sphere2"]
+        sigma, unit_letter = zx.term("sigma"), zx.degenerate(zx.term("x0"), 0)
+        for variant in ("de", "normalized"):
+            assert d_A(zx, sigma, variant) == {unit_letter: -1}
+            assert cobar_boundary(zx, CobarMonomial((sigma,)), variant) == {}
 
     def test_aw_reduced_splittings(self, fixtures):
         zx = fixtures["bd3"]
@@ -143,6 +164,16 @@ class TestComparator:
                                           sorted(chain.items(), key=lambda kv: str(kv[0]))}))
         assert want and report["mismatches"] == want
         assert not report["ok"]
+
+    @pytest.mark.parametrize("document, degree, words", [
+        ("moore2", 6, 64), ("susp-rp2", 4, 2470),
+    ], ids=["moore2", "susp-rp2"])
+    def test_shipped_documents_agree(self, document, degree, words):
+        # both documents have faces s_0 x, which each side takes as the unit
+        zx = load_complex(DATA / f"{document}.json").z_extension()
+        report = theorem2_suite(zx, degree, degree)
+        assert report["ok"], report["failures"]
+        assert report["words_checked"] == words
 
     @pytest.mark.parametrize("variant", ["de", "normalized"])
     def test_relator_complex_agrees(self, variant):

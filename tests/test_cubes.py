@@ -6,9 +6,10 @@ import pytest
 from word_oracles import dup_canonical_reference
 
 from loopspace.cli import _cube_label
-from loopspace.cubes import dup_canonical, face_coordinates
+from loopspace.cubes import dup_canonical, face_positions
 from loopspace.paths import (
     PathCell,
+    PathError,
     cube_cells,
     path_canonical,
     path_degeneracy_raw,
@@ -18,8 +19,10 @@ from loopspace.paths import (
 from loopspace.simplicial import SimplexTerm, standard_simplex
 from loopspace.words import (
     LoopWord,
+    WordError,
     canonical,
     degeneracy_slots,
+    unit,
     word_degeneracy,
     word_face_raw,
 )
@@ -58,8 +61,7 @@ class _Ops:
         return c.letters
 
     def positions(self, c):
-        dims = [t.dim for t in self.beads(c)]
-        return face_coordinates(dims, head=self.augmented)
+        return face_positions(self.beads(c), head=self.augmented)
 
     def blocks(self, c):
         """The vertex labels of each bead, a vertex repeated by its multiplicity."""
@@ -188,6 +190,42 @@ class TestDuplicateCalculus:
                 assert len(ops.positions(c)) == c.degree
 
 
+class TestIndexBoundaries:
+    """The bead rule's range ends are the models': an index just outside
+    raises the model's own error, with its own message."""
+
+    @pytest.mark.parametrize("aug", [False, True], ids=["word", "path"])
+    def test_out_of_range(self, aug):
+        ops = _Ops(3, aug)
+        if aug:  # the cube's path cells, among them those with an empty tail
+            error, face_msg = PathError, "face index {} out of range 1..{}"
+            slot_msg = "degeneracy slot {} out of range 1..{}"
+        else:  # the cube's words and the unit word
+            error, face_msg = WordError, "coordinate {} out of range 1..{}"
+            slot_msg = "degeneracy slot {} out of range"
+        for c in cells(3, aug) + ([] if aug else [unit("0")]):
+            n, slots = c.degree, ops.slots(c)
+            for i, eps in ((0, 0), (0, 1), (n + 1, 0), (n + 1, 1)):
+                with pytest.raises(error) as exc:
+                    ops.face(c, i, eps)
+                assert str(exc.value) == face_msg.format(i, n)
+            with pytest.raises(error) as exc:
+                ops.face(c, 1, 2)
+            assert str(exc.value) == "epsilon must be 0 or 1"
+            for j in (0, slots + 1):
+                with pytest.raises(error) as exc:
+                    ops.degeneracy(c, j)
+                assert str(exc.value) == slot_msg.format(j, slots)
+
+    def test_unit_word_slots_agree(self):
+        # the unit's two slots are those of its unit letter s_0 x; both give s_0 s_0 x
+        zx = standard_simplex(2)
+        e = unit("1")
+        assert degeneracy_slots(e) == 2
+        for j in (1, 2):
+            assert word_degeneracy(zx, e, j) == LoopWord((term(zx, (1,), (3,)),), "1", "1")
+
+
 def _check_relation_rows(ops, cells):
     """Face/degeneracy rows classified by the position of the face
     coordinate relative to the two copies a degeneracy creates."""
@@ -198,7 +236,7 @@ def _check_relation_rows(ops, cells):
             ed = degeneracy(d, j)
             fps = ops.positions(ed)
             assert ed.degree == n + 1 and len(fps) == n + 1
-            for idx, (p, _, _) in enumerate(fps, start=1):
+            for idx, p in enumerate(fps, start=1):
                 for eps in (0, 1):
                     left = normal(face(ed, idx, eps))
                     if p < j - 1:
@@ -209,7 +247,7 @@ def _check_relation_rows(ops, cells):
                         assert left == right, (d, j, idx, eps)
                     elif eps == 1:
                         assert left == normal(d), (d, j, idx)
-            copies = [idx for idx, (p, _, _) in enumerate(fps, start=1) if p in (j - 1, j)]
+            copies = [idx for idx, p in enumerate(fps, start=1) if p in (j - 1, j)]
             if len(copies) == 2:
                 assert normal(face(ed, copies[0], 0)) == normal(face(ed, copies[1], 0)), (d, j)
             for i in range(j + 1, ops.slots(ed) + 1):
