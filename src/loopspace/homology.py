@@ -7,14 +7,20 @@ being degree + length: a face keeps a word's weight or lowers it, so the
 words of weight <= N span a subcomplex (as total dimension filters Adams'
 cobar construction).
 
-Both bases are listed by one walk, ``words.enumerate_words``, over a
-table of letters: the nondegenerate letters for ``normalized``, and for
-``de`` also those with duplicates on interior vertices (one at a junction
-or an end is what the variant kills).  The chain algebra is a dga, as
-Adams' cobar construction is, so its boundary is the derivation fixed by
-its values on letters: each matrix column is a signed sum of the word
-with one letter t replaced by a term of d(t), and d(t) is taken once per
-distinct letter in one ``homology`` call, for all of its matrices.
+Both bases are listed over a table of letters: the nondegenerate
+letters for ``normalized``, and for ``de`` also those with duplicates on
+interior vertices (one at a junction or an end is what the variant
+kills).  The chain algebra is a dga, as Adams' cobar construction is, so
+its boundary is the derivation fixed by its values on letters, and d(t)
+is taken once per distinct letter in one ``homology`` call, for all of
+its matrices.  With edges, each basis is one ``words.enumerate_words``
+walk, and each matrix column is a signed sum of the word with one letter
+t replaced by a term of d(t), looked up by word.  Without edges the
+words are all the words in the letters, the tensor algebra T(V) on them:
+each basis is listed prefix-major, by concatenation from the lower ones,
+and d_n is assembled by index arithmetic from d(t) and the lower
+matrices, as d(t.v) = d(t).v + (-1)^|t| t.d(v).  Either way ``homology``
+calls ``boundary_matrix`` once per d_n.
 
 Free ranks and torsion come from Smith normal form by one sparse
 elimination (Kaczynski-Mrozek-Slusarek 1998; Dumas-Saunders-Villard
@@ -37,7 +43,7 @@ from math import gcd
 
 from .chains import VARIANTS, Ring, boundary_word
 from .simplicial import SimplexTerm, SimplicialPresentation, _inverse_pair
-from .words import LoopWord, canonical, enumerate_words
+from .words import LoopWord, canonical, enumerate_words, unit
 
 
 class HomologyError(ValueError):
@@ -259,12 +265,61 @@ def degree_basis(
     return degree_bases(zx, degree, variant, max_weight)[degree]
 
 
+@dataclass
+class TensorBases:
+    """The bases of degrees 0..top of a complex without edges, listed
+    prefix-major, and the matrices of d assembled on them so far.
+
+    Without edges every letter has degree >= 1 and no two letters cancel,
+    so the kept words are all the words in the letters: the chains are
+    the tensor algebra T(V) on them.  B_n lists t.v for each letter t in
+    table order and each v of B_{n-|t|} in its order, so index(t.v) =
+    ``offsets[n][i] + index(v)``, where ``offsets[n][i]`` is the number of
+    words of B_n that start with a letter before ``letters[i]``.
+    ``matrices`` holds d_0, d_1, ... as ``boundary_matrix`` assembles them.
+    """
+
+    letters: list[SimplexTerm]
+    bases: list[list[LoopWord]]
+    offsets: list[list[int]]
+    matrices: list[SparseIntMatrix]
+
+
+def tensor_bases(zx: SimplicialPresentation, top: int, variant: str) -> TensorBases:
+    """Prefix-major bases of degrees 0..top of a complex without edges,
+    each built by concatenation from the lower ones over the variant's
+    table of letters (that of ``degree_bases``): the same words as
+    ``degree_bases`` lists, in another order, with d_0 = 0 assembled."""
+    if variant not in VARIANTS:
+        raise HomologyError(f"unknown variant {variant!r}")
+    if top < 0:
+        raise HomologyError(f"degree must be non-negative, got {top}")
+    if zx.generators_of_dim(1):
+        raise HomologyError(f"{zx.name} has edges, so its words are not a tensor algebra")
+    base = zx.basepoint
+    table = zx.letters_from if variant == "normalized" else _de_letters(zx, top)
+    letters = [t for t, _ in table.get(base, ())]
+    bases: list[list[LoopWord]] = []
+    offsets: list[list[int]] = []
+    for n in range(top + 1):
+        basis = [] if n else [unit(base)]
+        offset = []
+        for t in letters:
+            offset.append(len(basis))
+            if t.dim - 1 <= n:
+                basis.extend(LoopWord((t,) + v.letters, base, base) for v in bases[n - t.dim + 1])
+        bases.append(basis)
+        offsets.append(offset)
+    return TensorBases(letters, bases, offsets, [SparseIntMatrix(0, 1)])
+
+
 def boundary_matrix(
     zx: SimplicialPresentation,
     domain: list[LoopWord],
     codomain: list[LoopWord],
     variant: str = "normalized",
     letter_boundary: dict[SimplexTerm, list[tuple[tuple[SimplexTerm, ...], int]]] | None = None,
+    tensor: TensorBases | None = None,
 ) -> tuple[SparseIntMatrix, list[LoopWord], list[LoopWord]]:
     """Matrix of the boundary from the domain basis to the codomain basis.
 
@@ -276,15 +331,25 @@ def boundary_matrix(
     and kept in ``letter_boundary`` (letter -> [(term letters, coefficient)]
     for this zx and variant).  ``homology`` passes one table to every
     matrix it assembles; without one, a fresh table is used.
-    The pieces of a canonical word the variant keeps are canonical and
-    kept, and so is each term of d(t), so a term is their plain
-    concatenation, unless the letters meeting at a seam are an inverse
-    edge pair: only then is it canonicalized.  A boundary term outside the
-    codomain raises ``HomologyError``: the bases do not span a subcomplex.
+
+    With ``tensor``, domain and codomain are its B_n and B_{n-1} for the
+    next n, and d_n comes from its lower matrices by index arithmetic
+    (``_tensor_matrix``).  ``homology`` takes that route on every complex
+    without edges, and calls this function once per d_n either way, so a
+    caller that wraps it sees every matrix with its two bases.
+
+    Otherwise each column is built word by word.  The pieces of a
+    canonical word the variant keeps are canonical and kept, and so is
+    each term of d(t), so a term is their plain concatenation, unless the
+    letters meeting at a seam are an inverse edge pair: only then is it
+    canonicalized.  A boundary term outside the codomain raises
+    ``HomologyError``: the bases do not span a subcomplex.
     """
-    index = {w: i for i, w in enumerate(codomain)}
     if letter_boundary is None:
         letter_boundary = {}
+    if tensor is not None:
+        return _tensor_matrix(zx, domain, codomain, variant, letter_boundary, tensor)
+    index = {w: i for i, w in enumerate(codomain)}
     m = SparseIntMatrix(len(codomain), len(domain))
     for j, w in enumerate(domain):
         column: dict[LoopWord, int] = {}
@@ -292,9 +357,7 @@ def boundary_matrix(
         for k, t in enumerate(w.letters):
             terms = letter_boundary.get(t)
             if terms is None:
-                lo, hi = zx.endpoints(t)
-                one = boundary_word(zx, LoopWord((t,), lo, hi), variant)
-                terms = letter_boundary[t] = [(f.letters, c) for f, c in one.items()]
+                terms = _letter_terms(zx, t, variant, letter_boundary)
             front, back = w.letters[:k], w.letters[k + 1 :]
             for piece, c in terms:
                 letters = front + piece + back
@@ -311,6 +374,75 @@ def boundary_matrix(
                 if i is None:
                     raise HomologyError(f"boundary term {f} of {w} is outside the codomain basis")
                 m.set(i, j, c)
+    return m, domain, codomain
+
+
+def _letter_terms(
+    zx: SimplicialPresentation,
+    t: SimplexTerm,
+    variant: str,
+    letter_boundary: dict[SimplexTerm, list[tuple[tuple[SimplexTerm, ...], int]]],
+) -> list[tuple[tuple[SimplexTerm, ...], int]]:
+    """d(t), from ``chains.boundary_word`` of the one-letter word, entered
+    in ``letter_boundary``."""
+    lo, hi = zx.endpoints(t)
+    one = boundary_word(zx, LoopWord((t,), lo, hi), variant)
+    terms = letter_boundary[t] = [(f.letters, c) for f, c in one.items()]
+    return terms
+
+
+def _tensor_matrix(
+    zx: SimplicialPresentation,
+    domain: list[LoopWord],
+    codomain: list[LoopWord],
+    variant: str,
+    letter_boundary: dict[SimplexTerm, list[tuple[tuple[SimplexTerm, ...], int]]],
+    tensor: TensorBases,
+) -> tuple[SparseIntMatrix, list[LoopWord], list[LoopWord]]:
+    """d_n on the prefix-major bases of ``tensor``, for the next n, from
+    d(t.v) = d(t).v + (-1)^|t| t.d(v); it is appended to ``tensor.matrices``.
+
+    The words t.v are the block of columns from ``offsets[n][i]`` on.  In
+    it, the column of v in d_{n-|t|} comes back shifted by
+    ``offsets[n-1][i]`` and signed, and a term p of d(t) puts its
+    coefficient at row offset(p) + index(v), where offset(p) sums the
+    offsets of p's letters, each in the degree the letters before it leave.
+    """
+    n = len(tensor.matrices)
+    bases, offsets = tensor.bases, tensor.offsets
+    if n >= len(bases) or domain != bases[n] or codomain != bases[n - 1]:
+        raise HomologyError(f"the tensor bases assemble d_{n} next, from their B_{n} to B_{n - 1}")
+    position = {t: i for i, t in enumerate(tensor.letters)}
+    m = SparseIntMatrix(len(codomain), len(domain))
+    entries = m.entries
+    for i, t in enumerate(tensor.letters):
+        k = t.dim - 1
+        if k > n:
+            continue
+        start, size, shift = offsets[n][i], len(bases[n - k]), offsets[n - 1][i]
+        sign = -1 if k % 2 else 1
+        below = tensor.matrices[n - k].entries
+        entries.update({(r + shift, c + start): sign * v for (r, c), v in below.items()})
+        terms = letter_boundary.get(t)
+        if terms is None:
+            terms = _letter_terms(zx, t, variant, letter_boundary)
+        for piece, c in terms:
+            # p.v starts with p's first letter, of degree below |t|, so it
+            # meets no entry of t.d(v) and no other term.  Only the unit
+            # word could, and d(t) never holds it: d of a degree-1 letter
+            # is its deleting face minus its split face, and without edges
+            # both are the unit.
+            if not piece:
+                raise HomologyError(f"d({t}) has a unit term on {zx.name}, which has no edges")
+            row, left = 0, n - 1
+            for s in piece:
+                if s not in position:
+                    raise HomologyError(f"boundary term {';'.join(map(str, piece))} of {t} "
+                                        "is outside the codomain basis")
+                row += offsets[left][position[s]]
+                left -= s.dim - 1
+            entries.update({(row + j, start + j): c for j in range(size)})
+    tensor.matrices.append(m)
     return m, domain, codomain
 
 
@@ -384,22 +516,29 @@ def homology(
     """H_0..H_max_degree of the loop-space complex, truncated at word
     weight ``max_weight`` on a complex with edges and exact without.
 
-    The bases of degrees 0..max_degree+1 come from one ``degree_bases``
-    call, and each boundary matrix reuses the two it needs.  Each
-    consecutive pair must compose to zero, which also keeps every free
-    rank >= 0 (the image of d_{n+1} lies in the kernel of d_n).  The
-    matrices share one table of letter boundaries, so d of each letter is
-    computed once per call.
+    The bases of degrees 0..max_degree+1 come from one ``tensor_bases``
+    call on a complex without edges, and from one ``degree_bases`` call on
+    one with edges.  ``boundary_matrix`` is called once per d_n, on the
+    two bases it needs, so a caller that wraps that name sees every
+    matrix.  Each consecutive pair must compose to zero, which also keeps
+    every free rank >= 0 (the image of d_{n+1} lies in the kernel of d_n).
+    The matrices share one table of letter boundaries, so d of each letter
+    is computed once per call.
     """
     if max_degree < 0:
         raise HomologyError("max_degree must be non-negative")
-    bases = degree_bases(zx, max_degree + 1, variant, max_weight)
+    top = max_degree + 1
+    if zx.generators_of_dim(1):
+        tensor, bases = None, degree_bases(zx, top, variant, max_weight)
+    else:
+        tensor = tensor_bases(zx, top, variant)
+        bases = tensor.bases
     letter_boundary: dict[SimplexTerm, list[tuple[tuple[SimplexTerm, ...], int]]] = {}
     snfs: list[tuple[int, ...]] = [()]  # d_0 = 0
     nonzeros = [0]
     prev = None
-    for n in range(1, max_degree + 2):
-        m, _, _ = boundary_matrix(zx, bases[n], bases[n - 1], variant, letter_boundary)
+    for n in range(1, top + 1):
+        m, _, _ = boundary_matrix(zx, bases[n], bases[n - 1], variant, letter_boundary, tensor)
         if prev is not None and not _composes_to_zero(prev, m):
             raise HomologyError(f"d_{n - 1} d_{n} is not zero on {zx.name}")
         nonzeros.append(len(m.entries))

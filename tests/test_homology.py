@@ -11,6 +11,8 @@ from loopspace.chains import Ring, boundary_word, is_killed
 from loopspace.fileformat import load_complex, parse_word
 from loopspace.homology import (
     HomologyError,
+    HomologyGroup,
+    HomologyTable,
     SparseIntMatrix,
     boundary_matrix,
     degree_bases,
@@ -18,19 +20,44 @@ from loopspace.homology import (
     field_dimensions,
     homology,
     smith_normal_form,
+    tensor_bases,
 )
-from loopspace.simplicial import SimplexTerm, boundary_simplex, sphere_quotient
+from loopspace.simplicial import (
+    GeneratorId,
+    SimplexTerm,
+    SimplicialPresentation,
+    boundary_simplex,
+    sphere_quotient,
+)
 from loopspace.words import LoopWord, canonical, degeneracy_slots, enumerate_words, word_degeneracy
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
 
+def skeleton_quotient(n):
+    """Delta^n with its 1-skeleton collapsed to one vertex x0: no edges, a
+    triangle on every three vertices, and every face of dimension >= 2
+    kept.  It is a wedge of n(n-1)/2 - n + 1 2-spheres."""
+    x0 = GeneratorId("x0", 0)
+    gens, faces = [x0], {}
+    for r in range(3, n + 2):
+        for s in combinations(map(str, range(n + 1)), r):
+            gens.append(GeneratorId("".join(s), r - 1))
+            faces["".join(s)] = tuple(
+                SimplexTerm(x0, (2,)) if r == 3
+                else SimplexTerm(GeneratorId("".join(s[:i] + s[i + 1:]), r - 2), (1,) * (r - 1))
+                for i in range(r))
+    return SimplicialPresentation(f"delta{n}/1-skeleton", gens, faces, "x0")
+
+
 @pytest.fixture(scope="module")
 def complexes(fixtures):
-    """The standard fixtures plus sphere4 and bd4, edge-inverted."""
+    """The standard fixtures plus sphere4, bd4 and sk4 (``skeleton_quotient``),
+    edge-inverted."""
     return {**fixtures,
             "sphere4": sphere_quotient(4).z_extension(),
-            "bd4": boundary_simplex(4).z_extension()}
+            "bd4": boundary_simplex(4).z_extension(),
+            "sk4": skeleton_quotient(4).z_extension()}
 
 
 def weight(w):
@@ -447,6 +474,112 @@ class TestBases:
         tower = degree_bases(zx, 1, "normalized", 3)
         with pytest.raises(HomologyError, match="outside the codomain basis"):
             boundary_matrix(zx, tower[1], tower[0][:1], "normalized")
+
+
+def word_path_table(zx, top, variant):
+    """The table of H_0..H_top from the word-keyed bases and matrices
+    (``degree_bases`` and ``boundary_matrix`` without tensor bases, called
+    by the imported name, which the ``assembled`` fixture does not wrap),
+    with the bases and matrices: the reference for the index path."""
+    bases = degree_bases(zx, top + 1, variant, None)
+    mats = [boundary_matrix(zx, bases[n], bases[n - 1], variant)[0] for n in range(1, top + 2)]
+    snfs = [()] + [smith_normal_form(m) for m in mats]
+    groups = tuple(HomologyGroup(n, len(bases[n]) - len(snfs[n]) - len(snfs[n + 1]),
+                                 tuple(t for t in snfs[n + 1] if t > 1))
+                   for n in range(top + 1))
+    table = HomologyTable(zx.name, variant, None, groups, tuple(len(b) for b in bases),
+                          (0, *(len(m.entries) for m in mats)))
+    return table, bases, mats
+
+
+def keyed(m, dom, cod):
+    """A matrix's entries keyed by (codomain word, domain word)."""
+    return {(cod[i], dom[j]): v for (i, j), v in m.entries.items()}
+
+
+@pytest.fixture
+def assembled(monkeypatch):
+    """The (matrix, domain, codomain) of every call of the module name
+    ``boundary_matrix``, in call order, as a caller that wraps it sees them
+    (the benchmark's d.d and shared-basis gate does)."""
+    calls = []
+    original = homology_module.boundary_matrix
+
+    def watched(*args):
+        out = original(*args)
+        calls.append(out)
+        return out
+
+    monkeypatch.setattr(homology_module, "boundary_matrix", watched)
+    return calls
+
+
+class TestTensorAssembly:
+    # on a complex without edges, homology lists prefix-major bases and
+    # assembles d_n by index arithmetic; the word path is its oracle.  Only
+    # sk4 has a letter whose d holds a product of two letters (the
+    # 4-simplex splits into two triangles)
+    @pytest.mark.parametrize("variant", ["de", "normalized"])
+    @pytest.mark.parametrize("name, top", [
+        ("sphere2", 7), ("sphere3", 7), ("sphere4", 7), ("moore2", 8), ("susp-rp2", 4),
+        ("sk4", 3),
+    ])
+    def test_index_path_matches_word_path(self, complexes, assembled, name, top, variant):
+        if name in complexes:
+            zx = complexes[name]
+        else:
+            zx = load_complex(DATA / f"{name}.json").z_extension()
+        want, word_bases, word_mats = word_path_table(zx, top, variant)
+        assert homology(zx, top, variant) == want
+        assert len(assembled) == top + 1
+        tensor_basis_lists = [assembled[0][2]] + [dom for _, dom, _ in assembled]
+        for basis, words in zip(tensor_basis_lists, word_bases):
+            assert sorted(basis, key=lambda w: (len(w.letters), w.letters)) == words
+        for (m, dom, cod), w, n in zip(assembled, word_mats, range(1, top + 2)):
+            assert keyed(m, dom, cod) == keyed(w, word_bases[n], word_bases[n - 1]), n
+
+    def test_wedge_of_spheres(self, complexes):
+        # Delta^4 / 1-skeleton is a wedge of six 2-spheres: H_n = Z^(6^n)
+        # (Bott-Samelson)
+        zx = complexes["sk4"]
+        assert zx.validate() == []
+        table = homology(zx, 3, "normalized")
+        assert [(g.free_rank, g.torsion) for g in table.groups] == [(6 ** n, ()) for n in range(4)]
+
+    def test_prefix_major_order(self, fixtures):
+        # B_n is t.B_{n-|t|} over the letters in table order
+        zx = fixtures["sphere2"]
+        tensor = tensor_bases(zx, 3, "de")
+        x, x1, x2 = tensor.letters  # the triangle, with 0, 1 and 2 duplicates
+        assert [t.dim for t in tensor.letters] == [2, 3, 4]
+        assert [w.letters for w in tensor.bases[3]] == [(x, x, x), (x, x1), (x1, x), (x2,)]
+        assert tensor.offsets[3] == [0, 2, 3]
+
+    def test_refusals(self, fixtures):
+        with pytest.raises(HomologyError, match="has edges"):
+            tensor_bases(fixtures["bd3"], 2, "de")
+        with pytest.raises(HomologyError, match="unknown variant"):
+            tensor_bases(fixtures["sphere2"], 2, "dee")
+        tensor = tensor_bases(fixtures["sphere2"], 2, "de")
+        with pytest.raises(HomologyError, match="assemble d_1 next"):
+            boundary_matrix(fixtures["sphere2"], tensor.bases[2], tensor.bases[1], "de",
+                            None, tensor)
+
+    @pytest.mark.parametrize("name, top, variant, max_weight", [
+        ("sphere3", 8, "de", None),
+        ("bd3", 3, "normalized", 6),
+    ], ids=["index-path", "word-path"])
+    def test_boundary_matrix_sees_every_matrix(self, fixtures, assembled,
+                                              name, top, variant, max_weight):
+        # one call per d_n, each with both bases, whichever path assembles
+        table = homology(fixtures[name], top, variant, max_weight)
+        assert len(assembled) == top + 1
+        for m, dom, cod in assembled:
+            assert (m.rows, m.cols) == (len(cod), len(dom))
+        for (_, dom, _), (_, _, cod) in zip(assembled, assembled[1:]):
+            assert dom == cod
+        assert table.basis_sizes == (len(assembled[0][2]), *(len(d) for _, d, _ in assembled))
+        assert table.nonzeros == (0, *(len(m.entries) for m, _, _ in assembled))
 
 
 class TestWeightTruncation:
