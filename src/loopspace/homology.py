@@ -35,8 +35,9 @@ and column steps reduce each one until it splits off.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
+from functools import cache, partial
 from heapq import heapify, heappop, heappush
 from itertools import combinations
 from math import gcd
@@ -48,6 +49,9 @@ from .words import LoopWord, canonical, enumerate_words, unit
 
 class HomologyError(ValueError):
     pass
+
+
+_LetterTerms = list[tuple[tuple[SimplexTerm, ...], int]]  # d of a letter: (term letters, coefficient)
 
 
 # -- sparse integer matrices and Smith normal form --------------------------
@@ -215,24 +219,30 @@ def degree_bases(
     max_weight: int | None,
 ) -> list[list[LoopWord]]:
     """Canonical-word bases of degrees 0..top, one ``enumerate_words`` walk
-    each over the variant's table of letters; with edges, degree n takes
-    the words of length <= max_weight - n.  ``normalized`` walks the
-    nondegenerate letters, ``de`` the ``_de_letters`` of this call."""
-    if variant not in VARIANTS:
-        raise HomologyError(f"unknown variant {variant!r}")
-    if top < 0:
-        raise HomologyError(f"degree must be non-negative, got {top}")
+    each over the variant's table of letters (``_letter_table``); with
+    edges, degree n takes the words of length <= max_weight - n."""
+    letters = _letter_table(zx, top, variant)
     base = zx.basepoint
     bound = _weight_bound(zx, max_weight)
-    letters = zx.letters_from if variant == "normalized" else _de_letters(zx, top)
     return [enumerate_words(zx, n, None if bound is None else bound - n, base, base, letters)
             for n in range(top + 1)]
 
 
-def _de_letters(zx: SimplicialPresentation, top: int) -> dict[str, list[tuple[SimplexTerm, str]]]:
-    """``zx.letters_from`` and each letter of dimension m >= 2 with k >= 1
-    duplicates on its interior vertices 1..m-1, placed in every way, for
-    m - 1 + k <= top; each row in order of dimension."""
+def _letter_table(
+    zx: SimplicialPresentation, top: int, variant: str
+) -> dict[str, list[tuple[SimplexTerm, str]]]:
+    """The letters the bases of degrees 0..top are words in, by start
+    vertex: ``zx.letters_from`` (the nondegenerate letters) for
+    ``normalized``; for ``de`` also each letter of dimension m >= 2 with
+    k >= 1 duplicates on its interior vertices 1..m-1, placed in every
+    way, for m - 1 + k <= top, each row in order of dimension.  Refuses an
+    unknown variant and a negative degree."""
+    if variant not in VARIANTS:
+        raise HomologyError(f"unknown variant {variant!r}")
+    if top < 0:
+        raise HomologyError(f"degree must be non-negative, got {top}")
+    if variant == "normalized":
+        return zx.letters_from
     table = {}
     for at, row in zx.letters_from.items():
         out = list(row)
@@ -288,16 +298,12 @@ class TensorBases:
 def tensor_bases(zx: SimplicialPresentation, top: int, variant: str) -> TensorBases:
     """Prefix-major bases of degrees 0..top of a complex without edges,
     each built by concatenation from the lower ones over the variant's
-    table of letters (that of ``degree_bases``): the same words as
+    table of letters (``_letter_table``): the same words as
     ``degree_bases`` lists, in another order, with d_0 = 0 assembled."""
-    if variant not in VARIANTS:
-        raise HomologyError(f"unknown variant {variant!r}")
-    if top < 0:
-        raise HomologyError(f"degree must be non-negative, got {top}")
+    table = _letter_table(zx, top, variant)
     if zx.generators_of_dim(1):
         raise HomologyError(f"{zx.name} has edges, so its words are not a tensor algebra")
     base = zx.basepoint
-    table = zx.letters_from if variant == "normalized" else _de_letters(zx, top)
     letters = [t for t, _ in table.get(base, ())]
     bases: list[list[LoopWord]] = []
     offsets: list[list[int]] = []
@@ -318,7 +324,7 @@ def boundary_matrix(
     domain: list[LoopWord],
     codomain: list[LoopWord],
     variant: str = "normalized",
-    letter_boundary: dict[SimplexTerm, list[tuple[tuple[SimplexTerm, ...], int]]] | None = None,
+    letter_boundary: Callable[[SimplexTerm], _LetterTerms] | None = None,
     tensor: TensorBases | None = None,
 ) -> tuple[SparseIntMatrix, list[LoopWord], list[LoopWord]]:
     """Matrix of the boundary from the domain basis to the codomain basis.
@@ -326,11 +332,11 @@ def boundary_matrix(
     Returns (matrix, domain, codomain); rows are codomain words, columns
     domain words.  The boundary is the derivation fixed by its values on
     letters, d(t_1...t_m) = sum_k (-1)^e t_1...t_{k-1} d(t_k) t_{k+1}...t_m
-    with e the degree of t_1...t_{k-1}; d(t) is ``chains.boundary_word`` of
-    the one-letter word, computed once per distinct letter in this call
-    and kept in ``letter_boundary`` (letter -> [(term letters, coefficient)]
-    for this zx and variant).  ``homology`` passes one table to every
-    matrix it assembles; without one, a fresh table is used.
+    with e the degree of t_1...t_{k-1}; d(t) is ``letter_boundary(t)``, a
+    list of (term letters, coefficient) for this zx and variant.
+    ``homology`` passes every matrix it assembles one cached function, so
+    d of each distinct letter is computed once per call; without one, a
+    fresh cache of ``chains.boundary_word`` on the one-letter word is used.
 
     With ``tensor``, domain and codomain are its B_n and B_{n-1} for the
     next n, and d_n comes from its lower matrices by index arithmetic
@@ -346,7 +352,7 @@ def boundary_matrix(
     ``HomologyError``: the bases do not span a subcomplex.
     """
     if letter_boundary is None:
-        letter_boundary = {}
+        letter_boundary = cache(partial(_letter_terms, zx, variant))
     if tensor is not None:
         return _tensor_matrix(zx, domain, codomain, variant, letter_boundary, tensor)
     index = {w: i for i, w in enumerate(codomain)}
@@ -355,11 +361,8 @@ def boundary_matrix(
         column: dict[LoopWord, int] = {}
         sign = 1  # (-1)^(degree of the letters before t)
         for k, t in enumerate(w.letters):
-            terms = letter_boundary.get(t)
-            if terms is None:
-                terms = _letter_terms(zx, t, variant, letter_boundary)
             front, back = w.letters[:k], w.letters[k + 1 :]
-            for piece, c in terms:
+            for piece, c in letter_boundary(t):
                 letters = front + piece + back
                 if _inverse_at_seam(zx, front, piece, back):
                     f = canonical(zx, letters, w.start)
@@ -377,18 +380,11 @@ def boundary_matrix(
     return m, domain, codomain
 
 
-def _letter_terms(
-    zx: SimplicialPresentation,
-    t: SimplexTerm,
-    variant: str,
-    letter_boundary: dict[SimplexTerm, list[tuple[tuple[SimplexTerm, ...], int]]],
-) -> list[tuple[tuple[SimplexTerm, ...], int]]:
-    """d(t), from ``chains.boundary_word`` of the one-letter word, entered
-    in ``letter_boundary``."""
+def _letter_terms(zx: SimplicialPresentation, variant: str, t: SimplexTerm) -> _LetterTerms:
+    """d(t), from ``chains.boundary_word`` of the one-letter word."""
     lo, hi = zx.endpoints(t)
     one = boundary_word(zx, LoopWord((t,), lo, hi), variant)
-    terms = letter_boundary[t] = [(f.letters, c) for f, c in one.items()]
-    return terms
+    return [(f.letters, c) for f, c in one.items()]
 
 
 def _tensor_matrix(
@@ -396,7 +392,7 @@ def _tensor_matrix(
     domain: list[LoopWord],
     codomain: list[LoopWord],
     variant: str,
-    letter_boundary: dict[SimplexTerm, list[tuple[tuple[SimplexTerm, ...], int]]],
+    letter_boundary: Callable[[SimplexTerm], _LetterTerms],
     tensor: TensorBases,
 ) -> tuple[SparseIntMatrix, list[LoopWord], list[LoopWord]]:
     """d_n on the prefix-major bases of ``tensor``, for the next n, from
@@ -423,10 +419,7 @@ def _tensor_matrix(
         sign = -1 if k % 2 else 1
         below = tensor.matrices[n - k].entries
         entries.update({(r + shift, c + start): sign * v for (r, c), v in below.items()})
-        terms = letter_boundary.get(t)
-        if terms is None:
-            terms = _letter_terms(zx, t, variant, letter_boundary)
-        for piece, c in terms:
+        for piece, c in letter_boundary(t):
             # p.v starts with p's first letter, of degree below |t|, so it
             # meets no entry of t.d(v) and no other term.  Only the unit
             # word could, and d(t) never holds it: d of a degree-1 letter
@@ -522,8 +515,8 @@ def homology(
     two bases it needs, so a caller that wraps that name sees every
     matrix.  Each consecutive pair must compose to zero, which also keeps
     every free rank >= 0 (the image of d_{n+1} lies in the kernel of d_n).
-    The matrices share one table of letter boundaries, so d of each letter
-    is computed once per call.
+    The matrices share one cached function of letter boundaries, built
+    for this call, so d of each letter is computed once per call.
     """
     if max_degree < 0:
         raise HomologyError("max_degree must be non-negative")
@@ -533,7 +526,7 @@ def homology(
     else:
         tensor = tensor_bases(zx, top, variant)
         bases = tensor.bases
-    letter_boundary: dict[SimplexTerm, list[tuple[tuple[SimplexTerm, ...], int]]] = {}
+    letter_boundary = cache(partial(_letter_terms, zx, variant))
     snfs: list[tuple[int, ...]] = [()]  # d_0 = 0
     nonzeros = [0]
     prev = None

@@ -16,14 +16,14 @@ words and path cells alike; each model hands it a small record of its
 operators (``_Model``).  Cube cells are no third model: the cube rows run
 the word model on the necklaces of standard_simplex(n + 1) from 0 to n + 1,
 and the path model on the path cells of standard_simplex(n) ending at n.
-Before the rows the checker builds a small table of the checked cell's
-own operators: its raw faces d_k^eps c for k in 1..n, their normal forms
-when the face-face rows read them (n >= 2), and its raw degeneracies at
-every slot; an index outside the table goes to the model, so a wrong model
-still raises there.  The rows build the same raw cells many times, too;
-the checker normalizes each distinct raw cell once per checked cell, in a
-memo that lives for that cell only, and still runs every row and
-comparison.  A report that ran no row, or a comparator that compared no
+The rows ask for the checked cell's own raw faces and degeneracies many
+times, and build equal raw cells many times; the checker reads them
+through caches (``functools.cache``) that live for that cell only: one of
+its raw faces d_k^eps c, one of their normal forms for the face-face rows,
+one of its raw degeneracies, and one of the normal form of each distinct
+raw cell.  Each entry is built when a row first asks for it, by the model,
+so a wrong model raises where that row asks; every row and comparison
+still runs.  A report that ran no row, or a comparator that compared no
 word, is marked ``vacuous``.
 """
 
@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import inspect
 import random
-from functools import partial
+from functools import cache, partial
 from typing import Callable, NamedTuple
 
 from .chains import VARIANTS, boundary_chain, boundary_word, is_killed, leibniz_defect
@@ -182,41 +182,23 @@ def _check_relations(m: _Model, cells, rec: _Recorder, tag: str) -> None:
 
 
 def _check_cell(m: _Model, c, rec: _Recorder, tag: str) -> None:
-    # different rows build equal raw cells: each is normalized once per cell
-    normals: dict = {}
-
-    def normal(x):
-        y = normals.get(x)
-        if y is None:
-            y = normals[x] = m.normal(x)
-        return y
-
-    # c's own faces and degeneracies, built once before the rows; an index
-    # outside the table goes to the model, which raises on it
+    # the rows ask for c's own faces and degeneracies, and build equal raw
+    # cells, many times: each is built, and normalized, once per cell
+    normal = cache(m.normal)
+    face_of_c = cache(partial(m.face_raw, c))
+    degeneracy_of_c = cache(partial(m.degeneracy_raw, c))
+    normal_face = cache(lambda k, eps: normal(face_of_c(k, eps)))
     n, slots = c.degree, m.slots(c)
-    faces = {(k, eps): m.face_raw(c, k, eps) for k in range(1, n + 1) for eps in (0, 1)}
-    degeneracies = {j: m.degeneracy_raw(c, j) for j in range(1, slots + 1)}
-
-    def face_of_c(k, eps):
-        x = faces.get((k, eps))
-        return m.face_raw(c, k, eps) if x is None else x
-
-    def degeneracy_of_c(j):
-        x = degeneracies.get(j)
-        return m.degeneracy_raw(c, j) if x is None else x
-
-    if n >= 2:
-        normal_faces = {key: normal(x) for key, x in faces.items()}
-        for j in range(2, n + 1):
-            for i in range(1, j):
-                for eps in (0, 1):
-                    for om in (0, 1):
-                        left = normal(m.face_raw(normal_faces[j, om], i, eps))
-                        right = normal(m.face_raw(normal_faces[i, eps], j - 1, om))
-                        rec.record(f"{tag}-FF", left == right, (c, i, j, eps, om))
+    for j in range(2, n + 1):
+        for i in range(1, j):
+            for eps in (0, 1):
+                for om in (0, 1):
+                    left = normal(m.face_raw(normal_face(j, om), i, eps))
+                    right = normal(m.face_raw(normal_face(i, eps), j - 1, om))
+                    rec.record(f"{tag}-FF", left == right, (c, i, j, eps, om))
     home = normal(c)
     for j in range(1, slots + 1):
-        e = degeneracies[j]  # raw; copies at positions j-1, j
+        e = degeneracy_of_c(j)  # raw; copies at positions j-1, j
         ps = m.positions(e)
         ok = e.degree == n + 1 and len(ps) == n + 1
         rec.record(f"{tag}-dim", ok, (c, j))

@@ -468,6 +468,10 @@ class TestBases:
         distinct = {t for basis in domains for w in basis for t in w.letters}
         assert sorted(letters) == sorted(distinct)
         assert len(letters) == 36
+        # no letter boundary outlives its call: a second call takes them all again
+        homology(zx, 8, "de")
+        assert sorted(letters) == sorted([*distinct, *distinct])
+        assert len(letters) == 72
 
     def test_term_outside_codomain_raises(self, fixtures):
         zx = fixtures["bd3"]
@@ -564,6 +568,21 @@ class TestTensorAssembly:
         with pytest.raises(HomologyError, match="assemble d_1 next"):
             boundary_matrix(fixtures["sphere2"], tensor.bases[2], tensor.bases[1], "de",
                             None, tensor)
+
+    @pytest.mark.parametrize("middle, match", [
+        (None, "has a unit term"),
+        # the triangle with two interior duplicates is no letter of B_0..B_2
+        (3, "outside the codomain basis"),
+    ], ids=["unit-term", "foreign-letter"])
+    def test_letter_boundary_refusals(self, fixtures, middle, match):
+        # d_1 from a letter boundary that no complex without edges gives
+        zx = fixtures["sphere2"]
+        tensor = tensor_bases(zx, 2, "de")
+        x = tensor.letters[0]
+        piece = () if middle is None else (SimplexTerm(x.generator, (1, middle, 1)),)
+        with pytest.raises(HomologyError, match=match):
+            boundary_matrix(zx, tensor.bases[1], tensor.bases[0], "de",
+                            lambda t: [(piece, 1)], tensor)
 
     @pytest.mark.parametrize("name, top, variant, max_weight", [
         ("sphere3", 8, "de", None),

@@ -21,8 +21,9 @@ from loopspace.words import word_degeneracy, word_face_raw
 
 # per-row counts recorded from the three per-model checkers it replaced
 GOLDEN = json.loads((Path(__file__).parent / "golden" / "cubical_rows.json").read_text())
-# full reports of the wrong models below, recorded before the checker's
-# per-cell operator table
+# full reports of the wrong models below, recorded when the checker built
+# each of the checked cell's operators as a row asked for it, as its
+# per-cell caches do
 WRONG_MODELS = json.loads((Path(__file__).parent / "golden" / "wrong_models.json").read_text())
 
 
@@ -182,8 +183,9 @@ class TestCheckerFails:
 
 
 class TestWrongModelReports:
-    # every row, pass or fail, and every failure in order, so that building
-    # the checked cell's operators ahead of the rows moves no row past a raise
+    # every row, pass or fail, and every failure in order, so that how the
+    # checker builds and caches the checked cell's operators moves no row
+    # past a raise
     @pytest.mark.parametrize("name", ["cube", "word-bd3"])
     @pytest.mark.parametrize("kind", ["degeneracy", "face", "slot_one"])
     def test_pinned(self, fixtures, name, kind):
