@@ -13,12 +13,19 @@ boundary has integer coefficients and Z -> R is a ring map, so the CLI's
 ``--coeff`` ring is applied once, to a finished chain (``Ring.coerce``),
 and ``homology.field_dimensions`` reads field homology off the integral
 table.
+
+``boundary_chain``, ``multiply`` and ``leibniz_defect`` may take d of a word
+and the product of two words from a caller's cached ``boundary_word`` and
+``compose``.  A cached chain is shared, so it is read-only: they build
+fresh chains and change none they are handed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from math import isqrt
+from typing import Callable
 
 from .simplicial import SimplicialPresentation
 from .words import LoopWord, compose, word_face
@@ -116,33 +123,45 @@ def boundary_word(zx: SimplicialPresentation, w: LoopWord, variant: str = "de") 
     return acc
 
 
-def boundary_chain(zx: SimplicialPresentation, ch: Chain, variant: str = "de") -> Chain:
+def boundary_chain(
+    zx: SimplicialPresentation, ch: Chain, variant: str = "de", d: Callable | None = None
+) -> Chain:
+    """d of a chain, taking d(w) from ``d(w, variant)`` when given (a
+    cached ``boundary_word``) and from ``boundary_word`` otherwise."""
+    d = d or partial(boundary_word, zx)
     acc: Chain = {}
     for w, c in ch.items():
-        for f, s in boundary_word(zx, w, variant).items():
+        for f, s in d(w, variant).items():
             add_into(acc, f, c * s)
     return acc
 
 
-def multiply(zx: SimplicialPresentation, a: Chain, b: Chain, variant: str = "de") -> Chain:
-    """Concatenation product of chains (no internal sign)."""
+def multiply(
+    zx: SimplicialPresentation, a: Chain, b: Chain, variant: str = "de", mul: Callable | None = None
+) -> Chain:
+    """Concatenation product of chains (no internal sign), taking the word
+    uv from ``mul(u, v)`` when given (a cached ``compose``)."""
+    mul = mul or partial(compose, zx)
     acc: Chain = {}
     for u, cu in a.items():
         for v, cv in b.items():
-            w = compose(zx, u, v)
+            w = mul(u, v)
             if not is_killed(w, variant):
                 add_into(acc, w, cu * cv)
     return acc
 
 
 def leibniz_defect(
-    zx: SimplicialPresentation, u: LoopWord, v: LoopWord, variant: str = "de"
+    zx: SimplicialPresentation, u: LoopWord, v: LoopWord, variant: str = "de",
+    d: Callable | None = None, mul: Callable | None = None,
 ) -> Chain:
     """d(uv) - d(u)v - (-1)^{deg u} u d(v); zero when the product is a
-    dg algebra on the given elements."""
-    acc = boundary_chain(zx, multiply(zx, chain_of(u), chain_of(v), variant), variant)
-    du_v = multiply(zx, boundary_word(zx, u, variant), chain_of(v), variant)
-    u_dv = multiply(zx, chain_of(u), boundary_word(zx, v, variant), variant)
+    dg algebra on the given elements.  ``d`` and ``mul`` are as in
+    ``boundary_chain`` and ``multiply``."""
+    d = d or partial(boundary_word, zx)
+    acc = boundary_chain(zx, multiply(zx, chain_of(u), chain_of(v), variant, mul), variant, d)
+    du_v = multiply(zx, d(u, variant), chain_of(v), variant, mul)
+    u_dv = multiply(zx, chain_of(u), d(v, variant), variant, mul)
     sgn = 1 if u.degree % 2 == 0 else -1
     for w, c in du_v.items():
         add_into(acc, w, -c)

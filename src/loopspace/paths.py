@@ -46,8 +46,8 @@ def path_canonical(zx: SimplicialPresentation, base: SimplexTerm, tail: LoopWord
         raise PathError(f"tail starts at {tail.start}, base ends at {hi}")
     pool = base.mult[-1] - 1
     if pool:
-        base = SimplexTerm(base.generator, base.mult[:-1] + (1,))
-    return PathCell(base, _normal_word(zx, tail.letters, hi, pool))
+        base = tuple.__new__(SimplexTerm, (base.generator, base.mult[:-1] + (1,), base.dim - pool))
+    return tuple.__new__(PathCell, (base, _normal_word(zx, tail.letters, hi, pool)))
 
 
 def path_face_raw(
@@ -62,7 +62,8 @@ def path_face_raw(
     if beads is None:
         raise PathError(f"face index {i} out of range 1..{c.degree}")
     head = beads[0]
-    return PathCell(head, LoopWord(beads[1:], zx.endpoints(head)[1], c.tail.end))
+    tail = tuple.__new__(LoopWord, (beads[1:], zx.endpoints(head)[1], c.tail.end))
+    return tuple.__new__(PathCell, (head, tail))
 
 
 def path_face(zx: SimplicialPresentation, c: PathCell, i: int, eps: int) -> PathCell:
@@ -84,7 +85,8 @@ def path_degeneracy_raw(zx: SimplicialPresentation, c: PathCell, j: int) -> Path
     beads = necklace_degeneracy(zx, (c.base, *c.tail.letters), j)
     if beads is None:
         raise PathError(f"degeneracy slot {j} out of range 1..{path_degeneracy_slots(c)}")
-    return PathCell(beads[0], LoopWord(beads[1:], c.tail.start, c.tail.end))
+    tail = tuple.__new__(LoopWord, (beads[1:], c.tail.start, c.tail.end))
+    return tuple.__new__(PathCell, (beads[0], tail))
 
 
 def act(zx: SimplicialPresentation, c: PathCell, w: LoopWord) -> PathCell:

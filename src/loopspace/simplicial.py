@@ -9,7 +9,11 @@ presentation tables once, for every generator and every vertex, the front
 and back face of the generator meeting at that vertex; a simplex splits at
 a position (``_split``) by pushing its vertex multiplicities onto the
 tabled faces, and the first and last vertex of a simplex are read off the
-same table.  Formal edge inverses are attached by ``z_extension``.
+same table.  The operators know the dimension of what they build (a face
+has one less, a degeneracy one more, a split's halves i and dim - i), so
+they build it with ``tuple.__new__`` and skip the Python frame and the
+sum(mult) of ``SimplexTerm(g, mult)``.  Formal edge inverses are attached
+by ``z_extension``.
 """
 
 from __future__ import annotations
@@ -97,7 +101,7 @@ def _degenerate(t: SimplexTerm, j: int) -> SimplexTerm:
         raise SimplicialError(f"degeneracy index {j} out of range for dimension {t.dim}")
     mult = t.mult
     v = _vertex_at(mult, j)
-    return SimplexTerm(t.generator, mult[:v] + (mult[v] + 1,) + mult[v + 1 :])
+    return tuple.__new__(SimplexTerm, (t.generator, mult[:v] + (mult[v] + 1,) + mult[v + 1 :], t.dim + 1))
 
 
 class SimplicialPresentation:
@@ -221,12 +225,12 @@ class SimplicialPresentation:
             raise SimplicialError(f"face index {i} out of range for dimension {dim}")
         v = _vertex_at(mult, i)
         if mult[v] > 1:
-            return SimplexTerm(t.generator, mult[:v] + (mult[v] - 1,) + mult[v + 1 :])
+            return tuple.__new__(SimplexTerm, (t.generator, mult[:v] + (mult[v] - 1,) + mult[v + 1 :], dim - 1))
         try:
             f = self.faces[t.generator.name][v]
         except KeyError:
             raise SimplicialError(f"unknown generator {t.generator.name!r}") from None
-        return _push(f, mult[:v] + mult[v + 1 :])
+        return _push(f, mult[:v] + mult[v + 1 :], dim - 1)
 
     def degenerate(self, t: SimplexTerm, j: int) -> SimplexTerm:
         """Apply s_j to t."""
@@ -318,19 +322,19 @@ def _split(
     v = _vertex_at(mult, i)
     k = i - sum(mult[:v])  # position i is copy k of vertex v
     front, back = table[v]
-    return _push(front, mult[:v] + (k + 1,)), _push(back, (mult[v] - k,) + mult[v + 1 :])
+    return _push(front, mult[:v] + (k + 1,), i), _push(back, (mult[v] - k,) + mult[v + 1 :], t.dim - i)
 
 
-def _push(f: SimplexTerm, mult: tuple[int, ...]) -> SimplexTerm:
-    """f precomposed with the degeneracy whose vertex copies are mult: each
-    vertex of f's generator collects the copies of the block of mult it
-    collapses."""
-    if sum(mult) == len(mult):  # no copies to collect
+def _push(f: SimplexTerm, mult: tuple[int, ...], dim: int) -> SimplexTerm:
+    """f precomposed with the degeneracy whose vertex copies are mult, of
+    dimension dim = sum(mult) - 1: each vertex of f's generator collects the
+    copies of the block of mult it collapses."""
+    if dim + 1 == len(mult):  # no copies to collect
         return f
-    if len(f.mult) == len(mult):  # f is nondegenerate
-        return SimplexTerm(f.generator, mult)
-    ends = list(itertools.accumulate(f.mult))
-    return SimplexTerm(f.generator, tuple(sum(mult[a:b]) for a, b in zip([0, *ends], ends)))
+    if len(f.mult) != len(mult):  # f is degenerate
+        ends = list(itertools.accumulate(f.mult))
+        mult = tuple(sum(mult[a:b]) for a, b in zip([0, *ends], ends))
+    return tuple.__new__(SimplexTerm, (f.generator, mult, dim))
 
 
 def _inverse_pair(zx: SimplicialPresentation, a: SimplexTerm, b: SimplexTerm) -> bool:

@@ -19,12 +19,16 @@ and the path model on the path cells of standard_simplex(n) ending at n.
 The rows ask for the checked cell's own raw faces and degeneracies many
 times, and build equal raw cells many times; the checker reads them
 through caches (``functools.cache``) that live for that cell only: one of
-its raw faces d_k^eps c, one of their normal forms for the face-face rows,
-one of its raw degeneracies, and one of the normal form of each distinct
-raw cell.  Each entry is built when a row first asks for it, by the model,
-so a wrong model raises where that row asks; every row and comparison
-still runs.  A report that ran no row, or a comparator that compared no
-word, is marked ``vacuous``.
+its raw faces d_k^eps c, one of its raw degeneracies, and one of the
+normal form of each distinct raw cell.  The normal forms of the faces
+d_k^eps c, where the face-face rows start, come from one cache for the
+whole ``_check_relations`` call, since the cells share many faces.  Each
+entry is built when a row first asks for it, by the model, so a wrong
+model raises where that row asks; every row and comparison still runs.
+The differential suites' random samples repeat words, so ``dsq`` and
+``leibniz`` take d of each (word, variant), and ``leibniz`` each product,
+once per suite call, through caches that live for that call.  A report
+that ran no row, or a comparator that compared no word, is ``vacuous``.
 """
 
 from __future__ import annotations
@@ -51,6 +55,7 @@ from .simplicial import SimplicialPresentation, standard_simplex
 from .words import (
     LoopWord,
     canonical,
+    compose,
     degeneracy_slots,
     random_reduced_word,
     word_degeneracy,
@@ -174,20 +179,22 @@ def _check_relations(m: _Model, cells, rec: _Recorder, tag: str) -> None:
     """Run every row on each cell; an operator that raises on a cell (a
     wrong model can address a slot or face out of range) is recorded as a
     failed ``<tag>-error`` row naming the cell, and the next cell runs."""
+    face_normal = cache(m.normal)  # the checked cells share many faces
     for c in cells:
         try:
-            _check_cell(m, c, rec, tag)
+            _check_cell(m, c, rec, tag, face_normal)
         except ValueError as exc:
             rec.record(f"{tag}-error", False, (c, exc))
 
 
-def _check_cell(m: _Model, c, rec: _Recorder, tag: str) -> None:
+def _check_cell(m: _Model, c, rec: _Recorder, tag: str, face_normal: Callable) -> None:
     # the rows ask for c's own faces and degeneracies, and build equal raw
-    # cells, many times: each is built, and normalized, once per cell
+    # cells, many times: each is built, and normalized, once per cell; the
+    # normal forms of c's faces come from face_normal, shared across cells
     normal = cache(m.normal)
-    face_of_c = cache(partial(m.face_raw, c))
-    degeneracy_of_c = cache(partial(m.degeneracy_raw, c))
-    normal_face = cache(lambda k, eps: normal(face_of_c(k, eps)))
+    face_of_c = cache(lambda k, eps: m.face_raw(c, k, eps))
+    degeneracy_of_c = cache(lambda j: m.degeneracy_raw(c, j))
+    normal_face = cache(lambda k, eps: face_normal(face_of_c(k, eps)))
     n, slots = c.degree, m.slots(c)
     for j in range(2, n + 1):
         for i in range(1, j):
@@ -259,26 +266,19 @@ def dsq_suite(
     rec = _Recorder()
     rng = random.Random(seed)
     cells = random_loop_cells(zx, rng, samples)
+    d = cache(partial(boundary_word, zx))  # the samples repeat words
     for w in cells:
         if w.degree == 0:
             continue
         for variant in VARIANTS:
             if is_killed(w, variant):
                 continue
-            d1 = boundary_word(zx, w, variant)
-            d2 = boundary_chain(zx, d1, variant)
+            d1 = d(w, variant)
+            d2 = boundary_chain(zx, d1, variant, d)
             rec.record(f"dsq-{variant}", not d2, (w, {str(k): v for k, v in d2.items()}))
         if not is_killed(w, "normalized"):
-            de_then_project = {
-                f: c
-                for f, c in boundary_word(zx, w, "de").items()
-                if not is_killed(f, "normalized")
-            }
-            rec.record(
-                "quotient-chain-map",
-                de_then_project == boundary_word(zx, w, "normalized"),
-                (w,),
-            )
+            de_then_project = {f: c for f, c in d(w, "de").items() if not is_killed(f, "normalized")}
+            rec.record("quotient-chain-map", de_then_project == d(w, "normalized"), (w,))
     return rec.report(suite="dsq", complex=zx.name, samples=len(cells))
 
 
@@ -290,11 +290,12 @@ def leibniz_suite(
     rng = random.Random(seed)
     us = random_loop_cells(zx, rng, samples)
     vs = random_loop_cells(zx, rng, samples)
+    d, mul = cache(partial(boundary_word, zx)), cache(partial(compose, zx))
     for u, v in zip(us, vs):
         for variant in VARIANTS:
             if is_killed(u, variant) or is_killed(v, variant):
                 continue
-            defect = leibniz_defect(zx, u, v, variant)
+            defect = leibniz_defect(zx, u, v, variant, d, mul)
             rec.record(
                 f"leibniz-{variant}",
                 not defect,

@@ -16,7 +16,10 @@ tests check it against the minimum of the finite orbit of a word under
 these moves.  Faces and degeneracies are the necklace operators of
 ``cubes`` on the letters, the unit word taken as its unit letter s_0 x.
 The plain cells of the cube on Delta^n are the words of
-standard_simplex(n) from vertex 0 to n.
+standard_simplex(n) from vertex 0 to n.  The raw operators and the normal
+form build their words with ``tuple.__new__``, as ``namedtuple._make``
+does, to skip the constructor's Python frame; the path cells of ``paths``
+are built the same way.
 """
 
 from __future__ import annotations
@@ -101,7 +104,7 @@ def _normal_word(
     ends, inverse = zx._endpoints, zx.op_pairs
     kept: list[SimplexTerm] = []
     dups = [pool]
-    first = at = None
+    first = at = undo = None  # undo: the inverse of the top kept letter
     for t in letters:
         if t.dim < 1:
             raise WordError(f"letter {t} must have dimension >= 1")
@@ -119,14 +122,16 @@ def _normal_word(
             dups[-1] += mult[0] - 2
             continue
         d = dups[-1] + mult[0] - 1
-        if not d and kept and inverse.get(kept[-1].generator.name) == t.generator.name:
+        if not d and undo == t.generator.name:
             kept.pop()
             dups.pop()
             dups[-1] += mult[-1] - 1
+            undo = inverse.get(kept[-1].generator.name) if kept else None
         else:
             dups[-1] = d
             kept.append(t)
             dups.append(mult[-1] - 1)
+            undo = inverse.get(t.generator.name)
     if first is not None and first != start:
         raise WordError(f"declared start {start} does not match word start {first}")
     if not kept:
@@ -141,7 +146,7 @@ def _normal_word(
         lead, tail = dups[k] + 1, dups[-1] + 1 if k == last else 1
         if mult[0] != lead or mult[-1] != tail:
             kept[k] = SimplexTerm(t.generator, (lead, *mult[1:-1], tail))
-    return LoopWord(tuple(kept), start, at)
+    return tuple.__new__(LoopWord, (tuple(kept), start, at))
 
 
 def compose(zx: SimplicialPresentation, u: LoopWord, v: LoopWord) -> LoopWord:
@@ -198,7 +203,7 @@ def word_face_raw(
     letters = necklace_face(zx, w.letters, i, eps)
     if letters is None:
         raise WordError(f"coordinate {i} out of range 1..{w.degree}")
-    return LoopWord(letters, w.start, w.end)
+    return tuple.__new__(LoopWord, (letters, w.start, w.end))
 
 
 def word_face(zx: SimplicialPresentation, w: LoopWord, i: int, eps: int) -> LoopWord:
@@ -221,7 +226,7 @@ def word_degeneracy(zx: SimplicialPresentation, w: LoopWord, j: int) -> LoopWord
     letters = necklace_degeneracy(zx, w.letters or (SimplexTerm(zx.generators[w.start], (2,)),), j)
     if letters is None:
         raise WordError(f"degeneracy slot {j} out of range")
-    return LoopWord(letters, w.start, w.end)
+    return tuple.__new__(LoopWord, (letters, w.start, w.end))
 
 
 # -- enumeration -----------------------------------------------------------

@@ -26,6 +26,16 @@ from loopspace.simplicial import (
     wedge_of_circles,
 )
 from loopspace.fileformat import load_complex
+from loopspace.paths import (
+    PathCell,
+    cube_cells,
+    path_canonical,
+    path_degeneracy_raw,
+    path_degeneracy_slots,
+    path_face_raw,
+)
+from loopspace.suites import random_loop_cells, random_path_cells
+from loopspace.words import LoopWord, canonical, degeneracy_slots, word_degeneracy, word_face_raw
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -277,11 +287,51 @@ class TestStoredDimension:
                 out += [zx.face(t, i) for i in range(t.dim + 1) if t.dim]
                 out += [half for i in range(t.dim + 1) for half in _split(zx, t, i)]
                 for f in zx.faces.get(t.generator.name, ()):
-                    out += [_push(f, (1,) * k + (3,) + (1,) * (f.dim - k)) for k in range(f.dim + 1)]
+                    out += [_push(f, (1,) * k + (3,) + (1,) * (f.dim - k), f.dim + 2)
+                            for k in range(f.dim + 1)]
                 for x in out:
                     assert type(x) is SimplexTerm and x.dim == sum(x.mult) - 1, (zx.name, t, x)
                 made += len(out)
         assert made > 2000
+
+    def test_cells_built_without_a_constructor_frame(self, fixtures):
+        # the raw operators and normal forms build their cells, and their
+        # letters, with tuple.__new__; each must equal, field for field and
+        # type for type, the cell the public constructors build
+        def spelled(x):
+            if isinstance(x, tuple):
+                return (type(x).__name__, *map(spelled, x))
+            return x
+
+        def public(x):
+            if type(x) is SimplexTerm:
+                return SimplexTerm(x.generator, x.mult)
+            if type(x) is LoopWord:
+                return LoopWord(tuple(map(public, x.letters)), x.start, x.end)
+            return PathCell(public(x.base), public(x.tail))
+
+        cases = [(zx, random_loop_cells(zx, random.Random(5), 30), random_path_cells(zx, random.Random(6), 30))
+                 for zx in fixtures.values()]
+        delta = standard_simplex(3)
+        cases.append((delta, [c for _, c in cube_cells(delta)], [c for _, c in cube_cells(delta, True)]))
+        made = 0
+        for zx, words, cells in cases:
+            for w in words:
+                out = [canonical(zx, w.letters, w.start)]
+                out += [word_face_raw(zx, w, i, eps) for i in range(1, w.degree + 1) for eps in (0, 1)]
+                out += [word_degeneracy(zx, w, j) for j in range(1, degeneracy_slots(w) + 1)]
+                out += [canonical(zx, x.letters, x.start) for x in out[1:]]
+                made += len(out)
+                for x in out:
+                    assert spelled(x) == spelled(public(x)), (zx.name, w, x)
+            for c in cells:
+                out = [path_face_raw(zx, c, i, eps) for i in range(1, c.degree + 1) for eps in (0, 1)]
+                out += [path_degeneracy_raw(zx, c, j) for j in range(1, path_degeneracy_slots(c) + 1)]
+                out += [path_canonical(zx, x.base, x.tail) for x in out]
+                made += len(out)
+                for x in out:
+                    assert spelled(x) == spelled(public(x)), (zx.name, c, x)
+        assert made > 5000
 
 
 class TestEdgeInversion:

@@ -3,21 +3,27 @@ it reports a wrong model."""
 
 import json
 import random
+from functools import cache, partial
 from pathlib import Path
 
 import pytest
 
+from loopspace import suites
+from loopspace.chains import VARIANTS, boundary_chain, boundary_word, is_killed, leibniz_defect, multiply
 from loopspace.paths import cube_cells
-from loopspace.simplicial import standard_simplex
+from loopspace.simplicial import boundary_simplex, standard_simplex
 from loopspace.suites import (
     _Recorder,
     _check_relations,
     _path_model,
     _word_model,
     cubical_suite,
+    dsq_suite,
+    leibniz_suite,
     random_loop_cells,
+    theorem2_suite,
 )
-from loopspace.words import word_degeneracy, word_face_raw
+from loopspace.words import compose, word_degeneracy, word_face_raw
 
 # per-row counts recorded from the three per-model checkers it replaced
 GOLDEN = json.loads((Path(__file__).parent / "golden" / "cubical_rows.json").read_text())
@@ -25,6 +31,9 @@ GOLDEN = json.loads((Path(__file__).parent / "golden" / "cubical_rows.json").rea
 # each of the checked cell's operators as a row asked for it, as its
 # per-cell caches do
 WRONG_MODELS = json.loads((Path(__file__).parent / "golden" / "wrong_models.json").read_text())
+# the reports of the differential suites on the benchmark fixtures, recorded
+# when they took d of each sampled word afresh every time they needed it
+DIFFERENTIAL = json.loads((Path(__file__).parent / "golden" / "differential_suites.json").read_text())
 
 
 class TestRowCounts:
@@ -207,3 +216,64 @@ class TestEmptyTail:
         _check_relations(_path_model(standard_simplex(n)), cells, rec, "path")
         report = rec.report()
         assert report["ok"] and "path-error" not in report["checks"], report["failures"]
+
+
+def _pinned_fields(report, *extra):
+    out = {k: report[k] for k in ("checks", "failed", "ok", *extra)}
+    if report.get("vacuous"):
+        out["vacuous"] = True
+    return out
+
+
+class TestDifferentialSuites:
+    @pytest.mark.parametrize("key", ["sphere2", "sphere3", "bd2", "bd3", "wedge2"])
+    @pytest.mark.parametrize("seed", [2, 3])
+    def test_pinned(self, fixtures, key, seed):
+        zx = fixtures[key]
+        assert _pinned_fields(dsq_suite(zx, 300, seed=seed), "samples") == DIFFERENTIAL[f"dsq {key} {seed}"]
+        assert _pinned_fields(leibniz_suite(zx, 300, seed=seed), "samples") == DIFFERENTIAL[f"leibniz {key} {seed}"]
+
+    def test_pinned_theorem2(self):
+        report = theorem2_suite(boundary_simplex(4).z_extension(), 4, 4)
+        assert _pinned_fields(report, "words_checked") == DIFFERENTIAL["theorem2 bd4"]
+
+    @pytest.mark.parametrize("suite, seed, distinct", [(dsq_suite, 2, 16), (leibniz_suite, 3, 47)])
+    def test_boundary_once_per_call(self, fixtures, monkeypatch, suite, seed, distinct):
+        # the samples repeat words: a suite call takes d of each distinct
+        # (word, variant) once, where it took it 330 times
+        zx = fixtures["sphere2"]
+        asked = []
+
+        def spy(zx, w, variant):
+            asked.append((w, variant))
+            return boundary_word(zx, w, variant)
+
+        monkeypatch.setattr(suites, "boundary_word", spy)
+        assert suite(zx, 300, seed=seed)["ok"]
+        assert len(asked) == len(set(asked)) == distinct
+        # no boundary outlives its call: a second call takes them all again
+        suite(zx, 300, seed=seed)
+        assert len(asked) == 2 * distinct and set(asked[distinct:]) == set(asked[:distinct])
+
+    def test_cached_chains_stay_unchanged(self, fixtures):
+        # a cached d hands the same dict to every caller, so no caller may
+        # change one: each chain it hands out must still equal its first copy
+        zx = fixtures["bd3"]
+        cached, mul = cache(partial(boundary_word, zx)), cache(partial(compose, zx))
+        handed = {}
+
+        def d(w, variant):
+            ch = cached(w, variant)
+            handed.setdefault((w, variant), (ch, dict(ch)))
+            return ch
+
+        words = sorted(set(random_loop_cells(zx, random.Random(4), 200)))
+        for variant in VARIANTS:
+            live = [w for w in words if not is_killed(w, variant)]
+            for u, v in zip(live, live[1:] + live[:1]):
+                boundary_chain(zx, d(u, variant), variant, d)
+                multiply(zx, d(u, variant), d(v, variant), variant, mul)
+                leibniz_defect(zx, u, v, variant, d, mul)
+        assert len(handed) > 50 and sum(bool(first) for _, first in handed.values()) > 20
+        for key, (ch, first) in handed.items():
+            assert ch == first, key
