@@ -14,21 +14,20 @@ boundary has integer coefficients and Z -> R is a ring map, so the CLI's
 and ``homology.field_dimensions`` reads field homology off the integral
 table.
 
-``boundary_chain``, ``multiply`` and ``leibniz_defect`` may take d of a word
-and the product of two words from a caller's cached ``boundary_word`` and
-``compose``.  A cached chain is shared, so it is read-only: they build
-fresh chains and change none they are handed.
+``boundary_chain``, ``multiply`` and ``leibniz_defect`` take d of a word
+and the product of two words from the caller, who caches ``boundary_word``
+and ``compose`` over one complex.  A cached chain is shared, so it is
+read-only: they build fresh chains and change none they are handed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from math import isqrt
 from typing import Callable
 
 from .simplicial import SimplicialPresentation
-from .words import LoopWord, compose, word_face
+from .words import LoopWord, word_face
 
 VARIANTS = ("de", "normalized")
 PRIME_BOUND = 2**31  # GF(p) takes p below this
@@ -123,12 +122,9 @@ def boundary_word(zx: SimplicialPresentation, w: LoopWord, variant: str = "de") 
     return acc
 
 
-def boundary_chain(
-    zx: SimplicialPresentation, ch: Chain, variant: str = "de", d: Callable | None = None
-) -> Chain:
-    """d of a chain, taking d(w) from ``d(w, variant)`` when given (a
-    cached ``boundary_word``) and from ``boundary_word`` otherwise."""
-    d = d or partial(boundary_word, zx)
+def boundary_chain(ch: Chain, variant: str, d: Callable) -> Chain:
+    """d of a chain, taking d(w) from ``d(w, variant)``, a caller's cached
+    ``boundary_word``."""
     acc: Chain = {}
     for w, c in ch.items():
         for f, s in d(w, variant).items():
@@ -136,12 +132,9 @@ def boundary_chain(
     return acc
 
 
-def multiply(
-    zx: SimplicialPresentation, a: Chain, b: Chain, variant: str = "de", mul: Callable | None = None
-) -> Chain:
+def multiply(a: Chain, b: Chain, variant: str, mul: Callable) -> Chain:
     """Concatenation product of chains (no internal sign), taking the word
-    uv from ``mul(u, v)`` when given (a cached ``compose``)."""
-    mul = mul or partial(compose, zx)
+    uv from ``mul(u, v)``, a caller's cached ``compose``."""
     acc: Chain = {}
     for u, cu in a.items():
         for v, cv in b.items():
@@ -152,16 +145,14 @@ def multiply(
 
 
 def leibniz_defect(
-    zx: SimplicialPresentation, u: LoopWord, v: LoopWord, variant: str = "de",
-    d: Callable | None = None, mul: Callable | None = None,
+    u: LoopWord, v: LoopWord, variant: str, d: Callable, mul: Callable
 ) -> Chain:
     """d(uv) - d(u)v - (-1)^{deg u} u d(v); zero when the product is a
     dg algebra on the given elements.  ``d`` and ``mul`` are as in
     ``boundary_chain`` and ``multiply``."""
-    d = d or partial(boundary_word, zx)
-    acc = boundary_chain(zx, multiply(zx, chain_of(u), chain_of(v), variant, mul), variant, d)
-    du_v = multiply(zx, d(u, variant), chain_of(v), variant, mul)
-    u_dv = multiply(zx, chain_of(u), d(v, variant), variant, mul)
+    acc = boundary_chain(multiply(chain_of(u), chain_of(v), variant, mul), variant, d)
+    du_v = multiply(d(u, variant), chain_of(v), variant, mul)
+    u_dv = multiply(chain_of(u), d(v, variant), variant, mul)
     sgn = 1 if u.degree % 2 == 0 else -1
     for w, c in du_v.items():
         add_into(acc, w, -c)

@@ -6,17 +6,15 @@ interior faces, the reduced diagonal is the Alexander-Whitney splitting
 without its primitive terms, and monomials are composable sequences of
 letters between basepoints, modulo cancellation of adjacent inverse edge
 pairs (``hat_reduce``, a stack of whole letters; the word model's bead
-normal form lives in ``words``).  A letter s_0 x on a vertex is the unit,
-as in the word model; higher degeneracies of a vertex vanish, and in the
-normalized variant every other degenerate letter too.  The comparator
-translates monomials to loop words letterwise and checks that the two
-differentials agree -- the central cross-implementation oracle for the
-sign system.
+normal form lives in ``words``).  A monomial is held as its hat-reduced
+tuple of letters.  A letter s_0 x on a vertex is the unit, as in the word
+model; higher degeneracies of a vertex vanish, and in the normalized
+variant every other degenerate letter too.  The comparator translates
+monomials to loop words letterwise and checks that the two differentials
+agree -- the central cross-implementation oracle for the sign system.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .chains import VARIANTS, Chain, add_into, boundary_word, is_killed
 from .simplicial import SimplexTerm, SimplicialPresentation, _inverse_pair, _split
@@ -34,11 +32,6 @@ def letter_is_zero(t: SimplexTerm, variant: str) -> bool:
     if t.generator.dim == 0:
         return t.dim > 1
     return variant == "normalized" and not t.is_nondegenerate
-
-
-@dataclass(frozen=True, order=True)
-class CobarMonomial:
-    letters: tuple[SimplexTerm, ...]
 
 
 def hat_reduce(
@@ -59,12 +52,13 @@ def hat_reduce(
 
 def monomial(
     zx: SimplicialPresentation, letters: tuple[SimplexTerm, ...], variant: str = "de"
-) -> CobarMonomial | None:
-    """Hat-reduced monomial, unit letters dropped, or None if a letter vanishes."""
+) -> tuple[SimplexTerm, ...] | None:
+    """The monomial of the letters: their hat-reduced tuple, unit letters
+    dropped, or None if a letter vanishes."""
     if any(letter_is_zero(t, variant) for t in letters):
         return None
     # past letter_is_zero, a letter on a vertex is a unit s_0 x
-    return CobarMonomial(hat_reduce(zx, tuple(t for t in letters if t.generator.dim)))
+    return hat_reduce(zx, tuple(t for t in letters if t.generator.dim))
 
 
 def d_A(
@@ -89,15 +83,15 @@ def aw_reduced(
 
 
 def cobar_boundary(
-    zx: SimplicialPresentation, m: CobarMonomial, variant: str = "de"
+    zx: SimplicialPresentation, m: tuple[SimplexTerm, ...], variant: str = "de"
 ) -> Chain:
     """Derivation extension of d1 + d2 with Koszul signs in desuspended
     degrees: d1[a-bar] = -[d_A(a)-bar] and d2[a-bar] = sum over reduced
     splittings a' (x) a'' of (-1)^{|a'|} [a'-bar | a''-bar]."""
     acc: Chain = {}
     koszul = 1
-    for k, t in enumerate(m.letters):
-        rest = m.letters[:k], m.letters[k + 1 :]
+    for k, t in enumerate(m):
+        rest = m[:k], m[k + 1 :]
 
         def emit(repl: tuple[SimplexTerm, ...], coeff: int) -> None:
             mono = monomial(zx, rest[0] + repl + rest[1], variant)
@@ -126,8 +120,8 @@ def monomial_to_word_chain(
     words killed by the chain-side quotient."""
     acc: Chain = {}
     for m, c in ch.items():
-        if m.letters:
-            w = canonical(zx, m.letters)
+        if m:
+            w = canonical(zx, m)
         else:
             w = unit(zx.basepoint)
         if not is_killed(w, variant):
@@ -156,7 +150,7 @@ def compare_theorem2(
         for w in enumerate_words(zx, degree, max_length, base, base):
             checked += 1
             chain_side = boundary_word(zx, w, variant)
-            cobar = cobar_boundary(zx, CobarMonomial(w.letters), variant)
+            cobar = cobar_boundary(zx, w.letters, variant)
             cobar_side = monomial_to_word_chain(zx, cobar, variant)
             diff = dict(chain_side)
             for f, c in cobar_side.items():

@@ -13,7 +13,8 @@ interior vertices (one at a junction or an end is what the variant
 kills).  The chain algebra is a dga, as Adams' cobar construction is, so
 its boundary is the derivation fixed by its values on letters, and d(t)
 is taken once per distinct letter in one ``homology`` call, for all of
-its matrices.  With edges, each basis is one ``words.enumerate_words``
+its matrices: ``boundary_matrix`` reads d(t) from a cache its caller
+builds.  With edges, each basis is one ``words.enumerate_words``
 walk, and each matrix column is a signed sum of the word with one letter
 t replaced by a term of d(t), looked up by word.  Without edges the
 words are all the words in the letters, the tensor algebra T(V) on them:
@@ -323,8 +324,7 @@ def boundary_matrix(
     zx: SimplicialPresentation,
     domain: list[LoopWord],
     codomain: list[LoopWord],
-    variant: str = "normalized",
-    letter_boundary: Callable[[SimplexTerm], _LetterTerms] | None = None,
+    letter_boundary: Callable[[SimplexTerm], _LetterTerms],
     tensor: TensorBases | None = None,
 ) -> tuple[SparseIntMatrix, list[LoopWord], list[LoopWord]]:
     """Matrix of the boundary from the domain basis to the codomain basis.
@@ -333,10 +333,10 @@ def boundary_matrix(
     domain words.  The boundary is the derivation fixed by its values on
     letters, d(t_1...t_m) = sum_k (-1)^e t_1...t_{k-1} d(t_k) t_{k+1}...t_m
     with e the degree of t_1...t_{k-1}; d(t) is ``letter_boundary(t)``, a
-    list of (term letters, coefficient) for this zx and variant.
-    ``homology`` passes every matrix it assembles one cached function, so
-    d of each distinct letter is computed once per call; without one, a
-    fresh cache of ``chains.boundary_word`` on the one-letter word is used.
+    list of (term letters, coefficient) for this zx and the bases' variant.
+    ``homology`` passes every matrix it assembles one cache of
+    ``_letter_terms``, so d of each distinct letter is computed once per
+    call.
 
     With ``tensor``, domain and codomain are its B_n and B_{n-1} for the
     next n, and d_n comes from its lower matrices by index arithmetic
@@ -351,10 +351,8 @@ def boundary_matrix(
     canonicalized.  A boundary term outside the codomain raises
     ``HomologyError``: the bases do not span a subcomplex.
     """
-    if letter_boundary is None:
-        letter_boundary = cache(partial(_letter_terms, zx, variant))
     if tensor is not None:
-        return _tensor_matrix(zx, domain, codomain, variant, letter_boundary, tensor)
+        return _tensor_matrix(zx, domain, codomain, letter_boundary, tensor)
     index = {w: i for i, w in enumerate(codomain)}
     m = SparseIntMatrix(len(codomain), len(domain))
     for j, w in enumerate(domain):
@@ -391,7 +389,6 @@ def _tensor_matrix(
     zx: SimplicialPresentation,
     domain: list[LoopWord],
     codomain: list[LoopWord],
-    variant: str,
     letter_boundary: Callable[[SimplexTerm], _LetterTerms],
     tensor: TensorBases,
 ) -> tuple[SparseIntMatrix, list[LoopWord], list[LoopWord]]:
@@ -531,7 +528,7 @@ def homology(
     nonzeros = [0]
     prev = None
     for n in range(1, top + 1):
-        m, _, _ = boundary_matrix(zx, bases[n], bases[n - 1], variant, letter_boundary, tensor)
+        m, _, _ = boundary_matrix(zx, bases[n], bases[n - 1], letter_boundary, tensor)
         if prev is not None and not _composes_to_zero(prev, m):
             raise HomologyError(f"d_{n - 1} d_{n} is not zero on {zx.name}")
         nonzeros.append(len(m.entries))

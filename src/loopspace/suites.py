@@ -64,17 +64,18 @@ from .words import (
 
 
 class _Recorder:
-    def __init__(self, max_failures: int = 5):
+    MAX_FAILURES = 5  # failures rendered in a report; every one is counted
+
+    def __init__(self):
         self.counts: dict[str, int] = {}
         self.fail_counts: dict[str, int] = {}
         self.failures: list[str] = []
-        self.max_failures = max_failures
 
     def record(self, row: str, ok: bool, info: tuple = ()) -> None:
         self.counts[row] = self.counts.get(row, 0) + 1
         if not ok:
             self.fail_counts[row] = self.fail_counts.get(row, 0) + 1
-            if len(self.failures) < self.max_failures:
+            if len(self.failures) < self.MAX_FAILURES:
                 self.failures.append(f"{row}: " + " ".join(str(x) for x in info))
 
     def report(self, vacuous: bool = False, **extra) -> dict[str, object]:
@@ -274,7 +275,7 @@ def dsq_suite(
             if is_killed(w, variant):
                 continue
             d1 = d(w, variant)
-            d2 = boundary_chain(zx, d1, variant, d)
+            d2 = boundary_chain(d1, variant, d)
             rec.record(f"dsq-{variant}", not d2, (w, {str(k): v for k, v in d2.items()}))
         if not is_killed(w, "normalized"):
             de_then_project = {f: c for f, c in d(w, "de").items() if not is_killed(f, "normalized")}
@@ -295,7 +296,7 @@ def leibniz_suite(
         for variant in VARIANTS:
             if is_killed(u, variant) or is_killed(v, variant):
                 continue
-            defect = leibniz_defect(zx, u, v, variant, d, mul)
+            defect = leibniz_defect(u, v, variant, d, mul)
             rec.record(
                 f"leibniz-{variant}",
                 not defect,

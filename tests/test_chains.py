@@ -1,4 +1,5 @@
 import random
+from functools import cache, partial
 
 import pytest
 
@@ -13,7 +14,13 @@ from loopspace.chains import (
     leibniz_defect,
     multiply,
 )
-from loopspace.words import canonical, unit, word_degeneracy
+from loopspace.words import canonical, compose, unit, word_degeneracy
+
+
+def cached_operators(zx):
+    """d of a word and the product of two words over zx, cached as the
+    suites cache them."""
+    return cache(partial(boundary_word, zx)), cache(partial(compose, zx))
 
 
 def sigma_loop(zx, copies=1):
@@ -48,6 +55,9 @@ class TestKillRules:
     def test_unit_never_killed(self):
         assert not is_killed(unit("x0"), "de")
         assert not is_killed(unit("x0"), "normalized")
+        # the variant is checked before the degree, so the unit does not hide a typo
+        with pytest.raises(ChainError, match="unknown variant 'dee'"):
+            is_killed(unit("x0"), "dee")
 
     def test_de_kills_unit_degeneracies_only(self, fixtures):
         zx = fixtures["sphere2"]
@@ -101,6 +111,7 @@ class TestBoundary:
 
         for key in ("sphere2", "sphere3", "bd3", "wedge2"):
             zx = fixtures[key]
+            d, _ = cached_operators(zx)
             for variant in ("de", "normalized"):
                 for _ in range(60):
                     letters = random_raw_word(zx, rng)
@@ -109,7 +120,7 @@ class TestBoundary:
                     w = canonical(zx, letters, zx.basepoint)
                     if is_killed(w, variant):
                         continue
-                    dd = boundary_chain(zx, boundary_word(zx, w, variant), variant)
+                    dd = boundary_chain(d(w, variant), variant, d)
                     assert dd == {}, (key, variant, w)
 
 
@@ -118,12 +129,14 @@ class TestProduct:
         zx = fixtures["sphere2"]
         v = chain_of(sigma_loop(zx))
         e = chain_of(unit("x0"))
-        assert multiply(zx, e, v) == v
-        assert multiply(zx, v, e) == v
+        _, mul = cached_operators(zx)
+        assert multiply(e, v, "de", mul) == v
+        assert multiply(v, e, "de", mul) == v
 
     def test_concatenation(self, fixtures):
         zx = fixtures["sphere2"]
-        out = multiply(zx, chain_of(sigma_loop(zx)), chain_of(sigma_loop(zx)))
+        _, mul = cached_operators(zx)
+        out = multiply(chain_of(sigma_loop(zx)), chain_of(sigma_loop(zx)), "de", mul)
         assert out == chain_of(sigma_loop(zx, 2))
 
     def test_leibniz(self, fixtures):
@@ -132,12 +145,13 @@ class TestProduct:
         rng = random.Random(21)
         for key in ("sphere2", "bd3", "wedge2"):
             zx = fixtures[key]
+            d, mul = cached_operators(zx)
             for variant in ("de", "normalized"):
                 cells = random_loop_cells(zx, rng, 120)
                 for u, v in zip(cells[::2], cells[1::2]):
                     if is_killed(u, variant) or is_killed(v, variant):
                         continue
-                    assert leibniz_defect(zx, u, v, variant) == {}, (
+                    assert leibniz_defect(u, v, variant, d, mul) == {}, (
                         key, variant, u, v)
 
 

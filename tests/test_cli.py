@@ -121,6 +121,8 @@ class TestBoundary:
         code, _, err = run(capsys, "boundary", "--builtin", "sphere:2",
                            "--word", "nope")
         assert code == 2 and "nope" in err
+        code, out, err = run(capsys, "boundary", "--builtin", "wedge:2", "--word", "a1;;a2")
+        assert (code, out, err) == (2, "", "error: cannot parse letter ''\n")
 
 
 class TestCheck:

@@ -89,6 +89,8 @@ class TestComplexDocuments:
         ({"dim": "x"}, "'dim' of 'a' has the wrong type: expected an integer, got 'x'"),
         ({"dim": True}, "'dim' of 'a' has the wrong type: expected an integer, got True"),
         ({"faces": "vv"}, "'faces' of 'a' has the wrong type: expected a list, got 'vv'"),
+        ({"faces": [["v"], ["v"]]}, "field of the wrong type in complex document: "
+                                    "list indices must be integers or slices, not str"),
         ({"degeneracies": "0"},
          "'degeneracies' of face 0 of 'a' on 'v' has the wrong type: expected a list, got '0'"),
         ({"degeneracies": [False]},
@@ -96,7 +98,7 @@ class TestComplexDocuments:
         ({"op_pairs": {"ab": "zz"}}, "op pair 'ab': 'zz' names unknown generator 'ab'"),
         ({"op_pairs": {"a": "zz"}}, "op pair 'a': 'zz' names unknown generator 'zz'"),
     ], ids=["vertices-string", "vertex-name-int", "generators-object", "dim-float", "dim-string",
-            "dim-bool", "faces-string", "degeneracies-string", "degeneracy-bool",
+            "dim-bool", "faces-string", "faces-lists", "degeneracies-string", "degeneracy-bool",
             "op-pair-unknown-key", "op-pair-unknown-value"])
     def test_field_types_checked(self, edit, message):
         # once read: "ab" as the vertices a and b, 1.7 as 1, "0" one

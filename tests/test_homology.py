@@ -1,4 +1,6 @@
 import random
+import re
+from functools import cache, partial
 from heapq import heapify, heappop
 from itertools import combinations
 from pathlib import Path
@@ -34,6 +36,12 @@ from loopspace.words import LoopWord, canonical, degeneracy_slots, enumerate_wor
 DATA = Path(__file__).resolve().parent.parent / "data"
 
 
+def letter_boundary(zx, variant):
+    """d of each letter over zx in the variant, cached as ``homology``
+    caches it for ``boundary_matrix``."""
+    return cache(partial(homology_module._letter_terms, zx, variant))
+
+
 def skeleton_quotient(n):
     """Delta^n with its 1-skeleton collapsed to one vertex x0: no edges, a
     triangle on every three vertices, and every face of dimension >= 2
@@ -50,14 +58,29 @@ def skeleton_quotient(n):
     return SimplicialPresentation(f"delta{n}/1-skeleton", gens, faces, "x0")
 
 
+def unit_seam_complex():
+    """Edges a: x -> y and b: y -> x, and a triangle t with faces
+    (b, s_0 x, a).  d(t) holds the unit word, so d of a word with t in it
+    has terms where the letters on either side of t meet at a seam."""
+    x, y = GeneratorId("x", 0), GeneratorId("y", 0)
+    a, b = GeneratorId("a", 1), GeneratorId("b", 1)
+    faces = {
+        "a": (SimplexTerm(y, (1,)), SimplexTerm(x, (1,))),
+        "b": (SimplexTerm(x, (1,)), SimplexTerm(y, (1,))),
+        "t": (SimplexTerm(b, (1, 1)), SimplexTerm(x, (2,)), SimplexTerm(a, (1, 1))),
+    }
+    return SimplicialPresentation("unit-seam", [x, y, a, b, GeneratorId("t", 2)], faces, "x")
+
+
 @pytest.fixture(scope="module")
 def complexes(fixtures):
-    """The standard fixtures plus sphere4, bd4 and sk4 (``skeleton_quotient``),
-    edge-inverted."""
+    """The standard fixtures plus sphere4, bd4, sk4 (``skeleton_quotient``)
+    and seam (``unit_seam_complex``), edge-inverted."""
     return {**fixtures,
             "sphere4": sphere_quotient(4).z_extension(),
             "bd4": boundary_simplex(4).z_extension(),
-            "sk4": skeleton_quotient(4).z_extension()}
+            "sk4": skeleton_quotient(4).z_extension(),
+            "seam": unit_seam_complex().z_extension()}
 
 
 def weight(w):
@@ -144,6 +167,11 @@ class TestSmithNormalForm:
             smith_normal_form([[1, 2], [3]])
         with pytest.raises(HomologyError, match="row 0 has 1 entries"):
             smith_normal_form([[1], [2, 3]])
+        m = SparseIntMatrix(2, 3)
+        for i, j in ((2, 0), (0, 3), (-1, 0)):
+            with pytest.raises(HomologyError, match=re.escape(f"index ({i},{j}) out of range")):
+                m.set(i, j, 1)
+        assert m.entries == {}
 
 
 def dense_reference(rows):
@@ -399,7 +427,7 @@ class TestBases:
     def test_boundary_matrix_shapes(self, fixtures):
         zx = fixtures["sphere2"]
         tower = degree_bases(zx, 2, "normalized", None)
-        m, dom, cod = boundary_matrix(zx, tower[2], tower[1], "normalized")
+        m, dom, cod = boundary_matrix(zx, tower[2], tower[1], letter_boundary(zx, "normalized"))
         assert (m.rows, m.cols) == (len(cod), len(dom))
         assert (dom, cod) == (tower[2], tower[1])
 
@@ -410,14 +438,17 @@ class TestBases:
         ("bd3", 5, 6),
         ("bd4", 4, 5),
         ("wedge2", 2, 5),
+        # the unit term of d(t) at a seam, at an inverse pair in some words
+        ("seam", 2, 6),
     ])
     def test_columns_match_face_sum(self, complexes, name, top, max_weight, variant):
         # the Leibniz-rule assembly against the face-sum definition of d,
         # one basis word at a time
         zx = complexes[name]
         tower = degree_bases(zx, top, variant, max_weight)
+        d = letter_boundary(zx, variant)
         for n in range(1, top + 1):
-            m, dom, cod = boundary_matrix(zx, tower[n], tower[n - 1], variant)
+            m, dom, cod = boundary_matrix(zx, tower[n], tower[n - 1], d)
             columns = [{} for _ in dom]
             for (i, j), v in m.entries.items():
                 columns[j][cod[i]] = v
@@ -447,7 +478,7 @@ class TestBases:
         w = parse_word(zx, word)
         tower = degree_bases(zx, 1, variant, max_weight)
         assert w in tower[1]
-        m, dom, cod = boundary_matrix(zx, [w], tower[0], variant)
+        m, dom, cod = boundary_matrix(zx, [w], tower[0], letter_boundary(zx, variant))
         column = {str(cod[i]): v for (i, _), v in m.entries.items()}
         assert column == want
         assert len(calls) == 1
@@ -477,7 +508,7 @@ class TestBases:
         zx = fixtures["bd3"]
         tower = degree_bases(zx, 1, "normalized", 3)
         with pytest.raises(HomologyError, match="outside the codomain basis"):
-            boundary_matrix(zx, tower[1], tower[0][:1], "normalized")
+            boundary_matrix(zx, tower[1], tower[0][:1], letter_boundary(zx, "normalized"))
 
 
 def word_path_table(zx, top, variant):
@@ -486,7 +517,8 @@ def word_path_table(zx, top, variant):
     by the imported name, which the ``assembled`` fixture does not wrap),
     with the bases and matrices: the reference for the index path."""
     bases = degree_bases(zx, top + 1, variant, None)
-    mats = [boundary_matrix(zx, bases[n], bases[n - 1], variant)[0] for n in range(1, top + 2)]
+    d = letter_boundary(zx, variant)
+    mats = [boundary_matrix(zx, bases[n], bases[n - 1], d)[0] for n in range(1, top + 2)]
     snfs = [()] + [smith_normal_form(m) for m in mats]
     groups = tuple(HomologyGroup(n, len(bases[n]) - len(snfs[n]) - len(snfs[n + 1]),
                                  tuple(t for t in snfs[n + 1] if t > 1))
@@ -566,8 +598,8 @@ class TestTensorAssembly:
             tensor_bases(fixtures["sphere2"], 2, "dee")
         tensor = tensor_bases(fixtures["sphere2"], 2, "de")
         with pytest.raises(HomologyError, match="assemble d_1 next"):
-            boundary_matrix(fixtures["sphere2"], tensor.bases[2], tensor.bases[1], "de",
-                            None, tensor)
+            boundary_matrix(fixtures["sphere2"], tensor.bases[2], tensor.bases[1],
+                            letter_boundary(fixtures["sphere2"], "de"), tensor)
 
     @pytest.mark.parametrize("middle, match", [
         (None, "has a unit term"),
@@ -581,8 +613,7 @@ class TestTensorAssembly:
         x = tensor.letters[0]
         piece = () if middle is None else (SimplexTerm(x.generator, (1, middle, 1)),)
         with pytest.raises(HomologyError, match=match):
-            boundary_matrix(zx, tensor.bases[1], tensor.bases[0], "de",
-                            lambda t: [(piece, 1)], tensor)
+            boundary_matrix(zx, tensor.bases[1], tensor.bases[0], lambda t: [(piece, 1)], tensor)
 
     @pytest.mark.parametrize("name, top, variant, max_weight", [
         ("sphere3", 8, "de", None),
@@ -720,7 +751,8 @@ class TestLoopHomology:
         table = homology(zx, 3, "de")
         tower = degree_bases(zx, 4, "de", None)
         assert table.basis_sizes == tuple(len(b) for b in tower)
-        nonzeros = [0] + [len(boundary_matrix(zx, tower[n], tower[n - 1], "de")[0].entries)
+        d = letter_boundary(zx, "de")
+        nonzeros = [0] + [len(boundary_matrix(zx, tower[n], tower[n - 1], d)[0].entries)
                           for n in range(1, 5)]
         assert table.nonzeros == tuple(nonzeros)
 

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 import re
 from pathlib import Path
@@ -293,6 +295,15 @@ class TestStoredDimension:
                     assert type(x) is SimplexTerm and x.dim == sum(x.mult) - 1, (zx.name, t, x)
                 made += len(out)
         assert made > 2000
+
+    def test_copies_keep_the_dimension(self, fixtures):
+        # copy, deepcopy and pickle rebuild a simplex from __getnewargs__,
+        # which must give __new__ its two fields, not the stored dim too
+        for zx in fixtures.values():
+            for t in terms_with_copies(zx, 2):
+                for x in (copy.copy(t), copy.deepcopy(t), pickle.loads(pickle.dumps(t))):
+                    assert type(x) is SimplexTerm and x == t, (zx.name, t, x)
+                    assert x.dim == sum(x.mult) - 1 == t.dim
 
     def test_cells_built_without_a_constructor_frame(self, fixtures):
         # the raw operators and normal forms build their cells, and their

@@ -152,7 +152,8 @@ def _wrong_models(cases):
 
 
 def _full_report(model, cells, tag):
-    rec = _Recorder(max_failures=10_000)
+    rec = _Recorder()
+    rec.MAX_FAILURES = 10_000  # render every failure
     _check_relations(model, cells, rec, tag)
     report = rec.report()
     return {k: report[k] for k in ("checks", "failed", "failures")}
@@ -271,9 +272,9 @@ class TestDifferentialSuites:
         for variant in VARIANTS:
             live = [w for w in words if not is_killed(w, variant)]
             for u, v in zip(live, live[1:] + live[:1]):
-                boundary_chain(zx, d(u, variant), variant, d)
-                multiply(zx, d(u, variant), d(v, variant), variant, mul)
-                leibniz_defect(zx, u, v, variant, d, mul)
+                boundary_chain(d(u, variant), variant, d)
+                multiply(d(u, variant), d(v, variant), variant, mul)
+                leibniz_defect(u, v, variant, d, mul)
         assert len(handed) > 50 and sum(bool(first) for _, first in handed.values()) > 20
         for key, (ch, first) in handed.items():
             assert ch == first, key
