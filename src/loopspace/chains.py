@@ -109,7 +109,7 @@ def add_into(acc: Chain, w, coeff: int) -> None:
         acc.pop(w, None)
 
 
-def boundary_word(zx: SimplicialPresentation, w: LoopWord, variant: str = "de") -> Chain:
+def boundary_word(zx: SimplicialPresentation, w: LoopWord, variant: str) -> Chain:
     """d(w) = sum over coordinates i of (-1)^i (deleting face - split face)."""
     acc: Chain = {}
     sign = 1

@@ -19,10 +19,9 @@ from .fileformat import parse_word, resolve_complex, resolve_model
 from .homology import field_dimensions, homology
 from .paths import cover_graph, covering_report, cube_cells, to_adjacency, to_dot
 from .simplicial import SimplicialPresentation, standard_simplex
-from .suites import SUITES, run_suite, status
+from .suites import covering_suite, cubical_suite, dsq_suite, leibniz_suite, status, theorem2_suite
 from .words import LoopWord, compose, enumerate_words, invert, power_decompose
 
-DEFAULT_SEED = 0
 # integer flags that count something, so a negative value is meaningless
 COUNT_FLAGS = ("--degree", "--max-len", "--max-weight", "--count-length", "--samples",
                "--cube", "--cube-n")
@@ -30,6 +29,17 @@ COUNT_FLAGS = ("--degree", "--max-len", "--max-weight", "--count-length", "--sam
 
 class CliError(ValueError):
     pass
+
+
+# each suite, called with the ``check`` flags it reads: their defaults are
+# the only ones
+_SUITES = {
+    "cubical": lambda zx, a: cubical_suite(zx, a.samples, a.seed, cube_n=a.cube_n),
+    "dsq": lambda zx, a: dsq_suite(zx, a.samples, a.seed),
+    "leibniz": lambda zx, a: leibniz_suite(zx, a.samples, a.seed),
+    "theorem2": lambda zx, a: theorem2_suite(zx, a.degree, a.max_len),
+    "covering": lambda zx, a: covering_suite(zx, a.max_len),
+}
 
 
 def _spec(args) -> str:
@@ -127,8 +137,7 @@ def cmd_boundary(args) -> int:
 
 def cmd_check(args) -> int:
     zx = resolve_model(_spec(args))
-    report = run_suite(args.suite, zx, samples=args.samples, seed=args.seed,
-                       cube_n=args.cube_n, max_degree=args.degree, max_length=args.max_len)
+    report = _SUITES[args.suite](zx, args)
     lines = [f"{zx.name} suite={args.suite}: {status(report)}"]
     lines += [f"  {k}: {v}" for k, v in sorted(report["checks"].items())]
     lines += [f"  FAIL {f}" for f in report["failures"]]
@@ -258,11 +267,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("check", help="run a property suite")
     add_common(sp)
-    sp.add_argument("--suite", required=True, choices=sorted(SUITES))
+    sp.add_argument("--suite", required=True, choices=sorted(_SUITES))
     sp.add_argument("--degree", type=int, default=4)
     sp.add_argument("--max-len", type=int, default=4)
     sp.add_argument("--samples", type=int, default=120)
-    sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--cube-n", type=int, default=4)
     sp.set_defaults(fn=cmd_check)
 

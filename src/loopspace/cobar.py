@@ -51,7 +51,7 @@ def hat_reduce(
 
 
 def monomial(
-    zx: SimplicialPresentation, letters: tuple[SimplexTerm, ...], variant: str = "de"
+    zx: SimplicialPresentation, letters: tuple[SimplexTerm, ...], variant: str
 ) -> tuple[SimplexTerm, ...] | None:
     """The monomial of the letters: their hat-reduced tuple, unit letters
     dropped, or None if a letter vanishes."""
@@ -61,9 +61,7 @@ def monomial(
     return hat_reduce(zx, tuple(t for t in letters if t.generator.dim))
 
 
-def d_A(
-    zx: SimplicialPresentation, t: SimplexTerm, variant: str = "de"
-) -> dict[SimplexTerm, int]:
+def d_A(zx: SimplicialPresentation, t: SimplexTerm, variant: str) -> dict[SimplexTerm, int]:
     """Truncated differential: the alternating interior-face sum."""
     acc: dict[SimplexTerm, int] = {}
     sign = 1
@@ -83,7 +81,7 @@ def aw_reduced(
 
 
 def cobar_boundary(
-    zx: SimplicialPresentation, m: tuple[SimplexTerm, ...], variant: str = "de"
+    zx: SimplicialPresentation, m: tuple[SimplexTerm, ...], variant: str
 ) -> Chain:
     """Derivation extension of d1 + d2 with Koszul signs in desuspended
     degrees: d1[a-bar] = -[d_A(a)-bar] and d2[a-bar] = sum over reduced
@@ -113,9 +111,7 @@ def cobar_boundary(
 # -- the comparator ---------------------------------------------------------
 
 
-def monomial_to_word_chain(
-    zx: SimplicialPresentation, ch: Chain, variant: str = "de"
-) -> Chain:
+def monomial_to_word_chain(zx: SimplicialPresentation, ch: Chain, variant: str) -> Chain:
     """Reinterpret each monomial as a loop word (canonical form), dropping
     words killed by the chain-side quotient."""
     acc: Chain = {}
@@ -130,7 +126,7 @@ def monomial_to_word_chain(
 
 
 def compare_theorem2(
-    zx: SimplicialPresentation, max_degree: int, max_length: int, variant: str = "de"
+    zx: SimplicialPresentation, max_degree: int, max_length: int, variant: str
 ) -> dict[str, object]:
     """For every generator word within the bounds, compare its word-model
     boundary with the translated cobar boundary of its monomial.  Under the

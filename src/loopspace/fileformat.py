@@ -77,13 +77,15 @@ def complex_from_dict(doc: dict) -> SimplicialPresentation:
                 for v in _typed(doc["vertices"], list, "'vertices'")]
         faces: dict[str, tuple[SimplexTerm, ...]] = {}
         records = _typed(doc.get("generators", []), list, "'generators'")
-        for rec in records:
+        for k, rec in enumerate(records):
+            _typed(rec, dict, f"generator record {k}")
             name = _typed(rec["name"], str, "a generator name")
             gens.append(GeneratorId(name, _typed(rec["dim"], int, f"'dim' of {name!r}")))
         dims = {g.name: g.dim for g in gens}
         for rec in records:
             entries = []
             for f in _typed(rec["faces"], list, f"'faces' of {rec['name']!r}"):
+                f = _typed(f, dict, f"face {len(entries)} of {rec['name']!r}")
                 gname = _typed(f["generator"], str, f"a face generator of {rec['name']!r}")
                 if gname not in dims:
                     raise FormatError(f"face of {rec['name']!r} uses unknown generator {gname!r}")

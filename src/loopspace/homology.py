@@ -325,7 +325,7 @@ def boundary_matrix(
     domain: list[LoopWord],
     codomain: list[LoopWord],
     letter_boundary: Callable[[SimplexTerm], _LetterTerms],
-    tensor: TensorBases | None = None,
+    tensor: TensorBases | None,
 ) -> tuple[SparseIntMatrix, list[LoopWord], list[LoopWord]]:
     """Matrix of the boundary from the domain basis to the codomain basis.
 
@@ -493,14 +493,14 @@ class HomologyTable:
     groups: tuple[HomologyGroup, ...]
     # per degree n = 0..max_degree + 1: the size of the basis, and the
     # nonzero entries of d_n from it (d_0 = 0 has none)
-    basis_sizes: tuple[int, ...] = ()
-    nonzeros: tuple[int, ...] = ()
+    basis_sizes: tuple[int, ...]
+    nonzeros: tuple[int, ...]
 
 
 def homology(
     zx: SimplicialPresentation,
     max_degree: int,
-    variant: str = "normalized",
+    variant: str,
     max_weight: int | None = None,
 ) -> HomologyTable:
     """H_0..H_max_degree of the loop-space complex, truncated at word

@@ -97,7 +97,7 @@ def act(zx: SimplicialPresentation, c: PathCell, w: LoopWord) -> PathCell:
 # -- the cube on a simplex --------------------------------------------------
 
 def cube_cells(
-    zx: SimplicialPresentation, augmented: bool = False
+    zx: SimplicialPresentation, augmented: bool
 ) -> list[tuple[tuple[tuple[int, ...], ...], LoopWord | PathCell]]:
     """The cells of the cube on Delta^n, for zx = standard_simplex(n), each
     with the vertex blocks of its beads, by (-degree, blocks).

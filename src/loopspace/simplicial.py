@@ -353,12 +353,9 @@ def simplex_namer(vertices: Iterable[str]) -> Callable[[Iterable[str]], str]:
     return ("" if all(len(v) == 1 for v in vertices) else ",").join
 
 
-def from_facets(
-    facets: Sequence[Sequence[str]],
-    basepoint: str | None = None,
-    name: str = "complex",
-) -> SimplicialPresentation:
-    """Simplicial complex on an ordered vertex set, given by its facets.
+def from_facets(facets: Sequence[Sequence[str]], name: str) -> SimplicialPresentation:
+    """Simplicial complex on an ordered vertex set, given by its facets,
+    based at its first vertex.
 
     Every nonempty subset of a facet becomes a generator; vertex order within
     each facet must agree with the global order (duplicate-free, increasing).
@@ -389,7 +386,7 @@ def from_facets(
             sub = s[:i] + s[i + 1 :]
             entries.append(_nondegenerate(GeneratorId(simplex_name(sub), len(sub) - 1)))
         faces[simplex_name(s)] = tuple(entries)
-    return SimplicialPresentation(name, gens, faces, basepoint or vertices[0])
+    return SimplicialPresentation(name, gens, faces, vertices[0])
 
 
 def standard_simplex(n: int) -> SimplicialPresentation:

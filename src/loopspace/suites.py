@@ -33,7 +33,6 @@ that ran no row, or a comparator that compared no word, is ``vacuous``.
 
 from __future__ import annotations
 
-import inspect
 import random
 from functools import cache, partial
 from typing import Callable, NamedTuple
@@ -71,7 +70,7 @@ class _Recorder:
         self.fail_counts: dict[str, int] = {}
         self.failures: list[str] = []
 
-    def record(self, row: str, ok: bool, info: tuple = ()) -> None:
+    def record(self, row: str, ok: bool, info: tuple) -> None:
         self.counts[row] = self.counts.get(row, 0) + 1
         if not ok:
             self.fail_counts[row] = self.fail_counts.get(row, 0) + 1
@@ -235,14 +234,11 @@ def _check_cell(m: _Model, c, rec: _Recorder, tag: str, face_normal: Callable) -
 
 
 def cubical_suite(
-    zx: SimplicialPresentation | None = None,
-    samples: int = 120,
-    seed: int = 0,
-    cube_n: int = 5,
+    zx: SimplicialPresentation | None, samples: int = 120, seed: int = 0, *, cube_n: int
 ) -> dict[str, object]:
     """Exhaustive relation checks on the cube cells -- the necklaces and
-    path cells of a standard simplex -- plus random loop-word and path-cell
-    checks over the given complex."""
+    path cells of a standard simplex -- plus, when zx is given, ``samples``
+    random loop words and path cells over it, drawn with ``seed``."""
     rec = _Recorder()
     for tag, n, aug, model in (("cube", cube_n + 1, False, _word_model),
                                ("cube-aug", cube_n, True, _path_model)):
@@ -259,9 +255,7 @@ def cubical_suite(
 # -- differential suites ----------------------------------------------------
 
 
-def dsq_suite(
-    zx: SimplicialPresentation, samples: int = 200, seed: int = 0
-) -> dict[str, object]:
+def dsq_suite(zx: SimplicialPresentation, samples: int, seed: int) -> dict[str, object]:
     """d(d(w)) = 0 for random words, both variants, and agreement of the
     two variants under the quotient map."""
     rec = _Recorder()
@@ -283,9 +277,7 @@ def dsq_suite(
     return rec.report(suite="dsq", complex=zx.name, samples=len(cells))
 
 
-def leibniz_suite(
-    zx: SimplicialPresentation, samples: int = 200, seed: int = 0
-) -> dict[str, object]:
+def leibniz_suite(zx: SimplicialPresentation, samples: int, seed: int) -> dict[str, object]:
     """Zero Leibniz defect on random pairs of algebra generators."""
     rec = _Recorder()
     rng = random.Random(seed)
@@ -306,7 +298,7 @@ def leibniz_suite(
 
 
 def theorem2_suite(
-    zx: SimplicialPresentation, max_degree: int = 4, max_length: int = 4
+    zx: SimplicialPresentation, max_degree: int, max_length: int
 ) -> dict[str, object]:
     """The chain/cobar comparator in both variant pairings."""
     rec = _Recorder()
@@ -325,9 +317,7 @@ def theorem2_suite(
     )
 
 
-def covering_suite(
-    zx: SimplicialPresentation, max_length: int = 4
-) -> dict[str, object]:
+def covering_suite(zx: SimplicialPresentation, max_length: int) -> dict[str, object]:
     """Connectivity and the interior covering property of the degree-0
     path graph."""
     graph = cover_graph(zx, max_length)
@@ -345,20 +335,3 @@ def covering_suite(
         interior_vertices=rep["interior_vertices"],
         tree=rep["tree"],
     )
-
-
-SUITES = {
-    "cubical": cubical_suite,
-    "dsq": dsq_suite,
-    "leibniz": leibniz_suite,
-    "theorem2": theorem2_suite,
-    "covering": covering_suite,
-}
-
-
-def run_suite(name: str, zx: SimplicialPresentation, **options) -> dict[str, object]:
-    """Run the named suite on zx with those of the options it takes (any of
-    samples, seed, cube_n, max_degree, max_length)."""
-    suite = SUITES[name]
-    takes = inspect.signature(suite).parameters
-    return suite(zx, **{k: v for k, v in options.items() if k in takes})

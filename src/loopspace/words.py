@@ -175,7 +175,7 @@ def power_decompose(zx: SimplicialPresentation, w: LoopWord) -> tuple[LoopWord, 
     n = len(w.letters)
     if n == 0:
         return w, 0
-    for d in range(1, n + 1):
+    for d in range(1, n):
         if n % d:
             continue
         root = LoopWord(w.letters[:d], w.start, zx.endpoints(w.letters[d - 1])[1])

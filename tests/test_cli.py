@@ -4,9 +4,9 @@ from pathlib import Path
 
 import pytest
 
-from loopspace import cobar
+from loopspace import cobar, suites
 from loopspace.cli import main
-from loopspace.fileformat import complex_to_dict
+from loopspace.fileformat import complex_to_dict, resolve_model
 from loopspace.simplicial import boundary_simplex, wedge_of_circles
 
 
@@ -135,6 +135,23 @@ class TestCheck:
                            "--degree", "2", "--max-len", "3")
         assert code == 0, out
         assert ": pass" in out and "vacuous" not in out
+
+    @pytest.mark.parametrize("suite, call", [
+        ("cubical", lambda zx: suites.cubical_suite(zx, 7, 3, cube_n=1)),
+        ("dsq", lambda zx: suites.dsq_suite(zx, 7, 3)),
+        ("leibniz", lambda zx: suites.leibniz_suite(zx, 7, 3)),
+        ("theorem2", lambda zx: suites.theorem2_suite(zx, 2, 3)),
+        ("covering", lambda zx: suites.covering_suite(zx, 3)),
+    ], ids=["cubical", "dsq", "leibniz", "theorem2", "covering"])
+    def test_flags_reach_the_suite(self, capsys, suite, call):
+        # every flag a distinct value, so a flag passed in another's place
+        # changes the report, which an exit status does not show
+        code, out, _ = run(capsys, "check", "--builtin", "sphere:2", "--suite", suite, "--json",
+                           "--samples", "7", "--seed", "3", "--cube-n", "1",
+                           "--degree", "2", "--max-len", "3")
+        assert code == 0
+        want = call(resolve_model("sphere:2"))
+        assert json.loads(out) == json.loads(json.dumps(want, default=str))
 
     @pytest.mark.parametrize("argv", [
         ("--builtin", "sphere:2", "--suite", "dsq", "--samples", "0"),
@@ -499,7 +516,8 @@ def _set_edge(key, value):
 class TestRefusals:
     """Malformed input that no other test reaches: each is refused with a
     message that names the fault.  The documents are data/triangle.json
-    (the edges 01, 02, 12) with one fault put in."""
+    (the edges 01, 02, 12) with one fault put in; a string in place of the
+    edit is the text of a facets file."""
 
     @pytest.mark.parametrize("argv, edit, status, message", [
         (("boundary", "--builtin", "boundary-simplex:3", "--word", "01;23"), None, 2,
@@ -523,12 +541,25 @@ class TestRefusals:
         # more digits than int() converts by default
         (("homology", "--builtin", "sphere:2", "--degree", "1",
           "--coeff", "p:1" + "0" * 5000 + "7"), None, 2, "below 2^31"),
+        (("validate", "--builtin", "sphere:0"), None, 2, "n must be >= 1"),
+        (("validate", "--builtin", "boundary-simplex:0"), None, 2, "n must be >= 1"),
+        (("validate", "--builtin", "wedge:0"), None, 2, "r must be >= 1"),
+        (("validate",), "0 1 1\n", 2, "facet ['0', '1', '1'] repeats a vertex"),
+        # without op_pairs, the edge-inverted extension names 01's inverse 01^op
+        (("validate",), lambda doc: doc["generators"].append(
+            {"name": "01^op", "dim": 1, "faces": [{"generator": "0"}, {"generator": "1"}]}),
+         2, "name clash adding '01^op'"),
     ], ids=["word-not-composable", "face-dimension", "basepoint-on-edge", "unknown-basepoint",
             "duplicate-generator", "negative-dim", "same-way-pair-validate",
             "same-way-pair-homology", "prime-too-large-homology", "prime-too-large-boundary",
-            "prime-too-many-digits"])
+            "prime-too-many-digits", "sphere-0", "boundary-simplex-0", "wedge-0",
+            "facet-repeats-a-vertex", "op-name-clash"])
     def test_refused(self, capsys, tmp_path, argv, edit, status, message):
-        if edit is not None:
+        if isinstance(edit, str):
+            path = tmp_path / "c.facets"
+            path.write_text(edit)
+            argv = (argv[0], "--builtin", f"facets:{path}", *argv[1:])
+        elif edit is not None:
             doc = json.loads((Path(__file__).resolve().parent.parent / "data" / "triangle.json")
                              .read_text())
             edit(doc)

@@ -72,24 +72,24 @@ class TestLetters:
     def test_monomial_vanishes_on_zero_letter(self, fixtures):
         zx = fixtures["sphere2"]
         sigma, unit_letter = zx.term("sigma"), zx.degenerate(zx.term("x0"), 0)
-        assert monomial(zx, (sigma, zx.degenerate(unit_letter, 1))) is None
+        assert monomial(zx, (sigma, zx.degenerate(unit_letter, 1)), "de") is None
         # the unit letter is dropped, not zero
-        assert monomial(zx, (sigma, unit_letter)) == (sigma,)
+        assert monomial(zx, (sigma, unit_letter), "de") == (sigma,)
         # and so lets the inverse pair around it cancel
         zx = fixtures["bd2"]
         a = zx.term("01")
         unit_letter = zx.degenerate(zx.term(zx.endpoints(a)[1]), 0)
-        assert monomial(zx, (a, unit_letter, zx.op(a))) == ()
+        assert monomial(zx, (a, unit_letter, zx.op(a)), "de") == ()
 
 
 class TestDifferentials:
     def test_d_A_on_triangle(self, fixtures):
         zx = fixtures["bd3"]
         t = zx.term("012")
-        assert d_A(zx, t) == {zx.term("02"): -1}
+        assert d_A(zx, t, "de") == {zx.term("02"): -1}
 
     def test_d_A_on_edge_and_sphere_cell(self, fixtures):
-        assert d_A(fixtures["bd3"], fixtures["bd3"].term("01")) == {}
+        assert d_A(fixtures["bd3"], fixtures["bd3"].term("01"), "de") == {}
         # the interior face of sigma is the unit letter s_0 x0, which
         # cancels against sigma's splitting into two unit letters
         zx = fixtures["sphere2"]

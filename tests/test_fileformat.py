@@ -85,25 +85,27 @@ class TestComplexDocuments:
         ({"vertices": "ab"}, "'vertices' has the wrong type: expected a list, got 'ab'"),
         ({"vertices": ["v", 1]}, "a vertex name has the wrong type: expected a string, got 1"),
         ({"generators": {}}, "'generators' has the wrong type: expected a list, got {}"),
+        ({"generators": [["a", 1]]},
+         "generator record 0 has the wrong type: expected an object, got ['a', 1]"),
         ({"dim": 1.7}, "'dim' of 'a' has the wrong type: expected an integer, got 1.7"),
         ({"dim": "x"}, "'dim' of 'a' has the wrong type: expected an integer, got 'x'"),
         ({"dim": True}, "'dim' of 'a' has the wrong type: expected an integer, got True"),
         ({"faces": "vv"}, "'faces' of 'a' has the wrong type: expected a list, got 'vv'"),
-        ({"faces": [["v"], ["v"]]}, "field of the wrong type in complex document: "
-                                    "list indices must be integers or slices, not str"),
+        ({"faces": [["v"], ["v"]]}, "face 0 of 'a' has the wrong type: expected an object, got ['v']"),
         ({"degeneracies": "0"},
          "'degeneracies' of face 0 of 'a' on 'v' has the wrong type: expected a list, got '0'"),
         ({"degeneracies": [False]},
          "face 0 of 'a' on 'v': a degeneracy has the wrong type: expected an integer, got False"),
         ({"op_pairs": {"ab": "zz"}}, "op pair 'ab': 'zz' names unknown generator 'ab'"),
         ({"op_pairs": {"a": "zz"}}, "op pair 'a': 'zz' names unknown generator 'zz'"),
-    ], ids=["vertices-string", "vertex-name-int", "generators-object", "dim-float", "dim-string",
-            "dim-bool", "faces-string", "faces-lists", "degeneracies-string", "degeneracy-bool",
-            "op-pair-unknown-key", "op-pair-unknown-value"])
+    ], ids=["vertices-string", "vertex-name-int", "generators-object", "generator-record-list",
+            "dim-float", "dim-string", "dim-bool", "faces-string", "faces-lists",
+            "degeneracies-string", "degeneracy-bool", "op-pair-unknown-key", "op-pair-unknown-value"])
     def test_field_types_checked(self, edit, message):
         # once read: "ab" as the vertices a and b, 1.7 as 1, "0" one
         # character at a time; an unknown op-pair generator was reported
-        # as a missing field
+        # as a missing field, and a record that is a list with Python's
+        # "list indices must be integers or slices, not str"
         doc = {"vertices": ["v"], "basepoint": "v", "generators": [
             {"name": "a", "dim": 1, "faces": [
                 {"degeneracies": [], "generator": "v"},

@@ -427,7 +427,7 @@ class TestBases:
     def test_boundary_matrix_shapes(self, fixtures):
         zx = fixtures["sphere2"]
         tower = degree_bases(zx, 2, "normalized", None)
-        m, dom, cod = boundary_matrix(zx, tower[2], tower[1], letter_boundary(zx, "normalized"))
+        m, dom, cod = boundary_matrix(zx, tower[2], tower[1], letter_boundary(zx, "normalized"), None)
         assert (m.rows, m.cols) == (len(cod), len(dom))
         assert (dom, cod) == (tower[2], tower[1])
 
@@ -448,7 +448,7 @@ class TestBases:
         tower = degree_bases(zx, top, variant, max_weight)
         d = letter_boundary(zx, variant)
         for n in range(1, top + 1):
-            m, dom, cod = boundary_matrix(zx, tower[n], tower[n - 1], d)
+            m, dom, cod = boundary_matrix(zx, tower[n], tower[n - 1], d, None)
             columns = [{} for _ in dom]
             for (i, j), v in m.entries.items():
                 columns[j][cod[i]] = v
@@ -478,7 +478,7 @@ class TestBases:
         w = parse_word(zx, word)
         tower = degree_bases(zx, 1, variant, max_weight)
         assert w in tower[1]
-        m, dom, cod = boundary_matrix(zx, [w], tower[0], letter_boundary(zx, variant))
+        m, dom, cod = boundary_matrix(zx, [w], tower[0], letter_boundary(zx, variant), None)
         column = {str(cod[i]): v for (i, _), v in m.entries.items()}
         assert column == want
         assert len(calls) == 1
@@ -508,7 +508,7 @@ class TestBases:
         zx = fixtures["bd3"]
         tower = degree_bases(zx, 1, "normalized", 3)
         with pytest.raises(HomologyError, match="outside the codomain basis"):
-            boundary_matrix(zx, tower[1], tower[0][:1], letter_boundary(zx, "normalized"))
+            boundary_matrix(zx, tower[1], tower[0][:1], letter_boundary(zx, "normalized"), None)
 
 
 def word_path_table(zx, top, variant):
@@ -518,7 +518,7 @@ def word_path_table(zx, top, variant):
     with the bases and matrices: the reference for the index path."""
     bases = degree_bases(zx, top + 1, variant, None)
     d = letter_boundary(zx, variant)
-    mats = [boundary_matrix(zx, bases[n], bases[n - 1], d)[0] for n in range(1, top + 2)]
+    mats = [boundary_matrix(zx, bases[n], bases[n - 1], d, None)[0] for n in range(1, top + 2)]
     snfs = [()] + [smith_normal_form(m) for m in mats]
     groups = tuple(HomologyGroup(n, len(bases[n]) - len(snfs[n]) - len(snfs[n + 1]),
                                  tuple(t for t in snfs[n + 1] if t > 1))
@@ -668,7 +668,7 @@ class TestWeightTruncation:
 
     def test_edges_need_a_bound(self, fixtures):
         with pytest.raises(HomologyError, match="--max-weight"):
-            homology(fixtures["wedge2"], 1)
+            homology(fixtures["wedge2"], 1, "normalized")
         with pytest.raises(HomologyError, match="--max-weight"):
             degree_bases(fixtures["bd3"], 1, "de", None)
 
@@ -752,7 +752,7 @@ class TestLoopHomology:
         tower = degree_bases(zx, 4, "de", None)
         assert table.basis_sizes == tuple(len(b) for b in tower)
         d = letter_boundary(zx, "de")
-        nonzeros = [0] + [len(boundary_matrix(zx, tower[n], tower[n - 1], d)[0].entries)
+        nonzeros = [0] + [len(boundary_matrix(zx, tower[n], tower[n - 1], d, None)[0].entries)
                           for n in range(1, 5)]
         assert table.nonzeros == tuple(nonzeros)
 
@@ -777,6 +777,6 @@ class TestFieldCoefficients:
             HomologyGroup(0, 1, ()),
             HomologyGroup(1, 0, (2,)),
             HomologyGroup(2, 0, ()),
-        ))
+        ), (), ())
         assert field_dimensions(table, Ring.prime_field(2)) == {0: 1, 1: 1, 2: 1}
         assert field_dimensions(table, Ring.prime_field(3)) == {0: 1, 1: 0, 2: 0}

@@ -104,12 +104,12 @@ class TestBuilders:
 
     def test_from_facets_rejects_disorder(self):
         with pytest.raises(SimplicialError):
-            from_facets([["1", "0"], ["0", "1"]])
+            from_facets([["1", "0"], ["0", "1"]], "complex")
 
     def test_simplex_names_keep_apart(self):
         # with per-simplex naming, the edge on 1 and 2 and the vertex 12 were
         # both named '12', and both complexes were refused as duplicates
-        zx = from_facets([["0", "1", "2"], ["0", "2", "12"]])
+        zx = from_facets([["0", "1", "2"], ["0", "2", "12"]], "complex")
         assert {"1,2", "12", "0,2,12"} <= set(zx.generators)
         assert zx.validate() == []
         zx = standard_simplex(12)
@@ -118,7 +118,7 @@ class TestBuilders:
         # one-character vertex names are concatenated, as before
         assert "0123456789" in standard_simplex(9).generators
         with pytest.raises(SimplicialError, match="duplicate generator name 'a,b'"):
-            from_facets([["a", "b"], ["a,b"]])
+            from_facets([["a", "b"], ["a,b"]], "complex")
 
     def test_validate_all_builders(self):
         for zx in (standard_simplex(3), boundary_simplex(3), sphere_quotient(3),
@@ -324,7 +324,8 @@ class TestStoredDimension:
         cases = [(zx, random_loop_cells(zx, random.Random(5), 30), random_path_cells(zx, random.Random(6), 30))
                  for zx in fixtures.values()]
         delta = standard_simplex(3)
-        cases.append((delta, [c for _, c in cube_cells(delta)], [c for _, c in cube_cells(delta, True)]))
+        cases.append((delta, [c for _, c in cube_cells(delta, False)],
+                      [c for _, c in cube_cells(delta, True)]))
         made = 0
         for zx, words, cells in cases:
             for w in words:

@@ -133,7 +133,7 @@ def _word_cases(zx, cells, tag):
 
 def _cube_cases():
     delta = standard_simplex(4)
-    return _word_cases(delta, [c for _, c in cube_cells(delta)], "cube")
+    return _word_cases(delta, [c for _, c in cube_cells(delta, False)], "cube")
 
 
 def _random_cases(zx):

@@ -222,3 +222,5 @@ class TestGroup:
         sq = compose(zx, alpha, alpha)
         root, k = power_decompose(zx, sq)
         assert root == alpha and k == 2
+        # primitive: its first letter is no loop, and 2 does not divide its length 3
+        assert power_decompose(zx, alpha) == (alpha, 1)
