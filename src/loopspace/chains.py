@@ -10,8 +10,8 @@ each quotient a ring, with the boundary a derivation for the usual sign.
 Chains have integer coefficients, as the paper's C_*(Omega-hat X) is a
 dga over Z.  Other coefficients come from it by a change of rings: the
 boundary has integer coefficients and Z -> R is a ring map, so the CLI's
-``--coeff`` ring is applied once, to a finished chain (``Ring.coerce``),
-and ``homology.field_dimensions`` reads field homology off the integral
+``--coeff`` ring is applied once, to a finished chain, and
+``homology.field_dimensions`` reads field homology off the integral
 table.
 
 ``boundary_chain``, ``multiply`` and ``leibniz_defect`` take d of a word
@@ -22,52 +22,16 @@ read-only: they build fresh chains and change none they are handed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from math import isqrt
 from typing import Callable
 
 from .simplicial import SimplicialPresentation
 from .words import LoopWord, word_face
 
 VARIANTS = ("de", "normalized")
-PRIME_BOUND = 2**31  # GF(p) takes p below this
 
 
 class ChainError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class Ring:
-    """Z, Q, or GF(p): a target of the change of rings from integral chains."""
-
-    name: str
-    p: int | None = None
-
-    @staticmethod
-    def integers() -> "Ring":
-        return Ring("Z")
-
-    @staticmethod
-    def rationals() -> "Ring":
-        return Ring("Q")
-
-    @staticmethod
-    def prime_field(p: int) -> "Ring":
-        """GF(p) for a prime p < 2^31, so trial division tries fewer than
-        46 341 divisors."""
-        if p >= PRIME_BOUND:
-            raise ChainError(f"the prime must be below 2^31 = {PRIME_BOUND}")
-        if p < 2 or any(p % q == 0 for q in range(2, isqrt(p) + 1)):
-            raise ChainError(f"{p} is not prime")
-        return Ring(f"GF({p})", p)
-
-    def coerce(self, a: int) -> int:
-        """The image of an integer; Q holds it as the integer itself, since
-        d is integral and no coefficient ever needs a denominator."""
-        if self.p is not None:
-            return int(a) % self.p
-        return int(a)
 
 
 Chain = dict  # LoopWord (or cobar monomial) -> nonzero int

@@ -5,7 +5,8 @@ Complexes come from ``--builtin`` specs (sphere:n, wedge:r,
 boundary-simplex:n, facets:<file>) or a complex-document path; models are
 built on the edge-inverted extension.  ``--json`` switches every command
 to machine-readable output; the exit status is nonzero iff a check fails
-or the input is invalid.
+or the input is invalid.  The library's chains are integral: the ``--coeff``
+ring (z, q or p:<prime>) is parsed and applied here, once.
 """
 
 from __future__ import annotations
@@ -13,8 +14,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from math import isqrt
 
-from .chains import PRIME_BOUND, VARIANTS, ChainError, Ring, boundary_word
+from .chains import VARIANTS, boundary_word
 from .fileformat import parse_word, resolve_complex, resolve_model
 from .homology import field_dimensions, homology
 from .paths import cover_graph, covering_report, cube_cells, to_adjacency, to_dot
@@ -25,6 +27,7 @@ from .words import LoopWord, compose, enumerate_words, invert, power_decompose
 # integer flags that count something, so a negative value is meaningless
 COUNT_FLAGS = ("--degree", "--max-len", "--max-weight", "--count-length", "--samples",
                "--cube", "--cube-n")
+PRIME_BOUND = 2**31  # --coeff p:P takes P below this
 
 
 class CliError(ValueError):
@@ -102,29 +105,31 @@ def cmd_cells(args) -> int:
     return 0
 
 
-def _ring(spec: str) -> Ring:
-    if spec == "z":
-        return Ring.integers()
-    if spec == "q":
-        return Ring.rationals()
+def _coefficients(spec: str) -> tuple[str, int | None]:
+    """The printed name and the prime of the ring a ``--coeff`` spec names;
+    Z and Q take no prime, as d is integral and no coefficient needs a
+    denominator.  Trial division tries fewer than 46 341 divisors."""
+    if spec in ("z", "q"):
+        return spec.upper(), None
     if spec.startswith("p:") and spec[2:].isdecimal():
         digits = spec[2:].lstrip("0") or "0"
         # int() refuses more than 4 300 digits; a longer string than the
-        # bound's is at least the bound, which prime_field refuses
+        # bound's is at least the bound
         p = int(digits) if len(digits) <= len(str(PRIME_BOUND)) else PRIME_BOUND
-        try:
-            return Ring.prime_field(p)
-        except ChainError as exc:
-            raise CliError(f"coefficient ring {spec!r}: {exc}") from None
+        if p >= PRIME_BOUND:
+            raise CliError(f"coefficient ring {spec!r}: the prime must be below 2^31 = {PRIME_BOUND}")
+        if p < 2 or any(p % q == 0 for q in range(2, isqrt(p) + 1)):
+            raise CliError(f"coefficient ring {spec!r}: {p} is not prime")
+        return f"GF({p})", p
     raise CliError(f"unknown coefficient ring {spec!r} (use z, q, or p:<prime>)")
 
 
 def cmd_boundary(args) -> int:
-    ring = _ring(args.coeff)
+    _, p = _coefficients(args.coeff)
     zx = resolve_model(_spec(args))
     w = parse_word(zx, args.word)
-    # d is integral and Z -> ring is a ring map: reduce once, at the end
-    reduced = ((str(f), ring.coerce(c)) for f, c in boundary_word(zx, w, args.variant).items())
+    # d is integral and Z -> GF(p) is a ring map: reduce once, at the end
+    reduced = ((str(f), c % p if p else c) for f, c in boundary_word(zx, w, args.variant).items())
     terms = sorted((f, c) for f, c in reduced if c)
     rendered = " + ".join(
         (f"{c}*({f})" if c != 1 else f"({f})") for f, c in terms) or "0"
@@ -146,20 +151,20 @@ def cmd_check(args) -> int:
 
 
 def cmd_homology(args) -> int:
-    ring = _ring(args.coeff)  # before the computation, which can take long
+    ring, p = _coefficients(args.coeff)  # before the computation, which can take long
     zx = resolve_model(_spec(args))
     table = homology(zx, args.degree, args.variant, args.max_weight)
     rows = []
-    payload = {"complex": zx.name, "variant": args.variant, "coefficients": ring.name,
+    payload = {"complex": zx.name, "variant": args.variant, "coefficients": ring,
                "max_weight": table.max_weight, "basis_sizes": list(table.basis_sizes),
                "nonzeros": list(table.nonzeros), "groups": []}
-    dims = field_dimensions(table, ring)
+    dims = field_dimensions(table, p)
     for g in table.groups:
-        if ring.name == "Z":
+        if ring == "Z":
             desc = str(g)
         else:
             d = dims[g.degree]
-            desc = f"{ring.name}^{d}" if d else "0"
+            desc = f"{ring}^{d}" if d else "0"
         rows.append(f"H_{g.degree:<2} = {desc}")
         payload["groups"].append(
             {"degree": g.degree, "free_rank": g.free_rank,

@@ -83,21 +83,33 @@ def complex_from_dict(doc: dict) -> SimplicialPresentation:
             gens.append(GeneratorId(name, _typed(rec["dim"], int, f"'dim' of {name!r}")))
         dims = {g.name: g.dim for g in gens}
         for rec in records:
-            entries = []
-            for f in _typed(rec["faces"], list, f"'faces' of {rec['name']!r}"):
-                f = _typed(f, dict, f"face {len(entries)} of {rec['name']!r}")
-                gname = _typed(f["generator"], str, f"a face generator of {rec['name']!r}")
+            name, dim, entries = rec["name"], rec["dim"], []
+            listed = _typed(rec["faces"], list, f"'faces' of {name!r}")
+            # a face is checked before it is built, which takes memory linear
+            # in its dimension; a negative dimension is refused with the
+            # generators, and a vertex has no faces
+            if dim > 0 and len(listed) != dim + 1:
+                raise FormatError(f"face table of {name!r} must have {dim + 1} entries")
+            for f in listed if dim >= 0 else ():
+                f = _typed(f, dict, f"face {len(entries)} of {name!r}")
+                gname = _typed(f["generator"], str, f"a face generator of {name!r}")
                 if gname not in dims:
-                    raise FormatError(f"face of {rec['name']!r} uses unknown generator {gname!r}")
+                    raise FormatError(f"face of {name!r} uses unknown generator {gname!r}")
+                where = f"face {len(entries)} of {name!r} on {gname!r}"
+                degens = _typed(f.get("degeneracies", []), list, f"'degeneracies' of {where}")
+                d = dims[gname]
+                for j in degens:  # applied innermost first
+                    if not 0 <= _typed(j, int, f"{where}: a degeneracy") <= d:
+                        raise FormatError(f"{where}: degeneracy index {j} out of range "
+                                          f"for dimension {d}")
+                    d += 1
+                if d != dim - 1:
+                    raise FormatError(f"face of {name!r} has dimension {d}, expected {dim - 1}")
                 t = _nondegenerate(GeneratorId(gname, dims[gname]))
-                where = f"face {len(entries)} of {rec['name']!r} on {gname!r}"
-                for j in _typed(f.get("degeneracies", []), list, f"'degeneracies' of {where}"):
-                    try:  # applied innermost first
-                        t = _degenerate(t, _typed(j, int, "a degeneracy"))
-                    except ValueError as exc:
-                        raise FormatError(f"{where}: {exc}") from None
+                for j in degens:
+                    t = _degenerate(t, j)
                 entries.append(t)
-            faces[rec["name"]] = tuple(entries)
+            faces[name] = tuple(entries)
         pairs = {}
         for a, b in _typed(doc.get("op_pairs", {}), dict, "'op_pairs'").items():
             for g in (a, _typed(b, str, f"the op pair of {a!r}")):
@@ -169,8 +181,10 @@ def resolve_complex(spec: str) -> SimplicialPresentation:
 
 
 def resolve_model(spec: str) -> SimplicialPresentation:
-    """The edge-inverted complex a model is built on; one that breaks the
-    simplicial identities is refused, as every model on it would be wrong."""
+    """The edge-inverted complex a model is built on.  One that breaks the
+    simplicial identities is refused, as every model on it would be wrong,
+    and so is one that is not path connected, as the paper's models are
+    of a path-connected space."""
     zx = resolve_complex(spec)
     zx = zx if zx.op_pairs else zx.z_extension()
     report = zx.validate()
@@ -179,6 +193,18 @@ def resolve_model(spec: str) -> SimplicialPresentation:
             f"{zx.name} is not a simplicial set ({len(report)} violation(s), "
             f"first: {report[0]}); see 'loopspace validate'"
         )
+    # every edge has its inverse here, so the letters reach each vertex
+    # that an edge path joins to the basepoint
+    reached, todo = {zx.basepoint}, [zx.basepoint]
+    while todo:
+        for _, hi in zx.letters_from.get(todo.pop(), ()):
+            if hi not in reached:
+                reached.add(hi)
+                todo.append(hi)
+    for v in zx.generators_of_dim(0):
+        if v.name not in reached:
+            raise FormatError(f"{zx.name} is not path connected: no edge path joins vertex "
+                              f"{v.name!r} to the basepoint {zx.basepoint!r}")
     return zx
 
 

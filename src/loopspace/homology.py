@@ -43,7 +43,7 @@ from heapq import heapify, heappop, heappush
 from itertools import combinations
 from math import gcd
 
-from .chains import VARIANTS, Ring, boundary_word
+from .chains import VARIANTS, boundary_word
 from .simplicial import SimplexTerm, SimplicialPresentation, _inverse_pair
 from .words import LoopWord, canonical, enumerate_words, unit
 
@@ -549,14 +549,14 @@ def homology(
     )
 
 
-def field_dimensions(table: HomologyTable, coeff: Ring) -> dict[int, int]:
-    """Dimensions of the homology with field (or integer) coefficients,
-    read off from the integral table by universal coefficients: a torsion
-    factor of H_n divisible by p contributes to the group in its own
-    degree and the one above (Tor(H_n, F_p) lands in degree n + 1)."""
+def field_dimensions(table: HomologyTable, p: int | None) -> dict[int, int]:
+    """Dimensions of the homology over GF(p), read off from the integral
+    table by universal coefficients: a torsion factor of H_n divisible by p
+    contributes to the group in its own degree and the one above
+    (Tor(H_n, F_p) lands in degree n + 1).  With p None they are the free
+    ranks, the dimensions over Q."""
     dims = {g.degree: g.free_rank for g in table.groups}
-    if coeff.p is not None:
-        p = coeff.p
+    if p is not None:
         torsion_p = {
             g.degree: sum(1 for t in g.torsion if t % p == 0) for g in table.groups
         }

@@ -5,7 +5,6 @@ import pytest
 
 from loopspace.chains import (
     ChainError,
-    Ring,
     add_into,
     boundary_chain,
     boundary_word,
@@ -28,13 +27,6 @@ def sigma_loop(zx, copies=1):
 
 
 class TestRings:
-    def test_coerce(self):
-        assert Ring.rationals().coerce(3) == 3
-        assert type(Ring.rationals().coerce(-1)) is int  # JSON prints it as a number
-        assert Ring.prime_field(5).coerce(-1) == 4
-        with pytest.raises(ChainError):
-            Ring.prime_field(6)
-
     def test_chain_arithmetic(self, fixtures):
         zx = fixtures["sphere2"]
         w = sigma_loop(zx)

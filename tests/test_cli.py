@@ -513,6 +513,20 @@ def _set_edge(key, value):
     return edit
 
 
+def _huge_face(at):
+    """Put a generator of dimension 10^12 with no faces at index ``at`` of
+    the records, and make it the first face of the edge 01."""
+    def edit(doc):
+        doc["generators"][0]["faces"][0] = {"generator": "top"}
+        doc["generators"].insert(at, {"name": "top", "dim": 10**12, "faces": []})
+    return edit
+
+
+# commands that build a model, each with the flags it requires
+_MODEL_COMMANDS = (("homology", "--degree", "1", "--max-weight", "3"), ("cover", "--max-len", "2"),
+                   ("check", "--suite", "covering"), ("check", "--suite", "cubical"))
+
+
 class TestRefusals:
     """Malformed input that no other test reaches: each is refused with a
     message that names the fault.  The documents are data/triangle.json
@@ -549,11 +563,25 @@ class TestRefusals:
         (("validate",), lambda doc: doc["generators"].append(
             {"name": "01^op", "dim": 1, "faces": [{"generator": "0"}, {"generator": "1"}]}),
          2, "name clash adding '01^op'"),
+        # a face of dimension 10^12 was built before any check, and ran out
+        # of memory; now its record, or the face that names it, is refused
+        (("validate",), _huge_face(0), 2, "face table of 'top' must have 1000000000001 entries"),
+        (("validate",), _huge_face(-1), 2, "face of '01' has dimension 1000000000000, expected 0"),
+        # S^0 and two disjoint edges: the vertices off the basepoint's
+        # component have no lift in the cover, and no word reaches them
+        *((argv + ("--builtin", "boundary-simplex:1"), None, 2,
+           "boundary-delta1+op is not path connected: no edge path joins vertex '1' "
+           "to the basepoint '0'") for argv in _MODEL_COMMANDS),
+        *((argv, "0 1\n2 3\n", 2,
+           "c+op is not path connected: no edge path joins vertex '2' to the basepoint '0'")
+          for argv in _MODEL_COMMANDS),
     ], ids=["word-not-composable", "face-dimension", "basepoint-on-edge", "unknown-basepoint",
             "duplicate-generator", "negative-dim", "same-way-pair-validate",
             "same-way-pair-homology", "prime-too-large-homology", "prime-too-large-boundary",
             "prime-too-many-digits", "sphere-0", "boundary-simplex-0", "wedge-0",
-            "facet-repeats-a-vertex", "op-name-clash"])
+            "facet-repeats-a-vertex", "op-name-clash", "huge-face-table", "huge-face",
+            *(f"{name}-{command}" for name in ("s0", "two-edges")
+              for command in ("homology", "cover", "covering", "cubical"))])
     def test_refused(self, capsys, tmp_path, argv, edit, status, message):
         if isinstance(edit, str):
             path = tmp_path / "c.facets"

@@ -105,6 +105,8 @@ class TestBuilders:
     def test_from_facets_rejects_disorder(self):
         with pytest.raises(SimplicialError):
             from_facets([["1", "0"], ["0", "1"]], "complex")
+        with pytest.raises(SimplicialError, match="n must be >= 0"):
+            standard_simplex(-1)
 
     def test_simplex_names_keep_apart(self):
         # with per-simplex naming, the edge on 1 and 2 and the vertex 12 were
@@ -273,6 +275,10 @@ class TestEndpointTable:
         for dim in (0, 1):
             with pytest.raises(SimplicialError):
                 zx.endpoints(SimplexTerm(GeneratorId("nowhere", dim), (1,) * (dim + 1)))
+        with pytest.raises(SimplicialError, match="unknown generator 'nowhere'"):
+            zx.term("nowhere")
+        with pytest.raises(SimplicialError, match="unknown generator 'nowhere'"):
+            zx.face(SimplexTerm(GeneratorId("nowhere", 1), (1, 1)), 0)
 
 
 class TestStoredDimension:
@@ -385,9 +391,15 @@ class TestEdgeInversion:
         zx = boundary_simplex(2).z_extension()
         with pytest.raises(SimplicialError):
             zx.z_extension()
+        # a degenerate edge has no formal inverse
+        with pytest.raises(SimplicialError, match="s0.01 has no op-partner"):
+            zx.op(zx.degenerate(zx.term("01"), 0))
 
     def test_rejects_malformed_tables(self):
         x0 = GeneratorId("v", 0)
         a = GeneratorId("a", 1)
         with pytest.raises(SimplicialError):
             SimplicialPresentation("bad", [x0, a], {"a": (SimplexTerm(x0, (1,)),)}, "v")
+        stray = SimplexTerm(GeneratorId("w", 0), (1,))
+        with pytest.raises(SimplicialError, match="face of 'a' uses unknown generator 'w'"):
+            SimplicialPresentation("bad", [x0, a], {"a": (stray, SimplexTerm(x0, (1,)))}, "v")

@@ -8,6 +8,7 @@ from loopspace.simplicial import (
     GeneratorId,
     SimplexTerm,
     SimplicialError,
+    boundary_simplex,
     sphere_quotient,
     wedge_of_circles,
 )
@@ -154,6 +155,8 @@ class TestRefusals:
         for letters in ((stray,), (zx.term("01"), stray)):
             with pytest.raises(SimplicialError, match="unknown generator 'nowhere'"):
                 canonical(zx, letters, "0")
+        with pytest.raises(WordError, match="the empty word needs a start vertex"):
+            canonical(zx, ())
 
 
 class TestFacesAndDegeneracies:
@@ -205,6 +208,17 @@ class TestGroup:
             w = random_reduced_word(zx, rng, "x0", "x0", 0, 5)
             assert compose(zx, w, invert(zx, w)) == unit("x0")
             assert compose(zx, invert(zx, w), w) == unit("x0")
+        bd2 = fixtures["bd2"]
+        edge = canonical(bd2, (bd2.term("01"),), "0")
+        with pytest.raises(WordError, match="cannot compose: 1 != 0"):
+            compose(bd2, edge, edge)
+        sphere2 = fixtures["sphere2"]
+        with pytest.raises(WordError, match="letter sigma is not an invertible edge"):
+            invert(sphere2, canonical(sphere2, (sphere2.term("sigma"),), "x0"))
+        # S^0: no letter leaves the basepoint, so no word reaches the other vertex
+        s0 = boundary_simplex(1).z_extension()
+        with pytest.raises(WordError, match="no word found from 0 to 1"):
+            random_reduced_word(s0, rng, "0", "1", 0, 3)
 
     def test_power_decompose(self, fixtures):
         zx = fixtures["wedge2"]
@@ -213,6 +227,9 @@ class TestGroup:
         root, k = power_decompose(zx, cube)
         assert (root, k) == (a1, 3)
         assert power_decompose(zx, unit("x0"))[1] == 0
+        sphere2 = fixtures["sphere2"]
+        with pytest.raises(WordError, match="has degree 1, not a group element"):
+            power_decompose(sphere2, canonical(sphere2, (sphere2.term("sigma"),), "x0"))
 
     def test_triangle_loop_powers(self, fixtures):
         zx = fixtures["bd2"]
