@@ -28,6 +28,10 @@ from .words import LoopWord, compose, enumerate_words, invert, power_decompose
 COUNT_FLAGS = ("--degree", "--max-len", "--max-weight", "--count-length", "--samples",
                "--cube", "--cube-n")
 PRIME_BOUND = 2**31  # --coeff p:P takes P below this
+# the largest cube each flag takes: the cells of the cube on Delta^(n+1)
+# grow about 3-fold with n, and the relation rows on them faster; at its
+# bound, each command runs in about 4 s on a 2-vCPU host
+_CUBE_BOUNDS = {"--cube": 10, "--cube-n": 7}
 
 
 class CliError(ValueError):
@@ -312,8 +316,10 @@ def main(argv: list[str] | None = None) -> int:
         args.variant = "normalized"
     for flag in COUNT_FLAGS:
         value = getattr(args, flag.lstrip("-").replace("-", "_"), None)
-        if value is not None and value < 0:
-            print(f"error: {flag} must be non-negative, got {value}", file=sys.stderr)
+        bound = _CUBE_BOUNDS.get(flag)
+        if value is not None and (value < 0 or bound is not None and value > bound):
+            limit = "non-negative" if value < 0 else f"at most {bound}"
+            print(f"error: {flag} must be {limit}, got {value}", file=sys.stderr)
             return 2
     try:
         return args.fn(args)

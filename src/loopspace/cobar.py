@@ -50,14 +50,10 @@ def hat_reduce(
     return tuple(out)
 
 
-def monomial(
-    zx: SimplicialPresentation, letters: tuple[SimplexTerm, ...], variant: str
-) -> tuple[SimplexTerm, ...] | None:
-    """The monomial of the letters: their hat-reduced tuple, unit letters
-    dropped, or None if a letter vanishes."""
-    if any(letter_is_zero(t, variant) for t in letters):
-        return None
-    # past letter_is_zero, a letter on a vertex is a unit s_0 x
+def monomial(zx: SimplicialPresentation, letters: tuple[SimplexTerm, ...]) -> tuple[SimplexTerm, ...]:
+    """The monomial of letters none of which vanishes: their hat-reduced
+    tuple, unit letters dropped (a letter on a vertex that does not vanish
+    is a unit s_0 x)."""
     return hat_reduce(zx, tuple(t for t in letters if t.generator.dim))
 
 
@@ -85,16 +81,16 @@ def cobar_boundary(
 ) -> Chain:
     """Derivation extension of d1 + d2 with Koszul signs in desuspended
     degrees: d1[a-bar] = -[d_A(a)-bar] and d2[a-bar] = sum over reduced
-    splittings a' (x) a'' of (-1)^{|a'|} [a'-bar | a''-bar]."""
+    splittings a' (x) a'' of (-1)^{|a'|} [a'-bar | a''-bar].  No letter of
+    the monomial m vanishes, and the terms of d_A and the splittings that
+    replace a letter are taken without the vanishing ones."""
     acc: Chain = {}
     koszul = 1
     for k, t in enumerate(m):
         rest = m[:k], m[k + 1 :]
 
         def emit(repl: tuple[SimplexTerm, ...], coeff: int) -> None:
-            mono = monomial(zx, rest[0] + repl + rest[1], variant)
-            if mono is not None:
-                add_into(acc, mono, coeff)
+            add_into(acc, monomial(zx, rest[0] + repl + rest[1]), coeff)
 
         for f, c in d_A(zx, t, variant).items():
             emit((f,), -koszul * c)

@@ -36,29 +36,6 @@ class FormatError(ValueError):
 # -- complex documents ------------------------------------------------------
 
 
-def complex_to_dict(zx: SimplicialPresentation) -> dict:
-    doc = {
-        "name": zx.name,
-        "vertices": [g.name for g in zx.generators_of_dim(0)],
-        "basepoint": zx.basepoint,
-        "generators": [
-            {
-                "name": g.name,
-                "dim": g.dim,
-                "faces": [
-                    {"degeneracies": list(t.degens), "generator": t.generator.name}
-                    for t in zx.faces[g.name]
-                ],
-            }
-            for d in range(1, zx.max_dim + 1)
-            for g in zx.generators_of_dim(d)
-        ],
-    }
-    if zx.op_pairs:
-        doc["op_pairs"] = {a.name: zx.op_pairs[a.name] for a in zx.underlying_edges()}
-    return doc
-
-
 _KINDS = {list: "a list", int: "an integer", str: "a string", dict: "an object"}
 
 
@@ -124,8 +101,6 @@ def complex_from_dict(doc: dict) -> SimplicialPresentation:
         )
     except KeyError as exc:
         raise FormatError(f"missing field {exc} in complex document") from exc
-    except (TypeError, AttributeError) as exc:
-        raise FormatError(f"field of the wrong type in complex document: {exc}") from exc
 
 
 def _read_text(path: str | Path) -> str:
@@ -133,6 +108,9 @@ def _read_text(path: str | Path) -> str:
         return Path(path).read_text()
     except OSError as exc:
         raise FormatError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"cannot read {path}: not UTF-8 text ({exc.reason} "
+                          f"at byte {exc.start})") from exc
 
 
 def load_complex(path: str | Path) -> SimplicialPresentation:
@@ -140,6 +118,8 @@ def load_complex(path: str | Path) -> SimplicialPresentation:
         doc = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except RecursionError as exc:  # the decoder recurses once per level of nesting
+        raise FormatError(f"{path}: nested too deeply to read") from exc
     return complex_from_dict(doc)
 
 
@@ -152,6 +132,9 @@ def load_facets(path: str | Path) -> SimplicialPresentation:
         if not body:
             continue
         facets.append(body.split())
+        if len(facets[-1]) > _FACET_BOUND:
+            raise FormatError(f"{path}: line {lineno}: a facet may have at most "
+                              f"{_FACET_BOUND} vertices, not {len(facets[-1])}")
     if not facets:
         raise FormatError(f"{path}: no facets found")
     return from_facets(facets, name=Path(path).stem)
@@ -159,17 +142,22 @@ def load_facets(path: str | Path) -> SimplicialPresentation:
 
 # -- builtins ---------------------------------------------------------------
 
+# The largest parameter of each builtin, and the most vertices a facet may
+# have: building and checking a complex takes time that grows faster than
+# its spec (about n^3 for sphere:n, 2^n for a facet of n vertices).  At its
+# bound, each is built and checked in at most about 5 s on a 2-vCPU host.
+_BUILTINS = {"sphere": (sphere_quotient, 500), "wedge": (wedge_of_circles, 50_000),
+             "boundary-simplex": (boundary_simplex, 13)}
+_FACET_BOUND = 14
+
 
 def resolve_complex(spec: str) -> SimplicialPresentation:
     """Builtin complexes ``sphere:n``, ``wedge:r``, ``boundary-simplex:n``,
     ``facets:<file>``, or a path to a complex document."""
     kind, _, arg = spec.partition(":")
-    if kind == "sphere":
-        return sphere_quotient(_int_arg(spec, arg))
-    if kind == "wedge":
-        return wedge_of_circles(_int_arg(spec, arg))
-    if kind == "boundary-simplex":
-        return boundary_simplex(_int_arg(spec, arg))
+    if kind in _BUILTINS:
+        build, bound = _BUILTINS[kind]
+        return build(_int_arg(spec, arg, bound))
     if kind == "facets":
         return load_facets(arg)
     if Path(spec).exists():
@@ -208,9 +196,12 @@ def resolve_model(spec: str) -> SimplicialPresentation:
     return zx
 
 
-def _int_arg(spec: str, arg: str) -> int:
+def _int_arg(spec: str, arg: str, bound: int) -> int:
     if not re.fullmatch(r"\d+", arg or ""):
         raise FormatError(f"{spec!r}: expected an integer parameter")
+    # int() refuses more than 4 300 digits; a longer string is above the bound
+    if len(arg.lstrip("0")) > len(str(bound)) or int(arg) > bound:
+        raise FormatError(f"{spec!r}: the parameter must be at most {bound}")
     return int(arg)
 
 

@@ -64,14 +64,6 @@ class SparseIntMatrix:
     cols: int
     entries: dict[tuple[int, int], int] = field(default_factory=dict)
 
-    def set(self, i: int, j: int, v: int) -> None:
-        if not (0 <= i < self.rows and 0 <= j < self.cols):
-            raise HomologyError(f"index ({i},{j}) out of range")
-        if v:
-            self.entries[(i, j)] = v
-        else:
-            self.entries.pop((i, j), None)
-
 
 def smith_normal_form(matrix: SparseIntMatrix | list[list[int]]) -> tuple[int, ...]:
     """Invariant factors (d_1 | d_2 | ...) of an integer matrix.
@@ -374,7 +366,7 @@ def boundary_matrix(
                 i = index.get(f)
                 if i is None:
                     raise HomologyError(f"boundary term {f} of {w} is outside the codomain basis")
-                m.set(i, j, c)
+                m.entries[(i, j)] = c
     return m, domain, codomain
 
 
@@ -446,10 +438,7 @@ def _inverse_at_seam(
     between front and back: (front[-1], piece[0]) and (piece[-1], back[0]),
     or (front[-1], back[0]) when piece is empty.  front and back are a
     prefix and a suffix of a canonical word and piece is a term of d(t),
-    so each is canonical and no pair inside one needs a canonical form.
-    A complex without inverse edges has no such pair at all."""
-    if not zx.op_pairs:
-        return False
+    so each is canonical and no pair inside one needs a canonical form."""
     if not piece:
         return bool(front and back) and _inverse_pair(zx, front[-1], back[0])
     return (bool(front) and _inverse_pair(zx, front[-1], piece[0])) or (

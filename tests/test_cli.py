@@ -1,4 +1,5 @@
 import json
+import random
 import re
 from pathlib import Path
 
@@ -6,8 +7,9 @@ import pytest
 
 from loopspace import cobar, suites
 from loopspace.cli import main
-from loopspace.fileformat import complex_to_dict, resolve_model
-from loopspace.simplicial import boundary_simplex, wedge_of_circles
+from loopspace.fileformat import resolve_model
+
+DATA = Path(__file__).resolve().parent.parent / "data"
 
 
 def run(capsys, *argv):
@@ -21,11 +23,9 @@ class TestValidate:
         code, out, _ = run(capsys, "validate", "--builtin", "sphere:2")
         assert code == 0 and "ok" in out
 
-    def test_file_input(self, capsys, tmp_path):
-        path = tmp_path / "c.json"
-        path.write_text(json.dumps(complex_to_dict(boundary_simplex(2))))
-        code, out, _ = run(capsys, "validate", str(path))
-        assert code == 0
+    def test_file_input(self, capsys):
+        code, out, _ = run(capsys, "validate", str(DATA / "triangle.json"))
+        assert code == 0 and out == "boundary-delta2+op: ok\n"
 
     def test_missing_complex(self, capsys):
         code, _, err = run(capsys, "validate")
@@ -436,7 +436,7 @@ class TestTwoComplexes:
     def test_source_and_builtin_refused(self, capsys, argv):
         # --builtin used to win silently: homology printed the table of
         # Omega S^2 for the moore2 document, with exit 0
-        source = str(Path(__file__).resolve().parent.parent / "data" / "moore2.json")
+        source = str(DATA / "moore2.json")
         code, out, err = run(capsys, argv[0], source, "--builtin", "sphere:2", *argv[1:])
         assert code == 2 and out == ""
         assert source in err and "--builtin sphere:2" in err
@@ -455,7 +455,7 @@ class TestEdgePairing:
     def test_renamed_pairs(self, capsys, tmp_path):
         # read by the ^op suffix, all four edges were underlying edges:
         # 32 edges, tree=False, covering=ok, exit 0
-        text = (json.dumps(complex_to_dict(wedge_of_circles(2).z_extension()))
+        text = ((DATA / "wedge2-inverted.json").read_text()
                 .replace("a1^op", "b1").replace("a2^op", "b2"))
         code, out, _ = run(capsys, "cover", _document(tmp_path, json.loads(text)),
                            "--max-len", "2")
@@ -483,7 +483,7 @@ class TestEdgePairing:
     def test_partial_pairing_refused(self, capsys, tmp_path, argv):
         # with a2 and a2^op unpaired, homology printed H_0 = Z^69 (Z^53 with
         # both pairs) with exit 0
-        doc = complex_to_dict(wedge_of_circles(2).z_extension())
+        doc = json.loads((DATA / "wedge2-inverted.json").read_text())
         doc["op_pairs"] = {"a1": "a1^op"}
         code, out, err = run(capsys, argv[0], _document(tmp_path, doc), *argv[1:])
         assert code == 2 and out == ""
@@ -531,7 +531,7 @@ class TestRefusals:
     """Malformed input that no other test reaches: each is refused with a
     message that names the fault.  The documents are data/triangle.json
     (the edges 01, 02, 12) with one fault put in; a string in place of the
-    edit is the text of a facets file."""
+    edit is the text of a facets file, and bytes the raw text of a document."""
 
     @pytest.mark.parametrize("argv, edit, status, message", [
         (("boundary", "--builtin", "boundary-simplex:3", "--word", "01;23"), None, 2,
@@ -567,6 +567,26 @@ class TestRefusals:
         # of memory; now its record, or the face that names it, is refused
         (("validate",), _huge_face(0), 2, "face table of 'top' must have 1000000000001 entries"),
         (("validate",), _huge_face(-1), 2, "face of '01' has dimension 1000000000000, expected 0"),
+        # the first input above each bound; at the bound, each is built and
+        # checked in a few seconds, and the cost grows faster than the input
+        (("validate", "--builtin", "sphere:501"), None, 2,
+         "'sphere:501': the parameter must be at most 500"),
+        (("validate", "--builtin", "boundary-simplex:14"), None, 2,
+         "'boundary-simplex:14': the parameter must be at most 13"),
+        (("validate", "--builtin", "wedge:50001"), None, 2,
+         "'wedge:50001': the parameter must be at most 50000"),
+        (("validate", "--builtin", "wedge:1" + "0" * 5000), None, 2,
+         "the parameter must be at most 50000"),
+        (("cells", "--cube", "11"), None, 2, "--cube must be at most 10, got 11"),
+        (("check", "--builtin", "sphere:2", "--suite", "cubical", "--cube-n", "8"), None, 2,
+         "--cube-n must be at most 7, got 8"),
+        (("validate",), " ".join("abcdefghijklmno") + "\n", 2,
+         "c.facets: line 1: a facet may have at most 14 vertices, not 15"),
+        # a document nested 200 000 levels deep, on which the JSON decoder
+        # ran out of stack, and one that is not UTF-8 text
+        (("validate",), b"[" * 200_000 + b"]" * 200_000, 2, "c.json: nested too deeply to read"),
+        (("cover", "--max-len", "1"), random.Random(0).randbytes(300), 2,
+         "c.json: not UTF-8 text"),
         # S^0 and two disjoint edges: the vertices off the basepoint's
         # component have no lift in the cover, and no word reaches them
         *((argv + ("--builtin", "boundary-simplex:1"), None, 2,
@@ -580,6 +600,9 @@ class TestRefusals:
             "same-way-pair-homology", "prime-too-large-homology", "prime-too-large-boundary",
             "prime-too-many-digits", "sphere-0", "boundary-simplex-0", "wedge-0",
             "facet-repeats-a-vertex", "op-name-clash", "huge-face-table", "huge-face",
+            "sphere-above-bound", "boundary-simplex-above-bound", "wedge-above-bound",
+            "wedge-too-many-digits", "cube-above-bound", "cube-n-above-bound",
+            "facet-above-bound", "deeply-nested-document", "binary-document",
             *(f"{name}-{command}" for name in ("s0", "two-edges")
               for command in ("homology", "cover", "covering", "cubical"))])
     def test_refused(self, capsys, tmp_path, argv, edit, status, message):
@@ -587,9 +610,12 @@ class TestRefusals:
             path = tmp_path / "c.facets"
             path.write_text(edit)
             argv = (argv[0], "--builtin", f"facets:{path}", *argv[1:])
+        elif isinstance(edit, bytes):
+            path = tmp_path / "c.json"
+            path.write_bytes(edit)
+            argv = (argv[0], str(path), *argv[1:])
         elif edit is not None:
-            doc = json.loads((Path(__file__).resolve().parent.parent / "data" / "triangle.json")
-                             .read_text())
+            doc = json.loads((DATA / "triangle.json").read_text())
             edit(doc)
             argv = (argv[0], _document(tmp_path, doc), *argv[1:])
         code, out, err = run(capsys, *argv)

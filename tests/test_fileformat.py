@@ -1,64 +1,177 @@
 import json
 import re
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from loopspace.cli import main
 from loopspace.fileformat import (
     FormatError,
     complex_from_dict,
-    complex_to_dict,
     load_complex,
     load_facets,
     parse_term,
     parse_word,
     resolve_complex,
 )
-from loopspace.simplicial import boundary_simplex, sphere_quotient, wedge_of_circles
+from loopspace.simplicial import SimplicialError, boundary_simplex, sphere_quotient, wedge_of_circles
 from loopspace.words import canonical, unit
 
 
+DATA = Path(__file__).resolve().parent.parent / "data"
+
+
+def _document(name: str) -> dict:
+    return json.loads((DATA / f"{name}.json").read_text())
+
+
+# the boundary of Delta^3 as a document: every face entry leaves out
+# "degeneracies", which then reads as []
+BD3 = {"name": "boundary-delta3", "vertices": ["0", "1", "2", "3"], "basepoint": "0",
+       "generators": [{"name": s, "dim": len(s) - 1,
+                       "faces": [{"generator": s[:i] + s[i + 1:]} for i in range(len(s))]}
+                      for s in ("01", "02", "03", "12", "13", "23", "012", "013", "023", "123")]}
+
+
+def _fields(zx):
+    """Everything a document sets: the generators in each dimension in
+    order, the face tables, the basepoint and the op pairs."""
+    by_dim = [zx.generators_of_dim(d) for d in range(zx.max_dim + 1)]
+    return zx.name, by_dim, zx.faces, zx.basepoint, zx.op_pairs
+
+
+# JSON values built from the documents' own field and generator names, so
+# that a drawn value often has the shape the reader expects
+_FIELDS = ["name", "vertices", "basepoint", "generators", "dim", "faces", "generator",
+           "degeneracies", "op_pairs"]
+_NAMES = st.sampled_from([*_FIELDS, "0", "1", "01", "012", "x0", "a1", "a1^op"])
+_SCALARS = (st.none() | st.booleans() | st.integers(-2, 4) | st.integers()
+            | st.floats(allow_nan=False) | _NAMES | st.text(max_size=3))
+_JSON = _SCALARS | st.recursive(
+    _SCALARS, lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_NAMES, inner, max_size=4),
+    max_leaves=12)
+
+
+def _paths(value, path=()):
+    """The path of every node of a JSON value, the root first."""
+    yield path
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, child in items:
+        yield from _paths(child, (*path, key))
+
+
+def _kind(path) -> str:
+    """What a node is: the document, a list entry, an op pair, or a field."""
+    if len(path) == 1:
+        return "document"
+    if isinstance(path[-1], int):
+        return "entry"
+    return "pair" if path[-2] == "op_pairs" else path[-1]
+
+
+_MISSING = object()  # in place of a value: the node is removed
+
+
+def _put(root, path, value) -> None:
+    """Set the node at path to value, or remove it."""
+    *parent, key = path
+    for k in parent:
+        root = root[k]
+    if value is _MISSING:
+        del root[key]
+    else:
+        root[key] = value
+
+
+@st.composite
+def _mutated_documents(draw):
+    """A shipped document with one or two nodes replaced by a drawn JSON
+    value, or removed.  Each mutation draws a kind of node first, so that
+    each field is as likely as the document itself."""
+    box = [_document(draw(st.sampled_from(["triangle", "sphere2", "wedge2-inverted"])))]
+    for _ in range(draw(st.integers(1, 2))):
+        by_kind: dict[str, list] = {}
+        for path in _paths(box):
+            if path:
+                by_kind.setdefault(_kind(path), []).append(path)
+        path = draw(st.sampled_from(by_kind[draw(st.sampled_from(sorted(by_kind)))]))
+        removed = len(path) > 1 and draw(st.integers(0, 3)) == 0
+        _put(box, path, _MISSING if removed else draw(_JSON))
+    return box[0]
+
+
+def _read_or_refused(doc) -> None:
+    """Read doc; a refusal must be a FormatError or a SimplicialError."""
+    try:
+        complex_from_dict(doc)
+    except (FormatError, SimplicialError):
+        pass
+
+
 class TestComplexDocuments:
-    @pytest.mark.parametrize("zx", [
-        sphere_quotient(2),
-        boundary_simplex(3),
-        wedge_of_circles(2).z_extension(),
+    # every field is read through a type check, so any JSON value is read
+    # or refused with the reader's own errors, never another exception
+    @settings(max_examples=100, deadline=None)
+    @given(_mutated_documents())
+    def test_reader_refuses_with_its_own_errors(self, doc):
+        _read_or_refused(doc)
+
+    @pytest.mark.parametrize("name", ["triangle", "sphere2", "wedge2-inverted"])
+    def test_every_node_mistyped_or_missing(self, name):
+        # each node of the document in turn: removed, or replaced by a value
+        # of each JSON type
+        text = (DATA / f"{name}.json").read_text()
+        for path in list(_paths(json.loads(text)))[1:]:
+            for value in (None, True, -1, 10**12, 1.5, "x", [], [None], {}, {"x": None}, _MISSING):
+                doc = json.loads(text)
+                _put(doc, path, value)
+                _read_or_refused(doc)
+
+    @pytest.mark.parametrize("doc, zx", [
+        (_document("sphere2"), sphere_quotient(2)),
+        (BD3, boundary_simplex(3)),
+        (_document("wedge2-inverted"), wedge_of_circles(2).z_extension()),
     ], ids=["sphere2", "bd3", "wedge2op"])
-    def test_round_trip(self, zx, tmp_path):
+    def test_round_trip(self, doc, zx, tmp_path):
+        # a document of a builder's complex reads back as that complex,
+        # field by field
         path = tmp_path / "c.json"
-        path.write_text(json.dumps(complex_to_dict(zx)))
+        path.write_text(json.dumps(doc))
         back = load_complex(path)
-        assert complex_to_dict(back) == complex_to_dict(zx)
+        assert _fields(back) == _fields(zx)
         assert back.validate() == []
 
     def test_renamed_pairs_round_trip(self):
-        # pairs are written from the edge whose name sorts first, whatever
-        # the names
-        text = (json.dumps(complex_to_dict(wedge_of_circles(2).z_extension()))
+        # pairs are read by op_pairs alone, whatever the names
+        text = (json.dumps(_document("wedge2-inverted"))
                 .replace("a1^op", "b1").replace("a2^op", "b2"))
-        doc = complex_to_dict(complex_from_dict(json.loads(text)))
-        assert doc["op_pairs"] == {"a1": "b1", "a2": "b2"}
+        zx = complex_from_dict(json.loads(text))
+        assert zx.op_pairs == {"a1": "b1", "b1": "a1", "a2": "b2", "b2": "a2"}
+        assert [a.name for a in zx.underlying_edges()] == ["a1", "a2"]
 
     def test_conflicting_pairs_refused(self):
         # read one entry at a time, the last pairing of an edge won
-        doc = complex_to_dict(wedge_of_circles(2).z_extension())
+        doc = _document("wedge2-inverted")
         doc["op_pairs"] = {"a1": "a2", "a2": "a1^op", "a2^op": "a1"}
         with pytest.raises(FormatError, match=re.escape(
                 "op pair 'a2': 'a1^op' pairs 'a2' again, after 'a1'")):
             complex_from_dict(doc)
 
     def test_degenerate_face_entries_round_trip(self):
-        doc = complex_to_dict(sphere_quotient(2))
+        doc = _document("sphere2")
         rec = next(r for r in doc["generators"] if r["name"] == "sigma")
         assert all(f["degeneracies"] == [0] for f in rec["faces"])
-        assert complex_to_dict(complex_from_dict(doc)) == doc
+        zx = complex_from_dict(doc)
+        assert zx.faces == sphere_quotient(2).faces
+        assert all(t.degens == (0,) and t.generator.name == "x0" for t in zx.faces["sigma"])
 
     def test_missing_field(self):
         with pytest.raises(FormatError, match="basepoint"):
             complex_from_dict({"vertices": ["v"], "generators": []})
 
     def test_unknown_face_generator(self):
-        doc = complex_to_dict(boundary_simplex(2))
+        doc = _document("triangle")
         doc["generators"][0]["faces"][0]["generator"] = "nope"
         with pytest.raises(FormatError, match="nope"):
             complex_from_dict(doc)
@@ -144,9 +257,7 @@ class TestResolve:
         assert resolve_complex("boundary-simplex:2").max_dim == 1
 
     def test_path_fallback(self, tmp_path):
-        path = tmp_path / "c.json"
-        path.write_text(json.dumps(complex_to_dict(boundary_simplex(2))))
-        assert resolve_complex(str(path)).max_dim == 1
+        assert resolve_complex(str(DATA / "triangle.json")).max_dim == 1
 
     def test_errors(self):
         with pytest.raises(FormatError, match="sphere:x"):

@@ -403,3 +403,8 @@ class TestEdgeInversion:
         stray = SimplexTerm(GeneratorId("w", 0), (1,))
         with pytest.raises(SimplicialError, match="face of 'a' uses unknown generator 'w'"):
             SimplicialPresentation("bad", [x0, a], {"a": (stray, SimplexTerm(x0, (1,)))}, "v")
+        # a document's face dimensions are checked before it is built, so
+        # only a presentation built here reaches this refusal
+        s0v = SimplexTerm(x0, (2,))  # s_0 v, of dimension 1
+        with pytest.raises(SimplicialError, match="face of 'a' has dimension 1, expected 0"):
+            SimplicialPresentation("bad", [x0, a], {"a": (s0v, SimplexTerm(x0, (1,)))}, "v")

@@ -141,13 +141,14 @@ def _random_cases(zx):
 
 
 def _wrong_models(cases):
-    """The three wrong models of a case: its wrong degeneracy, its wrong
-    face, and a degeneracy that always uses slot 1."""
+    """The wrong models of a case: its wrong degeneracy, its wrong face, a
+    degeneracy that always uses slot 1, and one that keeps the degree."""
     model, degeneracy, face, _, _ = cases
     return {
         "degeneracy": model._replace(degeneracy_raw=degeneracy),
         "face": model._replace(face_raw=face),
         "slot_one": model._replace(degeneracy_raw=lambda c, j: model.degeneracy_raw(c, 1)),
+        "degree": model._replace(degeneracy_raw=lambda c, j: c),
     }
 
 
@@ -178,6 +179,14 @@ class TestCheckerFails:
         model, _, face, cells, tag = case
         failed = _failed_rows(model._replace(face_raw=face), cells, tag)
         assert {f"{tag}-A", f"{tag}-B", f"{tag}-Id"} <= failed
+
+    def test_wrong_degree(self, case):
+        # a degeneracy of the wrong degree fails its -dim row, and the rows
+        # that address its copies are skipped
+        _, _, _, cells, tag = case
+        report = _full_report(_wrong_models(case)["degree"], cells, tag)
+        assert report["failed"] == {f"{tag}-dim": report["checks"][f"{tag}-dim"]}
+        assert not any(k.endswith(("-A", "-B", "-Id", "-F", "-EE")) for k in report["checks"])
 
     @pytest.mark.parametrize("name", ["cube", "word-bd3"])
     def test_raising_model(self, fixtures, name):
