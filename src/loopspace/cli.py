@@ -32,6 +32,10 @@ PRIME_BOUND = 2**31  # --coeff p:P takes P below this
 # grow about 3-fold with n, and the relation rows on them faster; at its
 # bound, each command runs in about 4 s on a 2-vCPU host
 _CUBE_BOUNDS = {"--cube": 10, "--cube-n": 7}
+# the highest dimension of a complex ``check --suite cubical`` takes: its
+# random path cells draw their bases from every generator, so one costs
+# about dim^3; at the bound the default run takes about 5 s on a 2-vCPU host
+_CUBICAL_DIM_BOUND = 32
 
 
 class CliError(ValueError):
@@ -146,6 +150,9 @@ def cmd_boundary(args) -> int:
 
 def cmd_check(args) -> int:
     zx = resolve_model(_spec(args))
+    if args.suite == "cubical" and zx.max_dim > _CUBICAL_DIM_BOUND:
+        raise CliError(f"check --suite cubical takes a complex of dimension at most "
+                       f"{_CUBICAL_DIM_BOUND}; {zx.name} has dimension {zx.max_dim}")
     report = _SUITES[args.suite](zx, args)
     lines = [f"{zx.name} suite={args.suite}: {status(report)}"]
     lines += [f"  {k}: {v}" for k, v in sorted(report["checks"].items())]

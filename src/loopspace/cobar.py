@@ -17,7 +17,7 @@ agree -- the central cross-implementation oracle for the sign system.
 from __future__ import annotations
 
 from .chains import VARIANTS, Chain, add_into, boundary_word, is_killed
-from .simplicial import SimplexTerm, SimplicialPresentation, _inverse_pair, _split
+from .simplicial import SimplexTerm, SimplicialPresentation, _split
 from .words import canonical, enumerate_words, unit
 
 
@@ -42,7 +42,7 @@ def hat_reduce(
     cancels nothing, so it stays between the letters on either side."""
     out: list[SimplexTerm] = []
     for t in letters:
-        if (out and _inverse_pair(zx, out[-1], t)
+        if (out and zx.op_pairs.get(out[-1].generator.name) == t.generator.name
                 and t.is_nondegenerate and out[-1].is_nondegenerate):
             out.pop()
         else:

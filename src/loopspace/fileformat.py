@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import re
+from itertools import chain, combinations
 from pathlib import Path
 
 from .simplicial import (
@@ -40,9 +41,13 @@ _KINDS = {list: "a list", int: "an integer", str: "a string", dict: "an object"}
 
 
 def _typed(value, kind: type, what: str):
-    """The value of a document field, if it has the JSON type the field takes."""
+    """The value of a document field, if it has the JSON type the field
+    takes; the message shows at most the first 80 characters of a value
+    of another type."""
     if not isinstance(value, kind) or isinstance(value, bool):
-        raise FormatError(f"{what} has the wrong type: expected {_KINDS[kind]}, got {value!r}")
+        shown = repr(value)
+        shown = shown if len(shown) <= 80 else shown[:77] + "..."
+        raise FormatError(f"{what} has the wrong type: expected {_KINDS[kind]}, got {shown}")
     return value
 
 
@@ -137,18 +142,32 @@ def load_facets(path: str | Path) -> SimplicialPresentation:
                               f"{_FACET_BOUND} vertices, not {len(facets[-1])}")
     if not facets:
         raise FormatError(f"{path}: no facets found")
+    # a simplex is a nonempty vertex set of a facet; largest facet first,
+    # one already counted is a face of an earlier one and adds nothing
+    simplices: set[frozenset[str]] = set()
+    for facet in sorted(map(frozenset, facets), key=len, reverse=True):
+        if facet in simplices:
+            continue
+        for s in chain.from_iterable(combinations(facet, r) for r in range(1, len(facet) + 1)):
+            simplices.add(frozenset(s))
+            if len(simplices) > _SIMPLEX_BOUND:
+                raise FormatError(f"{path}: a facets file may have at most {_SIMPLEX_BOUND} "
+                                  "distinct simplices")
     return from_facets(facets, name=Path(path).stem)
 
 
 # -- builtins ---------------------------------------------------------------
 
-# The largest parameter of each builtin, and the most vertices a facet may
-# have: building and checking a complex takes time that grows faster than
-# its spec (about n^3 for sphere:n, 2^n for a facet of n vertices).  At its
-# bound, each is built and checked in at most about 5 s on a 2-vCPU host.
+# The largest parameter of each builtin, the most vertices a facet may
+# have, and the most distinct simplices a facets file may give (those of
+# one facet at that bound): building and checking a complex takes time
+# that grows faster than its spec (about n^3 for sphere:n, 2^n for a facet
+# of n vertices).  At its bound, each is built and checked in at most about
+# 5 s on a 2-vCPU host.
 _BUILTINS = {"sphere": (sphere_quotient, 500), "wedge": (wedge_of_circles, 50_000),
              "boundary-simplex": (boundary_simplex, 13)}
 _FACET_BOUND = 14
+_SIMPLEX_BOUND = 2**_FACET_BOUND - 1
 
 
 def resolve_complex(spec: str) -> SimplicialPresentation:

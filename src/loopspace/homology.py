@@ -16,7 +16,8 @@ is taken once per distinct letter in one ``homology`` call, for all of
 its matrices: ``boundary_matrix`` reads d(t) from a cache its caller
 builds.  With edges, each basis is one ``words.enumerate_words``
 walk, and each matrix column is a signed sum of the word with one letter
-t replaced by a term of d(t), looked up by word.  Without edges the
+t replaced by a term of d(t), looked up in the codomain's word index and
+normalized only if it is not there.  Without edges the
 words are all the words in the letters, the tensor algebra T(V) on them:
 each basis is listed prefix-major, by concatenation from the lower ones,
 and d_n is assembled by index arithmetic from d(t) and the lower
@@ -44,7 +45,7 @@ from itertools import combinations
 from math import gcd
 
 from .chains import VARIANTS, boundary_word
-from .simplicial import SimplexTerm, SimplicialPresentation, _inverse_pair
+from .simplicial import SimplexTerm, SimplicialPresentation
 from .words import LoopWord, canonical, enumerate_words, unit
 
 
@@ -336,11 +337,10 @@ def boundary_matrix(
     without edges, and calls this function once per d_n either way, so a
     caller that wraps it sees every matrix with its two bases.
 
-    Otherwise each column is built word by word.  The pieces of a
-    canonical word the variant keeps are canonical and kept, and so is
-    each term of d(t), so a term is their plain concatenation, unless the
-    letters meeting at a seam are an inverse edge pair: only then is it
-    canonicalized.  A boundary term outside the codomain raises
+    Otherwise each column is built word by word, and a term is the plain
+    concatenation of the pieces of w around a term of d(t), normalized by
+    ``canonical`` only when it is not a codomain word (a basis word is its
+    own normal form).  A boundary term outside the codomain raises
     ``HomologyError``: the bases do not span a subcomplex.
     """
     if tensor is not None:
@@ -348,24 +348,23 @@ def boundary_matrix(
     index = {w: i for i, w in enumerate(codomain)}
     m = SparseIntMatrix(len(codomain), len(domain))
     for j, w in enumerate(domain):
-        column: dict[LoopWord, int] = {}
+        column: dict[int | LoopWord, int] = {}  # by row, or by a word outside the codomain
         sign = 1  # (-1)^(degree of the letters before t)
         for k, t in enumerate(w.letters):
             front, back = w.letters[:k], w.letters[k + 1 :]
             for piece, c in letter_boundary(t):
-                letters = front + piece + back
-                if _inverse_at_seam(zx, front, piece, back):
-                    f = canonical(zx, letters, w.start)
-                else:
-                    f = LoopWord(letters, w.start, w.end)
-                column[f] = column.get(f, 0) + sign * c
+                f = LoopWord(front + piece + back, w.start, w.end)
+                i = index.get(f)
+                if i is None:  # not a basis word, so not canonical
+                    f = canonical(zx, f.letters, w.start)
+                    i = index.get(f, f)
+                column[i] = column.get(i, 0) + sign * c
             if t.dim % 2 == 0:  # t has odd degree
                 sign = -sign
-        for f, c in column.items():
+        for i, c in column.items():
             if c:
-                i = index.get(f)
-                if i is None:
-                    raise HomologyError(f"boundary term {f} of {w} is outside the codomain basis")
+                if isinstance(i, LoopWord):
+                    raise HomologyError(f"boundary term {i} of {w} is outside the codomain basis")
                 m.entries[(i, j)] = c
     return m, domain, codomain
 
@@ -426,24 +425,6 @@ def _tensor_matrix(
             entries.update({(row + j, start + j): c for j in range(size)})
     tensor.matrices.append(m)
     return m, domain, codomain
-
-
-def _inverse_at_seam(
-    zx: SimplicialPresentation,
-    front: tuple[SimplexTerm, ...],
-    piece: tuple[SimplexTerm, ...],
-    back: tuple[SimplexTerm, ...],
-) -> bool:
-    """Whether an inverse edge pair meets at a seam where piece is put
-    between front and back: (front[-1], piece[0]) and (piece[-1], back[0]),
-    or (front[-1], back[0]) when piece is empty.  front and back are a
-    prefix and a suffix of a canonical word and piece is a term of d(t),
-    so each is canonical and no pair inside one needs a canonical form."""
-    if not piece:
-        return bool(front and back) and _inverse_pair(zx, front[-1], back[0])
-    return (bool(front) and _inverse_pair(zx, front[-1], piece[0])) or (
-        bool(back) and _inverse_pair(zx, piece[-1], back[0])
-    )
 
 
 def _composes_to_zero(lo: SparseIntMatrix, hi: SparseIntMatrix) -> bool:

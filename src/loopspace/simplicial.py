@@ -337,11 +337,6 @@ def _push(f: SimplexTerm, mult: tuple[int, ...], dim: int) -> SimplexTerm:
     return tuple.__new__(SimplexTerm, (f.generator, mult, dim))
 
 
-def _inverse_pair(zx: SimplicialPresentation, a: SimplexTerm, b: SimplexTerm) -> bool:
-    """Whether the generators of a and b are an edge and its formal inverse."""
-    return zx.op_pairs.get(a.generator.name) == b.generator.name
-
-
 # -- builders -------------------------------------------------------------
 
 

@@ -582,6 +582,15 @@ class TestRefusals:
          "--cube-n must be at most 7, got 8"),
         (("validate",), " ".join("abcdefghijklmno") + "\n", 2,
          "c.facets: line 1: a facet may have at most 14 vertices, not 15"),
+        # one more distinct simplex than a facet at the bound gives
+        (("validate",), " ".join("abcdefghijklmn") + "\no\n", 2,
+         "c.facets: a facets file may have at most 16383 distinct simplices"),
+        (("check", "--builtin", "sphere:33", "--suite", "cubical"), None, 2,
+         "check --suite cubical takes a complex of dimension at most 32; "
+         "sphere33+op has dimension 33"),
+        # a 400 kB value of the wrong type is echoed in 80 characters
+        (("validate",), _set("vertices", "x" * 400_000), 2,
+         "'vertices' has the wrong type: expected a list, got 'xxxxx"),
         # a document nested 200 000 levels deep, on which the JSON decoder
         # ran out of stack, and one that is not UTF-8 text
         (("validate",), b"[" * 200_000 + b"]" * 200_000, 2, "c.json: nested too deeply to read"),
@@ -602,7 +611,8 @@ class TestRefusals:
             "facet-repeats-a-vertex", "op-name-clash", "huge-face-table", "huge-face",
             "sphere-above-bound", "boundary-simplex-above-bound", "wedge-above-bound",
             "wedge-too-many-digits", "cube-above-bound", "cube-n-above-bound",
-            "facet-above-bound", "deeply-nested-document", "binary-document",
+            "facet-above-bound", "simplices-above-bound", "cubical-dimension-above-bound",
+            "long-mistyped-value", "deeply-nested-document", "binary-document",
             *(f"{name}-{command}" for name in ("s0", "two-edges")
               for command in ("homology", "cover", "covering", "cubical"))])
     def test_refused(self, capsys, tmp_path, argv, edit, status, message):
@@ -622,5 +632,14 @@ class TestRefusals:
         assert code == status
         if status == 2:
             assert out == "" and err.startswith("error: ") and message in err
+            # a message may echo the command line, never a whole document
+            assert len(err) <= 200 + sum(map(len, argv)), len(err)
         else:  # validate lists every violation
             assert "4 violation(s)" in out and message in out and err == ""
+
+    def test_cubical_at_the_dimension_bound(self, capsys):
+        # the largest dimension the cubical suite takes; its default run on
+        # sphere:32 takes about 4 s, so this one draws no sample
+        code, out, _ = run(capsys, "check", "--builtin", "sphere:32", "--suite", "cubical",
+                           "--samples", "0", "--cube-n", "0")
+        assert code == 0 and out.startswith("sphere32+op suite=cubical: pass")

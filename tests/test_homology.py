@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from functools import cache, partial
 from heapq import heapify, heappop
 from itertools import combinations
@@ -80,6 +81,21 @@ def complexes(fixtures):
             "bd4": boundary_simplex(4).z_extension(),
             "sk4": skeleton_quotient(4).z_extension(),
             "seam": unit_seam_complex().z_extension()}
+
+
+def inverse_at_seam(zx, front, piece, back):
+    """Whether an inverse edge pair meets at a seam where piece is put
+    between front and back: (front[-1], piece[0]) and (piece[-1], back[0]),
+    or (front[-1], back[0]) when piece is empty.  front and back are a
+    prefix and a suffix of a canonical word and piece a term of d(t), so
+    each is canonical, and their concatenation is canonical unless this
+    holds."""
+    def inverse(a, b):
+        return zx.op_pairs.get(a.generator.name) == b.generator.name
+
+    if not piece:
+        return bool(front and back) and inverse(front[-1], back[0])
+    return bool(front) and inverse(front[-1], piece[0]) or bool(back) and inverse(piece[-1], back[0])
 
 
 def weight(w):
@@ -469,6 +485,30 @@ class TestBases:
         column = {str(cod[i]): v for (i, _), v in m.entries.items()}
         assert column == want
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("name, top, variant, max_weight", [
+        ("bd3", 5, "normalized", 10), ("bd3", 5, "de", 10), ("bd4", 4, "normalized", 8)])
+    def test_only_seam_terms_are_normalized(self, complexes, monkeypatch,
+                                            name, top, variant, max_weight):
+        # the word path normalizes a term only when it is not a codomain
+        # word; those are exactly the terms where an inverse edge pair meets
+        # at a seam, as the pieces around it are canonical
+        zx = complexes[name]
+        calls = Counter()
+
+        def spy(zx, letters, start):
+            calls[letters] += 1
+            return canonical(zx, letters, start)
+
+        monkeypatch.setattr(homology_module, "canonical", spy)
+        homology(zx, top, variant, max_weight)
+        bases = degree_bases(zx, top + 1, variant, max_weight)
+        d = letter_boundary(zx, variant)
+        seams = Counter(w.letters[:k] + piece + w.letters[k + 1:]
+                        for basis in bases[1:] for w in basis for k, t in enumerate(w.letters)
+                        for piece, _ in d(t)
+                        if inverse_at_seam(zx, w.letters[:k], piece, w.letters[k + 1:]))
+        assert calls == seams and seams
 
     def test_letter_boundary_once_per_call(self, fixtures, monkeypatch):
         # d is a derivation, so homology takes d of each distinct letter of
