@@ -4,20 +4,22 @@ Commands: validate, cells, boundary, check, homology, group, cover.
 Complexes come from ``--builtin`` specs (sphere:n, wedge:r,
 boundary-simplex:n, facets:<file>) or a complex-document path; models are
 built on the edge-inverted extension.  ``--json`` switches every command
-to machine-readable output; the exit status is nonzero iff a check fails
-or the input is invalid.  The library's chains are integral: the ``--coeff``
-ring (z, q or p:<prime>) is parsed and applied here, once.
+to machine-readable output; the exit status is nonzero iff a check fails,
+the input is invalid or the reader of the output left.  The library's chains
+are integral: the ``--coeff`` ring (z, q or p:<prime>) is parsed and applied
+here, once.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from math import isqrt
 
 from .chains import VARIANTS, boundary_word
-from .fileformat import parse_word, resolve_complex, resolve_model
+from .fileformat import clip, parse_word, resolve_complex, resolve_model
 from .homology import field_dimensions, homology
 from .paths import cover_graph, covering_report, cube_cells, to_adjacency, to_dot
 from .simplicial import SimplicialPresentation, standard_simplex
@@ -57,7 +59,8 @@ def _spec(args) -> str:
     """The complex named on the command line, by a source or by --builtin."""
     source, builtin = args.complex, args.builtin
     if source and builtin:
-        raise CliError(f"two complexes given, {source} and --builtin {builtin}: pass one")
+        raise CliError(f"two complexes given, {clip(source)} and --builtin {clip(builtin)}: "
+                       "pass one")
     if not (source or builtin):
         raise CliError("no complex given: pass a source or --builtin")
     return source or builtin
@@ -125,11 +128,12 @@ def _coefficients(spec: str) -> tuple[str, int | None]:
         # bound's is at least the bound
         p = int(digits) if len(digits) <= len(str(PRIME_BOUND)) else PRIME_BOUND
         if p >= PRIME_BOUND:
-            raise CliError(f"coefficient ring {spec!r}: the prime must be below 2^31 = {PRIME_BOUND}")
+            raise CliError(f"coefficient ring {clip(repr(spec))}: the prime must be below "
+                           f"2^31 = {PRIME_BOUND}")
         if p < 2 or any(p % q == 0 for q in range(2, isqrt(p) + 1)):
-            raise CliError(f"coefficient ring {spec!r}: {p} is not prime")
+            raise CliError(f"coefficient ring {clip(repr(spec))}: {p} is not prime")
         return f"GF({p})", p
-    raise CliError(f"unknown coefficient ring {spec!r} (use z, q, or p:<prime>)")
+    raise CliError(f"unknown coefficient ring {clip(repr(spec))} (use z, q, or p:<prime>)")
 
 
 def cmd_boundary(args) -> int:
@@ -190,8 +194,8 @@ def _group_element(zx: SimplicialPresentation, literal: str) -> LoopWord:
     """A word literal that is a group element: a degree-0 loop at the basepoint."""
     w = parse_word(zx, literal)
     if w.degree or w.start != zx.basepoint or w.end != zx.basepoint:
-        raise CliError(f"{literal!r} (degree {w.degree}, from {w.start} to {w.end}) is not a "
-                       f"group element, a degree-0 loop at the basepoint {zx.basepoint}")
+        raise CliError(f"{clip(repr(literal))} (degree {w.degree}, from {w.start} to {w.end}) "
+                       f"is not a group element, a degree-0 loop at the basepoint {zx.basepoint}")
     return w
 
 
@@ -329,10 +333,19 @@ def main(argv: list[str] | None = None) -> int:
             print(f"error: {flag} must be {limit}, got {value}", file=sys.stderr)
             return 2
     try:
-        return args.fn(args)
+        status = args.fn(args)
+        sys.stdout.flush()  # a reader that left shows here, not at exit
     except ValueError as exc:  # every library error subclasses it
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # what is still buffered goes to devnull, so that the flush at exit
+        # cannot raise again; 141 = 128 + SIGPIPE, as a shell reports it
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
+    return status
 
 
 if __name__ == "__main__":

@@ -12,6 +12,7 @@ with ``e`` for the unit.
 from __future__ import annotations
 
 import json
+import os
 import re
 from itertools import chain, combinations
 from pathlib import Path
@@ -40,14 +41,19 @@ class FormatError(ValueError):
 _KINDS = {list: "a list", int: "an integer", str: "a string", dict: "an object"}
 
 
+def clip(text: str) -> str:
+    """Text a refusal echoes, cut to at most 80 characters: the input it
+    comes from may be as long as a document or a command line."""
+    return text if len(text) <= 80 else text[:77] + "..."
+
+
 def _typed(value, kind: type, what: str):
     """The value of a document field, if it has the JSON type the field
     takes; the message shows at most the first 80 characters of a value
     of another type."""
     if not isinstance(value, kind) or isinstance(value, bool):
-        shown = repr(value)
-        shown = shown if len(shown) <= 80 else shown[:77] + "..."
-        raise FormatError(f"{what} has the wrong type: expected {_KINDS[kind]}, got {shown}")
+        raise FormatError(f"{what} has the wrong type: expected {_KINDS[kind]}, "
+                          f"got {clip(repr(value))}")
     return value
 
 
@@ -179,10 +185,10 @@ def resolve_complex(spec: str) -> SimplicialPresentation:
         return build(_int_arg(spec, arg, bound))
     if kind == "facets":
         return load_facets(arg)
-    if Path(spec).exists():
+    if os.path.exists(spec):  # False on a name too long to be a file, unlike Path.exists
         return load_complex(spec)
     raise FormatError(
-        f"unknown complex {spec!r}: expected sphere:n, wedge:r, "
+        f"unknown complex {clip(repr(spec))}: expected sphere:n, wedge:r, "
         f"boundary-simplex:n, facets:<file>, or a file path"
     )
 
@@ -190,8 +196,8 @@ def resolve_complex(spec: str) -> SimplicialPresentation:
 def resolve_model(spec: str) -> SimplicialPresentation:
     """The edge-inverted complex a model is built on.  One that breaks the
     simplicial identities is refused, as every model on it would be wrong,
-    and so is one that is not path connected, as the paper's models are
-    of a path-connected space."""
+    and so is one whose edge-path tree ``home`` misses a vertex, as the
+    paper's models are of a path-connected space."""
     zx = resolve_complex(spec)
     zx = zx if zx.op_pairs else zx.z_extension()
     report = zx.validate()
@@ -200,16 +206,8 @@ def resolve_model(spec: str) -> SimplicialPresentation:
             f"{zx.name} is not a simplicial set ({len(report)} violation(s), "
             f"first: {report[0]}); see 'loopspace validate'"
         )
-    # every edge has its inverse here, so the letters reach each vertex
-    # that an edge path joins to the basepoint
-    reached, todo = {zx.basepoint}, [zx.basepoint]
-    while todo:
-        for _, hi in zx.letters_from.get(todo.pop(), ()):
-            if hi not in reached:
-                reached.add(hi)
-                todo.append(hi)
     for v in zx.generators_of_dim(0):
-        if v.name not in reached:
+        if v.name != zx.basepoint and v.name not in zx.home:
             raise FormatError(f"{zx.name} is not path connected: no edge path joins vertex "
                               f"{v.name!r} to the basepoint {zx.basepoint!r}")
     return zx
@@ -217,10 +215,10 @@ def resolve_model(spec: str) -> SimplicialPresentation:
 
 def _int_arg(spec: str, arg: str, bound: int) -> int:
     if not re.fullmatch(r"\d+", arg or ""):
-        raise FormatError(f"{spec!r}: expected an integer parameter")
+        raise FormatError(f"{clip(repr(spec))}: expected an integer parameter")
     # int() refuses more than 4 300 digits; a longer string is above the bound
     if len(arg.lstrip("0")) > len(str(bound)) or int(arg) > bound:
-        raise FormatError(f"{spec!r}: the parameter must be at most {bound}")
+        raise FormatError(f"{clip(repr(spec))}: the parameter must be at most {bound}")
     return int(arg)
 
 
@@ -233,16 +231,16 @@ def parse_term(zx: SimplicialPresentation, token: str) -> SimplexTerm:
     token = token.strip()
     m = _LETTER.match(token)
     if not m:
-        raise FormatError(f"cannot parse letter {token!r}")
+        raise FormatError(f"cannot parse letter {clip(repr(token))}")
     name = m.group("gen")
     if name not in zx.generators:
-        raise FormatError(f"unknown generator {name!r} in letter {token!r}")
+        raise FormatError(f"unknown generator {clip(repr(name))} in letter {clip(repr(token))}")
     t = zx.term(name)
     # the literal lists degeneracies outermost-first; apply innermost-first
     js = [int(s[1:]) for s in m.group("degens").rstrip(".").split(".") if s]
     for j in reversed(js):
         if j > t.dim:
-            raise FormatError(f"degeneracy s{j} out of range in {token!r}")
+            raise FormatError(f"degeneracy s{j} out of range in {clip(repr(token))}")
         t = zx.degenerate(t, j)
     return t
 

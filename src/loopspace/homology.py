@@ -457,8 +457,6 @@ class HomologyGroup:
 
 @dataclass(frozen=True)
 class HomologyTable:
-    complex_name: str
-    variant: str
     max_weight: int | None  # the weight the table was truncated at; None if exact
     groups: tuple[HomologyGroup, ...]
     # per degree n = 0..max_degree + 1: the size of the basis, and the
@@ -510,8 +508,6 @@ def homology(
         torsion = tuple(t for t in snfs[n + 1] if t > 1)
         groups.append(HomologyGroup(n, free, torsion))
     return HomologyTable(
-        zx.name,
-        variant,
         _weight_bound(zx, max_weight),
         tuple(groups),
         tuple(len(b) for b in bases),

@@ -197,6 +197,20 @@ class SimplicialPresentation:
                 table.setdefault(lo, []).append((_nondegenerate(g), hi))
         return table
 
+    @cached_property
+    def home(self) -> dict[str, tuple[SimplexTerm, str]]:
+        """One step (edge letter, next vertex) of a shortest edge path to the
+        basepoint from each other vertex one joins to it, tabled on first use:
+        a breadth-first tree over the inverses of the edges it reaches vertices
+        by.  A simplex's long edge joins its ends, so it reaches what letters do."""
+        tree, order = {}, [self.basepoint]
+        for at in order:  # grows as the tree does
+            for t, hi in self.letters_from.get(at, ()):
+                if t.dim == 1 and hi != self.basepoint and hi not in tree:
+                    tree[hi] = (self.op(t), at)
+                    order.append(hi)
+        return tree
+
     def underlying_edges(self) -> list[GeneratorId]:
         """One 1-generator per edge of the complex: of an edge and its formal
         inverse, the one whose name sorts first."""

@@ -111,7 +111,7 @@ def random_loop_cells(
     base = zx.basepoint
     out = []
     for _ in range(count):
-        w = random_reduced_word(zx, rng, base, base, 4, 3)
+        w = random_reduced_word(zx, rng, base, 4, 3)
         for _ in range(rng.randrange(3)):
             raw = word_degeneracy(zx, w, rng.randint(1, degeneracy_slots(w)))
             w = canonical(zx, raw.letters, raw.start)
@@ -122,6 +122,8 @@ def random_loop_cells(
 def random_path_cells(
     zx: SimplicialPresentation, rng: random.Random, count: int
 ) -> list[PathCell]:
+    """Random path cells: a random generator with 0 to 2 random degeneracies
+    as base, and a ``random_reduced_word`` of degree <= 3 home as tail."""
     gens = [g.name for d in range(zx.max_dim + 1) for g in zx.generators_of_dim(d)]
     out = []
     for _ in range(count):
@@ -129,7 +131,7 @@ def random_path_cells(
         for _ in range(rng.randrange(3)):
             base = zx.degenerate(base, rng.randrange(base.dim + 1))
         hi = zx.endpoints(base)[1]
-        w = random_reduced_word(zx, rng, hi, zx.basepoint, 3, 3)
+        w = random_reduced_word(zx, rng, hi, 3, 3)
         out.append(path_canonical(zx, base, w))
     return out
 

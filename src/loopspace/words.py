@@ -277,35 +277,36 @@ def enumerate_words(
     return found
 
 
-def random_reduced_word(zx, rng, start: str, end: str, max_degree: int, max_length: int):
-    """A random reduced word between the endpoints, or the unit on failure.
-
-    Each letter is drawn uniformly from the letters at the current vertex,
-    in ``letters_from`` order, that keep the degree within ``max_degree`` and
-    do not cancel the letter before."""
-    letters_from, inverse = zx.letters_from, zx.op_pairs
+def random_reduced_word(zx, rng, start: str, max_degree: int, max_length: int):
+    """A random reduced word from ``start`` to the basepoint: the first of 60
+    random words of length at most ``max_length`` that ends there, each
+    letter drawn uniformly from the letters at the current vertex, in
+    ``letters_from`` order, that keep the degree within ``max_degree`` and do
+    not cancel the letter before; the path home in ``zx.home`` if none does."""
+    letters_from, inverse, end = zx.letters_from, zx.op_pairs, zx.basepoint
     for _ in range(60):
         target_len = rng.randint(0 if start == end else 1, max_length)
         letters: list[SimplexTerm] = []
         at, degree, banned = start, 0, None
-        ok = True
-        for k in range(target_len):
+        for _ in range(target_len):
             options = [
                 (t, hi)
                 for t, hi in letters_from.get(at, ())
                 if degree + t.dim - 1 <= max_degree and t.generator.name != banned
             ]
             if not options:
-                ok = False
                 break
             pick, at = options[rng.randrange(len(options))]
             letters.append(pick)
             degree += pick.dim - 1
             banned = inverse.get(pick.generator.name)
-        if ok and at == end and (letters or start == end):
-            if not letters:
-                return unit(start)
-            return LoopWord(tuple(letters), start, end)
-    if start == end:
-        return unit(start)
-    raise WordError(f"no word found from {start} to {end}")
+        else:
+            if at == end:
+                return LoopWord(tuple(letters), start, end)
+    if start != end and start not in zx.home:
+        raise WordError(f"no edge path joins {start} to the basepoint {end}")
+    letters, at = [], start
+    while at != end:
+        t, at = zx.home[at]
+        letters.append(t)
+    return LoopWord(tuple(letters), start, end)

@@ -93,9 +93,9 @@ class TestCriterion6Group:
             zx = wedge_of_circles(r).z_extension()
             e = unit("x0")
             for _ in range(60):
-                u = random_reduced_word(zx, rng, "x0", "x0", 0, 4)
-                v = random_reduced_word(zx, rng, "x0", "x0", 0, 4)
-                w = random_reduced_word(zx, rng, "x0", "x0", 0, 4)
+                u = random_reduced_word(zx, rng, "x0", 0, 4)
+                v = random_reduced_word(zx, rng, "x0", 0, 4)
+                w = random_reduced_word(zx, rng, "x0", 0, 4)
                 assert compose(zx, compose(zx, u, v), w) == compose(
                     zx, u, compose(zx, v, w))
                 assert compose(zx, u, e) == u and compose(zx, e, u) == u

@@ -1,6 +1,7 @@
 import json
 import random
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -196,6 +197,22 @@ class TestCheck:
         assert code == 0 and doc["ok"]
         assert doc["interior_vertices"] == interior
         assert doc.get("vacuous", False) == (interior == 0)
+
+    def test_cubical_on_many_letters_per_vertex(self, capsys):
+        # a vertex of the boundary of Delta^10 starts hundreds of letters, so
+        # a random path cell's tail often misses the basepoint in all 60
+        # draws; the run exited 2 ("no word found from 3 to 0") before the
+        # tail fell back on the tree path home
+        code, out, err = run(capsys, "check", "--builtin", "boundary-simplex:10",
+                             "--suite", "cubical")
+        assert (code, err) == (0, "") and out.startswith("boundary-delta10+op suite=cubical: pass")
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_cubical_seeds(self, capsys, seed):
+        # seed 0 exited 2 with "no word found from 7 to 0"
+        code, out, err = run(capsys, "check", "--builtin", "boundary-simplex:8", "--suite",
+                             "cubical", "--samples", "20", "--seed", str(seed))
+        assert (code, err) == (0, "") and out.startswith("boundary-delta8+op suite=cubical: pass")
 
     def test_deterministic_with_seed(self, capsys):
         args = ("check", "--builtin", "sphere:2", "--suite", "dsq",
@@ -527,6 +544,9 @@ _MODEL_COMMANDS = (("homology", "--degree", "1", "--max-weight", "3"), ("cover",
                    ("check", "--suite", "covering"), ("check", "--suite", "cubical"))
 
 
+_NINES = "9" * 5000
+
+
 class TestRefusals:
     """Malformed input that no other test reaches: each is refused with a
     message that names the fault.  The documents are data/triangle.json
@@ -637,9 +657,55 @@ class TestRefusals:
         else:  # validate lists every violation
             assert "4 violation(s)" in out and message in out and err == ""
 
+    @pytest.mark.parametrize("argv", [
+        ("validate", "--builtin", "wedge:" + _NINES),
+        ("homology", "--builtin", "sphere:2", "--degree", "1", "--coeff", "p:" + _NINES),
+        ("validate", "--builtin", "nosuch" + _NINES),
+        ("validate", "nosuch" + _NINES + ".json"),
+        ("boundary", "--builtin", "sphere:2", "--word", "x" + _NINES),
+        ("group", "--builtin", "wedge:1", "--element", "a1;a1;x" + _NINES),
+        ("homology", "--builtin", "sphere:2", "--degree", "1", "--coeff", "x" + _NINES),
+        ("validate", "sphere:2", "--builtin", "wedge:" + _NINES),
+    ], ids=["builtin-parameter", "prime", "unknown-builtin", "unknown-file", "letter",
+            "group-element", "coefficient-ring", "two-complexes"])
+    def test_long_value_is_clipped(self, capsys, argv):
+        # each echoed the whole value, in 5 to 10 kB; the file path ended in
+        # a traceback, as its name is too long to look up
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and err.startswith("error: ")
+        assert len(err.encode()) <= 300, len(err)
+
     def test_cubical_at_the_dimension_bound(self, capsys):
         # the largest dimension the cubical suite takes; its default run on
         # sphere:32 takes about 4 s, so this one draws no sample
         code, out, _ = run(capsys, "check", "--builtin", "sphere:32", "--suite", "cubical",
                            "--samples", "0", "--cube-n", "0")
         assert code == 0 and out.startswith("sphere32+op suite=cubical: pass")
+
+
+class TestClosedOutput:
+    @pytest.mark.parametrize("raising", ["write", "flush"])
+    def test_reader_that_left(self, capsys, monkeypatch, tmp_path, raising):
+        # `cells --builtin wedge:3 --max-len 6 | head -1` ended in a
+        # BrokenPipeError traceback with exit 1; a short output that sits in
+        # the buffer meets the closed pipe only when it is flushed
+        class Closed:
+            def __init__(self, fd):
+                self.fd = fd
+
+            def write(self, text):
+                if raising == "write":
+                    raise BrokenPipeError(32, "Broken pipe")
+                return len(text)
+
+            def flush(self):
+                if raising == "flush":
+                    raise BrokenPipeError(32, "Broken pipe")
+
+            def fileno(self):
+                return self.fd
+
+        with open(tmp_path / "out", "w") as sink:
+            monkeypatch.setattr(sys, "stdout", Closed(sink.fileno()))
+            assert main(["cells", "--builtin", "wedge:3", "--max-len", "2"]) == 141
+        assert capsys.readouterr().err == ""

@@ -550,7 +550,7 @@ def word_path_table(zx, top, variant):
     groups = tuple(HomologyGroup(n, len(bases[n]) - len(snfs[n]) - len(snfs[n + 1]),
                                  tuple(t for t in snfs[n + 1] if t > 1))
                    for n in range(top + 1))
-    table = HomologyTable(zx.name, variant, None, groups, tuple(len(b) for b in bases),
+    table = HomologyTable(None, groups, tuple(len(b) for b in bases),
                           (0, *(len(m.entries) for m in mats)))
     return table, bases, mats
 
@@ -800,7 +800,7 @@ class TestFieldCoefficients:
     def test_torsion_counts_twice(self):
         from loopspace.homology import HomologyGroup, HomologyTable
 
-        table = HomologyTable("t", "normalized", None, (
+        table = HomologyTable(None, (
             HomologyGroup(0, 1, ()),
             HomologyGroup(1, 0, (2,)),
             HomologyGroup(2, 0, ()),

@@ -73,8 +73,7 @@ class TestFaces:
                 t = zx.term(g.name)
                 for _ in range(rng.randrange(2)):
                     t = zx.degenerate(t, rng.randrange(t.dim + 1))
-                tail = random_reduced_word(
-                    zx, rng, zx.endpoints(t)[1], zx.basepoint, 0, 2)
+                tail = random_reduced_word(zx, rng, zx.endpoints(t)[1], 0, 2)
                 c = path_canonical(zx, t, tail)
                 n = c.degree
                 for j in range(1, n + 1):

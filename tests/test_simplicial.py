@@ -27,7 +27,7 @@ from loopspace.simplicial import (
     standard_simplex,
     wedge_of_circles,
 )
-from loopspace.fileformat import load_complex
+from loopspace.fileformat import load_complex, load_facets
 from loopspace.paths import (
     PathCell,
     cube_cells,
@@ -350,6 +350,36 @@ class TestStoredDimension:
                 for x in out:
                     assert spelled(x) == spelled(public(x)), (zx.name, c, x)
         assert made > 5000
+
+
+class TestHome:
+    """The edge-path tree: one step (edge letter, next vertex) toward the
+    basepoint for each vertex an edge path joins to it."""
+
+    def test_simplex_boundary(self):
+        zx = boundary_simplex(3).z_extension()
+        assert zx.home == {v: (zx.term(f"0{v}^op"), "0") for v in "123"}
+
+    def test_chain_depths(self, tmp_path):
+        # the depth of a vertex in the tree is its distance along the chain
+        n = 30
+        path = tmp_path / "chain.facets"
+        path.write_text("".join(f"{v} {v + 1}\n" for v in range(n)))
+        zx = load_facets(path).z_extension()
+        assert len(zx.home) == n
+        for v in range(1, n + 1):
+            at, depth = str(v), 0
+            while at != zx.basepoint:
+                t, nxt = zx.home[at]
+                assert t.dim == 1 and zx.endpoints(t) == (at, nxt)
+                at, depth = nxt, depth + 1
+            assert depth == v
+
+    def test_leaves_out_another_component(self, tmp_path):
+        path = tmp_path / "two.facets"
+        path.write_text("0 1\n2 3\n")
+        zx = load_facets(path).z_extension()
+        assert zx.home == {"1": (zx.term("01^op"), "0")}
 
 
 class TestEdgeInversion:

@@ -9,6 +9,7 @@ from loopspace.simplicial import (
     SimplexTerm,
     SimplicialError,
     boundary_simplex,
+    from_facets,
     sphere_quotient,
     wedge_of_circles,
 )
@@ -205,7 +206,7 @@ class TestGroup:
         zx = fixtures["wedge2"]
         rng = random.Random(1)
         for _ in range(50):
-            w = random_reduced_word(zx, rng, "x0", "x0", 0, 5)
+            w = random_reduced_word(zx, rng, "x0", 0, 5)
             assert compose(zx, w, invert(zx, w)) == unit("x0")
             assert compose(zx, invert(zx, w), w) == unit("x0")
         bd2 = fixtures["bd2"]
@@ -215,10 +216,35 @@ class TestGroup:
         sphere2 = fixtures["sphere2"]
         with pytest.raises(WordError, match="letter sigma is not an invertible edge"):
             invert(sphere2, canonical(sphere2, (sphere2.term("sigma"),), "x0"))
-        # S^0: no letter leaves the basepoint, so no word reaches the other vertex
+        # S^0: no edge path joins the other vertex to the basepoint
         s0 = boundary_simplex(1).z_extension()
-        with pytest.raises(WordError, match="no word found from 0 to 1"):
-            random_reduced_word(s0, rng, "0", "1", 0, 3)
+        with pytest.raises(WordError, match="no edge path joins 1 to the basepoint 0"):
+            random_reduced_word(s0, rng, "1", 0, 3)
+
+    def test_random_word_falls_back_on_the_tree_path(self):
+        # on the boundary of Delta^8 a vertex starts hundreds of letters, and
+        # the 60 draws from 7 at seed 192 all miss the basepoint
+        class Counting(random.Random):
+            draws = 0
+
+            def randint(self, a, b):
+                self.draws += 1
+                return super().randint(a, b)
+
+        zx = boundary_simplex(8).z_extension()
+        rng = Counting(192)
+        w = random_reduced_word(zx, rng, "7", 3, 3)
+        assert rng.draws == 60
+        assert w == LoopWord((zx.term("07^op"),), "7", "0") and zx.home["7"] == (w.letters[0], "0")
+        assert w.degree == 0 and w == canonical(zx, w.letters) and w.end == zx.basepoint
+        # from the basepoint the path home is the unit: on the path 0-1-2,
+        # every draw of length 2 ends at 2
+        class Longest(random.Random):
+            def randint(self, a, b):
+                return b
+
+        chain = from_facets([["0", "1"], ["1", "2"]], "chain").z_extension()
+        assert random_reduced_word(chain, Longest(0), "0", 0, 2) == unit("0")
 
     def test_power_decompose(self, fixtures):
         zx = fixtures["wedge2"]
