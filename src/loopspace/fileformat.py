@@ -47,6 +47,13 @@ def clip(text: str) -> str:
     return text if len(text) <= 80 else text[:77] + "..."
 
 
+def _clip_path(path: str | Path) -> str:
+    """A path a refusal echoes, cut to its last 80 characters or so, which
+    keep the file name."""
+    text = str(path)
+    return text if len(text) <= 80 else "..." + text[-77:]
+
+
 def _typed(value, kind: type, what: str):
     """The value of a document field, if it has the JSON type the field
     takes; the message shows at most the first 80 characters of a value
@@ -118,9 +125,9 @@ def _read_text(path: str | Path) -> str:
     try:
         return Path(path).read_text()
     except OSError as exc:
-        raise FormatError(f"cannot read {path}: {exc.strerror or exc}") from exc
+        raise FormatError(f"cannot read {_clip_path(path)}: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:
-        raise FormatError(f"cannot read {path}: not UTF-8 text ({exc.reason} "
+        raise FormatError(f"cannot read {_clip_path(path)}: not UTF-8 text ({exc.reason} "
                           f"at byte {exc.start})") from exc
 
 
@@ -128,9 +135,10 @@ def load_complex(path: str | Path) -> SimplicialPresentation:
     try:
         doc = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+        raise FormatError(f"{_clip_path(path)}: line {exc.lineno}, column {exc.colno}: "
+                          f"{exc.msg}") from exc
     except RecursionError as exc:  # the decoder recurses once per level of nesting
-        raise FormatError(f"{path}: nested too deeply to read") from exc
+        raise FormatError(f"{_clip_path(path)}: nested too deeply to read") from exc
     return complex_from_dict(doc)
 
 
@@ -144,10 +152,10 @@ def load_facets(path: str | Path) -> SimplicialPresentation:
             continue
         facets.append(body.split())
         if len(facets[-1]) > _FACET_BOUND:
-            raise FormatError(f"{path}: line {lineno}: a facet may have at most "
+            raise FormatError(f"{_clip_path(path)}: line {lineno}: a facet may have at most "
                               f"{_FACET_BOUND} vertices, not {len(facets[-1])}")
     if not facets:
-        raise FormatError(f"{path}: no facets found")
+        raise FormatError(f"{_clip_path(path)}: no facets found")
     # a simplex is a nonempty vertex set of a facet; largest facet first,
     # one already counted is a face of an earlier one and adds nothing
     simplices: set[frozenset[str]] = set()
@@ -157,8 +165,8 @@ def load_facets(path: str | Path) -> SimplicialPresentation:
         for s in chain.from_iterable(combinations(facet, r) for r in range(1, len(facet) + 1)):
             simplices.add(frozenset(s))
             if len(simplices) > _SIMPLEX_BOUND:
-                raise FormatError(f"{path}: a facets file may have at most {_SIMPLEX_BOUND} "
-                                  "distinct simplices")
+                raise FormatError(f"{_clip_path(path)}: a facets file may have at most "
+                                  f"{_SIMPLEX_BOUND} distinct simplices")
     return from_facets(facets, name=Path(path).stem)
 
 
@@ -237,11 +245,12 @@ def parse_term(zx: SimplicialPresentation, token: str) -> SimplexTerm:
         raise FormatError(f"unknown generator {clip(repr(name))} in letter {clip(repr(token))}")
     t = zx.term(name)
     # the literal lists degeneracies outermost-first; apply innermost-first
-    js = [int(s[1:]) for s in m.group("degens").rstrip(".").split(".") if s]
+    js = [s[1:].lstrip("0") or "0" for s in m.group("degens").rstrip(".").split(".") if s]
     for j in reversed(js):
-        if j > t.dim:
-            raise FormatError(f"degeneracy s{j} out of range in {clip(repr(token))}")
-        t = zx.degenerate(t, j)
+        # int() refuses more than 4 300 digits, so the digits are counted first
+        if len(j) > len(str(t.dim)) or int(j) > t.dim:
+            raise FormatError(f"degeneracy {clip('s' + j)} out of range in {clip(repr(token))}")
+        t = zx.degenerate(t, int(j))
     return t
 
 

@@ -6,9 +6,12 @@ basepoint.  Its degree is dim(x) + degree(y).  Extra copies of the
 base's last vertex are equivalent to duplicates at the start of the tail;
 the canonical form moves them into the tail.  Faces and degeneracies are
 the necklace operators of ``cubes`` on the beads (x, *letters of y), with
-x the head.  The degree-0 cells with the 1-cells between them form a
-graph on which words act on the right; over a connected complex this
-graph covers the 1-skeleton with deck group the degree-0 word group.
+x the head.  ``path_face`` normalizes the face's beads as they come,
+through the helper that ``path_canonical`` calls; ``path_face_raw``
+builds the raw face cell, which the relation checker reads.  The degree-0
+cells with the 1-cells between them form a graph on which words act on
+the right; over a connected complex this graph covers the 1-skeleton with
+deck group the degree-0 word group.
 """
 
 from __future__ import annotations
@@ -44,10 +47,29 @@ def path_canonical(zx: SimplicialPresentation, base: SimplexTerm, tail: LoopWord
     hi = zx.endpoints(base)[1]
     if tail.start != hi:
         raise PathError(f"tail starts at {tail.start}, base ends at {hi}")
+    return _normal_cell(zx, base, hi, tail.letters)
+
+
+def _normal_cell(
+    zx: SimplicialPresentation, base: SimplexTerm, hi: str, letters: tuple[SimplexTerm, ...]
+) -> PathCell:
+    """``path_canonical`` of the necklace (base, *letters), the base ending at hi."""
     pool = base.mult[-1] - 1
     if pool:
         base = tuple.__new__(SimplexTerm, (base.generator, base.mult[:-1] + (1,), base.dim - pool))
-    return tuple.__new__(PathCell, (base, _normal_word(zx, tail.letters, hi, pool)))
+    return tuple.__new__(PathCell, (base, _normal_word(zx, letters, hi, pool)))
+
+
+def _face_beads(
+    zx: SimplicialPresentation, c: PathCell, i: int, eps: int
+) -> tuple[SimplexTerm, ...]:
+    """The necklace (base, *tail letters) of c with face coordinate i applied."""
+    if eps not in (0, 1):
+        raise PathError("epsilon must be 0 or 1")
+    beads = necklace_face(zx, (c.base, *c.tail.letters), i, eps, head=True)
+    if beads is None:
+        raise PathError(f"face index {i} out of range 1..{c.degree}")
+    return beads
 
 
 def path_face_raw(
@@ -56,11 +78,7 @@ def path_face_raw(
     """Face at coordinate i without canonicalization (for relation checks,
     where slot indices refer to the raw representative).  The base is the
     head bead of the necklace (base, *tail letters)."""
-    if eps not in (0, 1):
-        raise PathError("epsilon must be 0 or 1")
-    beads = necklace_face(zx, (c.base, *c.tail.letters), i, eps, head=True)
-    if beads is None:
-        raise PathError(f"face index {i} out of range 1..{c.degree}")
+    beads = _face_beads(zx, c, i, eps)
     head = beads[0]
     tail = tuple.__new__(LoopWord, (beads[1:], zx.endpoints(head)[1], c.tail.end))
     return tuple.__new__(PathCell, (head, tail))
@@ -68,9 +86,11 @@ def path_face_raw(
 
 def path_face(zx: SimplicialPresentation, c: PathCell, i: int, eps: int) -> PathCell:
     """Face at coordinate i in 1..degree; coordinates 1..dim(base) lie on the
-    base, the rest on the tail."""
-    raw = path_face_raw(zx, c, i, eps)
-    return path_canonical(zx, raw.base, raw.tail)
+    base, the rest on the tail.  The face's beads are normalized as they
+    come, with no raw cell built in between."""
+    beads = _face_beads(zx, c, i, eps)
+    head = beads[0]
+    return _normal_cell(zx, head, zx._records[head.generator.name][0][1], beads[1:])
 
 
 def path_degeneracy_slots(c: PathCell) -> int:

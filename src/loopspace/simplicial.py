@@ -8,12 +8,15 @@ named tuples, so that hashing, comparing and sorting them runs in C.  Each
 presentation tables once, for every generator and every vertex, the front
 and back face of the generator meeting at that vertex; a simplex splits at
 a position (``_split``) by pushing its vertex multiplicities onto the
-tabled faces, and the first and last vertex of a simplex are read off the
-same table.  The operators know the dimension of what they build (a face
-has one less, a degeneracy one more, a split's halves i and dim - i), so
-they build it with ``tuple.__new__`` and skip the Python frame and the
-sum(mult) of ``SimplexTerm(g, mult)``.  Formal edge inverses are attached
-by ``z_extension``.
+tabled faces.  Each generator also has one record, built at construction
+from the same table: its first and last vertex, which every simplex on it
+shares, and the name of its formal inverse or None.  ``endpoints`` reads
+it, and the word normal form reads it once per letter.  The operators
+know the dimension of what they build (a face has one less, a degeneracy
+one more, a split's halves i and dim - i), so they build it with
+``tuple.__new__`` and skip the Python frame and the sum(mult) of
+``SimplexTerm(g, mult)``.  Formal edge inverses are attached by
+``z_extension``.
 """
 
 from __future__ import annotations
@@ -137,8 +140,10 @@ class SimplicialPresentation:
         self._splits: dict[str, tuple[tuple[SimplexTerm, SimplexTerm], ...]] = {
             name: self._split_table(g) for name, g in self.generators.items()
         }
-        self._endpoints: dict[str, tuple[str, str]] = {
-            name: (table[0][0].generator.name, table[-1][1].generator.name)
+        # per generator: its (first, last) vertex and its formal inverse or None
+        self._records: dict[str, tuple[tuple[str, str], str | None]] = {
+            name: ((table[0][0].generator.name, table[-1][1].generator.name),
+                   self.op_pairs.get(name))
             for name, table in self._splits.items()
         }
 
@@ -193,7 +198,7 @@ class SimplicialPresentation:
         table: dict[str, list[tuple[SimplexTerm, str]]] = {}
         for g in sorted(self.generators.values(), key=lambda g: (g.dim, g.name)):
             if g.dim:
-                lo, hi = self._endpoints[g.name]
+                lo, hi = self._records[g.name][0]
                 table.setdefault(lo, []).append((_nondegenerate(g), hi))
         return table
 
@@ -259,7 +264,7 @@ class SimplicialPresentation:
         at construction.
         """
         try:
-            return self._endpoints[t.generator.name]
+            return self._records[t.generator.name][0]
         except KeyError:
             raise SimplicialError(f"unknown generator {t.generator.name!r}") from None
 

@@ -11,15 +11,16 @@ first vertex), cancellation of adjacent inverse edge pairs, and
 absorption of unit letters.  Because cancellations can hide behind shifts
 in either direction, no one-directional rewriting is confluent; the
 canonical form is instead read off the bead normal form of the letters'
-vertex multiplicities (``_normal_word``, which path cells share), and the
-tests check it against the minimum of the finite orbit of a word under
-these moves.  Faces and degeneracies are the necklace operators of
-``cubes`` on the letters, the unit word taken as its unit letter s_0 x.
-The plain cells of the cube on Delta^n are the words of
-standard_simplex(n) from vertex 0 to n.  The raw operators and the normal
-form build their words with ``tuple.__new__``, as ``namedtuple._make``
-does, to skip the constructor's Python frame; the path cells of ``paths``
-are built the same way.
+vertex multiplicities (``_normal_word``, which path cells share; one
+dict lookup per letter reads the letter's ends and inverse from its
+generator's record), and the tests check it against the minimum of the
+finite orbit of a word under these moves.  Faces and degeneracies are
+the necklace operators of ``cubes`` on the letters, the unit word taken
+as its unit letter s_0 x.  The plain cells of the cube on Delta^n are the
+words of standard_simplex(n) from vertex 0 to n.  The raw operators and
+the normal form build their words with ``tuple.__new__``, as
+``namedtuple._make`` does, to skip the constructor's Python frame; the
+path cells of ``paths`` are built the same way.
 """
 
 from __future__ import annotations
@@ -89,29 +90,34 @@ def _normal_word(
     """``canonical`` of the raw word from ``start`` with ``pool`` more free
     duplicates at its start (those a path cell's base hands to its tail).
 
-    One pass over the letters checks each letter and junction, and keeps
-    a stack of the letters that survive, with ``dups[k]`` free duplicates
-    in front of ``kept[k]`` and ``dups[-1]`` at the current junction.  A
-    letter on a vertex dissolves into the junction and sheds one duplicate.
-    Any other letter pools its first vertex's duplicates into the junction,
-    then cancels against the top of the stack when the two are an inverse
-    edge pair and the junction is empty; the pools on either side merge.
-    Pools only grow, so a nonempty junction never empties and the pool in
-    front of a kept letter is final: the stack reaches the same cores as
-    cancelling pairs in any order.  A wrong declared start is reported
-    only after every letter and junction passed.
+    One pass over the letters checks each letter and junction, reading
+    the letter's ends and inverse from its generator's record in one dict
+    lookup, and keeps a stack of the letters that survive, with
+    ``fronts[k]`` free duplicates in front of ``kept[k]`` (none when
+    absent) and ``junction`` at the current junction.  A letter on a
+    vertex dissolves into the junction and sheds one duplicate.  Any other
+    letter pools its first vertex's duplicates into the junction, then
+    cancels against the top of the stack when the two are an inverse edge
+    pair and the junction is empty; the pools on either side merge.  Pools
+    only grow, so a nonempty junction never empties and the pool in front
+    of a kept letter is final: the stack reaches the same cores as
+    cancelling pairs in any order, and a word with no pool left is in
+    normal form as it stands.  A wrong declared start is reported only
+    after every letter and junction passed.
     """
-    ends, inverse = zx._endpoints, zx.op_pairs
+    records = zx._records
     kept: list[SimplexTerm] = []
-    dups = [pool]
-    first = at = undo = None  # undo: the inverse of the top kept letter
+    fronts: dict[int, int] = {}  # k: the free duplicates in front of kept[k], if any
+    junction = pool
+    first = at = top = None  # top: the generator of the top kept letter
     for t in letters:
         if t.dim < 1:
             raise WordError(f"letter {t} must have dimension >= 1")
+        name = t.generator.name
         try:
-            lo, hi = ends[t.generator.name]
+            (lo, hi), inverse = records[name]
         except KeyError:
-            raise SimplicialError(f"unknown generator {t.generator.name!r}") from None
+            raise SimplicialError(f"unknown generator {name!r}") from None
         if at is None:
             first = lo
         elif lo != at:
@@ -119,33 +125,34 @@ def _normal_word(
         at = hi
         mult = t.mult
         if len(mult) == 1:
-            dups[-1] += mult[0] - 2
+            junction += mult[0] - 2
             continue
-        d = dups[-1] + mult[0] - 1
-        if not d and undo == t.generator.name:
+        d = junction + mult[0] - 1
+        if not d and kept and inverse == top:
             kept.pop()
-            dups.pop()
-            dups[-1] += mult[-1] - 1
-            undo = inverse.get(kept[-1].generator.name) if kept else None
+            junction = fronts.pop(len(kept), 0) + mult[-1] - 1
+            top = kept[-1].generator.name if kept else None
         else:
-            dups[-1] = d
+            if d:
+                fronts[len(kept)] = d
             kept.append(t)
-            dups.append(mult[-1] - 1)
-            undo = inverse.get(t.generator.name)
+            junction = mult[-1] - 1
+            top = name
     if first is not None and first != start:
         raise WordError(f"declared start {start} does not match word start {first}")
     if not kept:
-        if dups[0]:
-            return LoopWord((SimplexTerm(zx.generators[start], (dups[0] + 2,)),), start, start)
+        if junction:
+            return LoopWord((SimplexTerm(zx.generators[start], (junction + 2,)),), start, start)
         return unit(start)
-    # each junction's duplicates go to the letter after it, the end's to the
-    # last letter; a letter already in that form is reused, not rebuilt
-    last = len(kept) - 1
-    for k, t in enumerate(kept):
-        mult = t.mult
-        lead, tail = dups[k] + 1, dups[-1] + 1 if k == last else 1
-        if mult[0] != lead or mult[-1] != tail:
-            kept[k] = SimplexTerm(t.generator, (lead, *mult[1:-1], tail))
+    if fronts or junction:
+        # each junction's duplicates go to the letter after it, the end's to
+        # the last letter; a letter already in that form is reused, not rebuilt
+        last = len(kept) - 1
+        for k, t in enumerate(kept):
+            mult = t.mult
+            lead, tail = fronts.get(k, 0) + 1, junction + 1 if k == last else 1
+            if mult[0] != lead or mult[-1] != tail:
+                kept[k] = SimplexTerm(t.generator, (lead, *mult[1:-1], tail))
     return tuple.__new__(LoopWord, (tuple(kept), start, at))
 
 

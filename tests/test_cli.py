@@ -666,14 +666,42 @@ class TestRefusals:
         ("group", "--builtin", "wedge:1", "--element", "a1;a1;x" + _NINES),
         ("homology", "--builtin", "sphere:2", "--degree", "1", "--coeff", "x" + _NINES),
         ("validate", "sphere:2", "--builtin", "wedge:" + _NINES),
+        ("boundary", "--builtin", "sphere:2", "--word", "s" + _NINES + ".x0"),
+        ("validate", "--builtin", "facets:nosuch" + _NINES),
     ], ids=["builtin-parameter", "prime", "unknown-builtin", "unknown-file", "letter",
-            "group-element", "coefficient-ring", "two-complexes"])
+            "group-element", "coefficient-ring", "two-complexes", "degeneracy-index",
+            "facets-path"])
     def test_long_value_is_clipped(self, capsys, argv):
         # each echoed the whole value, in 5 to 10 kB; the file path ended in
-        # a traceback, as its name is too long to look up
+        # a traceback, as its name is too long to look up, and the
+        # degeneracy index in Python's refusal of a 5 000-digit int()
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "" and err.startswith("error: ")
         assert len(err.encode()) <= 300, len(err)
+        assert "Traceback" not in err and "int_max_str_digits" not in err
+
+    def test_long_degeneracy_index_is_out_of_range(self, capsys):
+        for index in ("9" * 5000, "0" * 5000 + "3", "3"):
+            code, out, err = run(capsys, "boundary", "--builtin", "sphere:2",
+                                 "--word", f"s{index}.x0")
+            assert code == 2 and out == ""
+            assert err.startswith("error: degeneracy s") and "out of range in 's" in err, err
+        # leading zeros still name an index in range
+        code, out, _ = run(capsys, "boundary", "--builtin", "sphere:2",
+                           "--word", "s" + "0" * 5000 + ".x0")
+        assert code == 0 and out
+
+    def test_long_path_keeps_its_file_name(self, capsys, tmp_path):
+        deep = tmp_path.joinpath(*["directory-name"] * 8)
+        deep.mkdir(parents=True)
+        for name, body in (("c.json", b"\xff"), ("c.facets", b"# nothing\n")):
+            path = deep / name
+            path.write_bytes(body)
+            spec = str(path) if name.endswith(".json") else f"facets:{path}"
+            code, _, err = run(capsys, "validate", spec)
+            assert code == 2 and len(err) < 200, err
+            assert "..." in err and f"directory-name/{name}: " in err, err
+            assert str(tmp_path) not in err
 
     def test_cubical_at_the_dimension_bound(self, capsys):
         # the largest dimension the cubical suite takes; its default run on

@@ -154,15 +154,18 @@ class TestCovering:
     @pytest.mark.parametrize("key", ["wedge2", "bd2"])
     def test_edge_cells_are_not_recanonicalized(self, fixtures, monkeypatch, key):
         # one normal form per edge face: the edge cell is canonical as built
-        # (test_edge_cells_are_canonical), so it takes none of its own
+        # (test_edge_cells_are_canonical), so it takes none of its own.
+        # ``_normal_cell`` is the normal form under both ``path_face`` and
+        # ``path_canonical``.
         zx = fixtures[key]
         calls = []
+        normal_cell = paths._normal_cell
 
         def counting(*args):
             calls.append(args)
-            return path_canonical(*args)
+            return normal_cell(*args)
 
-        monkeypatch.setattr(paths, "path_canonical", counting)
+        monkeypatch.setattr(paths, "_normal_cell", counting)
         cover_graph(zx, max_length=3)
         considered = sum(
             len(enumerate_words(zx, 0, 3, zx.endpoints(zx.term(a.name))[1], zx.basepoint))
@@ -219,6 +222,25 @@ class TestCovering:
 
 
 class TestNormalFormOracle:
+    @pytest.mark.parametrize("key", ["sphere2", "sphere3", "bd2", "bd3", "wedge2", "delta4"])
+    def test_face_is_normal_form_of_raw_face(self, fixtures, key):
+        # path_face normalizes the face's beads as they come; path_face_raw
+        # builds the raw cell that path_canonical normalizes
+        if key == "delta4":
+            zx = standard_simplex(4)
+            cells = [c for _, c in cube_cells(zx, True)]
+        else:
+            zx = fixtures[key]
+            cells = random_path_cells(zx, random.Random(7), 40)
+        faces = 0
+        for c in cells:
+            for i in range(1, c.degree + 1):
+                for eps in (0, 1):
+                    assert (path_face(zx, c, i, eps)
+                            == path_canonical(zx, *path_face_raw(zx, c, i, eps))), (c, i, eps)
+                    faces += 1
+        assert faces
+
     @pytest.mark.parametrize("key", ["sphere2", "sphere3", "bd2", "bd3", "wedge2"])
     def test_agrees_with_separate_routines(self, fixtures, key):
         zx = fixtures[key]

@@ -281,6 +281,26 @@ class TestEndpointTable:
             zx.face(SimplexTerm(GeneratorId("nowhere", 1), (1, 1)), 0)
 
 
+class TestGeneratorRecords:
+    def test_agree_with_endpoints_and_op_pairs(self, fixtures):
+        # the one record per generator that the normal form reads per letter
+        built = [sphere_quotient(2), sphere_quotient(3), boundary_simplex(2),
+                 boundary_simplex(3), wedge_of_circles(2)]
+        built += [load_complex(p) for p in sorted(DATA.glob("*.json"))]
+        plain = [zx for zx in built if not zx.op_pairs]
+        assert len(plain) > 5
+        records = 0
+        for zx in built + [zx.z_extension() for zx in plain] + list(fixtures.values()):
+            assert set(zx._records) == set(zx.generators)
+            for name, g in zx.generators.items():
+                ends, inverse = zx._records[name]
+                assert ends == zx.endpoints(zx.term(name)), (zx.name, name)
+                assert inverse == zx.op_pairs.get(name), (zx.name, name)
+                assert (inverse is None) == (not zx.has_op_partner(zx.term(name)))
+                records += 1
+        assert records > 100
+
+
 class TestStoredDimension:
     """A simplex stores its dimension at construction; every operator, and
     ``_replace``, must hand back one whose dim is sum(mult) - 1."""
