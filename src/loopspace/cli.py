@@ -32,11 +32,12 @@ COUNT_FLAGS = ("--degree", "--max-len", "--max-weight", "--count-length", "--sam
 PRIME_BOUND = 2**31  # --coeff p:P takes P below this
 # the largest cube each flag takes: the cells of the cube on Delta^(n+1)
 # grow about 3-fold with n, and the relation rows on them faster; at its
-# bound, each command runs in about 4 s on a 2-vCPU host
+# bound, ``cells`` runs in about 3.5 s and ``check`` in about 5 s on a
+# 2-vCPU host
 _CUBE_BOUNDS = {"--cube": 10, "--cube-n": 7}
 # the highest dimension of a complex ``check --suite cubical`` takes: its
 # random path cells draw their bases from every generator, so one costs
-# about dim^3; at the bound the default run takes about 5 s on a 2-vCPU host
+# about dim^3; at the bound the default run takes about 4 s on a 2-vCPU host
 _CUBICAL_DIM_BOUND = 32
 
 

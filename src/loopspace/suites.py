@@ -10,7 +10,10 @@ the index shift (row A), coordinates right of both commute without it
 splitting faces at the copies agree (row F), and two degeneracies
 interchange with the index shift (row EE).  Identities are compared as
 canonical forms; slot indices always refer to the raw, uncanonicalized
-representative.  One checker (``_check_relations``) runs these rows, and
+representative.  Normal forms are a function of the raw cell, so a row
+whose two raw sides are equal passes without them: a row normalizes its
+sides only when they differ, and row Id compares the raw face with the
+cell first.  One checker (``_check_relations``) runs these rows, and
 the face-face interchange (FF) and the dimension count (dim), on loop
 words and path cells alike; each model hands it a small record of its
 operators (``_Model``).  Cube cells are no third model: the cube rows run
@@ -20,11 +23,15 @@ The rows ask for the checked cell's own raw faces and degeneracies many
 times, and build equal raw cells many times; the checker reads them
 through caches (``functools.cache``) that live for that cell only: one of
 its raw faces d_k^eps c, one of its raw degeneracies, and one of the
-normal form of each distinct raw cell.  The normal forms of the faces
-d_k^eps c, where the face-face rows start, come from one cache for the
-whole ``_check_relations`` call, since the cells share many faces.  Each
-entry is built when a row first asks for it, by the model, so a wrong
-model raises where that row asks; every row and comparison still runs.
+normal form of each distinct raw cell it normalizes.  The normal forms of
+the faces d_k^eps c, where the face-face rows start, come from one cache
+for the whole ``_check_relations`` call, since the cells share many
+faces.  Each entry is built when a row first asks for it, by the model,
+so a wrong model raises where that row asks; every row still runs.  The
+random samples repeat cells: a cell that occurs more than once in one
+call is checked once, into a recorder of its own, whose row counts and
+failures each of its draws replays in draw order, so the report is the
+one of checking every draw.
 The differential suites' random samples repeat words, so ``dsq`` and
 ``leibniz`` take d of each (word, variant), and ``leibniz`` each product,
 once per suite call, through caches that live for that call.  A report
@@ -34,6 +41,7 @@ that ran no row, or a comparator that compared no word, is ``vacuous``.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from functools import cache, partial
 from typing import Callable, NamedTuple
 
@@ -76,6 +84,14 @@ class _Recorder:
             self.fail_counts[row] = self.fail_counts.get(row, 0) + 1
             if len(self.failures) < self.MAX_FAILURES:
                 self.failures.append(f"{row}: " + " ".join(str(x) for x in info))
+
+    def replay(self, other: _Recorder) -> None:
+        """Record again every row that other recorded, in its order."""
+        for row, k in other.counts.items():
+            self.counts[row] = self.counts.get(row, 0) + k
+        for row, k in other.fail_counts.items():
+            self.fail_counts[row] = self.fail_counts.get(row, 0) + k
+        self.failures += other.failures[: self.MAX_FAILURES - len(self.failures)]
 
     def report(self, vacuous: bool = False, **extra) -> dict[str, object]:
         """The report; ``vacuous`` (also set when no row ran) marks a run
@@ -180,31 +196,52 @@ def _pad(zx: SimplicialPresentation, c: PathCell) -> PathCell:
 def _check_relations(m: _Model, cells, rec: _Recorder, tag: str) -> None:
     """Run every row on each cell; an operator that raises on a cell (a
     wrong model can address a slot or face out of range) is recorded as a
-    failed ``<tag>-error`` row naming the cell, and the next cell runs."""
+    failed ``<tag>-error`` row naming the cell, and the next cell runs.  A
+    cell that occurs more than once is checked once, into a recorder of
+    its own, which each of its draws replays."""
     face_normal = cache(m.normal)  # the checked cells share many faces
+    repeated = {c for c, k in Counter(cells).items() if k > 1}
+    memo: dict[object, _Recorder] = {}
     for c in cells:
+        if c in memo:
+            rec.replay(memo[c])
+            continue
+        into = rec
+        if c in repeated:
+            into = memo[c] = _Recorder()
+            into.MAX_FAILURES = rec.MAX_FAILURES
         try:
-            _check_cell(m, c, rec, tag, face_normal)
+            _check_cell(m, c, into, tag, face_normal)
         except ValueError as exc:
-            rec.record(f"{tag}-error", False, (c, exc))
+            into.record(f"{tag}-error", False, (c, exc))
+        if into is not rec:
+            rec.replay(into)
 
 
 def _check_cell(m: _Model, c, rec: _Recorder, tag: str, face_normal: Callable) -> None:
     # the rows ask for c's own faces and degeneracies, and build equal raw
-    # cells, many times: each is built, and normalized, once per cell; the
-    # normal forms of c's faces come from face_normal, shared across cells
+    # cells, many times: each is built, and normalized, at most once per
+    # cell; the normal forms of c's faces come from face_normal, shared
+    # across cells.  A row normalizes its two raw sides only when they
+    # differ (row F's sides always do).  The face-face rows start from
+    # normal forms and home is built before the other rows, so a normal
+    # form that raises fails each cell before it records a row
     normal = cache(m.normal)
     face_of_c = cache(lambda k, eps: m.face_raw(c, k, eps))
     degeneracy_of_c = cache(lambda j: m.degeneracy_raw(c, j))
     normal_face = cache(lambda k, eps: face_normal(face_of_c(k, eps)))
+
+    def same(a, b) -> bool:
+        return a == b or normal(a) == normal(b)
+
     n, slots = c.degree, m.slots(c)
     for j in range(2, n + 1):
         for i in range(1, j):
             for eps in (0, 1):
                 for om in (0, 1):
-                    left = normal(m.face_raw(normal_face(j, om), i, eps))
-                    right = normal(m.face_raw(normal_face(i, eps), j - 1, om))
-                    rec.record(f"{tag}-FF", left == right, (c, i, j, eps, om))
+                    left = m.face_raw(normal_face(j, om), i, eps)
+                    right = m.face_raw(normal_face(i, eps), j - 1, om)
+                    rec.record(f"{tag}-FF", same(left, right), (c, i, j, eps, om))
     home = normal(c)
     for j in range(1, slots + 1):
         e = degeneracy_of_c(j)  # raw; copies at positions j-1, j
@@ -216,23 +253,23 @@ def _check_cell(m: _Model, c, rec: _Recorder, tag: str, face_normal: Callable) -
         copies = []  # the splitting faces at the two copies
         for idx, p in enumerate(ps, start=1):
             for eps in (0, 1):
-                left = normal(m.face_raw(e, idx, eps))
+                left = m.face_raw(e, idx, eps)
                 if p < j - 1:
-                    right = normal(m.degeneracy_raw(face_of_c(idx, eps), j - eps))
-                    rec.record(f"{tag}-A", left == right, (c, j, idx, eps))
+                    right = m.degeneracy_raw(face_of_c(idx, eps), j - eps)
+                    rec.record(f"{tag}-A", same(left, right), (c, j, idx, eps))
                 elif p > j:
-                    right = normal(m.degeneracy_raw(face_of_c(idx - 1, eps), j))
-                    rec.record(f"{tag}-B", left == right, (c, j, idx, eps))
+                    right = m.degeneracy_raw(face_of_c(idx - 1, eps), j)
+                    rec.record(f"{tag}-B", same(left, right), (c, j, idx, eps))
                 elif eps == 1:
-                    rec.record(f"{tag}-Id", left == home, (c, j, idx))
+                    rec.record(f"{tag}-Id", left == c or normal(left) == home, (c, j, idx))
                 else:
-                    copies.append(left)
+                    copies.append(normal(left))
         if len(copies) == 2:
             rec.record(f"{tag}-F", copies[0] == copies[1], (c, j))
         for i in range(j + 1, m.slots(e) + 1):
-            left = normal(m.degeneracy_raw(e, i))
-            right = normal(m.degeneracy_raw(degeneracy_of_c(i - 1), j))
-            rec.record(f"{tag}-EE", left == right, (c, j, i))
+            left = m.degeneracy_raw(e, i)
+            right = m.degeneracy_raw(degeneracy_of_c(i - 1), j)
+            rec.record(f"{tag}-EE", same(left, right), (c, j, i))
 
 
 def cubical_suite(

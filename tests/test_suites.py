@@ -14,13 +14,16 @@ from loopspace.paths import cube_cells
 from loopspace.simplicial import boundary_simplex, standard_simplex
 from loopspace.suites import (
     _Recorder,
+    _check_cell,
     _check_relations,
+    _pad,
     _path_model,
     _word_model,
     cubical_suite,
     dsq_suite,
     leibniz_suite,
     random_loop_cells,
+    random_path_cells,
     theorem2_suite,
 )
 from loopspace.words import compose, word_degeneracy, word_face_raw
@@ -152,10 +155,14 @@ def _wrong_models(cases):
     }
 
 
-def _full_report(model, cells, tag):
+def _report(model, cells, tag, cap=10_000, one_at_a_time=False):
+    """The checker's report on the draws, rendering up to cap failures (by
+    default every one); with one_at_a_time, each draw is checked by a call
+    of its own, into the same recorder."""
     rec = _Recorder()
-    rec.MAX_FAILURES = 10_000  # render every failure
-    _check_relations(model, cells, rec, tag)
+    rec.MAX_FAILURES = cap
+    for batch in ([c] for c in cells) if one_at_a_time else [cells]:
+        _check_relations(model, batch, rec, tag)
     report = rec.report()
     return {k: report[k] for k in ("checks", "failed", "failures")}
 
@@ -184,7 +191,7 @@ class TestCheckerFails:
         # a degeneracy of the wrong degree fails its -dim row, and the rows
         # that address its copies are skipped
         _, _, _, cells, tag = case
-        report = _full_report(_wrong_models(case)["degree"], cells, tag)
+        report = _report(_wrong_models(case)["degree"], cells, tag)
         assert report["failed"] == {f"{tag}-dim": report["checks"][f"{tag}-dim"]}
         assert not any(k.endswith(("-A", "-B", "-Id", "-F", "-EE")) for k in report["checks"])
 
@@ -194,7 +201,7 @@ class TestCheckerFails:
         # out of range; the checker records the cell and goes on
         cases = _cube_cases() if name == "cube" else _random_cases(fixtures["bd3"])
         _, _, _, cells, tag = cases
-        report = _full_report(_wrong_models(cases)["slot_one"], cells, tag)
+        report = _report(_wrong_models(cases)["slot_one"], cells, tag)
         assert 1 < report["failed"][f"{tag}-error"] < len(cells)
         errors = [f for f in report["failures"] if f.startswith(f"{tag}-error: ")]
         assert all("out of range" in f for f in errors)
@@ -210,7 +217,7 @@ class TestWrongModelReports:
     def test_pinned(self, fixtures, name, kind):
         cases = _cube_cases() if name == "cube" else _random_cases(fixtures["bd3"])
         _, _, _, cells, tag = cases
-        report = _full_report(_wrong_models(cases)[kind], cells, tag)
+        report = _report(_wrong_models(cases)[kind], cells, tag)
         assert report == WRONG_MODELS[f"{name}/{kind}"]
 
 
@@ -226,6 +233,115 @@ class TestEmptyTail:
         _check_relations(_path_model(standard_simplex(n)), cells, rec, "path")
         report = rec.report()
         assert report["ok"] and "path-error" not in report["checks"], report["failures"]
+
+
+def _cli_default_cells(zx):
+    """The random word and path cells of ``check --suite cubical`` at its
+    defaults (samples=120, seed=0), as cubical_suite draws them."""
+    rng = random.Random(0)
+    words = random_loop_cells(zx, rng, 120)
+    return words, [_pad(zx, c) for c in random_path_cells(zx, rng, 120)]
+
+
+class TestRepeatedDraws:
+    # a cell drawn more than once is checked once and its rows replayed
+    # for each later draw; the report is the one of checking every draw
+    @pytest.mark.parametrize("key", ["sphere2", "sphere3", "bd2", "bd3", "wedge2"])
+    def test_random_cells(self, fixtures, key):
+        zx = fixtures[key]
+        models = ((_word_model(zx), "word"), (_path_model(zx), "path"))
+        for (model, tag), cells in zip(models, _cli_default_cells(zx)):
+            assert len(set(cells)) < len(cells)
+            report = _report(model, cells, tag)
+            assert not report["failed"] and report == _report(model, cells, tag, one_at_a_time=True)
+
+    # the repeated cells of word-bd3 pass every row; those of word-sphere2
+    # and of the bd3 words at the command-line defaults fail some
+    @pytest.mark.parametrize("name", ["word-bd3", "word-sphere2", "defaults-bd3"])
+    @pytest.mark.parametrize("kind", ["degeneracy", "face", "slot_one"])
+    @pytest.mark.parametrize("cap", [_Recorder.MAX_FAILURES, 10_000])
+    def test_wrong_models(self, fixtures, name, kind, cap):
+        source, key = name.split("-")
+        zx = fixtures[key]
+        if source == "word":
+            cases = _random_cases(zx)
+        else:
+            cases = _word_cases(zx, _cli_default_cells(zx)[0], "word")
+        cells, tag = cases[3], cases[4]
+        assert len(set(cells)) < len(cells)
+        model = _wrong_models(cases)[kind]
+        report = _report(model, cells, tag, cap)
+        assert report["failed"] and report == _report(model, cells, tag, cap, one_at_a_time=True)
+        assert len(report["failures"]) == min(cap, sum(report["failed"].values()))
+
+    @pytest.mark.parametrize("key", ["sphere3", "wedge2"])
+    def test_own_faces_built_once(self, fixtures, monkeypatch, key):
+        # across all draws of a cell, each of its own faces is built once
+        zx = fixtures[key]
+        checked = []
+
+        def check_cell(m, c, *rest):
+            checked.append(c)
+            return _check_cell(m, c, *rest)
+
+        monkeypatch.setattr(suites, "_check_cell", check_cell)
+        for model, cells in zip((_word_model(zx), _path_model(zx)), _cli_default_cells(zx)):
+            built = []
+
+            def face_raw(x, i, eps, m=model):
+                if x == checked[-1]:
+                    built.append((x, i, eps))
+                return m.face_raw(x, i, eps)
+
+            checked.clear()
+            _check_relations(model._replace(face_raw=face_raw), cells, _Recorder(), "t")
+            assert len(checked) == len(set(checked)) and set(checked) == set(cells)
+            assert built and len(built) == len(set(built))
+
+
+class TestNormalCalls:
+    @staticmethod
+    def _spied(monkeypatch):
+        calls = []
+        for name in ("_word_model", "_path_model"):
+            def spied(zx, model=getattr(suites, name)):
+                m = model(zx)
+
+                def normal(x):
+                    calls.append(x)
+                    return m.normal(x)
+
+                return m._replace(normal=normal)
+
+            monkeypatch.setattr(suites, name, spied)
+        return calls
+
+    # a row normalizes its two sides only when they differ as raw cells,
+    # and a repeated draw is checked once; the parent checker normalized
+    # both sides of every row of every draw: 1 161 calls on the cube, and
+    # 2 226 with the sphere:2 samples
+    @pytest.mark.parametrize("key, total", [(None, 333), ("sphere2", 722)])
+    def test_pinned(self, fixtures, monkeypatch, key, total):
+        calls = self._spied(monkeypatch)
+        if key is None:
+            report = cubical_suite(None, cube_n=3)
+        else:
+            report = cubical_suite(fixtures[key], 20, 1, cube_n=1)
+        assert report["ok"] and report["checks"] == GOLDEN[key or "none"]
+        assert len(calls) == total
+
+    @pytest.mark.parametrize("name", ["cube", "word-bd3"])
+    def test_raising_normal(self, fixtures, name):
+        # each cell still normalizes itself, so a normal form that always
+        # raises gives one error row per draw and no other row
+        cases = _cube_cases() if name == "cube" else _random_cases(fixtures["bd3"])
+        model, cells, tag = cases[0], cases[3], cases[4]
+
+        def normal(x):
+            raise ValueError("no normal form")
+
+        report = _report(model._replace(normal=normal), cells, tag)
+        assert report["checks"] == report["failed"] == {f"{tag}-error": len(cells)}
 
 
 def _pinned_fields(report, *extra):
