@@ -21,24 +21,29 @@ normalized only if it is not there.  Without edges the
 words are all the words in the letters, the tensor algebra T(V) on them:
 each basis is listed prefix-major, by concatenation from the lower ones,
 and d_n is assembled by index arithmetic from d(t) and the lower
-matrices, as d(t.v) = d(t).v + (-1)^|t| t.d(v).  Either way ``homology``
-calls ``boundary_matrix`` once per d_n.
+matrices, as d(t.v) = d(t).v + (-1)^|t| t.d(v).
 
-Free ranks and torsion come from Smith normal form by one sparse
-elimination (Kaczynski-Mrozek-Slusarek 1998; Dumas-Saunders-Villard
-2001).  Its priority queue holds rows, keyed by their smallest |entry|
-and then their length, and a row goes back on it only when an
-elimination changes it.  The boundary matrices are sparse and mostly
-+-1, so unit pivots come first, each in the shortest column among its
-row's units: the order is approximately Markowitz (Markowitz 1957).
+The homology of the matrices is ``chain_homology``'s, and it knows no
+words: given the rank of each degree and a function that returns d_n, it
+checks each d_n's shape and each d_{n-1} d_n = 0, and reads free ranks
+and torsion off Smith normal form.  ``homology`` is its caller on the
+loop-word bases, and takes each d_n from one ``boundary_matrix`` call.
+
+Smith normal form is one sparse elimination (Kaczynski-Mrozek-Slusarek
+1998; Dumas-Saunders-Villard 2001).  Its priority queue holds rows,
+keyed by their smallest |entry| and then their length, and a row goes
+back on it only when an elimination changes it.  The boundary matrices
+are sparse and mostly +-1, so unit pivots come first, each in the
+shortest column among its row's units: the order is approximately
+Markowitz (Markowitz 1957).
 When the units run out, the smallest entries pivot, and Euclidean row
 and column steps reduce each one until it splits off.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator
-from dataclasses import dataclass, field
+from collections.abc import Callable, Iterator, Sequence
+from dataclasses import dataclass, field, replace
 from functools import cache, partial
 from heapq import heapify, heappop, heappush
 from itertools import combinations
@@ -334,8 +339,9 @@ def boundary_matrix(
     With ``tensor``, domain and codomain are its B_n and B_{n-1} for the
     next n, and d_n comes from its lower matrices by index arithmetic
     (``_tensor_matrix``).  ``homology`` takes that route on every complex
-    without edges, and calls this function once per d_n either way, so a
-    caller that wraps it sees every matrix with its two bases.
+    without edges, and either way calls this function once per d_n, for
+    ``chain_homology``, so a caller that wraps it sees every matrix with
+    its two bases.
 
     Otherwise each column is built word by word, and a term is the plain
     concatenation of the pieces of w around a term of d(t), normalized by
@@ -465,6 +471,44 @@ class HomologyTable:
     nonzeros: tuple[int, ...]
 
 
+def chain_homology(
+    name: str,
+    sizes: Sequence[int],
+    boundary: Callable[[int], SparseIntMatrix],
+) -> HomologyTable:
+    """H_0..H_{len(sizes)-2} of a chain complex of free abelian groups of
+    finite rank, in a table with no weight label.
+
+    ``sizes[n]`` is the rank of degree n, and ``boundary(n)`` returns the
+    matrix of d_n from degree n to degree n - 1; it is called once for each
+    n = 1..len(sizes)-1, in order.  A d_n whose shape is not (sizes[n-1],
+    sizes[n]) is refused, and so is a consecutive pair that does not
+    compose to zero, which also keeps every free rank >= 0 (the image of
+    d_{n+1} lies in the kernel of d_n); each ``HomologyError`` names the
+    complex by ``name``.  H_n has free rank sizes[n] - rank d_n -
+    rank d_{n+1} and, as torsion, the invariant factors of d_{n+1} above 1.
+    """
+    snfs: list[tuple[int, ...]] = [()]  # d_0 = 0
+    nonzeros = [0]
+    prev = None
+    for n in range(1, len(sizes)):
+        m = boundary(n)
+        if (m.rows, m.cols) != (sizes[n - 1], sizes[n]):
+            raise HomologyError(f"d_{n} on {name} is {m.rows}x{m.cols}, not {sizes[n - 1]}x"
+                                f"{sizes[n]} (the ranks of degrees {n - 1} and {n})")
+        if prev is not None and not _composes_to_zero(prev, m):
+            raise HomologyError(f"d_{n - 1} d_{n} is not zero on {name}")
+        nonzeros.append(len(m.entries))
+        snfs.append(smith_normal_form(m))
+        prev = m
+    groups = tuple(
+        HomologyGroup(n, sizes[n] - len(snfs[n]) - len(snfs[n + 1]),
+                      tuple(t for t in snfs[n + 1] if t > 1))
+        for n in range(len(sizes) - 1)
+    )
+    return HomologyTable(None, groups, tuple(sizes), tuple(nonzeros))
+
+
 def homology(
     zx: SimplicialPresentation,
     max_degree: int,
@@ -476,12 +520,11 @@ def homology(
 
     The bases of degrees 0..max_degree+1 come from one ``tensor_bases``
     call on a complex without edges, and from one ``degree_bases`` call on
-    one with edges.  ``boundary_matrix`` is called once per d_n, on the
-    two bases it needs, so a caller that wraps that name sees every
-    matrix.  Each consecutive pair must compose to zero, which also keeps
-    every free rank >= 0 (the image of d_{n+1} lies in the kernel of d_n).
-    The matrices share one cached function of letter boundaries, built
-    for this call, so d of each letter is computed once per call.
+    one with edges.  ``chain_homology`` does the rest, taking each d_n from
+    one call of ``boundary_matrix`` on the two bases it needs, so a caller
+    that wraps that name sees every matrix.  The matrices share one cached
+    function of letter boundaries, built for this call, so d of each
+    letter is computed once per call.
     """
     if max_degree < 0:
         raise HomologyError("max_degree must be non-negative")
@@ -492,27 +535,12 @@ def homology(
         tensor = tensor_bases(zx, top, variant)
         bases = tensor.bases
     letter_boundary = cache(partial(_letter_terms, zx, variant))
-    snfs: list[tuple[int, ...]] = [()]  # d_0 = 0
-    nonzeros = [0]
-    prev = None
-    for n in range(1, top + 1):
-        m, _, _ = boundary_matrix(zx, bases[n], bases[n - 1], letter_boundary, tensor)
-        if prev is not None and not _composes_to_zero(prev, m):
-            raise HomologyError(f"d_{n - 1} d_{n} is not zero on {zx.name}")
-        nonzeros.append(len(m.entries))
-        snfs.append(smith_normal_form(m))
-        prev = m
-    groups = []
-    for n in range(max_degree + 1):
-        free = len(bases[n]) - len(snfs[n]) - len(snfs[n + 1])
-        torsion = tuple(t for t in snfs[n + 1] if t > 1)
-        groups.append(HomologyGroup(n, free, torsion))
-    return HomologyTable(
-        _weight_bound(zx, max_weight),
-        tuple(groups),
-        tuple(len(b) for b in bases),
-        tuple(nonzeros),
-    )
+
+    def d(n: int) -> SparseIntMatrix:
+        return boundary_matrix(zx, bases[n], bases[n - 1], letter_boundary, tensor)[0]
+
+    table = chain_homology(zx.name, [len(b) for b in bases], d)
+    return replace(table, max_weight=_weight_bound(zx, max_weight))
 
 
 def field_dimensions(table: HomologyTable, p: int | None) -> dict[int, int]:

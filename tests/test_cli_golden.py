@@ -13,7 +13,9 @@ coefficients became JSON numbers.  The truncated ``homology --coeff q``
 table to degree 2, ``cover --out dot`` and ``check --suite theorem2`` on
 boundary-simplex:3 were recorded before the standalone scripts they stand
 in for (homology tables, covering export, every suite on the fixtures)
-were folded into these commands.  Regenerate the file only for an
+were folded into these commands.  The last command, the first truncated
+``homology --json`` table, was recorded before the ranks and torsion
+moved into ``homology.chain_homology``.  Regenerate the file only for an
 intended output change, with ``PYTHONPATH=src python3
 tests/test_cli_golden.py > tests/golden/cli_transcript.txt``.
 """
@@ -75,6 +77,7 @@ COMMANDS = [
     "boundary --builtin sphere:2 --word bogus",
     "homology --builtin wedge:2 --degree 1",
     "cells --builtin sphere:2 --max-len -1",
+    "homology --builtin boundary-simplex:3 --degree 3 --max-weight 6 --variant de --json",
 ]
 
 

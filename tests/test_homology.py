@@ -13,10 +13,9 @@ from loopspace.chains import boundary_word, is_killed
 from loopspace.fileformat import load_complex, parse_word
 from loopspace.homology import (
     HomologyError,
-    HomologyGroup,
-    HomologyTable,
     SparseIntMatrix,
     boundary_matrix,
+    chain_homology,
     degree_bases,
     degree_basis,
     field_dimensions,
@@ -332,6 +331,61 @@ class TestUnitPivotElimination:
         assert smith_normal_form(SparseIntMatrix(5, 0)) == ()
 
 
+def cellular(*matrices):
+    """The ranks of a cellular chain complex and its d_1, d_2, ... from
+    dense matrices, each given with its column count (a matrix may have no
+    rows), and a boundary function that records the n it is asked for."""
+    sizes = [len(matrices[0][0])] + [cols for _, cols in matrices]
+    mats = [as_sparse(rows, cols) for rows, cols in matrices]
+    calls = []
+
+    def boundary(n):
+        calls.append(n)
+        return mats[n - 1]
+
+    return sizes, boundary, calls
+
+
+class TestChainHomology:
+    # cellular chain complexes with textbook homology: chain_homology
+    # knows no words, only ranks and boundary matrices
+    @pytest.mark.parametrize("d, groups, nonzeros", [
+        # RP^2: one cell in each dimension, d_2 = 2
+        ([([[0]], 1), ([[2]], 1), ([[]], 0)], ["Z", "Z/2", "0"], (0, 0, 1, 0)),
+        # the torus: a, b and the square aba^-1b^-1
+        ([([[0, 0]], 2), ([[0], [0]], 1), ([[]], 0)], ["Z", "Z^2", "Z"], (0, 0, 0, 0)),
+        # the Klein bottle: the square aba^-1b
+        ([([[0, 0]], 2), ([[0], [2]], 1), ([[]], 0)], ["Z", "Z + Z/2", "0"], (0, 0, 1, 0)),
+        # the 2-sphere as a point and a 2-cell: degree 1 has rank 0
+        ([([[]], 0), ([], 1), ([[]], 0)], ["Z", "0", "Z"], (0, 0, 0, 0)),
+        # the boundary of a triangle: three vertices and three edges
+        ([([[-1, 0, 1], [1, -1, 0], [0, 1, -1]], 3), ([[], [], []], 0)], ["Z", "Z"],
+         (0, 6, 0)),
+    ], ids=["rp2", "torus", "klein-bottle", "sphere2", "circle"])
+    def test_textbook_complexes(self, d, groups, nonzeros):
+        sizes, boundary, calls = cellular(*d)
+        table = chain_homology("X", sizes, boundary)
+        assert [str(g) for g in table.groups] == groups
+        assert [g.degree for g in table.groups] == list(range(len(groups)))
+        assert table.max_weight is None
+        assert table.basis_sizes == tuple(sizes)
+        assert table.nonzeros == nonzeros
+        assert calls == list(range(1, len(sizes)))  # once each, in order
+
+    @pytest.mark.parametrize("sizes, d, match", [
+        ((1, 1, 1), [SparseIntMatrix(1, 1, {(0, 0): 1}), SparseIntMatrix(1, 1, {(0, 0): 1})],
+         "d_1 d_2 is not zero on X"),
+        # without the shape check, this d_1 would leave H_1 free rank -1
+        ((1, 0, 0), [SparseIntMatrix(1, 2, {(0, 0): 1, (0, 1): 1}), SparseIntMatrix(0, 0)],
+         r"d_1 on X is 1x2, not 1x0 \(the ranks of degrees 0 and 1\)"),
+        ((1, 2, 1), [SparseIntMatrix(1, 2), SparseIntMatrix(1, 1)],
+         r"d_2 on X is 1x1, not 2x1 \(the ranks of degrees 1 and 2\)"),
+    ], ids=["d-d-not-zero", "d1-shape", "d2-shape"])
+    def test_refusals(self, sizes, d, match):
+        with pytest.raises(HomologyError, match=match):
+            chain_homology("X", sizes, lambda n: d[n - 1])
+
+
 def fibonacci(n):
     """F_n, with F_0 = 0 and F_1 = 1."""
     a, b = 0, 1
@@ -546,12 +600,7 @@ def word_path_table(zx, top, variant):
     bases = degree_bases(zx, top + 1, variant, None)
     d = letter_boundary(zx, variant)
     mats = [boundary_matrix(zx, bases[n], bases[n - 1], d, None)[0] for n in range(1, top + 2)]
-    snfs = [()] + [smith_normal_form(m) for m in mats]
-    groups = tuple(HomologyGroup(n, len(bases[n]) - len(snfs[n]) - len(snfs[n + 1]),
-                                 tuple(t for t in snfs[n + 1] if t > 1))
-                   for n in range(top + 1))
-    table = HomologyTable(None, groups, tuple(len(b) for b in bases),
-                          (0, *(len(m.entries) for m in mats)))
+    table = chain_homology(zx.name, [len(b) for b in bases], lambda n: mats[n - 1])
     return table, bases, mats
 
 
