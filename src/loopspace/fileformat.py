@@ -6,7 +6,10 @@ a face is a generator and a degeneracy word, applied innermost-first and
 written in canonical form (strictly increasing), one s_j at a time.
 Word literals are semicolon-separated letters ``gen``, ``gen^op``,
 ``s<j>.gen`` (degeneracies outermost-first, matching the printed form),
-with ``e`` for the unit.
+with ``e`` for the unit.  So both readers refuse a generator name that a
+literal or a printed word would read as something else: ``e`` in
+dimension >= 1, an empty name or one with surrounding whitespace, a name
+containing ``;``, and one that starts with ``s<j>.``.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import os
 import re
 from itertools import chain, combinations
 from pathlib import Path
+from typing import Iterable
 
 from .simplicial import (
     GeneratorId,
@@ -25,6 +29,7 @@ from .simplicial import (
     _nondegenerate,
     boundary_simplex,
     from_facets,
+    simplex_namer,
     sphere_quotient,
     wedge_of_circles,
 )
@@ -64,6 +69,26 @@ def _typed(value, kind: type, what: str):
     return value
 
 
+_DEGENERACY_PREFIX = re.compile(r"s\d+\.")
+
+
+def _check_names(gens: Iterable[GeneratorId]) -> None:
+    """Refuse the first generator whose name a word literal or a printed
+    word cannot tell from another word (see the module docstring)."""
+    for g in gens:
+        shown = clip(repr(g.name))
+        if not g.name or g.name != g.name.strip():
+            raise FormatError(f"generator name {shown} is empty or has surrounding whitespace")
+        if ";" in g.name:
+            raise FormatError(f"generator name {shown} contains ';', which separates the "
+                              f"letters of a word")
+        if _DEGENERACY_PREFIX.match(g.name):
+            raise FormatError(f"generator name {shown} starts with a degeneracy prefix s<j>.")
+        if g.name == "e" and g.dim >= 1:
+            raise FormatError(f"generator name 'e' of dimension {g.dim} is reserved for the "
+                              f"unit word")
+
+
 def complex_from_dict(doc: dict) -> SimplicialPresentation:
     if not isinstance(doc, dict):
         raise FormatError("complex document must be a JSON object")
@@ -76,6 +101,7 @@ def complex_from_dict(doc: dict) -> SimplicialPresentation:
             _typed(rec, dict, f"generator record {k}")
             name = _typed(rec["name"], str, "a generator name")
             gens.append(GeneratorId(name, _typed(rec["dim"], int, f"'dim' of {name!r}")))
+        _check_names(gens)
         dims = {g.name: g.dim for g in gens}
         for rec in records:
             name, dim, entries = rec["name"], rec["dim"], []
@@ -167,6 +193,11 @@ def load_facets(path: str | Path) -> SimplicialPresentation:
             if len(simplices) > _SIMPLEX_BOUND:
                 raise FormatError(f"{_clip_path(path)}: a facets file may have at most "
                                   f"{_SIMPLEX_BOUND} distinct simplices")
+    # each simplex named as ``from_facets`` names it, in its order
+    rank = {v: k for k, v in enumerate(dict.fromkeys(chain.from_iterable(facets)))}
+    name = simplex_namer(rank)
+    _check_names(GeneratorId(name(sorted(s, key=rank.get)), len(s) - 1)
+                 for s in sorted(simplices, key=lambda s: sorted(map(rank.get, s))))
     return from_facets(facets, name=Path(path).stem)
 
 

@@ -175,7 +175,9 @@ def cover_graph(zx: SimplicialPresentation, max_length: int) -> CoverGraph:
     Vertices are pairs (vertex v, reduced word v -> basepoint); edges are
     pairs (edge a, reduced word max(a) -> basepoint), one edge a of each
     pair with its formal inverse.  The graph is truncated at a word-length
-    bound: edges whose endpoints both survive are kept.
+    bound: edges whose endpoints both survive are kept.  Only the source
+    can fall outside, since the target (max(a), w) is a vertex, so a cell's
+    target face is taken only once its source face is found a vertex.
     """
     tails = {g.name: enumerate_words(zx, 0, max_length, g.name, zx.basepoint)
              for g in zx.generators_of_dim(0)}
@@ -189,8 +191,10 @@ def cover_graph(zx: SimplicialPresentation, max_length: int) -> CoverGraph:
             # d^0_1 restricts to min(a), prepending the edge to the word;
             # d^1_1 deletes the first vertex, leaving the lift over max(a).
             src = index.get(path_face(zx, cell, 1, 0))
+            if src is None:
+                continue
             tgt = index.get(path_face(zx, cell, 1, 1))
-            if src is not None and tgt is not None:
+            if tgt is not None:
                 edges.append((cell, src, tgt))
     return CoverGraph(vertices, tuple(edges), max_length)
 

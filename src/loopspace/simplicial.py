@@ -8,7 +8,9 @@ named tuples, so that hashing, comparing and sorting them runs in C.  Each
 presentation tables once, for every generator and every vertex, the front
 and back face of the generator meeting at that vertex; a simplex splits at
 a position (``_split``) by pushing its vertex multiplicities onto the
-tabled faces.  Each generator also has one record, built at construction
+tabled faces.  A nondegenerate simplex has one copy of each vertex, so
+its face and its split are the table entries as they stand, one lookup
+each.  Each generator also has one record, built at construction
 from the same table: its first and last vertex, which every simplex on it
 shares, and the name of its formal inverse or None.  ``endpoints`` reads
 it, and the word normal form reads it once per letter.  The operators
@@ -236,12 +238,18 @@ class SimplicialPresentation:
         """The i-th face of t: one copy fewer of the vertex at position i
         if it has several; otherwise the generator's face at that vertex,
         each of whose vertices collects the copies of the block of the
-        remaining vertices it collapses."""
+        remaining vertices it collapses.  A nondegenerate t has no copies,
+        so its face is the table entry ``faces[name][i]`` as it stands."""
         mult, dim = t.mult, t.dim
         if dim < 1:
             raise SimplicialError("faces are only defined in dimension >= 1")
         if not 0 <= i <= dim:
             raise SimplicialError(f"face index {i} out of range for dimension {dim}")
+        if dim + 1 == len(mult):  # nondegenerate: the tabled face itself
+            try:
+                return self.faces[t.generator.name][i]
+            except KeyError:
+                raise SimplicialError(f"unknown generator {t.generator.name!r}") from None
         v = _vertex_at(mult, i)
         if mult[v] > 1:
             return tuple.__new__(SimplexTerm, (t.generator, mult[:v] + (mult[v] - 1,) + mult[v + 1 :], dim - 1))
@@ -330,7 +338,8 @@ def _split(
     Position i is a copy of generator vertex v; the front runs over the
     vertices up to v and the back over those from v, with the copies on
     either side of i.  Both are the tabled faces of the generator at v with
-    these multiplicities pushed forward, as ``face`` does."""
+    these multiplicities pushed forward, as ``face`` does; a nondegenerate
+    t has none to push, so its split is the table entry at i."""
     mult = t.mult
     if not 0 <= i <= t.dim:
         raise SimplicialError(f"split index {i} out of range for dimension {t.dim}")
@@ -338,6 +347,8 @@ def _split(
         table = zx._splits[t.generator.name]
     except KeyError:
         raise SimplicialError(f"unknown generator {t.generator.name!r}") from None
+    if t.dim + 1 == len(mult):  # nondegenerate: the tabled pair itself
+        return table[i]
     v = _vertex_at(mult, i)
     k = i - sum(mult[:v])  # position i is copy k of vertex v
     front, back = table[v]

@@ -269,6 +269,71 @@ class TestFacets:
                 load_facets(path)
 
 
+def _edges_doc(*names: str, vertices=("x0",)) -> dict:
+    """A document with these vertices and one loop at the first per name."""
+    loop = [{"generator": vertices[0]}] * 2
+    return {"name": "reserved", "vertices": list(vertices), "basepoint": vertices[0],
+            "generators": [{"name": n, "dim": 1, "faces": loop} for n in names]}
+
+
+_COMMANDS = [["validate"], ["cells", "--degree", "0", "--max-len", "1"],
+             ["boundary", "--word", "f"], ["check", "--suite", "covering"],
+             ["homology", "--degree", "1"], ["group", "--compose", "f", "f"],
+             ["cover", "--max-len", "1", "--out", "adj"]]
+
+
+class TestReservedNames:
+    # each once read and answered with exit 0: with edges e and f, "e" read
+    # as the unit, so "group --compose e e" printed "composition: e", "cover
+    # --max-len 1 --out adj" printed a self-loop (x0 | e) -> (x0 | e) on 4
+    # lines for 5 vertices, and "cells" listed e twice; with edges a, b and
+    # a;b, "cover --max-len 2 --out adj" printed 35 lines for 37 vertices
+    @pytest.mark.parametrize("doc, message", [
+        (_edges_doc("e", "f"), "generator name 'e' of dimension 1 is reserved for the unit word"),
+        (_edges_doc("a", "b", "a;b"),
+         "generator name 'a;b' contains ';', which separates the letters of a word"),
+        (_edges_doc("f", ""), "generator name '' is empty or has surrounding whitespace"),
+        (_edges_doc("f", " f"), "generator name ' f' is empty or has surrounding whitespace"),
+        (_edges_doc("f", "f\n"), "generator name 'f\\n' is empty or has surrounding whitespace"),
+        (_edges_doc("f", "s0.f"), "generator name 's0.f' starts with a degeneracy prefix s<j>."),
+        (_edges_doc("f", "s12.x"), "generator name 's12.x' starts with a degeneracy prefix s<j>."),
+        (_edges_doc("f", vertices=("x0", "s1.y")),
+         "generator name 's1.y' starts with a degeneracy prefix s<j>."),
+    ], ids=["unit", "semicolon", "empty", "leading-space", "trailing-newline", "prefix",
+            "prefix-digits", "vertex-prefix"])
+    def test_documents_refused_by_every_command(self, tmp_path, capsys, doc, message):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        for command in _COMMANDS:
+            assert main([command[0], str(path), *command[1:]]) == 2, command
+            assert capsys.readouterr() == ("", f"error: {message}\n"), command
+
+    @pytest.mark.parametrize("facets, message", [
+        ("a;b c\n", "generator name 'a;b' contains ';', which separates the letters of a word"),
+        ("x s 0 .\n", "generator name 's0.' starts with a degeneracy prefix s<j>."),
+        ("s0.x y\n", "generator name 's0.x' starts with a degeneracy prefix s<j>."),
+    ], ids=["semicolon", "prefix-from-vertices", "prefix-vertex"])
+    def test_facets_refused_by_every_command(self, tmp_path, capsys, facets, message):
+        path = tmp_path / "t.facets"
+        path.write_text(facets)
+        for command in _COMMANDS:
+            assert main([command[0], "--builtin", f"facets:{path}", *command[1:]]) == 2, command
+            assert capsys.readouterr() == ("", f"error: {message}\n"), command
+
+    def test_names_that_stay_readable(self, tmp_path):
+        # a vertex may be called e, and e, ; and s<j>. may sit inside a name
+        doc = _edges_doc("ea", "f;", "as0.", "s.x", "s0x", vertices=("e", "y"))
+        doc["generators"][0]["faces"] = [{"generator": "y"}, {"generator": "e"}]
+        with pytest.raises(FormatError, match="'f;' contains ';'"):
+            complex_from_dict(doc)
+        del doc["generators"][1]
+        zx = complex_from_dict(doc)
+        assert sorted(zx.generators) == ["as0.", "e", "ea", "s.x", "s0x", "y"]
+        path = tmp_path / "t.facets"
+        path.write_text("e f\n")
+        assert sorted(load_facets(path).generators) == ["e", "ef", "f"]
+
+
 class TestResolve:
     def test_builtins(self):
         assert len(resolve_complex("sphere:2").generators) == 2

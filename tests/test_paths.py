@@ -1,10 +1,11 @@
 import random
+from pathlib import Path
 
 import pytest
 from word_oracles import canonical_reference, path_canonical_reference
 
 from loopspace import paths
-from loopspace.fileformat import parse_word
+from loopspace.fileformat import parse_word, resolve_model
 from loopspace.paths import (
     CoverGraph,
     PathCell,
@@ -32,6 +33,8 @@ from loopspace.words import (
     word_degeneracy,
     word_face_raw,
 )
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 class TestCells:
@@ -153,10 +156,11 @@ class TestCovering:
 
     @pytest.mark.parametrize("key", ["wedge2", "bd2"])
     def test_edge_cells_are_not_recanonicalized(self, fixtures, monkeypatch, key):
-        # one normal form per edge face: the edge cell is canonical as built
-        # (test_edge_cells_are_canonical), so it takes none of its own.
-        # ``_normal_cell`` is the normal form under both ``path_face`` and
-        # ``path_canonical``.
+        # one normal form per edge face taken: the edge cell is canonical as
+        # built (test_edge_cells_are_canonical), so it takes none of its own;
+        # every considered cell takes its source face, and only a kept edge
+        # its target face.  ``_normal_cell`` is the normal form under both
+        # ``path_face`` and ``path_canonical``.
         zx = fixtures[key]
         calls = []
         normal_cell = paths._normal_cell
@@ -166,12 +170,26 @@ class TestCovering:
             return normal_cell(*args)
 
         monkeypatch.setattr(paths, "_normal_cell", counting)
-        cover_graph(zx, max_length=3)
+        g = cover_graph(zx, max_length=3)
         considered = sum(
             len(enumerate_words(zx, 0, 3, zx.endpoints(zx.term(a.name))[1], zx.basepoint))
             for a in zx.underlying_edges()
         )
-        assert considered and len(calls) == 2 * considered
+        assert considered and len(calls) == considered + g.edge_count
+        if key == "wedge2":
+            assert (considered, g.edge_count) == (106, 52)
+
+    @pytest.mark.parametrize("spec", ["wedge:2", "wedge:3", "boundary-simplex:2",
+                                      "boundary-simplex:3", "data/triangle.json",
+                                      "data/wedge2-inverted.json", "sphere:2"])
+    def test_matches_both_faces_graph(self, spec):
+        zx = resolve_model(str(ROOT / spec) if spec.startswith("data/") else spec)
+        for n in range(5):
+            g = cover_graph(zx, max_length=n)
+            vertices, edges = both_faces_graph(zx, n)
+            assert g.vertices == vertices, (spec, n)
+            assert g.edges == edges, (spec, n)
+            assert g.max_length == n
 
     @pytest.mark.parametrize("key", ["wedge2", "bd3"])
     def test_edge_cells_are_canonical(self, fixtures, key):
@@ -219,6 +237,25 @@ class TestCovering:
         assert len(adj) == g.vertex_count
         assert sum(len(v) for v in adj.values()) == g.edge_count
 
+
+def both_faces_graph(zx, max_length):
+    """The covering graph's vertices and edges with both faces of every
+    edge cell taken, an edge kept when both are vertices (reference for
+    ``cover_graph``, which takes the target face only of a cell whose
+    source face is a vertex)."""
+    tails = {v.name: enumerate_words(zx, 0, max_length, v.name, zx.basepoint)
+             for v in zx.generators_of_dim(0)}
+    vertices = tuple(PathCell(zx.term(v), w) for v, ws in tails.items() for w in ws)
+    index = {c: k for k, c in enumerate(vertices)}
+    edges = []
+    for a in zx.underlying_edges():
+        t = zx.term(a.name)
+        for w in tails[zx.endpoints(t)[1]]:
+            cell = PathCell(t, w)
+            ends = [index.get(path_face(zx, cell, 1, eps)) for eps in (0, 1)]
+            if None not in ends:
+                edges.append((cell, *ends))
+    return vertices, tuple(edges)
 
 
 class TestNormalFormOracle:

@@ -41,6 +41,14 @@ from loopspace.words import LoopWord, canonical, degeneracy_slots, word_degenera
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
+# complexes whose generators' faces and splits are read straight off the
+# tables, and whether each is built from facets (a simplex named by its vertices)
+NONDEGENERATE_CASES = [
+    pytest.param(lambda: standard_simplex(6), True, id="delta6"),
+    pytest.param(lambda: boundary_simplex(5), True, id="boundary-delta5"),
+    pytest.param(lambda: load_complex(DATA / "susp-rp2.json"), False, id="susp-rp2"),
+]
+
 
 def apply_degeneracies(zx, t, raw):
     """s_{raw[-1]} ... s_{raw[0]} t, each index clamped to the dimension."""
@@ -183,6 +191,38 @@ class TestFaceOracle:
                         faces += 1
         assert faces > 4000
 
+    @pytest.mark.parametrize("build, from_facets", NONDEGENERATE_CASES)
+    def test_nondegenerate_terms(self, build, from_facets):
+        # a generator's face is its table entry; on a complex built from
+        # facets it is also the simplex on the vertices but the i-th
+        zx = build()
+        for g in zx.generators.values():
+            t = zx.term(g.name)
+            for i in range(g.dim + 1 if g.dim else 0):
+                w, h = face_reference(zx, (), g, i)
+                assert zx.face(t, i) == term_from_word(h, w), (zx.name, t, i)
+                if from_facets:
+                    assert zx.face(t, i) == zx.term(g.name[:i] + g.name[i + 1:])
+
+    def test_refusals_keep_their_messages(self):
+        # on a nondegenerate term, which reads the table at once, and on a
+        # degenerate one, which finds the vertex at the position first
+        zx = sphere_quotient(2)
+        for t in (zx.term("sigma"), zx.degenerate(zx.term("sigma"), 1)):
+            for bad in (-1, t.dim + 1):
+                with pytest.raises(SimplicialError, match=re.escape(
+                        f"face index {bad} out of range for dimension {t.dim}")):
+                    zx.face(t, bad)
+                with pytest.raises(SimplicialError, match=re.escape(
+                        f"split index {bad} out of range for dimension {t.dim}")):
+                    _split(zx, t, bad)
+        for mult in ((1, 1), (1, 2)):
+            t = SimplexTerm(GeneratorId("nowhere", 1), mult)
+            with pytest.raises(SimplicialError, match="unknown generator 'nowhere'"):
+                zx.face(t, 0)
+            with pytest.raises(SimplicialError, match="unknown generator 'nowhere'"):
+                _split(zx, t, 0)
+
     def test_out_of_range(self):
         zx = sphere_quotient(2)
         t = zx.degenerate(zx.term("sigma"), 1)
@@ -251,6 +291,18 @@ class TestSplitTable:
                     assert _split(zx, t, i) == walk_split(zx, t, i), (zx.name, t, i)
                     pairs += 1
         assert pairs > 2500
+
+    @pytest.mark.parametrize("build, from_facets", NONDEGENERATE_CASES)
+    def test_nondegenerate_terms(self, build, from_facets):
+        # a generator's split is its table entry; on a complex built from
+        # facets it is also the simplices on the vertices up to and from the i-th
+        zx = build()
+        for g in zx.generators.values():
+            t = zx.term(g.name)
+            for i in range(g.dim + 1):
+                assert _split(zx, t, i) == walk_split(zx, t, i) == zx._splits[g.name][i]
+                if from_facets:
+                    assert _split(zx, t, i) == (zx.term(g.name[:i + 1]), zx.term(g.name[i:]))
 
 
 class TestEndpointTable:
