@@ -9,7 +9,8 @@ Word literals are semicolon-separated letters ``gen``, ``gen^op``,
 with ``e`` for the unit.  So both readers refuse a generator name that a
 literal or a printed word would read as something else: ``e`` in
 dimension >= 1, an empty name or one with surrounding whitespace, a name
-containing ``;``, and one that starts with ``s<j>.``.
+containing ``;``, and one that starts with ``s<j>.``.  A facet list's
+simplices are enumerated, bounded and named by ``from_facets`` alone.
 """
 
 from __future__ import annotations
@@ -17,19 +18,18 @@ from __future__ import annotations
 import json
 import os
 import re
-from itertools import chain, combinations
 from pathlib import Path
 from typing import Iterable
 
 from .simplicial import (
     GeneratorId,
     SimplexTerm,
+    SimplicialError,
     SimplicialPresentation,
     _degenerate,
     _nondegenerate,
     boundary_simplex,
     from_facets,
-    simplex_namer,
     sphere_quotient,
     wedge_of_circles,
 )
@@ -170,7 +170,9 @@ def load_complex(path: str | Path) -> SimplicialPresentation:
 
 def load_facets(path: str | Path) -> SimplicialPresentation:
     """Facet list: one facet per line, vertices separated by whitespace;
-    blank lines and #-comments ignored."""
+    blank lines and #-comments ignored.  ``from_facets`` enumerates, bounds
+    and names the simplices; its refusals are given with the file's path,
+    and the names it gives are checked as a document's are."""
     facets = []
     for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
@@ -182,37 +184,24 @@ def load_facets(path: str | Path) -> SimplicialPresentation:
                               f"{_FACET_BOUND} vertices, not {len(facets[-1])}")
     if not facets:
         raise FormatError(f"{_clip_path(path)}: no facets found")
-    # a simplex is a nonempty vertex set of a facet; largest facet first,
-    # one already counted is a face of an earlier one and adds nothing
-    simplices: set[frozenset[str]] = set()
-    for facet in sorted(map(frozenset, facets), key=len, reverse=True):
-        if facet in simplices:
-            continue
-        for s in chain.from_iterable(combinations(facet, r) for r in range(1, len(facet) + 1)):
-            simplices.add(frozenset(s))
-            if len(simplices) > _SIMPLEX_BOUND:
-                raise FormatError(f"{_clip_path(path)}: a facets file may have at most "
-                                  f"{_SIMPLEX_BOUND} distinct simplices")
-    # each simplex named as ``from_facets`` names it, in its order
-    rank = {v: k for k, v in enumerate(dict.fromkeys(chain.from_iterable(facets)))}
-    name = simplex_namer(rank)
-    _check_names(GeneratorId(name(sorted(s, key=rank.get)), len(s) - 1)
-                 for s in sorted(simplices, key=lambda s: sorted(map(rank.get, s))))
-    return from_facets(facets, name=Path(path).stem)
+    try:
+        zx = from_facets(facets, name=Path(path).stem)
+    except SimplicialError as exc:
+        raise FormatError(f"{_clip_path(path)}: {exc}") from exc
+    _check_names(zx.generators.values())
+    return zx
 
 
 # -- builtins ---------------------------------------------------------------
 
-# The largest parameter of each builtin, the most vertices a facet may
-# have, and the most distinct simplices a facets file may give (those of
-# one facet at that bound): building and checking a complex takes time
-# that grows faster than its spec (about n^3 for sphere:n, 2^n for a facet
-# of n vertices).  At its bound, each is built and checked in at most about
-# 5 s on a 2-vCPU host.
+# The largest parameter of each builtin and the most vertices a facet may
+# have: building and checking a complex takes time that grows faster than
+# its spec (about n^3 for sphere:n, 2^n for a facet of n vertices).  At its
+# bound, each is built and checked in at most about 5 s on a 2-vCPU host.
+# ``from_facets`` bounds the distinct simplices of a whole facet list.
 _BUILTINS = {"sphere": (sphere_quotient, 500), "wedge": (wedge_of_circles, 50_000),
              "boundary-simplex": (boundary_simplex, 13)}
 _FACET_BOUND = 14
-_SIMPLEX_BOUND = 2**_FACET_BOUND - 1
 
 
 def resolve_complex(spec: str) -> SimplicialPresentation:

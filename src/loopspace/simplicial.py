@@ -28,6 +28,7 @@ from functools import cached_property
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 OP_SUFFIX = "^op"
+_SIMPLEX_BOUND = 2**14 - 1  # the most simplices of a facet list: one 14-vertex facet's
 
 
 class SimplicialError(ValueError):
@@ -384,6 +385,8 @@ def from_facets(facets: Sequence[Sequence[str]], name: str) -> SimplicialPresent
 
     Every nonempty subset of a facet becomes a generator; vertex order within
     each facet must agree with the global order (duplicate-free, increasing).
+    The subsets are listed largest facet first, skipping a facet already
+    listed, and refused once they number 2^14, before any is built.
     """
     order: dict[str, int] = {}
     for facet in facets:
@@ -391,15 +394,22 @@ def from_facets(facets: Sequence[Sequence[str]], name: str) -> SimplicialPresent
             raise SimplicialError(f"facet {facet} repeats a vertex")
         for v in facet:
             order.setdefault(v, len(order))
+    if not order:
+        raise SimplicialError("a complex needs a facet with at least one vertex")
     vertices = sorted(order, key=order.get)
     rank = {v: k for k, v in enumerate(vertices)}
     for facet in facets:
         if list(facet) != sorted(facet, key=rank.get):
             raise SimplicialError(f"facet {facet} is not in vertex order")
     subsets: set[tuple[str, ...]] = set()
-    for facet in facets:
+    for facet in sorted(map(tuple, facets), key=len, reverse=True):
+        if facet in subsets:  # a face of a facet listed before
+            continue
         for r in range(1, len(facet) + 1):
-            subsets.update(itertools.combinations(facet, r))
+            for s in itertools.combinations(facet, r):
+                subsets.add(s)
+                if len(subsets) > _SIMPLEX_BOUND:
+                    raise SimplicialError(f"a facet list may have at most {_SIMPLEX_BOUND} distinct simplices")
     simplex_name = simplex_namer(vertices)
     gens = [GeneratorId(simplex_name(s), len(s) - 1) for s in sorted(subsets, key=lambda s: ([rank[v] for v in s],))]
     faces = {}

@@ -604,7 +604,7 @@ class TestRefusals:
          "c.facets: line 1: a facet may have at most 14 vertices, not 15"),
         # one more distinct simplex than a facet at the bound gives
         (("validate",), " ".join("abcdefghijklmn") + "\no\n", 2,
-         "c.facets: a facets file may have at most 16383 distinct simplices"),
+         "c.facets: a facet list may have at most 16383 distinct simplices"),
         (("check", "--builtin", "sphere:33", "--suite", "cubical"), None, 2,
          "check --suite cubical takes a complex of dimension at most 32; "
          "sphere33+op has dimension 33"),

@@ -5,7 +5,6 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from loopspace import fileformat
 from loopspace.cli import main
 from loopspace.fileformat import (
     FormatError,
@@ -249,24 +248,6 @@ class TestFacets:
         path.write_text("# nothing\n")
         with pytest.raises(FormatError, match="no facets"):
             load_facets(path)
-
-    @pytest.mark.parametrize("extra, accepted", [((), True), (("o",), True), (("o", "p"), False)],
-                             ids=["16382", "16383", "16384"])
-    def test_simplex_bound(self, tmp_path, monkeypatch, extra, accepted):
-        # the 14 facets of the boundary of Delta^13 give 2^14 - 2 distinct
-        # simplices, and each lone vertex one more; a file is refused above
-        # 2^14 - 1, what one facet of the 14-vertex bound gives, before any
-        # simplex is built
-        v = "abcdefghijklmn"
-        facets = [" ".join(v[:i] + v[i + 1:]) for i in reversed(range(14))]
-        path = tmp_path / "t.facets"
-        path.write_text("\n".join([*facets, *extra]) + "\n")
-        monkeypatch.setattr(fileformat, "from_facets", lambda facets, name: facets)
-        if accepted:
-            assert len(load_facets(path)) == 14 + len(extra)
-        else:
-            with pytest.raises(FormatError, match="at most 16383 distinct simplices"):
-                load_facets(path)
 
 
 def _edges_doc(*names: str, vertices=("x0",)) -> dict:

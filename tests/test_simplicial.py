@@ -1,4 +1,5 @@
 import copy
+import itertools
 import pickle
 import random
 import re
@@ -135,6 +136,88 @@ class TestBuilders:
                    wedge_of_circles(3)):
             assert zx.validate() == []
             assert zx.z_extension().validate() == []
+
+
+def _facet_lines(path):
+    return [body.split() for line in path.read_text().splitlines()
+            if (body := line.split("#", 1)[0].strip())]
+
+
+def _boundary_facets(n):
+    """The n + 1 facets of the boundary of Delta^n, on one-letter vertices."""
+    v = "abcdefghijklmnopqrstuvwxyz"[: n + 1]
+    return [list(v[:i] + v[i + 1:]) for i in reversed(range(n + 1))]
+
+
+def _listings(facets):
+    """Facet lists of the complex whose distinct maximal facets are these,
+    each seeing the vertices first in the same order: every facet three
+    times, every face after the facets as its own line, and every simplex
+    as its own line by size, smallest first (so each facet comes last)."""
+    faces = list(dict.fromkeys(s for f in facets for r in range(1, len(f) + 1)
+                               for s in itertools.combinations(f, r)))
+    return {"repeated": [f for f in facets for _ in range(3)],
+            "faces": facets + [list(s) for s in faces],
+            "by-size": [list(s) for s in sorted(faces, key=len)]}
+
+
+class TestFromFacets:
+    @pytest.mark.parametrize("facets", [
+        pytest.param(_facet_lines(DATA / "tetrahedron.facets"), id="tetrahedron"),
+        pytest.param(_boundary_facets(4), id="boundary-delta4"),
+        pytest.param(_boundary_facets(13), id="boundary-delta13"),
+        pytest.param([["v0", "v1", "v2"], ["v2", "v3"], ["w0", "w1"], ["w1", "w2", "w3"]],
+                     id="two-components"),
+    ])
+    def test_listing_oracle(self, facets):
+        # a repeated facet, or one that is a face of another, adds nothing:
+        # the same generators in the same order, face tables and basepoint
+        want = from_facets(facets, "complex")
+        for how, listing in _listings(facets).items():
+            zx = from_facets(listing, "complex")
+            assert list(zx.generators.values()) == list(want.generators.values()), how
+            assert zx.faces == want.faces and zx.basepoint == want.basepoint, how
+
+    @pytest.mark.parametrize("extra, accepted", [((), True), (("o",), True), (("o", "p"), False)],
+                             ids=["16382", "16383", "16384"])
+    def test_simplex_bound(self, extra, accepted):
+        # the 14 facets of the boundary of Delta^13 give 2^14 - 2 distinct
+        # simplices, and each lone vertex one more; a list is refused above
+        # 2^14 - 1, what one facet of 14 vertices gives
+        facets = _boundary_facets(13) + [[v] for v in extra]
+        if accepted:
+            assert len(from_facets(facets, "complex").generators) == 16382 + len(extra)
+        else:
+            with pytest.raises(SimplicialError, match="at most 16383 distinct simplices"):
+                from_facets(facets, "complex")
+
+    def test_enumeration_spy(self, monkeypatch):
+        # a repeated or covered facet is enumerated once, largest first, and
+        # a facet far above the bound is refused after 2^14 subsets, not
+        # the 2^40 - 1 it has
+        drawn = []
+        combinations = itertools.combinations
+
+        def spy(facet, r):
+            for s in combinations(facet, r):
+                drawn.append(s)
+                yield s
+
+        monkeypatch.setattr(itertools, "combinations", spy)
+        zx = from_facets([["0", "1"], ["0", "1", "2"], ["0", "1", "2"], ["1", "2"]], "complex")
+        assert len(zx.generators) == 7
+        assert len(drawn) == len(set(drawn)) == 7
+        drawn.clear()
+        with pytest.raises(SimplicialError, match="at most 16383 distinct simplices"):
+            from_facets([[f"v{k}" for k in range(40)]], "complex")
+        assert len(drawn) == 2**14
+
+    @pytest.mark.parametrize("facets", [[], [[]], [[], []]], ids=["no-facets", "empty-facet",
+                                                                    "empty-facets"])
+    def test_no_vertex_refused(self, facets):
+        # each once raised IndexError, which is not a ValueError
+        with pytest.raises(SimplicialError, match="a complex needs a facet with at least one vertex"):
+            from_facets(facets, "complex")
 
 
 class TestOperators:
