@@ -11,7 +11,9 @@ through the helper that ``path_canonical`` calls; ``path_face_raw``
 builds the raw face cell, which the relation checker reads.  The degree-0
 cells with the 1-cells between them form a graph on which words act on
 the right; over a connected complex this graph covers the 1-skeleton with
-deck group the degree-0 word group.
+deck group the degree-0 word group.  ``cover_graph`` reads both ends of
+each edge cell off its word, taking no face and no normal form; the tests
+build the graph through ``path_face`` as its oracle.
 """
 
 from __future__ import annotations
@@ -175,28 +177,43 @@ def cover_graph(zx: SimplicialPresentation, max_length: int) -> CoverGraph:
     Vertices are pairs (vertex v, reduced word v -> basepoint); edges are
     pairs (edge a, reduced word max(a) -> basepoint), one edge a of each
     pair with its formal inverse.  The graph is truncated at a word-length
-    bound: edges whose endpoints both survive are kept.  Only the source
-    can fall outside, since the target (max(a), w) is a vertex, so a cell's
-    target face is taken only once its source face is found a vertex.
+    bound: edges whose endpoints both survive are kept.
+
+    Both ends of an edge cell (a, w) are read off w, with no face and no
+    normal form taken.  The target d^1_1 deletes the first vertex, leaving
+    the vertex (max(a), w) itself, found by its position among the tails.
+    The source d^0_1 splits the edge, giving the necklace (min(a); a, *w),
+    whose normal form can only cancel a against w's first letter, since
+    every letter is a nondegenerate edge and w is reduced: the source is
+    (min(a), w[1:]) when w starts with the inverse of a, else
+    (min(a), (a, *w)), which falls past the bound when w is at it.  The
+    tests' oracle takes both faces through ``path_face``.
     """
     tails = {g.name: enumerate_words(zx, 0, max_length, g.name, zx.basepoint)
              for g in zx.generators_of_dim(0)}
-    vertices = tuple(PathCell(zx.term(v), w) for v, ws in tails.items() for w in ws)
+    vertices, offset = [], {}
+    for v, ws in tails.items():
+        offset[v], base = len(vertices), zx.term(v)
+        vertices.extend(tuple.__new__(PathCell, (base, w)) for w in ws)
     index = {c: k for k, c in enumerate(vertices)}
     edges = []
     for a in zx.underlying_edges():
-        t = zx.term(a.name)
-        for w in tails[zx.endpoints(t)[1]]:
-            cell = PathCell(t, w)  # t is nondegenerate and w reduced: canonical
-            # d^0_1 restricts to min(a), prepending the edge to the word;
-            # d^1_1 deletes the first vertex, leaving the lift over max(a).
-            src = index.get(path_face(zx, cell, 1, 0))
-            if src is None:
+        t = zx.term(a.name)  # nondegenerate, so each (t, w) is canonical
+        lo, hi = zx.endpoints(t)
+        low, inverse = zx.term(lo), zx.op_pairs.get(a.name)
+        for tgt, w in enumerate(tails[hi], offset[hi]):
+            letters = w.letters
+            if letters and letters[0].generator.name == inverse:
+                letters = letters[1:]
+            elif len(letters) < max_length:
+                letters = (t, *letters)
+            else:
                 continue
-            tgt = index.get(path_face(zx, cell, 1, 1))
-            if tgt is not None:
-                edges.append((cell, src, tgt))
-    return CoverGraph(vertices, tuple(edges), max_length)
+            # always a vertex by the argument above: a miss raises KeyError
+            source = tuple.__new__(LoopWord, (letters, lo, w.end))
+            src = index[tuple.__new__(PathCell, (low, source))]
+            edges.append((tuple.__new__(PathCell, (t, w)), src, tgt))
+    return CoverGraph(tuple(vertices), tuple(edges), max_length)
 
 
 def covering_report(

@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 from word_oracles import canonical_reference, path_canonical_reference
 
-from loopspace import paths
+from loopspace import paths, words
 from loopspace.fileformat import parse_word, resolve_model
 from loopspace.paths import (
     CoverGraph,
@@ -156,26 +156,29 @@ class TestCovering:
 
     @pytest.mark.parametrize("key", ["wedge2", "bd2"])
     def test_edge_cells_are_not_recanonicalized(self, fixtures, monkeypatch, key):
-        # one normal form per edge face taken: the edge cell is canonical as
-        # built (test_edge_cells_are_canonical), so it takes none of its own;
-        # every considered cell takes its source face, and only a kept edge
-        # its target face.  ``_normal_cell`` is the normal form under both
-        # ``path_face`` and ``path_canonical``.
+        # both ends of an edge cell are read off its word, so no face and
+        # no normal form is taken; the edge cell is canonical as built
+        # (test_edge_cells_are_canonical)
         zx = fixtures[key]
         calls = []
-        normal_cell = paths._normal_cell
 
-        def counting(*args):
-            calls.append(args)
-            return normal_cell(*args)
+        def counting(module, name):
+            original = getattr(module, name)
 
-        monkeypatch.setattr(paths, "_normal_cell", counting)
+            def wrapper(*args):
+                calls.append(name)
+                return original(*args)
+            monkeypatch.setattr(module, name, wrapper)
+
+        for module, name in ((paths, "_normal_cell"), (paths, "_normal_word"),
+                             (words, "_normal_word"), (paths, "path_face")):
+            counting(module, name)
         g = cover_graph(zx, max_length=3)
         considered = sum(
             len(enumerate_words(zx, 0, 3, zx.endpoints(zx.term(a.name))[1], zx.basepoint))
             for a in zx.underlying_edges()
         )
-        assert considered and len(calls) == considered + g.edge_count
+        assert considered and g.edge_count and calls == []
         if key == "wedge2":
             assert (considered, g.edge_count) == (106, 52)
 
@@ -184,12 +187,34 @@ class TestCovering:
                                       "data/wedge2-inverted.json", "sphere:2"])
     def test_matches_both_faces_graph(self, spec):
         zx = resolve_model(str(ROOT / spec) if spec.startswith("data/") else spec)
-        for n in range(5):
+        for n in range(6):
             g = cover_graph(zx, max_length=n)
             vertices, edges = both_faces_graph(zx, n)
             assert g.vertices == vertices, (spec, n)
             assert g.edges == edges, (spec, n)
             assert g.max_length == n
+
+    def test_source_cancels_the_inverse(self, fixtures):
+        # the edge a1 with the word a1^op;a2: the source necklace
+        # (x0; a1, a1^op, a2) cancels to (x0, a2), and the target is the word
+        zx = fixtures["wedge2"]
+        g = cover_graph(zx, max_length=3)
+        w = parse_word(zx, "a1^op;a2")
+        ends = {cell.tail: (src, tgt) for cell, src, tgt in g.edges
+                if cell.base == zx.term("a1")}
+        src, tgt = ends[w]
+        assert g.vertices[src] == PathCell(zx.term("x0"), parse_word(zx, "a2"))
+        assert g.vertices[tgt] == PathCell(zx.term("x0"), w)
+
+    def test_source_past_the_bound_drops_the_edge(self, fixtures):
+        # at the bound, the edge a1 keeps a word starting with a1^op (its
+        # source is shorter) and drops any other (its source a1;w is longer)
+        zx = fixtures["wedge2"]
+        g = cover_graph(zx, max_length=2)
+        tails = {cell.tail for cell, _, _ in g.edges if cell.base == zx.term("a1")}
+        assert parse_word(zx, "a1^op;a2") in tails
+        assert parse_word(zx, "a2;a1") not in tails
+        assert parse_word(zx, "a2") in tails  # below the bound: a1;a2 is a vertex
 
     @pytest.mark.parametrize("key", ["wedge2", "bd3"])
     def test_edge_cells_are_canonical(self, fixtures, key):
@@ -240,9 +265,9 @@ class TestCovering:
 
 def both_faces_graph(zx, max_length):
     """The covering graph's vertices and edges with both faces of every
-    edge cell taken, an edge kept when both are vertices (reference for
-    ``cover_graph``, which takes the target face only of a cell whose
-    source face is a vertex)."""
+    edge cell taken through ``path_face``, an edge kept when both are
+    vertices (reference for ``cover_graph``, which reads both ends off the
+    edge cell's word)."""
     tails = {v.name: enumerate_words(zx, 0, max_length, v.name, zx.basepoint)
              for v in zx.generators_of_dim(0)}
     vertices = tuple(PathCell(zx.term(v), w) for v, ws in tails.items() for w in ws)
