@@ -6,14 +6,14 @@ basepoint.  Its degree is dim(x) + degree(y).  Extra copies of the
 base's last vertex are equivalent to duplicates at the start of the tail;
 the canonical form moves them into the tail.  Faces and degeneracies are
 the necklace operators of ``cubes`` on the beads (x, *letters of y), with
-x the head.  ``path_face`` normalizes the face's beads as they come,
-through the helper that ``path_canonical`` calls; ``path_face_raw``
-builds the raw face cell, which the relation checker reads.  The degree-0
+x the head.  ``path_face_raw`` builds the raw face cell, which the
+relation checker reads, and ``path_canonical`` is the one normal form:
+the face of a cell is ``path_canonical`` of its raw face.  The degree-0
 cells with the 1-cells between them form a graph on which words act on
 the right; over a connected complex this graph covers the 1-skeleton with
 deck group the degree-0 word group.  ``cover_graph`` reads both ends of
 each edge cell off its word, taking no face and no normal form; the tests
-build the graph through ``path_face`` as its oracle.
+build the graph through the normalized raw faces as its oracle.
 """
 
 from __future__ import annotations
@@ -49,50 +49,28 @@ def path_canonical(zx: SimplicialPresentation, base: SimplexTerm, tail: LoopWord
     hi = zx.endpoints(base)[1]
     if tail.start != hi:
         raise PathError(f"tail starts at {tail.start}, base ends at {hi}")
-    return _normal_cell(zx, base, hi, tail.letters)
-
-
-def _normal_cell(
-    zx: SimplicialPresentation, base: SimplexTerm, hi: str, letters: tuple[SimplexTerm, ...]
-) -> PathCell:
-    """``path_canonical`` of the necklace (base, *letters), the base ending at hi."""
     pool = base.mult[-1] - 1
     if pool:
         base = tuple.__new__(SimplexTerm, (base.generator, base.mult[:-1] + (1,), base.dim - pool))
-    return tuple.__new__(PathCell, (base, _normal_word(zx, letters, hi, pool)))
-
-
-def _face_beads(
-    zx: SimplicialPresentation, c: PathCell, i: int, eps: int
-) -> tuple[SimplexTerm, ...]:
-    """The necklace (base, *tail letters) of c with face coordinate i applied."""
-    if eps not in (0, 1):
-        raise PathError("epsilon must be 0 or 1")
-    beads = necklace_face(zx, (c.base, *c.tail.letters), i, eps, head=True)
-    if beads is None:
-        raise PathError(f"face index {i} out of range 1..{c.degree}")
-    return beads
+    return tuple.__new__(PathCell, (base, _normal_word(zx, tail.letters, hi, pool)))
 
 
 def path_face_raw(
     zx: SimplicialPresentation, c: PathCell, i: int, eps: int
 ) -> PathCell:
-    """Face at coordinate i without canonicalization (for relation checks,
-    where slot indices refer to the raw representative).  The base is the
-    head bead of the necklace (base, *tail letters)."""
-    beads = _face_beads(zx, c, i, eps)
+    """Face at coordinate i in 1..degree without canonicalization (for
+    relation checks, where slot indices refer to the raw representative);
+    ``path_canonical`` of it is the face.  The base is the head bead of the
+    necklace (base, *tail letters), so coordinates 1..dim(base) lie on the
+    base and the rest on the tail."""
+    if eps not in (0, 1):
+        raise PathError("epsilon must be 0 or 1")
+    beads = necklace_face(zx, (c.base, *c.tail.letters), i, eps, head=True)
+    if beads is None:
+        raise PathError(f"face index {i} out of range 1..{c.degree}")
     head = beads[0]
     tail = tuple.__new__(LoopWord, (beads[1:], zx.endpoints(head)[1], c.tail.end))
     return tuple.__new__(PathCell, (head, tail))
-
-
-def path_face(zx: SimplicialPresentation, c: PathCell, i: int, eps: int) -> PathCell:
-    """Face at coordinate i in 1..degree; coordinates 1..dim(base) lie on the
-    base, the rest on the tail.  The face's beads are normalized as they
-    come, with no raw cell built in between."""
-    beads = _face_beads(zx, c, i, eps)
-    head = beads[0]
-    return _normal_cell(zx, head, zx._records[head.generator.name][0][1], beads[1:])
 
 
 def path_degeneracy_slots(c: PathCell) -> int:
@@ -187,7 +165,7 @@ def cover_graph(zx: SimplicialPresentation, max_length: int) -> CoverGraph:
     every letter is a nondegenerate edge and w is reduced: the source is
     (min(a), w[1:]) when w starts with the inverse of a, else
     (min(a), (a, *w)), which falls past the bound when w is at it.  The
-    tests' oracle takes both faces through ``path_face``.
+    tests' oracle takes both faces as normalized raw faces.
     """
     tails = {g.name: enumerate_words(zx, 0, max_length, g.name, zx.basepoint)
              for g in zx.generators_of_dim(0)}

@@ -411,16 +411,11 @@ def from_facets(facets: Sequence[Sequence[str]], name: str) -> SimplicialPresent
                 if len(subsets) > _SIMPLEX_BOUND:
                     raise SimplicialError(f"a facet list may have at most {_SIMPLEX_BOUND} distinct simplices")
     simplex_name = simplex_namer(vertices)
-    gens = [GeneratorId(simplex_name(s), len(s) - 1) for s in sorted(subsets, key=lambda s: ([rank[v] for v in s],))]
-    faces = {}
-    for s in subsets:
-        if len(s) == 1:
-            continue
-        entries = []
-        for i in range(len(s)):
-            sub = s[:i] + s[i + 1 :]
-            entries.append(_nondegenerate(GeneratorId(simplex_name(sub), len(sub) - 1)))
-        faces[simplex_name(s)] = tuple(entries)
+    # one term per simplex, shared by the generator list and the face tables
+    terms = {s: _nondegenerate(GeneratorId(simplex_name(s), len(s) - 1)) for s in subsets}
+    gens = [terms[s].generator for s in sorted(subsets, key=lambda s: ([rank[v] for v in s],))]
+    faces = {t.generator.name: tuple(terms[s[:i] + s[i + 1 :]] for i in range(len(s)))
+             for s, t in terms.items() if len(s) > 1}
     return SimplicialPresentation(name, gens, faces, vertices[0])
 
 

@@ -12,13 +12,13 @@ interchange with the index shift (row EE).  Identities are compared as
 canonical forms; slot indices always refer to the raw, uncanonicalized
 representative.  Normal forms are a function of the raw cell, so a row
 whose two raw sides are equal passes without them: a row normalizes its
-sides only when they differ, and row Id compares the raw face with the
-cell first.  One checker (``_check_relations``) runs these rows, and
-the face-face interchange (FF) and the dimension count (dim), on loop
-words and path cells alike; each model hands it a small record of its
-operators (``_Model``).  Cube cells are no third model: the cube rows run
-the word model on the necklaces of standard_simplex(n + 1) from 0 to n + 1,
-and the path model on the path cells of standard_simplex(n) ending at n.
+sides only when they differ.  One checker (``_check_relations``) runs
+these rows, and the face-face interchange (FF) and the dimension count
+(dim), on loop words and path cells alike; each model hands it a small
+record of its operators (``_Model``).  Cube cells are no third model: the
+cube rows run the word model on the necklaces of standard_simplex(n + 1)
+from 0 to n + 1, and the path model on the path cells of
+standard_simplex(n) ending at n.
 The rows ask for the checked cell's own raw faces and degeneracies many
 times, and build equal raw cells many times; the checker reads them
 through caches (``functools.cache``) that live for that cell only: one of
@@ -28,10 +28,10 @@ the faces d_k^eps c, where the face-face rows start, come from one cache
 for the whole ``_check_relations`` call, since the cells share many
 faces.  Each entry is built when a row first asks for it, by the model,
 so a wrong model raises where that row asks; every row still runs.  The
-random samples repeat cells: a cell that occurs more than once in one
-call is checked once, into a recorder of its own, whose row counts and
-failures each of its draws replays in draw order, so the report is the
-one of checking every draw.
+random samples repeat cells, so each distinct cell is checked once per
+call, into a recorder of its own, whose row counts and failures each of
+its draws replays in draw order: the report is the one of checking every
+draw.
 The differential suites' random samples repeat words, so ``dsq`` and
 ``leibniz`` take d of each (word, variant), and ``leibniz`` each product,
 once per suite call, through caches that live for that call.  A report
@@ -41,7 +41,6 @@ that ran no row, or a comparator that compared no word, is ``vacuous``.
 from __future__ import annotations
 
 import random
-from collections import Counter
 from functools import cache, partial
 from typing import Callable, NamedTuple
 
@@ -196,26 +195,20 @@ def _pad(zx: SimplicialPresentation, c: PathCell) -> PathCell:
 def _check_relations(m: _Model, cells, rec: _Recorder, tag: str) -> None:
     """Run every row on each cell; an operator that raises on a cell (a
     wrong model can address a slot or face out of range) is recorded as a
-    failed ``<tag>-error`` row naming the cell, and the next cell runs.  A
-    cell that occurs more than once is checked once, into a recorder of
-    its own, which each of its draws replays."""
+    failed ``<tag>-error`` row naming the cell, and the next cell runs.
+    Each distinct cell is checked once, into a recorder of its own, which
+    each of its draws replays."""
     face_normal = cache(m.normal)  # the checked cells share many faces
-    repeated = {c for c, k in Counter(cells).items() if k > 1}
     memo: dict[object, _Recorder] = {}
     for c in cells:
-        if c in memo:
-            rec.replay(memo[c])
-            continue
-        into = rec
-        if c in repeated:
+        if c not in memo:
             into = memo[c] = _Recorder()
             into.MAX_FAILURES = rec.MAX_FAILURES
-        try:
-            _check_cell(m, c, into, tag, face_normal)
-        except ValueError as exc:
-            into.record(f"{tag}-error", False, (c, exc))
-        if into is not rec:
-            rec.replay(into)
+            try:
+                _check_cell(m, c, into, tag, face_normal)
+            except ValueError as exc:
+                into.record(f"{tag}-error", False, (c, exc))
+        rec.replay(memo[c])
 
 
 def _check_cell(m: _Model, c, rec: _Recorder, tag: str, face_normal: Callable) -> None:
@@ -224,8 +217,8 @@ def _check_cell(m: _Model, c, rec: _Recorder, tag: str, face_normal: Callable) -
     # cell; the normal forms of c's faces come from face_normal, shared
     # across cells.  A row normalizes its two raw sides only when they
     # differ (row F's sides always do).  The face-face rows start from
-    # normal forms and home is built before the other rows, so a normal
-    # form that raises fails each cell before it records a row
+    # normal forms and normal(c) is taken before the other rows, so a
+    # normal form that raises fails each cell before it records a row
     normal = cache(m.normal)
     face_of_c = cache(lambda k, eps: m.face_raw(c, k, eps))
     degeneracy_of_c = cache(lambda j: m.degeneracy_raw(c, j))
@@ -242,7 +235,7 @@ def _check_cell(m: _Model, c, rec: _Recorder, tag: str, face_normal: Callable) -
                     left = m.face_raw(normal_face(j, om), i, eps)
                     right = m.face_raw(normal_face(i, eps), j - 1, om)
                     rec.record(f"{tag}-FF", same(left, right), (c, i, j, eps, om))
-    home = normal(c)
+    normal(c)
     for j in range(1, slots + 1):
         e = degeneracy_of_c(j)  # raw; copies at positions j-1, j
         ps = m.positions(e)
@@ -261,7 +254,7 @@ def _check_cell(m: _Model, c, rec: _Recorder, tag: str, face_normal: Callable) -
                     right = m.degeneracy_raw(face_of_c(idx - 1, eps), j)
                     rec.record(f"{tag}-B", same(left, right), (c, j, idx, eps))
                 elif eps == 1:
-                    rec.record(f"{tag}-Id", left == c or normal(left) == home, (c, j, idx))
+                    rec.record(f"{tag}-Id", same(left, c), (c, j, idx))
                 else:
                     copies.append(normal(left))
         if len(copies) == 2:

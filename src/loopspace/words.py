@@ -174,26 +174,25 @@ def invert(zx: SimplicialPresentation, w: LoopWord) -> LoopWord:
 
 
 def power_decompose(zx: SimplicialPresentation, w: LoopWord) -> tuple[LoopWord, int]:
-    """Shortest root r and exponent k >= 0 with r^k = w, for a degree-0 loop.
+    """Shortest root r and exponent k >= 0 with r^k = w, for a canonical
+    degree-0 loop w.
 
-    The unit decomposes as (e, 0); a primitive word as (w, 1)."""
+    The unit decomposes as (e, 0).  Any other such loop is u c u^-1 with c
+    cyclically reduced: peel the inverse pairs off its two ends.  Its roots
+    are the words u p u^-1 with c a power of p, so the shortest root takes
+    the shortest period p of c's letters, with exponent |c| / |p|; a
+    primitive word decomposes as (w, 1)."""
     if w.degree != 0:
         raise WordError(f"{w} has degree {w.degree}, not a group element")
-    n = len(w.letters)
+    letters, n = w.letters, len(w.letters)
     if n == 0:
         return w, 0
-    for d in range(1, n):
-        if n % d:
-            continue
-        root = LoopWord(w.letters[:d], w.start, zx.endpoints(w.letters[d - 1])[1])
-        if root.end != root.start:
-            continue
-        power = unit(w.start)
-        for _ in range(n // d):
-            power = compose(zx, power, root)
-        if power == w:
-            return root, n // d
-    return w, 1
+    inverse, m = zx.op_pairs, 0  # u = letters[:m]
+    while 2 * m + 1 < n and inverse.get(letters[m].generator.name) == letters[n - 1 - m].generator.name:
+        m += 1
+    c = letters[m : n - m]
+    p = next(d for d in range(1, len(c) + 1) if not len(c) % d and c[d:] == c[:-d])
+    return LoopWord(letters[:m] + c[:p] + letters[n - m :], w.start, w.end), len(c) // p
 
 
 # -- face and degeneracy operators ----------------------------------------

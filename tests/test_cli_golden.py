@@ -13,9 +13,12 @@ coefficients became JSON numbers.  The truncated ``homology --coeff q``
 table to degree 2, ``cover --out dot`` and ``check --suite theorem2`` on
 boundary-simplex:3 were recorded before the standalone scripts they stand
 in for (homology tables, covering export, every suite on the fixtures)
-were folded into these commands.  The last command, the first truncated
-``homology --json`` table, was recorded before the ranks and torsion
-moved into ``homology.chain_homology``.  Regenerate the file only for an
+were folded into these commands.  The first truncated ``homology
+--json`` table was recorded before the ranks and torsion moved into
+``homology.chain_homology``.  The last command, ``--power-detect`` on a
+conjugate of a square, was recorded when ``words.power_decompose``
+began peeling the conjugating word off both ends, after the root search
+by dividing prefixes had printed the word as its own root.  Regenerate the file only for an
 intended output change, with ``PYTHONPATH=src python3
 tests/test_cli_golden.py > tests/golden/cli_transcript.txt``.
 """
@@ -78,6 +81,7 @@ COMMANDS = [
     "homology --builtin wedge:2 --degree 1",
     "cells --builtin sphere:2 --max-len -1",
     "homology --builtin boundary-simplex:3 --degree 3 --max-weight 6 --variant de --json",
+    "group --builtin wedge:2 --element 'a1;a2;a2;a1^op' --power-detect --json",
 ]
 
 

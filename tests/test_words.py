@@ -257,6 +257,19 @@ class TestGroup:
         with pytest.raises(WordError, match="has degree 1, not a group element"):
             power_decompose(sphere2, canonical(sphere2, (sphere2.term("sigma"),), "x0"))
 
+    @pytest.mark.parametrize("key, max_length, count",
+                             [("wedge2", 6, 1457), ("wedge3", 4, 937), ("bd3", 8, 181)])
+    def test_power_decompose_brute_force(self, fixtures, key, max_length, count):
+        # every degree-0 loop of the ball against the root of the largest
+        # exponent found by composing each loop with itself; the ball holds
+        # conjugates of proper powers, whose roots do not divide their length
+        zx = fixtures[key] if key in fixtures else wedge_of_circles(3).z_extension()
+        ball, roots = brute_force_roots(zx, max_length)
+        assert len(ball) == count
+        assert any(k > 1 and len(w.letters) % len(r.letters) for w, (r, k) in roots.items())
+        for w in ball:
+            assert power_decompose(zx, w) == roots[w], w
+
     def test_triangle_loop_powers(self, fixtures):
         zx = fixtures["bd2"]
         from loopspace.fileformat import parse_word
@@ -267,3 +280,21 @@ class TestGroup:
         assert root == alpha and k == 2
         # primitive: its first letter is no loop, and 2 does not divide its length 3
         assert power_decompose(zx, alpha) == (alpha, 1)
+
+
+def brute_force_roots(zx, max_length):
+    """The degree-0 loops at the basepoint of length <= max_length, and each
+    with its root of the largest exponent: every nonempty loop of the ball
+    is composed with itself until its power leaves the ball."""
+    ball = enumerate_words(zx, 0, max_length, zx.basepoint, zx.basepoint)
+    e = unit(zx.basepoint)
+    roots = {e: (e, 0)}
+    for r in ball:
+        if not r.letters:
+            continue
+        power, k = r, 1
+        while len(power.letters) <= max_length:  # a nonempty loop's powers grow
+            if k > roots.get(power, (None, 0))[1]:
+                roots[power] = (r, k)
+            power, k = compose(zx, power, r), k + 1
+    return ball, roots
