@@ -11,9 +11,9 @@ relation checker reads, and ``path_canonical`` is the one normal form:
 the face of a cell is ``path_canonical`` of its raw face.  The degree-0
 cells with the 1-cells between them form a graph on which words act on
 the right; over a connected complex this graph covers the 1-skeleton with
-deck group the degree-0 word group.  ``cover_graph`` reads both ends of
-each edge cell off its word, taking no face and no normal form; the tests
-build the graph through the normalized raw faces as its oracle.
+deck group the degree-0 word group.  ``cover_graph`` grows this tree
+from the basepoint, each prepended letter one edge, taking no face and no
+normal form; the tests build it through the normalized raw faces as its oracle.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 from .cubes import necklace_degeneracy, necklace_face, necklace_slots
 from .simplicial import SimplexTerm, SimplicialPresentation, simplex_namer
-from .words import LoopWord, _normal_word, compose, enumerate_words
+from .words import LoopWord, _normal_word, compose, unit
 
 
 class PathError(ValueError):
@@ -152,45 +152,59 @@ class CoverGraph:
 def cover_graph(zx: SimplicialPresentation, max_length: int) -> CoverGraph:
     """Degree-0 path cells and the 1-cells between them.
 
-    Vertices are pairs (vertex v, reduced word v -> basepoint); edges are
-    pairs (edge a, reduced word max(a) -> basepoint), one edge a of each
-    pair with its formal inverse.  The graph is truncated at a word-length
+    Vertices are pairs (vertex v, reduced word v -> basepoint), by vertex
+    and then by (length, letters); edges are pairs (edge a, reduced word
+    max(a) -> basepoint), one edge a of each pair with its formal inverse,
+    by a and then by target.  The graph is truncated at a word-length
     bound: edges whose endpoints both survive are kept.
 
-    Both ends of an edge cell (a, w) are read off w, with no face and no
-    normal form taken.  The target d^1_1 deletes the first vertex, leaving
-    the vertex (max(a), w) itself, found by its position among the tails.
-    The source d^0_1 splits the edge, giving the necklace (min(a); a, *w),
-    whose normal form can only cancel a against w's first letter, since
-    every letter is a nondegenerate edge and w is reduced: the source is
-    (min(a), w[1:]) when w starts with the inverse of a, else
-    (min(a), (a, *w)), which falls past the bound when w is at it.  The
-    tests' oracle takes both faces as normalized raw faces.
+    The graph is a tree, grown from (basepoint, e) one length at a time:
+    the tails of length L + 1 at v are (b, *w), b over the edge letters
+    from v in order and w over the length-L tails at max(b) in order, less
+    those that start with b's inverse, so each level comes sorted.  Each
+    prepend is one edge between w and (b, *w), with no face and no normal
+    form taken: for b = a the edge cell (a, w) runs from d^0_1 = (a, *w)
+    to d^1_1 = w, and for b = a^op the edge cell (a, (b, *w)) runs from w
+    (the necklace (min(a); a, a^op, *w) cancels) to (b, *w).
     """
-    tails = {g.name: enumerate_words(zx, 0, max_length, g.name, zx.basepoint)
-             for g in zx.generators_of_dim(0)}
+    inverse, home = zx.op_pairs, zx.basepoint
+    # per underlying edge a: (target, source) positions among the tails at max(a), min(a)
+    over: dict[str, list[tuple[int, int]]] = {a.name: [] for a in zx.underlying_edges()}
+    tails: dict[str, list[LoopWord]] = {g.name: [] for g in zx.generators_of_dim(0)}
+    tails[home].append(unit(home))
+    # the newest level at each vertex: runs (letters[:1], start, stop) of its tails
+    level = {v: [((), 0, 1)] if v == home else [] for v in tails}
+    for _ in range(max_length):
+        grown = {}
+        for v, ws in tails.items():
+            grown[v] = runs = []
+            for b, hi in zx.letters_from.get(v, ()):
+                if b.dim > 1:
+                    break  # each row is in order of dimension
+                name, first, after = b.generator.name, len(ws), tails[hi]
+                forward = name in over
+                pairs = over[name if forward else inverse[name]]
+                banned = (zx.op(b),) if name in inverse else None
+                for key, start, stop in level[hi]:
+                    if key != banned:
+                        made = len(ws)
+                        ws.extend(tuple.__new__(LoopWord, ((b, *w.letters), v, home))
+                                  for w in after[start:stop])
+                        olds, news = range(start, stop), range(made, len(ws))
+                        pairs.extend(zip(olds, news) if forward else zip(news, olds))
+                runs.append(((b,), first, len(ws)))
+        level = grown
     vertices, offset = [], {}
     for v, ws in tails.items():
         offset[v], base = len(vertices), zx.term(v)
         vertices.extend(tuple.__new__(PathCell, (base, w)) for w in ws)
-    index = {c: k for k, c in enumerate(vertices)}
     edges = []
-    for a in zx.underlying_edges():
-        t = zx.term(a.name)  # nondegenerate, so each (t, w) is canonical
+    for name, pairs in over.items():
+        t = zx.term(name)  # nondegenerate, so each (t, w) is canonical
         lo, hi = zx.endpoints(t)
-        low, inverse = zx.term(lo), zx.op_pairs.get(a.name)
-        for tgt, w in enumerate(tails[hi], offset[hi]):
-            letters = w.letters
-            if letters and letters[0].generator.name == inverse:
-                letters = letters[1:]
-            elif len(letters) < max_length:
-                letters = (t, *letters)
-            else:
-                continue
-            # always a vertex by the argument above: a miss raises KeyError
-            source = tuple.__new__(LoopWord, (letters, lo, w.end))
-            src = index[tuple.__new__(PathCell, (low, source))]
-            edges.append((tuple.__new__(PathCell, (t, w)), src, tgt))
+        pairs.sort()
+        edges.extend((tuple.__new__(PathCell, (t, tails[hi][k])), offset[lo] + j,
+                      offset[hi] + k) for k, j in pairs)
     return CoverGraph(tuple(vertices), tuple(edges), max_length)
 
 
@@ -202,8 +216,9 @@ def covering_report(
 
     For every graph vertex whose word is strictly shorter than the bound,
     each incidence of its underlying vertex with an edge of the complex
-    must lift to exactly one incident graph edge.  A graph with no
-    interior vertex checks no lift, and its report is ``vacuous``.
+    must lift to exactly one incident graph edge: the incidences are
+    counted under (edge, end) keys, built once per edge name.  A graph with
+    no interior vertex checks no lift, and its report is ``vacuous``.
     """
     # incidences (edge, end) of each base vertex, end 0 at min and 1 at max
     want_at: dict[str, dict[tuple[str, int], int]] = {}
@@ -212,10 +227,12 @@ def covering_report(
             want_at.setdefault(v, {})[(a.name, end)] = 1
     have_at: list[dict[tuple[str, int], int]] = [{} for _ in graph.vertices]
     adj: list[list[int]] = [[] for _ in graph.vertices]
+    keys: dict[str, tuple[tuple[str, int], tuple[str, int]]] = {}
     for cell, src, tgt in graph.edges:
         name = cell.base.generator.name
-        for k, end in ((src, 0), (tgt, 1)):
-            have_at[k][(name, end)] = have_at[k].get((name, end), 0) + 1
+        src_end, tgt_end = keys.get(name) or keys.setdefault(name, ((name, 0), (name, 1)))
+        have_at[src][src_end] = have_at[src].get(src_end, 0) + 1
+        have_at[tgt][tgt_end] = have_at[tgt].get(tgt_end, 0) + 1
         adj[src].append(tgt)
         adj[tgt].append(src)
     failures = []

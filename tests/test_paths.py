@@ -2,9 +2,10 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from word_oracles import canonical_reference, path_canonical_reference
 
-from loopspace import paths, words
+from loopspace import cli, paths, words
 from loopspace.fileformat import parse_word, resolve_model
 from loopspace.paths import (
     CoverGraph,
@@ -21,7 +22,7 @@ from loopspace.paths import (
     to_adjacency,
     to_dot,
 )
-from loopspace.simplicial import standard_simplex
+from loopspace.simplicial import from_facets, standard_simplex
 from loopspace.suites import random_loop_cells, random_path_cells
 from loopspace.words import (
     canonical,
@@ -112,6 +113,18 @@ class TestAction:
         assert [t.generator.name for t in moved.tail.letters] == ["01^op"]
 
 
+@st.composite
+def connected_graphs(draw):
+    """Facets of a connected graph on 2 to 6 vertices: a random spanning
+    tree and up to four more edges, which close cycles.  Each vertex comes
+    first as its own facet, so that the vertex order is 0, 1, 2, ..."""
+    n = draw(st.integers(2, 6))
+    tree = [(draw(st.integers(0, k - 1)), k) for k in range(1, n)]
+    extra = draw(st.lists(st.sampled_from([(i, j) for j in range(n) for i in range(j)]),
+                          max_size=4))
+    return [[str(v)] for v in range(n)] + [[str(i), str(j)] for i, j in sorted({*tree, *extra})]
+
+
 class TestCovering:
     def test_wedge_cover_is_tree(self, fixtures):
         zx = fixtures["wedge2"]
@@ -144,19 +157,20 @@ class TestCovering:
         assert report["edges"] == report["vertices"] - 1
         assert not report["connected"] and not report["tree"]
 
-    @pytest.mark.parametrize("key, calls", [("wedge2", 1), ("bd2", 3)])
-    def test_tails_listed_once_per_vertex(self, fixtures, monkeypatch, key, calls):
-        # the edges over a reuse the tails of max(a); the words to the
-        # basepoint were once listed again for every edge (3 and 6 calls)
+    @pytest.mark.parametrize("key", ["wedge2", "bd2"])
+    def test_lists_no_words(self, fixtures, monkeypatch, key):
+        # the tails grow as a tree, each level from the last, so no word is
+        # listed, neither through words nor through a name bound in paths
         listed = []
 
         def counting(*args):
             listed.append(args)
             return enumerate_words(*args)
 
-        monkeypatch.setattr(paths, "enumerate_words", counting)
-        cover_graph(fixtures[key], max_length=3)
-        assert len(listed) == calls == len(fixtures[key].generators_of_dim(0))
+        for module in (words, paths):
+            monkeypatch.setattr(module, "enumerate_words", counting, raising=False)
+        g = cover_graph(fixtures[key], max_length=3)
+        assert g.edge_count and listed == []
 
     @pytest.mark.parametrize("key", ["wedge2", "bd2"])
     def test_edge_cells_are_not_recanonicalized(self, fixtures, monkeypatch, key):
@@ -219,6 +233,40 @@ class TestCovering:
         assert parse_word(zx, "a1^op;a2") in tails
         assert parse_word(zx, "a2;a1") not in tails
         assert parse_word(zx, "a2") in tails  # below the bound: a1;a2 is a vertex
+
+    @settings(max_examples=25, deadline=None)
+    @given(connected_graphs())
+    def test_matches_both_faces_graph_on_random_graphs(self, facets):
+        zx = from_facets(facets, "graph").z_extension()
+        for n in range(5):
+            g = cover_graph(zx, max_length=n)
+            assert (g.vertices, g.edges) == both_faces_graph(zx, n), (facets, n)
+
+    @pytest.mark.parametrize("how, counts", [("missing", (1, 0)), ("doubled", (1, 2))])
+    def test_failed_lift(self, fixtures, capsys, monkeypatch, how, counts):
+        # an edge from a length-1 vertex (interior at the bound 2) to a
+        # length-2 one (on the boundary) is dropped or doubled, so that one
+        # lift fails at the length-1 end and no other vertex is checked
+        zx = fixtures["wedge2"]
+        whole = cover_graph(zx, max_length=2)
+        k, (cell, src, tgt) = next(
+            (k, e) for k, e in enumerate(whole.edges)
+            if sorted(len(whole.vertices[v].tail.letters) for v in e[1:]) == [1, 2])
+        v, end = (src, 0) if len(whole.vertices[src].tail.letters) == 1 else (tgt, 1)
+
+        def broken(zx, max_length):
+            g = cover_graph(zx, max_length)
+            edges = g.edges[:k] + g.edges[k + 1:] if how == "missing" else g.edges + (g.edges[k],)
+            return CoverGraph(g.vertices, edges, max_length)
+
+        report = covering_report(zx, broken(zx, 2))
+        want = {(a, e): (1, 1) for a in ("a1", "a2") for e in (0, 1)}
+        want[(cell.base.generator.name, end)] = counts
+        assert report["ok"] is False and report["vacuous"] is False
+        assert report["covering_failures"] == [(str(whole.vertices[v]), want)]
+        monkeypatch.setattr(cli, "cover_graph", broken)
+        assert cli.main(["cover", "--builtin", "wedge:2", "--max-len", "2"]) == 1
+        assert capsys.readouterr().out.rstrip().endswith("covering=FAIL")
 
     @pytest.mark.parametrize("key", ["wedge2", "bd3"])
     def test_edge_cells_are_canonical(self, fixtures, key):
