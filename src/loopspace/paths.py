@@ -6,9 +6,10 @@ basepoint.  Its degree is dim(x) + degree(y).  Extra copies of the
 base's last vertex are equivalent to duplicates at the start of the tail;
 the canonical form moves them into the tail.  Faces and degeneracies are
 the necklace operators of ``cubes`` on the beads (x, *letters of y), with
-x the head.  ``path_face_raw`` builds the raw face cell, which the
-relation checker reads, and ``path_canonical`` is the one normal form:
-the face of a cell is ``path_canonical`` of its raw face.  The degree-0
+x the head (the relation checker runs them on those beads itself).
+``path_face_raw`` builds the raw face cell, and ``path_canonical`` is the
+one normal form: the face of a cell is ``path_canonical`` of its raw
+face.  The degree-0
 cells with the 1-cells between them form a graph on which words act on
 the right; over a connected complex this graph covers the 1-skeleton with
 deck group the degree-0 word group.  ``cover_graph`` grows this tree

@@ -84,6 +84,8 @@ class SimplexTerm(_SimplexFields):
         return tuple(word)
 
     def __str__(self) -> str:
+        if self.dim + 1 == len(self.mult):  # nondegenerate: no degeneracy word
+            return self.generator.name
         prefix = "".join(f"s{j}." for j in reversed(self.degens))
         return prefix + self.generator.name
 

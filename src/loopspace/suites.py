@@ -15,22 +15,27 @@ whose two raw sides are equal passes without them: a row normalizes its
 sides only when they differ.  One checker (``_check_relations``) runs
 these rows, and the face-face interchange (FF) and the dimension count
 (dim), on loop words and path cells alike; each model hands it a small
-record of its operators (``_Model``).  Cube cells are no third model: the
-cube rows run the word model on the necklaces of standard_simplex(n + 1)
-from 0 to n + 1, and the path model on the path cells of
-standard_simplex(n) ending at n.
+record of its operators (``_Model``).  The checker works on bead tuples,
+the necklaces the ``cubes`` operators act on (a path cell's base is the
+head bead), and builds and compares both raw sides of every row as beads;
+a model turns beads back into a cell only to take its normal form
+(``canonical``, ``path_canonical``).  The unit word's operators act on
+its unit letter s_0 x, but a raw comparison sees the unit itself.  Cube
+cells are no third model: the cube rows run the word model on the
+necklaces of standard_simplex(n + 1) from 0 to n + 1, and the path model
+on the path cells of standard_simplex(n) ending at n.
 The rows ask for the checked cell's own raw faces and degeneracies many
-times, and build equal raw cells many times; the checker reads them
-through caches (``functools.cache``) that live for that cell only: one of
-its raw faces d_k^eps c, one of its raw degeneracies, and one of the
-normal form of each distinct raw cell it normalizes.  The normal forms of
-the faces d_k^eps c, where the face-face rows start, come from one cache
-for the whole ``_check_relations`` call, since the cells share many
-faces.  Each entry is built when a row first asks for it, by the model,
-so a wrong model raises where that row asks; every row still runs.  The
-random samples repeat cells, so each distinct cell is checked once per
-call, into a recorder of its own, whose row counts and failures each of
-its draws replays in draw order: the report is the one of checking every
+times, and build equal raw beads many times; the checker reads them
+through dicts that live for that cell only: one of its raw faces
+d_k^eps c, one of its raw degeneracies, and one of the normal form of
+each distinct raw necklace it normalizes.  The normal forms of the faces
+d_k^eps c, where the face-face rows start, come from one dict for the
+whole ``_check_relations`` call, since the cells share many faces.  Each
+entry is built when a row first asks for it, by the model, so a wrong
+model raises where that row asks; every row still runs.  The random
+samples repeat cells, so each distinct cell is checked once per call,
+into a recorder of its own, whose row counts and failures each of its
+draws replays in draw order: the report is the one of checking every
 draw.
 The differential suites' random samples repeat words, so ``dsq`` and
 ``leibniz`` take d of each (word, variant), and ``leibniz`` each product,
@@ -46,26 +51,17 @@ from typing import Callable, NamedTuple
 
 from .chains import VARIANTS, boundary_chain, boundary_word, is_killed, leibniz_defect
 from .cobar import compare_theorem2
-from .cubes import face_positions
-from .paths import (
-    PathCell,
-    cover_graph,
-    covering_report,
-    cube_cells,
-    path_canonical,
-    path_degeneracy_raw,
-    path_degeneracy_slots,
-    path_face_raw,
-)
-from .simplicial import SimplicialPresentation, standard_simplex
+from .cubes import Beads, face_positions, necklace_degeneracy, necklace_face, necklace_slots
+from .paths import PathCell, PathError, cover_graph, covering_report, cube_cells, path_canonical
+from .simplicial import SimplexTerm, SimplicialPresentation, standard_simplex
 from .words import (
     LoopWord,
+    WordError,
     canonical,
     compose,
     degeneracy_slots,
     random_reduced_word,
     word_degeneracy,
-    word_face_raw,
 )
 
 
@@ -155,31 +151,69 @@ def random_path_cells(
 
 
 class _Model(NamedTuple):
-    """What the relation checker needs of one cell model."""
+    """What the relation checker needs of one cell model.  The operators
+    act on bead tuples and raise ``ValueError`` out of range; a cell's
+    anchor is the vertex that, with its beads, fixes the cell (a word's
+    start, which the unit's empty beads cannot tell; a path tail's end)."""
 
-    face_raw: Callable  # (cell, i, eps) -> raw face
-    degeneracy_raw: Callable  # (cell, j) -> raw degeneracy
-    normal: Callable  # cell -> normal form
-    positions: Callable  # cell -> necklace position of each face coordinate
-    slots: Callable  # cell -> number of degeneracy slots
+    head: bool  # whether the first bead is a head (a path cell's base)
+    beads: Callable  # cell -> (its beads, the beads its operators act on, its anchor)
+    face_raw: Callable  # (beads, i, eps) -> raw face
+    degeneracy_raw: Callable  # (beads, j) -> raw degeneracy
+    normal: Callable  # (beads, anchor) -> normal form of the cell they make
+
+
+def _degree(beads: Beads, head: bool) -> int:
+    return sum(t.dim for t in beads) - len(beads) + head
 
 
 def _word_model(zx: SimplicialPresentation) -> _Model:
-    return _Model(
-        partial(word_face_raw, zx), partial(word_degeneracy, zx),
-        lambda w: canonical(zx, w.letters, w.start),
-        lambda w: face_positions(w.letters),
-        degeneracy_slots,
-    )
+    """Loop words.  The unit's operators act on its unit letter s_0 x, as
+    ``word_degeneracy`` does, but its own beads stay empty, so a raw
+    comparison still sees the unit."""
+
+    def beads(w):
+        return w.letters, w.letters or (SimplexTerm(zx.generators[w.start], (2,)),), w.start
+
+    def face(beads, i, eps):
+        out = necklace_face(zx, beads, i, eps)
+        if out is None:
+            raise WordError(f"coordinate {i} out of range 1..{_degree(beads, False)}")
+        return out
+
+    def degeneracy(beads, j):
+        out = necklace_degeneracy(zx, beads, j)
+        if out is None:
+            raise WordError(f"degeneracy slot {j} out of range")
+        return out
+
+    return _Model(False, beads, face, degeneracy, partial(canonical, zx))
 
 
 def _path_model(zx: SimplicialPresentation) -> _Model:
-    return _Model(
-        partial(path_face_raw, zx), partial(path_degeneracy_raw, zx),
-        lambda c: path_canonical(zx, c.base, c.tail),
-        lambda c: face_positions((c.base, *c.tail.letters), head=True),
-        path_degeneracy_slots,
-    )
+    """Path cells: the base is the head bead."""
+
+    def beads(c):
+        b = (c.base, *c.tail.letters)
+        return b, b, c.tail.end
+
+    def face(beads, i, eps):
+        out = necklace_face(zx, beads, i, eps, head=True)
+        if out is None:
+            raise PathError(f"face index {i} out of range 1..{_degree(beads, True)}")
+        return out
+
+    def degeneracy(beads, j):
+        out = necklace_degeneracy(zx, beads, j)
+        if out is None:
+            raise PathError(f"degeneracy slot {j} out of range 1..{necklace_slots(beads)}")
+        return out
+
+    def normal(beads, end):
+        head = beads[0]
+        return path_canonical(zx, head, LoopWord(beads[1:], zx.endpoints(head)[1], end))
+
+    return _Model(True, beads, face, degeneracy, normal)
 
 
 def _pad(zx: SimplicialPresentation, c: PathCell) -> PathCell:
@@ -192,13 +226,25 @@ def _pad(zx: SimplicialPresentation, c: PathCell) -> PathCell:
     return PathCell(c.base, LoopWord((zx.degenerate(zx.term(v), 0),), v, v))
 
 
+class _Built(dict):
+    """A dict that builds a missing entry, ``build(key)``, on first lookup."""
+
+    def __init__(self, build: Callable):
+        super().__init__()
+        self.build = build
+
+    def __missing__(self, key):
+        value = self[key] = self.build(key)
+        return value
+
+
 def _check_relations(m: _Model, cells, rec: _Recorder, tag: str) -> None:
     """Run every row on each cell; an operator that raises on a cell (a
     wrong model can address a slot or face out of range) is recorded as a
     failed ``<tag>-error`` row naming the cell, and the next cell runs.
     Each distinct cell is checked once, into a recorder of its own, which
     each of its draws replays."""
-    face_normal = cache(m.normal)  # the checked cells share many faces
+    face_normal = _Built(lambda key: m.normal(*key))  # the checked cells share many faces
     memo: dict[object, _Recorder] = {}
     for c in cells:
         if c not in memo:
@@ -211,57 +257,59 @@ def _check_relations(m: _Model, cells, rec: _Recorder, tag: str) -> None:
         rec.replay(memo[c])
 
 
-def _check_cell(m: _Model, c, rec: _Recorder, tag: str, face_normal: Callable) -> None:
+def _check_cell(m: _Model, c, rec: _Recorder, tag: str, face_normal: dict) -> None:
     # the rows ask for c's own faces and degeneracies, and build equal raw
-    # cells, many times: each is built, and normalized, at most once per
+    # beads, many times: each is built, and normalized, at most once per
     # cell; the normal forms of c's faces come from face_normal, shared
     # across cells.  A row normalizes its two raw sides only when they
     # differ (row F's sides always do).  The face-face rows start from
-    # normal forms and normal(c) is taken before the other rows, so a
-    # normal form that raises fails each cell before it records a row
-    normal = cache(m.normal)
-    face_of_c = cache(lambda k, eps: m.face_raw(c, k, eps))
-    degeneracy_of_c = cache(lambda j: m.degeneracy_raw(c, j))
-    normal_face = cache(lambda k, eps: face_normal(face_of_c(k, eps)))
+    # normal forms and c is normalized before the other rows, so a normal
+    # form that raises fails each cell before it records a row
+    own, ops, at = m.beads(c)
+    face_raw, degeneracy_raw, head = m.face_raw, m.degeneracy_raw, m.head
+    normal = _Built(lambda b: m.normal(b, at))
+    face_of_c = _Built(lambda key: face_raw(ops, *key))
+    degeneracy_of_c = _Built(lambda j: degeneracy_raw(ops, j))
+    normal_face = _Built(lambda key: m.beads(face_normal[face_of_c[key], at])[1])
 
-    def same(a, b) -> bool:
-        return a == b or normal(a) == normal(b)
+    def same(x, y) -> bool:
+        return x == y or normal[x] == normal[y]
 
-    n, slots = c.degree, m.slots(c)
+    n = c.degree
     for j in range(2, n + 1):
         for i in range(1, j):
             for eps in (0, 1):
                 for om in (0, 1):
-                    left = m.face_raw(normal_face(j, om), i, eps)
-                    right = m.face_raw(normal_face(i, eps), j - 1, om)
+                    left = face_raw(normal_face[j, om], i, eps)
+                    right = face_raw(normal_face[i, eps], j - 1, om)
                     rec.record(f"{tag}-FF", same(left, right), (c, i, j, eps, om))
-    normal(c)
-    for j in range(1, slots + 1):
-        e = degeneracy_of_c(j)  # raw; copies at positions j-1, j
-        ps = m.positions(e)
-        ok = e.degree == n + 1 and len(ps) == n + 1
+    normal[own]  # a normal form that raises on c fails c here
+    for j in range(1, necklace_slots(ops) + 1):
+        e = degeneracy_of_c[j]  # raw; copies at positions j-1, j
+        ps = face_positions(e, head)
+        ok = _degree(e, head) == n + 1 and len(ps) == n + 1
         rec.record(f"{tag}-dim", ok, (c, j))
         if not ok:
             continue
         copies = []  # the splitting faces at the two copies
         for idx, p in enumerate(ps, start=1):
             for eps in (0, 1):
-                left = m.face_raw(e, idx, eps)
+                left = face_raw(e, idx, eps)
                 if p < j - 1:
-                    right = m.degeneracy_raw(face_of_c(idx, eps), j - eps)
+                    right = degeneracy_raw(face_of_c[idx, eps], j - eps)
                     rec.record(f"{tag}-A", same(left, right), (c, j, idx, eps))
                 elif p > j:
-                    right = m.degeneracy_raw(face_of_c(idx - 1, eps), j)
+                    right = degeneracy_raw(face_of_c[idx - 1, eps], j)
                     rec.record(f"{tag}-B", same(left, right), (c, j, idx, eps))
                 elif eps == 1:
-                    rec.record(f"{tag}-Id", same(left, c), (c, j, idx))
+                    rec.record(f"{tag}-Id", same(left, own), (c, j, idx))
                 else:
-                    copies.append(normal(left))
+                    copies.append(normal[left])
         if len(copies) == 2:
             rec.record(f"{tag}-F", copies[0] == copies[1], (c, j))
-        for i in range(j + 1, m.slots(e) + 1):
-            left = m.degeneracy_raw(e, i)
-            right = m.degeneracy_raw(degeneracy_of_c(i - 1), j)
+        for i in range(j + 1, necklace_slots(e) + 1):
+            left = degeneracy_raw(e, i)
+            right = degeneracy_raw(degeneracy_of_c[i - 1], j)
             rec.record(f"{tag}-EE", same(left, right), (c, j, i))
 
 

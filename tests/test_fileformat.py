@@ -339,6 +339,9 @@ class TestWordLiterals:
         # outermost-first in the literal: s2.s0.sigma = apply s0 then s2
         t = parse_term(zx, "s2.s0.sigma")
         assert t == zx.degenerate(zx.degenerate(zx.term("sigma"), 0), 2)
+        # and each term prints as the literal it was read from
+        assert [str(parse_term(zx, s)) for s in ("sigma", "s1.sigma", "s2.s0.sigma")] == [
+            "sigma", "s1.sigma", "s2.s0.sigma"]
 
     def test_unit_and_words(self, fixtures):
         zx = fixtures["bd2"]

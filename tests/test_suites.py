@@ -10,7 +10,14 @@ import pytest
 
 from loopspace import suites
 from loopspace.chains import VARIANTS, boundary_chain, boundary_word, is_killed, leibniz_defect, multiply
-from loopspace.paths import cube_cells
+from loopspace.paths import (
+    PathCell,
+    cube_cells,
+    path_canonical,
+    path_degeneracy_raw,
+    path_degeneracy_slots,
+    path_face_raw,
+)
 from loopspace.simplicial import boundary_simplex, standard_simplex
 from loopspace.suites import (
     _Recorder,
@@ -26,7 +33,15 @@ from loopspace.suites import (
     random_path_cells,
     theorem2_suite,
 )
-from loopspace.words import compose, word_degeneracy, word_face_raw
+from loopspace.words import (
+    canonical,
+    compose,
+    degeneracy_slots,
+    unit,
+    word_degeneracy,
+    word_face,
+    word_face_raw,
+)
 
 # per-row counts recorded from the three per-model checkers it replaced
 GOLDEN = json.loads((Path(__file__).parent / "golden" / "cubical_rows.json").read_text())
@@ -57,22 +72,23 @@ class TestRowCounts:
 
 def _logged(m, c):
     """m with a log of its normal-form inputs, and of the face and
-    degeneracy indices it is asked for on the cell c."""
+    degeneracy indices it is asked for on the beads of the cell c."""
     log = {"face": [], "degeneracy": [], "normal": []}
+    ops = m.beads(c)[1]
 
     def face_raw(x, i, eps):
-        if x == c:
+        if x == ops:
             log["face"].append((i, eps))
         return m.face_raw(x, i, eps)
 
     def degeneracy_raw(x, j):
-        if x == c:
+        if x == ops:
             log["degeneracy"].append(j)
         return m.degeneracy_raw(x, j)
 
-    def normal(x):
-        log["normal"].append(x)
-        return m.normal(x)
+    def normal(*args):
+        log["normal"].append(args)
+        return m.normal(*args)
 
     return m._replace(face_raw=face_raw, degeneracy_raw=degeneracy_raw, normal=normal), log
 
@@ -124,12 +140,12 @@ def _word_cases(zx, cells, tag):
     model = _word_model(zx)
 
     # slot j duplicates position j - 2 in place of j - 1 (slot 1 stays)
-    def degeneracy(w, j):
-        return word_degeneracy(zx, w, max(j - 1, 1))
+    def degeneracy(beads, j):
+        return model.degeneracy_raw(beads, max(j - 1, 1))
 
     # face coordinate i acts at coordinate degree + 1 - i
-    def face(w, i, eps):
-        return word_face_raw(zx, w, w.degree + 1 - i, eps)
+    def face(beads, i, eps):
+        return model.face_raw(beads, sum(t.dim - 1 for t in beads) + 1 - i, eps)
 
     return model, degeneracy, face, cells, tag
 
@@ -150,8 +166,8 @@ def _wrong_models(cases):
     return {
         "degeneracy": model._replace(degeneracy_raw=degeneracy),
         "face": model._replace(face_raw=face),
-        "slot_one": model._replace(degeneracy_raw=lambda c, j: model.degeneracy_raw(c, 1)),
-        "degree": model._replace(degeneracy_raw=lambda c, j: c),
+        "slot_one": model._replace(degeneracy_raw=lambda beads, j: model.degeneracy_raw(beads, 1)),
+        "degree": model._replace(degeneracy_raw=lambda beads, j: beads),
     }
 
 
@@ -235,6 +251,74 @@ class TestEmptyTail:
         assert report["ok"] and "path-error" not in report["checks"], report["failures"]
 
 
+def _bead_cases(fixtures, augmented):
+    """Each complex with cells to run the bead operators on: the cube cells
+    of Delta^3, and random cells of the five fixtures, with the unit word
+    or an unpadded empty-tail path cell added."""
+    delta = standard_simplex(3)
+    yield delta, [c for _, c in cube_cells(delta, augmented)]
+    for zx in fixtures.values():
+        rng, v = random.Random(5), zx.basepoint
+        if augmented:
+            yield zx, random_path_cells(zx, rng, 40) + [PathCell(zx.term(v), unit(v))]
+        else:
+            yield zx, random_loop_cells(zx, rng, 40) + [unit(v)]
+
+
+def _outcome(op, *args):
+    """What op returns, or the type and text of the ValueError it raises."""
+    try:
+        return "gives", op(*args)
+    except ValueError as exc:
+        return "raises", type(exc), str(exc)
+
+
+class TestBeadOperators:
+    # the checker runs the models' operators on beads; the public ones act
+    # on cells.  They agree on every index, one past each end included, and
+    # the model's normal form of a raw face is the public face
+    def test_words(self, fixtures):
+        units = 0
+        for zx, cells in _bead_cases(fixtures, False):
+            m = _word_model(zx)
+            for w in cells:
+                own, ops, at = m.beads(w)
+                units += not own
+                assert own == w.letters and m.normal(own, at) == canonical(zx, w.letters, w.start)
+                for i in range(w.degree + 2):
+                    for eps in (0, 1):
+                        got = _outcome(m.face_raw, ops, i, eps)
+                        assert got == _outcome(lambda: word_face_raw(zx, w, i, eps).letters), (w, i, eps)
+                        if got[0] == "gives":
+                            assert m.normal(got[1], at) == word_face(zx, w, i, eps)
+                for j in range(degeneracy_slots(w) + 2):
+                    got = _outcome(m.degeneracy_raw, ops, j)
+                    assert got == _outcome(lambda: word_degeneracy(zx, w, j).letters), (w, j)
+        assert units >= 5
+
+    def test_path_cells(self, fixtures):
+        def beads(c):
+            return (c.base, *c.tail.letters)
+
+        empty = 0
+        for zx, cells in _bead_cases(fixtures, True):
+            m = _path_model(zx)
+            for c in cells:
+                own, ops, at = m.beads(c)
+                empty += not c.tail.letters
+                assert own == ops == beads(c) and m.normal(own, at) == path_canonical(zx, *c)
+                for i in range(c.degree + 2):
+                    for eps in (0, 1):
+                        got = _outcome(m.face_raw, ops, i, eps)
+                        assert got == _outcome(lambda: beads(path_face_raw(zx, c, i, eps))), (c, i, eps)
+                        if got[0] == "gives":
+                            assert m.normal(got[1], at) == path_canonical(zx, *path_face_raw(zx, c, i, eps))
+                for j in range(path_degeneracy_slots(c) + 2):
+                    got = _outcome(m.degeneracy_raw, ops, j)
+                    assert got == _outcome(lambda: beads(path_degeneracy_raw(zx, c, j))), (c, j)
+        assert empty >= 6
+
+
 def _cli_default_cells(zx):
     """The random word and path cells of ``check --suite cubical`` at its
     defaults (samples=120, seed=0), as cubical_suite draws them."""
@@ -289,7 +373,7 @@ class TestRepeatedDraws:
             built = []
 
             def face_raw(x, i, eps, m=model):
-                if x == checked[-1]:
+                if x == m.beads(checked[-1])[1]:
                     built.append((x, i, eps))
                 return m.face_raw(x, i, eps)
 
@@ -307,9 +391,9 @@ class TestNormalCalls:
             def spied(zx, model=getattr(suites, name)):
                 m = model(zx)
 
-                def normal(x):
-                    calls.append(x)
-                    return m.normal(x)
+                def normal(*args):
+                    calls.append(args)
+                    return m.normal(*args)
 
                 return m._replace(normal=normal)
 
@@ -337,7 +421,7 @@ class TestNormalCalls:
         cases = _cube_cases() if name == "cube" else _random_cases(fixtures["bd3"])
         model, cells, tag = cases[0], cases[3], cases[4]
 
-        def normal(x):
+        def normal(*args):
             raise ValueError("no normal form")
 
         report = _report(model._replace(normal=normal), cells, tag)
