@@ -4,11 +4,13 @@ A loop word's beads are its letters; a path cell's are its base, the head
 of the necklace, and its tail's letters.  A face or a degeneracy acts on
 one bead the same way in both models, so the rule lives here, on bead
 tuples (``necklace_face``, ``necklace_degeneracy``, ``necklace_slots``,
-``face_positions``); the model operators check their arguments and
-rebuild their cell around it.  The cube on a standard simplex is no
-separate object: its cells are the necklaces of standard_simplex(n) from
-vertex 0 to n (loop words), and its augmented cells the path cells whose
-tail ends at n (``paths.cube_cells`` lists both).  Cells are compared
+``face_positions``), and so does the one range rule: a face coordinate,
+an epsilon or a degeneracy slot out of range raises ``SimplicialError``
+here, for every model.  The models rebuild their cell around the beads.
+The cube on a standard simplex is no separate object: its cells are the
+necklaces of standard_simplex(n) from vertex 0 to n (loop words), and its
+augmented cells the path cells whose tail ends at n (``paths.cube_cells``
+lists both).  Cells are compared
 through the one bead normal form, ``words._normal_word``;
 ``dup_canonical`` pools duplicates the same way on cube cells given as
 label blocks, with nothing to cancel.
@@ -19,7 +21,7 @@ from __future__ import annotations
 from itertools import groupby
 from typing import Sequence
 
-from .simplicial import SimplexTerm, SimplicialPresentation, _split
+from .simplicial import SimplexTerm, SimplicialError, SimplicialPresentation, _split
 
 
 def dup_canonical(augmented: bool, blocks: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
@@ -62,40 +64,41 @@ Beads = tuple[SimplexTerm, ...]
 
 def necklace_face(
     zx: SimplicialPresentation, beads: Beads, i: int, eps: int, head: bool = False
-) -> Beads | None:
+) -> Beads:
     """The beads with face coordinate i (from 1) applied: eps = 1 deletes
-    its vertex, eps = 0 splits its bead there into front and back.  None
-    out of range."""
-    if i < 1:
-        return None
-    lo = 0 if head else 1
-    for k, t in enumerate(beads):
-        if lo + i <= t.dim:
-            v = lo + i - 1
-            replaced = (zx.face(t, v),) if eps else _split(zx, t, v)
-            return beads[:k] + replaced + beads[k + 1 :]
-        i -= max(t.dim - lo, 0)
-        lo = 1
-    return None
+    its vertex, eps = 0 splits its bead there into front and back."""
+    if eps not in (0, 1):
+        raise SimplicialError("epsilon must be 0 or 1")
+    r, lo = i, 0 if head else 1  # r: the coordinate within the current bead
+    if r >= 1:
+        for k, t in enumerate(beads):
+            if lo + r <= t.dim:
+                v = lo + r - 1
+                replaced = (zx.face(t, v),) if eps else _split(zx, t, v)
+                return beads[:k] + replaced + beads[k + 1 :]
+            r -= max(t.dim - lo, 0)
+            lo = 1
+    raise SimplicialError(f"coordinate {i} out of range 1..{len(face_positions(beads, head))}")
 
 
-def necklace_degeneracy(zx: SimplicialPresentation, beads: Beads, j: int) -> Beads | None:
-    """The beads with the vertex at degeneracy slot j (from 1) duplicated,
-    or None out of range; there are ``necklace_slots(beads)`` slots."""
-    if j < 1:
-        return None
-    for k, t in enumerate(beads):
-        if j <= t.dim:
-            return beads[:k] + (zx.degenerate(t, j - 1),) + beads[k + 1 :]
-        j -= t.dim
-    if j == 1 and beads:  # the last bead's last vertex
-        return beads[:-1] + (zx.degenerate(beads[-1], beads[-1].dim),)
-    return None
+def necklace_degeneracy(zx: SimplicialPresentation, beads: Beads, j: int) -> Beads:
+    """The beads with the vertex at degeneracy slot j (from 1) duplicated;
+    there are ``necklace_slots(beads)`` slots."""
+    r = j  # the slot within the current bead
+    if r >= 1:
+        for k, t in enumerate(beads):
+            if r <= t.dim:
+                return beads[:k] + (zx.degenerate(t, r - 1),) + beads[k + 1 :]
+            r -= t.dim
+        if r == 1 and beads:  # the last bead's last vertex
+            return beads[:-1] + (zx.degenerate(beads[-1], beads[-1].dim),)
+    raise SimplicialError(f"degeneracy slot {j} out of range 1..{necklace_slots(beads)}")
 
 
 def necklace_slots(beads: Beads) -> int:
-    """Number of degeneracy slots: one per vertex of the necklace."""
-    return sum(t.dim for t in beads) + 1
+    """Number of degeneracy slots: one per vertex of the necklace (none
+    for the empty one)."""
+    return sum(t.dim for t in beads) + 1 if beads else 0
 
 
 def face_positions(beads: Beads, head: bool = False) -> list[int]:

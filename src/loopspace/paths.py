@@ -6,10 +6,9 @@ basepoint.  Its degree is dim(x) + degree(y).  Extra copies of the
 base's last vertex are equivalent to duplicates at the start of the tail;
 the canonical form moves them into the tail.  Faces and degeneracies are
 the necklace operators of ``cubes`` on the beads (x, *letters of y), with
-x the head (the relation checker runs them on those beads itself).
-``path_face_raw`` builds the raw face cell, and ``path_canonical`` is the
-one normal form: the face of a cell is ``path_canonical`` of its raw
-face.  The degree-0
+x the head, and the relation checker runs them on those beads.
+``path_canonical`` is the one normal form: a face is ``path_canonical``
+of the raw face beads, the first of them the base.  The degree-0
 cells with the 1-cells between them form a graph on which words act on
 the right; over a connected complex this graph covers the 1-skeleton with
 deck group the degree-0 word group.  ``cover_graph`` grows this tree
@@ -23,7 +22,6 @@ import itertools
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .cubes import necklace_degeneracy, necklace_face, necklace_slots
 from .simplicial import SimplexTerm, SimplicialPresentation, simplex_namer
 from .words import LoopWord, _normal_word, compose, unit
 
@@ -54,40 +52,6 @@ def path_canonical(zx: SimplicialPresentation, base: SimplexTerm, tail: LoopWord
     if pool:
         base = tuple.__new__(SimplexTerm, (base.generator, base.mult[:-1] + (1,), base.dim - pool))
     return tuple.__new__(PathCell, (base, _normal_word(zx, tail.letters, hi, pool)))
-
-
-def path_face_raw(
-    zx: SimplicialPresentation, c: PathCell, i: int, eps: int
-) -> PathCell:
-    """Face at coordinate i in 1..degree without canonicalization (for
-    relation checks, where slot indices refer to the raw representative);
-    ``path_canonical`` of it is the face.  The base is the head bead of the
-    necklace (base, *tail letters), so coordinates 1..dim(base) lie on the
-    base and the rest on the tail."""
-    if eps not in (0, 1):
-        raise PathError("epsilon must be 0 or 1")
-    beads = necklace_face(zx, (c.base, *c.tail.letters), i, eps, head=True)
-    if beads is None:
-        raise PathError(f"face index {i} out of range 1..{c.degree}")
-    head = beads[0]
-    tail = tuple.__new__(LoopWord, (beads[1:], zx.endpoints(head)[1], c.tail.end))
-    return tuple.__new__(PathCell, (head, tail))
-
-
-def path_degeneracy_slots(c: PathCell) -> int:
-    """One slot per position of the cell, junctions once: dim(base) + 1
-    base positions, then the positions of the tail after its start."""
-    return necklace_slots((c.base, *c.tail.letters))
-
-
-def path_degeneracy_raw(zx: SimplicialPresentation, c: PathCell, j: int) -> PathCell:
-    """Degeneracy at slot j without canonicalization.  The junction slot acts
-    on the tail's first letter, or without one duplicates the base's last vertex."""
-    beads = necklace_degeneracy(zx, (c.base, *c.tail.letters), j)
-    if beads is None:
-        raise PathError(f"degeneracy slot {j} out of range 1..{path_degeneracy_slots(c)}")
-    tail = tuple.__new__(LoopWord, (beads[1:], c.tail.start, c.tail.end))
-    return tuple.__new__(PathCell, (beads[0], tail))
 
 
 def act(zx: SimplicialPresentation, c: PathCell, w: LoopWord) -> PathCell:

@@ -52,11 +52,10 @@ from typing import Callable, NamedTuple
 from .chains import VARIANTS, boundary_chain, boundary_word, is_killed, leibniz_defect
 from .cobar import compare_theorem2
 from .cubes import Beads, face_positions, necklace_degeneracy, necklace_face, necklace_slots
-from .paths import PathCell, PathError, cover_graph, covering_report, cube_cells, path_canonical
+from .paths import PathCell, cover_graph, covering_report, cube_cells, path_canonical
 from .simplicial import SimplexTerm, SimplicialPresentation, standard_simplex
 from .words import (
     LoopWord,
-    WordError,
     canonical,
     compose,
     degeneracy_slots,
@@ -152,9 +151,10 @@ def random_path_cells(
 
 class _Model(NamedTuple):
     """What the relation checker needs of one cell model.  The operators
-    act on bead tuples and raise ``ValueError`` out of range; a cell's
-    anchor is the vertex that, with its beads, fixes the cell (a word's
-    start, which the unit's empty beads cannot tell; a path tail's end)."""
+    act on bead tuples and raise ``SimplicialError`` out of range, as the
+    ``cubes`` operators that fill them do; a cell's anchor is the vertex
+    that, with its beads, fixes the cell (a word's start, which the unit's
+    empty beads cannot tell; a path tail's end)."""
 
     head: bool  # whether the first bead is a head (a path cell's base)
     beads: Callable  # cell -> (its beads, the beads its operators act on, its anchor)
@@ -175,19 +175,8 @@ def _word_model(zx: SimplicialPresentation) -> _Model:
     def beads(w):
         return w.letters, w.letters or (SimplexTerm(zx.generators[w.start], (2,)),), w.start
 
-    def face(beads, i, eps):
-        out = necklace_face(zx, beads, i, eps)
-        if out is None:
-            raise WordError(f"coordinate {i} out of range 1..{_degree(beads, False)}")
-        return out
-
-    def degeneracy(beads, j):
-        out = necklace_degeneracy(zx, beads, j)
-        if out is None:
-            raise WordError(f"degeneracy slot {j} out of range")
-        return out
-
-    return _Model(False, beads, face, degeneracy, partial(canonical, zx))
+    return _Model(False, beads, partial(necklace_face, zx), partial(necklace_degeneracy, zx),
+                  partial(canonical, zx))
 
 
 def _path_model(zx: SimplicialPresentation) -> _Model:
@@ -197,23 +186,12 @@ def _path_model(zx: SimplicialPresentation) -> _Model:
         b = (c.base, *c.tail.letters)
         return b, b, c.tail.end
 
-    def face(beads, i, eps):
-        out = necklace_face(zx, beads, i, eps, head=True)
-        if out is None:
-            raise PathError(f"face index {i} out of range 1..{_degree(beads, True)}")
-        return out
-
-    def degeneracy(beads, j):
-        out = necklace_degeneracy(zx, beads, j)
-        if out is None:
-            raise PathError(f"degeneracy slot {j} out of range 1..{necklace_slots(beads)}")
-        return out
-
     def normal(beads, end):
         head = beads[0]
         return path_canonical(zx, head, LoopWord(beads[1:], zx.endpoints(head)[1], end))
 
-    return _Model(True, beads, face, degeneracy, normal)
+    return _Model(True, beads, partial(necklace_face, zx, head=True),
+                  partial(necklace_degeneracy, zx), normal)
 
 
 def _pad(zx: SimplicialPresentation, c: PathCell) -> PathCell:

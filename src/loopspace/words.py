@@ -16,9 +16,10 @@ dict lookup per letter reads the letter's ends and inverse from its
 generator's record), and the tests check it against the minimum of the
 finite orbit of a word under these moves.  Faces and degeneracies are
 the necklace operators of ``cubes`` on the letters, the unit word taken
-as its unit letter s_0 x.  The plain cells of the cube on Delta^n are the
-words of standard_simplex(n) from vertex 0 to n.  The raw operators and
-the normal form build their words with ``tuple.__new__``, as
+as its unit letter s_0 x, and ``cubes`` checks every coordinate and
+slot.  The plain cells of the cube on Delta^n are the words of
+standard_simplex(n) from vertex 0 to n.  ``word_degeneracy`` and the
+normal form build their words with ``tuple.__new__``, as
 ``namedtuple._make`` does, to skip the constructor's Python frame; the
 path cells of ``paths`` are built the same way.
 """
@@ -198,23 +199,10 @@ def power_decompose(zx: SimplicialPresentation, w: LoopWord) -> tuple[LoopWord, 
 # -- face and degeneracy operators ----------------------------------------
 
 
-def word_face_raw(
-    zx: SimplicialPresentation, w: LoopWord, i: int, eps: int
-) -> LoopWord:
-    """Face at coordinate i without canonicalization (for relation checks,
-    where slot indices refer to the raw representative): eps = 1 deletes
-    the vertex, eps = 0 splits its letter there into front and back."""
-    if eps not in (0, 1):
-        raise WordError("epsilon must be 0 or 1")
-    letters = necklace_face(zx, w.letters, i, eps)
-    if letters is None:
-        raise WordError(f"coordinate {i} out of range 1..{w.degree}")
-    return tuple.__new__(LoopWord, (letters, w.start, w.end))
-
-
 def word_face(zx: SimplicialPresentation, w: LoopWord, i: int, eps: int) -> LoopWord:
-    raw = word_face_raw(zx, w, i, eps)
-    return canonical(zx, raw.letters, raw.start)
+    """Face at coordinate i: eps = 1 deletes the vertex, eps = 0 splits its
+    letter there into front and back; the canonical form of that raw word."""
+    return canonical(zx, necklace_face(zx, w.letters, i, eps), w.start)
 
 
 def degeneracy_slots(w: LoopWord) -> int:
@@ -230,8 +218,6 @@ def word_degeneracy(zx: SimplicialPresentation, w: LoopWord, j: int) -> LoopWord
     unit is taken as its unit letter s_0 x.
     """
     letters = necklace_degeneracy(zx, w.letters or (SimplexTerm(zx.generators[w.start], (2,)),), j)
-    if letters is None:
-        raise WordError(f"degeneracy slot {j} out of range")
     return tuple.__new__(LoopWord, (letters, w.start, w.end))
 
 

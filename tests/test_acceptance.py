@@ -7,7 +7,6 @@ import random
 import time
 from contextlib import contextmanager
 
-import pytest
 from snf_oracles import minors_gcd_invariants
 
 from loopspace.homology import homology, smith_normal_form

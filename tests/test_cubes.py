@@ -3,28 +3,19 @@ standard_simplex(n): the listing, its labels, and the word and path-cell
 operators on it, checked against the separate block-label normal form."""
 
 import pytest
+from cell_operators import path_degeneracy_raw, path_degeneracy_slots, path_face_raw, word_face_raw
 from word_oracles import dup_canonical_reference
 
 from loopspace.cli import _cube_label
-from loopspace.cubes import dup_canonical, face_positions
-from loopspace.paths import (
-    PathCell,
-    PathError,
-    cube_cells,
-    path_canonical,
-    path_degeneracy_raw,
-    path_degeneracy_slots,
-    path_face_raw,
-)
-from loopspace.simplicial import SimplexTerm, standard_simplex
+from loopspace.cubes import dup_canonical, face_positions, necklace_degeneracy, necklace_face
+from loopspace.paths import PathCell, cube_cells, path_canonical
+from loopspace.simplicial import SimplexTerm, SimplicialError, standard_simplex
 from loopspace.words import (
     LoopWord,
-    WordError,
     canonical,
     degeneracy_slots,
     unit,
     word_degeneracy,
-    word_face_raw,
 )
 
 
@@ -191,31 +182,30 @@ class TestDuplicateCalculus:
 
 
 class TestIndexBoundaries:
-    """The bead rule's range ends are the models': an index just outside
-    raises the model's own error, with its own message."""
+    """One range rule for every model: the bead operators raise
+    ``SimplicialError`` just outside each end, with the same texts for
+    words (no head) and path cells (the base a head bead)."""
 
     @pytest.mark.parametrize("aug", [False, True], ids=["word", "path"])
     def test_out_of_range(self, aug):
         ops = _Ops(3, aug)
-        if aug:  # the cube's path cells, among them those with an empty tail
-            error, face_msg = PathError, "face index {} out of range 1..{}"
-            slot_msg = "degeneracy slot {} out of range 1..{}"
-        else:  # the cube's words and the unit word
-            error, face_msg = WordError, "coordinate {} out of range 1..{}"
-            slot_msg = "degeneracy slot {} out of range"
-        for c in cells(3, aug) + ([] if aug else [unit("0")]):
-            n, slots = c.degree, ops.slots(c)
+        zx = ops.zx
+        # the cube's words or path cells, among them those with an empty
+        # tail, and the empty bead tuple (the unit word's own beads)
+        cases = [(ops.beads(c), c.degree, ops.slots(c)) for c in cells(3, aug)] + [((), 0, 0)]
+        for beads, n, slots in cases:
             for i, eps in ((0, 0), (0, 1), (n + 1, 0), (n + 1, 1)):
-                with pytest.raises(error) as exc:
-                    ops.face(c, i, eps)
-                assert str(exc.value) == face_msg.format(i, n)
-            with pytest.raises(error) as exc:
-                ops.face(c, 1, 2)
-            assert str(exc.value) == "epsilon must be 0 or 1"
+                with pytest.raises(SimplicialError) as exc:
+                    necklace_face(zx, beads, i, eps, head=aug)
+                assert str(exc.value) == f"coordinate {i} out of range 1..{n}"
+            for i in (0, 1, n + 1):
+                with pytest.raises(SimplicialError) as exc:
+                    necklace_face(zx, beads, i, 2, head=aug)
+                assert str(exc.value) == "epsilon must be 0 or 1"
             for j in (0, slots + 1):
-                with pytest.raises(error) as exc:
-                    ops.degeneracy(c, j)
-                assert str(exc.value) == slot_msg.format(j, slots)
+                with pytest.raises(SimplicialError) as exc:
+                    necklace_degeneracy(zx, beads, j)
+                assert str(exc.value) == f"degeneracy slot {j} out of range 1..{slots}"
 
     def test_unit_word_slots_agree(self):
         # the unit's two slots are those of its unit letter s_0 x; both give s_0 s_0 x

@@ -1,11 +1,13 @@
 import random
+import sys
 from pathlib import Path
 
 import pytest
+from cell_operators import path_degeneracy_raw, path_degeneracy_slots, path_face_raw, word_face_raw
 from hypothesis import given, settings, strategies as st
 from word_oracles import canonical_reference, path_canonical_reference
 
-from loopspace import cli, paths, words
+from loopspace import cli, cubes, paths, simplicial, words
 from loopspace.fileformat import parse_word, resolve_model
 from loopspace.paths import (
     CoverGraph,
@@ -16,9 +18,6 @@ from loopspace.paths import (
     covering_report,
     cube_cells,
     path_canonical,
-    path_degeneracy_raw,
-    path_degeneracy_slots,
-    path_face_raw,
     to_adjacency,
     to_dot,
 )
@@ -31,7 +30,6 @@ from loopspace.words import (
     random_reduced_word,
     unit,
     word_degeneracy,
-    word_face_raw,
 )
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -183,14 +181,20 @@ class TestCovering:
         def counting(module, name):
             original = getattr(module, name)
 
-            def wrapper(*args):
+            def wrapper(*args, **kwargs):
                 calls.append(name)
-                return original(*args)
+                return original(*args, **kwargs)
             monkeypatch.setattr(module, name, wrapper)
 
         for module, name in ((paths, "path_canonical"), (paths, "_normal_word"),
-                             (words, "_normal_word"), (paths, "path_face_raw")):
+                             (words, "_normal_word"), (simplicial.SimplicialPresentation, "face")):
             counting(module, name)
+        # the bead face and the simplex split, under every name a module of
+        # the library binds them to
+        for op in (cubes.necklace_face, simplicial._split):
+            for module in [m for k, m in sys.modules.items() if k.startswith("loopspace.")]:
+                for name in [k for k, v in vars(module).items() if v is op]:
+                    counting(module, name)
         g = cover_graph(zx, max_length=3)
         considered = sum(
             len(enumerate_words(zx, 0, 3, zx.endpoints(zx.term(a.name))[1], zx.basepoint))

@@ -6,6 +6,7 @@ import re
 from pathlib import Path
 
 import pytest
+from cell_operators import path_degeneracy_raw, path_degeneracy_slots, path_face_raw, word_face_raw
 from hypothesis import given, strategies as st
 from simplex_oracles import (
     degeneracy_words,
@@ -29,16 +30,9 @@ from loopspace.simplicial import (
     wedge_of_circles,
 )
 from loopspace.fileformat import load_complex, load_facets
-from loopspace.paths import (
-    PathCell,
-    cube_cells,
-    path_canonical,
-    path_degeneracy_raw,
-    path_degeneracy_slots,
-    path_face_raw,
-)
+from loopspace.paths import PathCell, cube_cells, path_canonical
 from loopspace.suites import random_loop_cells, random_path_cells
-from loopspace.words import LoopWord, canonical, degeneracy_slots, word_degeneracy, word_face_raw
+from loopspace.words import LoopWord, canonical, degeneracy_slots, word_degeneracy
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 

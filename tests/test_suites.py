@@ -7,17 +7,11 @@ from functools import cache, partial
 from pathlib import Path
 
 import pytest
+from cell_operators import path_degeneracy_raw, path_degeneracy_slots, path_face_raw, word_face_raw
 
 from loopspace import suites
 from loopspace.chains import VARIANTS, boundary_chain, boundary_word, is_killed, leibniz_defect, multiply
-from loopspace.paths import (
-    PathCell,
-    cube_cells,
-    path_canonical,
-    path_degeneracy_raw,
-    path_degeneracy_slots,
-    path_face_raw,
-)
+from loopspace.paths import PathCell, cube_cells, path_canonical
 from loopspace.simplicial import boundary_simplex, standard_simplex
 from loopspace.suites import (
     _Recorder,
@@ -40,7 +34,6 @@ from loopspace.words import (
     unit,
     word_degeneracy,
     word_face,
-    word_face_raw,
 )
 
 # per-row counts recorded from the three per-model checkers it replaced

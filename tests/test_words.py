@@ -10,7 +10,6 @@ from loopspace.simplicial import (
     SimplicialError,
     boundary_simplex,
     from_facets,
-    sphere_quotient,
     wedge_of_circles,
 )
 from loopspace.words import (
@@ -189,7 +188,7 @@ class TestFacesAndDegeneracies:
     def test_face_out_of_range(self, fixtures):
         zx = fixtures["wedge2"]
         w = canonical(zx, (zx.term("a1"),), "x0")
-        with pytest.raises(WordError):
+        with pytest.raises(SimplicialError):
             word_face(zx, w, 1, 1)  # degree 0: no faces
 
 
