@@ -32,8 +32,8 @@ COUNT_FLAGS = ("--degree", "--max-len", "--max-weight", "--count-length", "--sam
 PRIME_BOUND = 2**31  # --coeff p:P takes P below this
 # the largest cube each flag takes: the cells of the cube on Delta^(n+1)
 # grow about 3-fold with n, and the relation rows on them faster; at its
-# bound, ``cells`` runs in about 3.5 s and ``check`` in about 5 s on a
-# 2-vCPU host
+# bound, ``cells`` runs in about 3.5 s and ``check`` in about 1.5 s at a
+# 29 MB peak on a 2-vCPU host
 _CUBE_BOUNDS = {"--cube": 10, "--cube-n": 7}
 # the highest dimension of a complex ``check --suite cubical`` takes: its
 # random path cells draw their bases from every generator, so one costs

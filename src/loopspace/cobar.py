@@ -17,7 +17,7 @@ agree -- the central cross-implementation oracle for the sign system.
 from __future__ import annotations
 
 from .chains import VARIANTS, Chain, add_into, boundary_word, is_killed
-from .simplicial import SimplexTerm, SimplicialPresentation, _split
+from .simplicial import SimplexTerm, SimplicialPresentation
 from .words import canonical, enumerate_words, unit
 
 
@@ -73,7 +73,7 @@ def aw_reduced(
     zx: SimplicialPresentation, t: SimplexTerm
 ) -> list[tuple[SimplexTerm, SimplexTerm]]:
     """Front/back splittings without the two primitive terms."""
-    return [_split(zx, t, i) for i in range(1, t.dim)]
+    return [zx.split(t, i) for i in range(1, t.dim)]
 
 
 def cobar_boundary(

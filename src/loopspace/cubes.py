@@ -6,7 +6,11 @@ one bead the same way in both models, so the rule lives here, on bead
 tuples (``necklace_face``, ``necklace_degeneracy``, ``necklace_slots``,
 ``face_positions``), and so does the one range rule: a face coordinate,
 an epsilon or a degeneracy slot out of range raises ``SimplicialError``
-here, for every model.  The models rebuild their cell around the beads.
+here, for every model.  Each ends in one single-simplex operator, a
+face, a split or a degeneracy, which it takes from the one object it is
+handed: a presentation, or a ``SimplexOps`` record of stand-ins (the
+relation checker's memo of a presentation's operators).  The models
+rebuild their cell around the beads.
 The cube on a standard simplex is no separate object: its cells are the
 necklaces of standard_simplex(n) from vertex 0 to n (loop words), and its
 augmented cells the path cells whose tail ends at n (``paths.cube_cells``
@@ -19,9 +23,9 @@ label blocks, with nothing to cancel.
 from __future__ import annotations
 
 from itertools import groupby
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
-from .simplicial import SimplexTerm, SimplicialError, SimplicialPresentation, _split
+from .simplicial import SimplexTerm, SimplicialError, SimplicialPresentation
 
 
 def dup_canonical(augmented: bool, blocks: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
@@ -62,8 +66,18 @@ def dup_canonical(augmented: bool, blocks: Sequence[Sequence[int]]) -> tuple[tup
 Beads = tuple[SimplexTerm, ...]
 
 
+class SimplexOps(NamedTuple):
+    """The single-simplex operators a bead operator ends in, handed to it in
+    place of the presentation they act on (the relation checker hands it
+    a memo of the presentation's own)."""
+
+    face: Callable[[SimplexTerm, int], SimplexTerm]
+    split: Callable[[SimplexTerm, int], tuple[SimplexTerm, SimplexTerm]]
+    degenerate: Callable[[SimplexTerm, int], SimplexTerm]
+
+
 def necklace_face(
-    zx: SimplicialPresentation, beads: Beads, i: int, eps: int, head: bool = False
+    zx: SimplicialPresentation | SimplexOps, beads: Beads, i: int, eps: int, head: bool = False
 ) -> Beads:
     """The beads with face coordinate i (from 1) applied: eps = 1 deletes
     its vertex, eps = 0 splits its bead there into front and back."""
@@ -74,14 +88,14 @@ def necklace_face(
         for k, t in enumerate(beads):
             if lo + r <= t.dim:
                 v = lo + r - 1
-                replaced = (zx.face(t, v),) if eps else _split(zx, t, v)
+                replaced = (zx.face(t, v),) if eps else zx.split(t, v)
                 return beads[:k] + replaced + beads[k + 1 :]
             r -= max(t.dim - lo, 0)
             lo = 1
     raise SimplicialError(f"coordinate {i} out of range 1..{len(face_positions(beads, head))}")
 
 
-def necklace_degeneracy(zx: SimplicialPresentation, beads: Beads, j: int) -> Beads:
+def necklace_degeneracy(zx: SimplicialPresentation | SimplexOps, beads: Beads, j: int) -> Beads:
     """The beads with the vertex at degeneracy slot j (from 1) duplicated;
     there are ``necklace_slots(beads)`` slots."""
     r = j  # the slot within the current bead

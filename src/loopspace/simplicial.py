@@ -7,7 +7,7 @@ on which faces and degeneracies act directly.  Generators and simplices are
 named tuples, so that hashing, comparing and sorting them runs in C.  Each
 presentation tables once, for every generator and every vertex, the front
 and back face of the generator meeting at that vertex; a simplex splits at
-a position (``_split``) by pushing its vertex multiplicities onto the
+a position (``split``) by pushing its vertex multiplicities onto the
 tabled faces.  A nondegenerate simplex has one copy of each vertex, so
 its face and its split are the table entries as they stand, one lookup
 each.  Each generator also has one record, built at construction
@@ -262,6 +262,28 @@ class SimplicialPresentation:
             raise SimplicialError(f"unknown generator {t.generator.name!r}") from None
         return _push(f, mult[:v] + mult[v + 1 :], dim - 1)
 
+    def split(self, t: SimplexTerm, i: int) -> tuple[SimplexTerm, SimplexTerm]:
+        """The front i-face and the back (dim - i)-face of t, sharing position i.
+
+        Position i is a copy of generator vertex v; the front runs over the
+        vertices up to v and the back over those from v, with the copies on
+        either side of i.  Both are the tabled faces of the generator at v with
+        these multiplicities pushed forward, as ``face`` does; a nondegenerate
+        t has none to push, so its split is the table entry at i."""
+        mult = t.mult
+        if not 0 <= i <= t.dim:
+            raise SimplicialError(f"split index {i} out of range for dimension {t.dim}")
+        try:
+            table = self._splits[t.generator.name]
+        except KeyError:
+            raise SimplicialError(f"unknown generator {t.generator.name!r}") from None
+        if t.dim + 1 == len(mult):  # nondegenerate: the tabled pair itself
+            return table[i]
+        v = _vertex_at(mult, i)
+        k = i - sum(mult[:v])  # position i is copy k of vertex v
+        front, back = table[v]
+        return _push(front, mult[:v] + (k + 1,), i), _push(back, (mult[v] - k,) + mult[v + 1 :], t.dim - i)
+
     def degenerate(self, t: SimplexTerm, j: int) -> SimplexTerm:
         """Apply s_j to t."""
         return _degenerate(t, j)
@@ -331,31 +353,6 @@ class SimplicialPresentation:
             if self.face(self.term(b), 1) != self.face(self.term(a), 0):
                 report.append(f"d1({b}) != d0({a})")
         return report
-
-
-def _split(
-    zx: SimplicialPresentation, t: SimplexTerm, i: int
-) -> tuple[SimplexTerm, SimplexTerm]:
-    """The front i-face and the back (dim - i)-face of t, sharing position i.
-
-    Position i is a copy of generator vertex v; the front runs over the
-    vertices up to v and the back over those from v, with the copies on
-    either side of i.  Both are the tabled faces of the generator at v with
-    these multiplicities pushed forward, as ``face`` does; a nondegenerate
-    t has none to push, so its split is the table entry at i."""
-    mult = t.mult
-    if not 0 <= i <= t.dim:
-        raise SimplicialError(f"split index {i} out of range for dimension {t.dim}")
-    try:
-        table = zx._splits[t.generator.name]
-    except KeyError:
-        raise SimplicialError(f"unknown generator {t.generator.name!r}") from None
-    if t.dim + 1 == len(mult):  # nondegenerate: the tabled pair itself
-        return table[i]
-    v = _vertex_at(mult, i)
-    k = i - sum(mult[:v])  # position i is copy k of vertex v
-    front, back = table[v]
-    return _push(front, mult[:v] + (k + 1,), i), _push(back, (mult[v] - k,) + mult[v + 1 :], t.dim - i)
 
 
 def _push(f: SimplexTerm, mult: tuple[int, ...], dim: int) -> SimplexTerm:

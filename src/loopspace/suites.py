@@ -19,11 +19,18 @@ record of its operators (``_Model``).  The checker works on bead tuples,
 the necklaces the ``cubes`` operators act on (a path cell's base is the
 head bead), and builds and compares both raw sides of every row as beads;
 a model turns beads back into a cell only to take its normal form
-(``canonical``, ``path_canonical``).  The unit word's operators act on
-its unit letter s_0 x, but a raw comparison sees the unit itself.  Cube
-cells are no third model: the cube rows run the word model on the
-necklaces of standard_simplex(n + 1) from 0 to n + 1, and the path model
-on the path cells of standard_simplex(n) ending at n.
+(``canonical``, ``path_canonical``).  Each bead operator ends in one
+single-simplex face, split or degeneracy, and the cells of one call ask
+for the same (simplex, index) pairs many times, so a model hands the
+``cubes`` operators a memo of the presentation's three (``_memo``): each
+pair is taken from the presentation once for the life of the model, and
+``cubical_suite`` builds one model per ``_check_relations`` call.  The
+presentation itself keeps no memo, so nothing else reaches this one.
+The unit word's operators act on its unit letter s_0 x, but a raw
+comparison sees the unit itself.  Cube cells are no third model: the
+cube rows run the word model on the necklaces of standard_simplex(n + 1)
+from 0 to n + 1, and the path model on the path cells of
+standard_simplex(n) ending at n.
 The rows ask for the checked cell's own raw faces and degeneracies many
 times, and build equal raw beads many times; the checker reads them
 through dicts that live for that cell only: one of its raw faces
@@ -51,7 +58,7 @@ from typing import Callable, NamedTuple
 
 from .chains import VARIANTS, boundary_chain, boundary_word, is_killed, leibniz_defect
 from .cobar import compare_theorem2
-from .cubes import Beads, face_positions, necklace_degeneracy, necklace_face, necklace_slots
+from .cubes import Beads, SimplexOps, face_positions, necklace_degeneracy, necklace_face, necklace_slots
 from .paths import PathCell, cover_graph, covering_report, cube_cells, path_canonical
 from .simplicial import SimplexTerm, SimplicialPresentation, standard_simplex
 from .words import (
@@ -152,15 +159,23 @@ def random_path_cells(
 class _Model(NamedTuple):
     """What the relation checker needs of one cell model.  The operators
     act on bead tuples and raise ``SimplicialError`` out of range, as the
-    ``cubes`` operators that fill them do; a cell's anchor is the vertex
-    that, with its beads, fixes the cell (a word's start, which the unit's
-    empty beads cannot tell; a path tail's end)."""
+    ``cubes`` operators that fill them do, on the model's memo of the
+    simplex operators (``_memo``); a cell's anchor is the vertex that,
+    with its beads, fixes the cell (a word's start, which the unit's empty
+    beads cannot tell; a path tail's end)."""
 
     head: bool  # whether the first bead is a head (a path cell's base)
     beads: Callable  # cell -> (its beads, the beads its operators act on, its anchor)
     face_raw: Callable  # (beads, i, eps) -> raw face
     degeneracy_raw: Callable  # (beads, j) -> raw degeneracy
     normal: Callable  # (beads, anchor) -> normal form of the cell they make
+
+
+def _memo(zx: SimplicialPresentation) -> SimplexOps:
+    """The presentation's face, split and degeneracy, each taken once per
+    (simplex, index) for the life of one checker model.  ``cache`` keeps
+    no exception, so an index out of range raises on every request."""
+    return SimplexOps(cache(zx.face), cache(zx.split), cache(zx.degenerate))
 
 
 def _degree(beads: Beads, head: bool) -> int:
@@ -175,7 +190,8 @@ def _word_model(zx: SimplicialPresentation) -> _Model:
     def beads(w):
         return w.letters, w.letters or (SimplexTerm(zx.generators[w.start], (2,)),), w.start
 
-    return _Model(False, beads, partial(necklace_face, zx), partial(necklace_degeneracy, zx),
+    ops = _memo(zx)
+    return _Model(False, beads, partial(necklace_face, ops), partial(necklace_degeneracy, ops),
                   partial(canonical, zx))
 
 
@@ -190,8 +206,9 @@ def _path_model(zx: SimplicialPresentation) -> _Model:
         head = beads[0]
         return path_canonical(zx, head, LoopWord(beads[1:], zx.endpoints(head)[1], end))
 
-    return _Model(True, beads, partial(necklace_face, zx, head=True),
-                  partial(necklace_degeneracy, zx), normal)
+    ops = _memo(zx)
+    return _Model(True, beads, partial(necklace_face, ops, head=True),
+                  partial(necklace_degeneracy, ops), normal)
 
 
 def _pad(zx: SimplicialPresentation, c: PathCell) -> PathCell:

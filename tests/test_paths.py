@@ -187,14 +187,13 @@ class TestCovering:
             monkeypatch.setattr(module, name, wrapper)
 
         for module, name in ((paths, "path_canonical"), (paths, "_normal_word"),
-                             (words, "_normal_word"), (simplicial.SimplicialPresentation, "face")):
+                             (words, "_normal_word"), (simplicial.SimplicialPresentation, "face"),
+                             (simplicial.SimplicialPresentation, "split")):
             counting(module, name)
-        # the bead face and the simplex split, under every name a module of
-        # the library binds them to
-        for op in (cubes.necklace_face, simplicial._split):
-            for module in [m for k, m in sys.modules.items() if k.startswith("loopspace.")]:
-                for name in [k for k, v in vars(module).items() if v is op]:
-                    counting(module, name)
+        # the bead face, under every name a module of the library binds it to
+        for module in [m for k, m in sys.modules.items() if k.startswith("loopspace.")]:
+            for name in [k for k, v in vars(module).items() if v is cubes.necklace_face]:
+                counting(module, name)
         g = cover_graph(zx, max_length=3)
         considered = sum(
             len(enumerate_words(zx, 0, 3, zx.endpoints(zx.term(a.name))[1], zx.basepoint))

@@ -22,7 +22,6 @@ from loopspace.simplicial import (
     SimplicialError,
     SimplicialPresentation,
     _push,
-    _split,
     boundary_simplex,
     from_facets,
     sphere_quotient,
@@ -292,13 +291,13 @@ class TestFaceOracle:
                     zx.face(t, bad)
                 with pytest.raises(SimplicialError, match=re.escape(
                         f"split index {bad} out of range for dimension {t.dim}")):
-                    _split(zx, t, bad)
+                    zx.split(t, bad)
         for mult in ((1, 1), (1, 2)):
             t = SimplexTerm(GeneratorId("nowhere", 1), mult)
             with pytest.raises(SimplicialError, match="unknown generator 'nowhere'"):
                 zx.face(t, 0)
             with pytest.raises(SimplicialError, match="unknown generator 'nowhere'"):
-                _split(zx, t, 0)
+                zx.split(t, 0)
 
     def test_out_of_range(self):
         zx = sphere_quotient(2)
@@ -317,9 +316,9 @@ class TestFaceOracle:
         for bad in (-1, 3):
             with pytest.raises(SimplicialError,
                                match=re.escape(f"split index {bad} out of range for dimension 2")):
-                _split(zx, t, bad)
+                zx.split(t, bad)
         with pytest.raises(SimplicialError, match="unknown generator 'nowhere'"):
-            _split(zx, SimplexTerm(GeneratorId("nowhere", 0), (1,)), 0)
+            zx.split(SimplexTerm(GeneratorId("nowhere", 0), (1,)), 0)
 
 
 def walk_endpoints(zx, t):
@@ -365,7 +364,7 @@ class TestSplitTable:
         for zx in list(fixtures.values()) + built + [load_complex(p) for p in docs]:
             for t in terms_with_copies(zx):
                 for i in range(t.dim + 1):
-                    assert _split(zx, t, i) == walk_split(zx, t, i), (zx.name, t, i)
+                    assert zx.split(t, i) == walk_split(zx, t, i), (zx.name, t, i)
                     pairs += 1
         assert pairs > 2500
 
@@ -377,9 +376,9 @@ class TestSplitTable:
         for g in zx.generators.values():
             t = zx.term(g.name)
             for i in range(g.dim + 1):
-                assert _split(zx, t, i) == walk_split(zx, t, i) == zx._splits[g.name][i]
+                assert zx.split(t, i) == walk_split(zx, t, i) == zx._splits[g.name][i]
                 if from_facets:
-                    assert _split(zx, t, i) == (zx.term(g.name[:i + 1]), zx.term(g.name[i:]))
+                    assert zx.split(t, i) == (zx.term(g.name[:i + 1]), zx.term(g.name[i:]))
 
 
 class TestEndpointTable:
@@ -442,7 +441,7 @@ class TestStoredDimension:
                        t._replace(generator=t.generator)]
                 out += [zx.degenerate(t, j) for j in range(t.dim + 1)]
                 out += [zx.face(t, i) for i in range(t.dim + 1) if t.dim]
-                out += [half for i in range(t.dim + 1) for half in _split(zx, t, i)]
+                out += [half for i in range(t.dim + 1) for half in zx.split(t, i)]
                 for f in zx.faces.get(t.generator.name, ()):
                     out += [_push(f, (1,) * k + (3,) + (1,) * (f.dim - k), f.dim + 2)
                             for k in range(f.dim + 1)]

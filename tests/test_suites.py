@@ -3,6 +3,7 @@ it reports a wrong model."""
 
 import json
 import random
+from collections import Counter
 from functools import cache, partial
 from pathlib import Path
 
@@ -12,7 +13,7 @@ from cell_operators import path_degeneracy_raw, path_degeneracy_slots, path_face
 from loopspace import suites
 from loopspace.chains import VARIANTS, boundary_chain, boundary_word, is_killed, leibniz_defect, multiply
 from loopspace.paths import PathCell, cube_cells, path_canonical
-from loopspace.simplicial import boundary_simplex, standard_simplex
+from loopspace.simplicial import SimplicialPresentation, boundary_simplex, standard_simplex
 from loopspace.suites import (
     _Recorder,
     _check_cell,
@@ -419,6 +420,75 @@ class TestNormalCalls:
 
         report = _report(model._replace(normal=normal), cells, tag)
         assert report["checks"] == report["failed"] == {f"{tag}-error": len(cells)}
+
+
+def _memo_runs(fixtures):
+    """The checker calls the simplex memo is tested on, as (zx, cells, tag,
+    build), build(zx) making the call's model: the cube cells of Delta^4
+    and the augmented ones of Delta^3, the random word and path cells of
+    the five fixtures at the command-line defaults, and each wrong model
+    on the cube words and on the random words of each fixture."""
+    runs = []
+    for n, aug, model, tag in ((4, False, _word_model, "cube"), (3, True, _path_model, "cube-aug")):
+        delta = standard_simplex(n)
+        runs.append((delta, [c for _, c in cube_cells(delta, aug)], tag, model))
+    for zx in fixtures.values():
+        words, paths = _cli_default_cells(zx)
+        runs += [(zx, words, "word", _word_model), (zx, paths, "path", _path_model)]
+    wrong = [runs[0][:3]] + [(zx, random_loop_cells(zx, random.Random(1), 20), "word")
+                             for zx in fixtures.values()]
+    for zx, cells, tag in wrong:
+        for kind in ("degeneracy", "face", "slot_one", "degree"):
+            def build(zx, cells=cells, tag=tag, kind=kind):
+                return _wrong_models(_word_cases(zx, cells, tag))[kind]
+            runs.append((zx, cells, tag, build))
+    return runs
+
+
+class TestSimplexMemo:
+    # a checker model takes each face, split and degeneracy of a single
+    # simplex from the presentation once, and hands every later request
+    # of its checker call the same answer
+    @staticmethod
+    def _spied(monkeypatch):
+        reached = Counter()
+        for name in ("face", "split", "degenerate"):
+            def spied(zx, t, i, name=name, original=getattr(SimplicialPresentation, name)):
+                reached[name, t, i] += 1
+                return original(zx, t, i)
+
+            monkeypatch.setattr(SimplicialPresentation, name, spied)
+        return reached
+
+    def test_each_operator_reaches_the_presentation_once(self, fixtures, monkeypatch):
+        runs = _memo_runs(fixtures)  # the random cells take degeneracies
+        reached = self._spied(monkeypatch)
+        for zx, cells, tag, build in runs:
+            reached.clear()
+            report = _report(build(zx), cells, tag)
+            assert reached and max(reached.values()) == 1, (zx.name, tag, reached.most_common(1))
+            assert report["checks"]
+        # the memo is the model's: a second call, with a model of its own,
+        # takes every one of them from the presentation again
+        zx, cells, tag, build = runs[2]
+        reached.clear()
+        for _ in range(2):
+            _report(build(zx), cells, tag)
+        assert reached and set(reached.values()) == {2}
+
+    def test_report_of_the_uncached_operators(self, fixtures, monkeypatch):
+        # the same runs on models that take every simplex operator from the
+        # presentation, partial(necklace_face, zx) and the like; a wrong
+        # model still records its error row on every cell it raises on
+        runs = _memo_runs(fixtures)
+        cached = [_report(build(zx), cells, tag) for zx, cells, tag, build in runs]
+        monkeypatch.setattr(suites, "_memo", lambda zx: zx)
+        assert _word_model(runs[0][0]).face_raw.args == (runs[0][0],)
+        errors = 0
+        for (zx, cells, tag, build), report in zip(runs, cached):
+            assert report == _report(build(zx), cells, tag), (zx.name, tag)
+            errors += report["failed"].get(f"{tag}-error", 0)
+        assert errors > 10
 
 
 def _pinned_fields(report, *extra):
